@@ -1,12 +1,15 @@
-//! Argus-substrate benchmarks: aggregation throughput and persistence.
+//! Argus-substrate benchmarks: aggregation throughput, the flow-row codec
+//! (CSV and engine checkpoints) and the CRC32 every frame and checkpoint
+//! carries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use pw_detect::stream::{DetectionEngine, EngineConfig};
 use pw_flow::synth::{emit_connection, ConnOutcome, ConnSpec};
-use pw_flow::{ArgusAggregator, Packet, PacketSink};
+use pw_flow::{ArgusAggregator, FlowRecord, Packet, PacketSink};
 use pw_netsim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
-fn packet_script(conns: usize) -> Vec<Packet> {
+fn packet_script(conns: usize, payload: &[u8]) -> Vec<Packet> {
     let mut pkts: Vec<Packet> = Vec::new();
     for i in 0..conns {
         let spec = ConnSpec::tcp(
@@ -20,14 +23,25 @@ fn packet_script(conns: usize) -> Vec<Packet> {
             bytes_up: 600,
             bytes_down: 30_000,
         })
-        .duration(SimDuration::from_secs(2));
+        .duration(SimDuration::from_secs(2))
+        .payload(payload);
         emit_connection(&mut pkts, &spec);
     }
     pkts
 }
 
+/// Web flows carrying a request line as their payload prefix, as most
+/// campus rows do.
+fn web_flows(conns: usize) -> Vec<FlowRecord> {
+    let mut agg = ArgusAggregator::default();
+    for p in packet_script(conns, b"GET /index.html HTTP/1.1\r\nHost: www") {
+        agg.emit(p);
+    }
+    agg.finish(SimTime::from_hours(2))
+}
+
 fn bench_aggregation(c: &mut Criterion) {
-    let pkts = packet_script(10_000);
+    let pkts = packet_script(10_000, b"");
     let mut group = c.benchmark_group("argus");
     group.throughput(Throughput::Elements(pkts.len() as u64));
     group.sample_size(20);
@@ -44,12 +58,7 @@ fn bench_aggregation(c: &mut Criterion) {
 }
 
 fn bench_csv(c: &mut Criterion) {
-    let pkts = packet_script(5_000);
-    let mut agg = ArgusAggregator::default();
-    for p in &pkts {
-        agg.emit(*p);
-    }
-    let flows = agg.finish(SimTime::from_hours(2));
+    let flows = web_flows(5_000);
     let mut buf = Vec::new();
     pw_flow::csvio::write_flows(&mut buf, &flows).unwrap();
 
@@ -62,8 +71,47 @@ fn bench_csv(c: &mut Criterion) {
             out
         })
     });
+    // The lossy reader is the path `findplotters` and the benchmark take.
     group.bench_function("read", |b| {
-        b.iter(|| pw_flow::csvio::read_flows(black_box(buf.as_slice())).unwrap())
+        b.iter(|| pw_flow::csvio::read_flows_lossy(black_box(buf.as_slice())).unwrap())
+    });
+    group.finish();
+}
+
+fn bench_checkpoint(c: &mut Criterion) {
+    // 20k flows over 17 minutes, each held by the four open 2 h windows
+    // that slide by 30 min: no window closes, so every flow is serialized
+    // four times, as in a sliding-window monitor's snapshots.
+    let cfg = EngineConfig::builder()
+        .window(SimDuration::from_hours(2))
+        .slide(SimDuration::from_mins(30))
+        .lateness(SimDuration::from_mins(10))
+        .threads(1)
+        .build()
+        .unwrap();
+    let mut engine = DetectionEngine::new(cfg, |ip: Ipv4Addr| ip.octets()[0] == 10).unwrap();
+    for f in web_flows(20_000) {
+        engine.push(f).unwrap();
+    }
+    let snapshot = engine.checkpoint();
+    let rows = snapshot.buffer.len() + snapshot.open.iter().map(|(_, f)| f.len()).sum::<usize>();
+
+    let mut group = c.benchmark_group("checkpoint");
+    group.throughput(Throughput::Elements(rows as u64));
+    group.bench_function("serialize", |b| b.iter(|| black_box(&snapshot).serialize()));
+    group.finish();
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    // About the size of one checkpoint of the benchmark's sliding-window
+    // workload.
+    let data: Vec<u8> = (0..6usize << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    let mut group = c.benchmark_group("frame");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("crc32_6mb", |b| {
+        b.iter(|| pw_flow::frame::crc32(black_box(&data)))
     });
     group.finish();
 }
@@ -87,5 +135,12 @@ fn bench_signatures(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_aggregation, bench_csv, bench_signatures);
+criterion_group!(
+    benches,
+    bench_aggregation,
+    bench_csv,
+    bench_checkpoint,
+    bench_crc32,
+    bench_signatures
+);
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //! deliberately takes no serialization dependency:
 //!
 //! ```text
-//! peerwatch-checkpoint v2
+//! peerwatch-checkpoint v3
 //! engine window_ms=3600000 slide_ms=3600000 ... reject_invalid=0 tier=exact
 //! detect with_reduction=1 tau_vol=p:4049000000000000 ... cut_fraction=3fa999999999999a
 //! state watermark_ms=1234 applied_to_ms=1000 ...
@@ -29,6 +29,7 @@
 //! window 7 1
 //! <flow row in csvio line format>
 //! end
+//! checksum crc32=<8 hex digits>
 //! ```
 //!
 //! Version 3 appends an integrity trailer as the final line —
@@ -53,7 +54,10 @@
 //! Floats (`cut_fraction`, absolute/percentile thresholds) are serialized
 //! as the hexadecimal IEEE-754 bit pattern, so restore is exact — no
 //! decimal round-trip can perturb a threshold and flip a verdict. Flow
-//! rows reuse [`pw_flow::csvio`]'s line codec.
+//! rows reuse [`pw_flow::csvio`]'s row codec: [`EngineCheckpoint::serialize`]
+//! sizes one buffer from the row count up front and appends every row into
+//! it with [`push_flow`], and [`EngineCheckpoint::parse`] decodes each row
+//! with [`parse_flow`].
 //!
 //! The `deltas` line is load-bearing: late/dropped/quarantined events are
 //! attributed to the *next window to close* after the event, so a
@@ -73,7 +77,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use pw_flow::csvio::{format_flow, parse_flow};
+use pw_flow::csvio::{parse_flow, push_flow};
 use pw_flow::{FlowRecord, RowError};
 use pw_netsim::{SimDuration, SimTime};
 
@@ -97,6 +101,14 @@ pub const MAGIC_V1: &str = "peerwatch-checkpoint v1";
 
 /// Line prefix of the v3 integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
+
+/// Room [`EngineCheckpoint::serialize`] reserves for its section lines,
+/// window headers and trailer.
+const HEAD_BYTES: usize = 4096;
+
+/// Room reserved per flow row: a campus-day row with its newline averages
+/// about 100 bytes, so most snapshots fill one allocation.
+const ROW_BYTES: usize = 128;
 
 /// Appends the v3 integrity trailer: a `checksum crc32=<8 hex>` line
 /// covering every byte already in `text`. Shared with the server-side
@@ -261,7 +273,8 @@ impl EngineCheckpoint {
     /// Serializes the snapshot into the versioned text form.
     pub fn serialize(&self) -> String {
         let c = &self.config;
-        let mut out = String::new();
+        let rows = self.buffer.len() + self.open.iter().map(|(_, f)| f.len()).sum::<usize>();
+        let mut out = String::with_capacity(HEAD_BYTES + rows * ROW_BYTES);
         out.push_str(MAGIC);
         out.push('\n');
         let eviction = match c.eviction {
@@ -333,13 +346,13 @@ impl EngineCheckpoint {
         ));
         out.push_str(&format!("buffer {}\n", self.buffer.len()));
         for f in &self.buffer {
-            out.push_str(&format_flow(f));
+            push_flow(&mut out, f);
             out.push('\n');
         }
         for (index, flows) in &self.open {
             out.push_str(&format!("window {} {}\n", index, flows.len()));
             for f in flows {
-                out.push_str(&format_flow(f));
+                push_flow(&mut out, f);
                 out.push('\n');
             }
         }
@@ -514,7 +527,7 @@ fn flow_row<'a>(
         line: 0,
         reason: "truncated checkpoint: missing flow row".to_string(),
     })?;
-    Ok(parse_flow(line, lineno + 1)?)
+    Ok(parse_flow(line.as_bytes(), lineno + 1)?)
 }
 
 /// `key=value` accessor over one section line.

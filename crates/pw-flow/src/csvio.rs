@@ -13,11 +13,60 @@
 //!   that did parse, so a live feed with a corrupt record keeps flowing and
 //!   the damage can be quarantined instead of killing the monitor.
 //!
-//! [`format_flow`] and [`parse_flow`] expose the single-line codec; the
-//! streaming engine's checkpoint format reuses them verbatim.
+//! [`push_flow`] and [`parse_flow`] are the single-row codec; the streaming
+//! engine's checkpoint format reuses them verbatim. Both work on bytes and
+//! make no allocation per row: `push_flow` appends decimal digits, dotted
+//! quads and payload hex to the caller's buffer, and `parse_flow` decodes
+//! a row as the writer wrote it in one pass, with hand-written decimal,
+//! IPv4 and hex decoders. Both readers share one line loop that reads
+//! every line into the same reused buffer.
+//!
+//! # Row grammar
+//!
+//! The first line is [`HEADER`]. Every later non-blank line, ending in `\n`
+//! or `\r\n`, is one row of [`FIELDS`] comma-separated fields in the
+//! header's order:
+//!
+//! - `start_ms`, `end_ms`, `src_pkts`, `src_bytes`, `dst_pkts` and
+//!   `dst_bytes` are `u64`, `sport` and `dport` are `u16`, all in decimal;
+//! - `src` and `dst` are dotted-quad IPv4 addresses;
+//! - `proto` is `tcp` or `udp`, and `state` is a [`FlowState`] token
+//!   (`EST`, `SYN`, `REJ`, `RSTD`, `UDPR` or `UDPS`);
+//! - `payload_hex` is an even number of hex digits, possibly none; bytes
+//!   past the 64th are dropped, as [`Payload::capture`] does.
+//!
+//! A field is accepted exactly when the standard library accepts it:
+//! `u64`/`u16`/[`Ipv4Addr`] `from_str`, and `u8::from_str_radix(pair, 16)`
+//! on each hex pair. The hand-written decoders take the forms the writer
+//! emits (plain digits, dotted quads without leading zeros, hex digits).
+//! A row they decline is split at its commas and every field goes to the
+//! standard parsers, whose answer stands. So rarer forms such as `+5`
+//! still parse as they always have, and every error is the standard
+//! parser's.
+//!
+//! # Errors
+//!
+//! A rejected row becomes a [`RowError`] carrying its 1-based line number:
+//! the header is line 1, and blank lines count. A row without exactly
+//! [`FIELDS`] fields reports [`ParseError::WrongFieldCount`]. Otherwise the
+//! first bad field in the order `proto`, `state`, `payload_hex`,
+//! `start_ms`, `end_ms`, `src`, `sport`, `dst`, `dport`, `src_pkts`,
+//! `src_bytes`, `dst_pkts`, `dst_bytes` is reported with its raw text, and
+//! the standard parser's message on that slice is the reason.
+//!
+//! # UTF-8
+//!
+//! The hand-written decoders accept ASCII bytes only, so a row they
+//! accept is valid UTF-8 by construction and is never checked. Only a row
+//! they decline is checked, on its way to the standard parsers, which work
+//! on text. If it is not UTF-8, they get its lossy text (each bad sequence
+//! replaced by U+FFFD), so its error still names a field and carries
+//! printable text. Such a row is quarantined like any other instead of
+//! failing the whole load.
 
 use std::io::{self, BufRead, Write};
 use std::net::Ipv4Addr;
+use std::str::FromStr;
 
 use pw_netsim::SimTime;
 
@@ -60,7 +109,8 @@ pub enum ParseFlowError {
     Io(io::Error),
     /// The first line was not the expected [`HEADER`].
     BadHeader {
-        /// What the first line actually said.
+        /// What the first line actually said (lossily decoded if it was
+        /// not UTF-8).
         found: String,
     },
     /// A malformed row (strict mode only — [`read_flows_lossy`] collects
@@ -102,111 +152,287 @@ impl From<RowError> for ParseFlowError {
     }
 }
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+/// Lower-case hex digit of each nibble value.
+const HEX_DIGITS: [u8; 16] = *b"0123456789abcdef";
+
+/// Nibble value of every byte that is a hex digit (either case); 0xFF,
+/// which no nibble has, for the rest.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
     }
-    s
-}
+    table
+};
 
-fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex payload".into());
+/// Appends `v` in decimal.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| e.to_string()))
-        .collect()
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
 }
 
-/// Renders one record as a CSV line (no trailing newline) in the exact
-/// format [`write_flows`] emits and [`parse_flow`] reads back.
-pub fn format_flow(r: &FlowRecord) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        r.start.as_millis(),
-        r.end.as_millis(),
-        r.src,
-        r.sport,
-        r.dst,
-        r.dport,
-        r.proto,
-        r.src_pkts,
-        r.src_bytes,
-        r.dst_pkts,
-        r.dst_bytes,
-        r.state,
-        hex_encode(r.payload.as_bytes()),
-    )
+/// Appends `ip` as a dotted quad.
+fn push_ipv4(out: &mut String, ip: Ipv4Addr) {
+    for (i, octet) in ip.octets().into_iter().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        push_decimal(out, u64::from(octet));
+    }
 }
 
-/// Parses one CSV line (as produced by [`format_flow`]) into a record.
+/// Appends one record to `out` as a CSV row, without a line terminator, in
+/// the exact format [`write_flows`] emits and [`parse_flow`] reads back.
+/// Nothing is allocated beyond `out`'s own growth.
+pub fn push_flow(out: &mut String, r: &FlowRecord) {
+    push_decimal(out, r.start.as_millis());
+    out.push(',');
+    push_decimal(out, r.end.as_millis());
+    out.push(',');
+    push_ipv4(out, r.src);
+    out.push(',');
+    push_decimal(out, u64::from(r.sport));
+    out.push(',');
+    push_ipv4(out, r.dst);
+    out.push(',');
+    push_decimal(out, u64::from(r.dport));
+    out.push(',');
+    out.push_str(r.proto.name());
+    for count in [r.src_pkts, r.src_bytes, r.dst_pkts, r.dst_bytes] {
+        out.push(',');
+        push_decimal(out, count);
+    }
+    out.push(',');
+    out.push_str(r.state.name());
+    out.push(',');
+    for &b in r.payload.as_bytes() {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xF)]));
+    }
+}
+
+/// Parses one CSV row (as written by [`push_flow`], without its line
+/// terminator) into a record.
 ///
 /// # Errors
 ///
-/// Returns a [`RowError`] carrying `lineno` and the offending field.
-pub fn parse_flow(line: &str, lineno: usize) -> Result<FlowRecord, RowError> {
-    let err = |error: ParseError| RowError {
-        line: lineno,
-        error,
-    };
-    let invalid = |field: &'static str, value: &str, reason: String| {
-        err(ParseError::InvalidField {
-            field,
-            value: value.to_owned(),
-            reason,
-        })
-    };
-    // Split straight into a fixed-size array: per-field indexing below is
-    // infallible by type, and the hot read path takes no per-row heap
-    // allocation.
-    let mut fields: [&str; FIELDS] = [""; FIELDS];
+/// Returns a [`RowError`] carrying `lineno` and the offending field, as
+/// the [module documentation](self) describes.
+pub fn parse_flow(line: &[u8], lineno: usize) -> Result<FlowRecord, RowError> {
+    match decode_written(line) {
+        Some(r) => Ok(r),
+        // Only a row the fast decoder declines is checked for UTF-8: one it
+        // accepts is ASCII by construction.
+        None => decode_any(&String::from_utf8_lossy(line)).map_err(|error| RowError {
+            line: lineno,
+            error,
+        }),
+    }
+}
+
+/// The fast path: decodes a row in the form [`push_flow`] writes, field by
+/// field in one pass, with hand-written decimal, IPv4 and hex decoders.
+/// `None` for anything else — a form only the standard parsers accept, or
+/// a bad row — which [`decode_any`] then judges.
+fn decode_written(line: &[u8]) -> Option<FlowRecord> {
+    let mut rest = line;
+    let start = take_decimal(&mut rest)?;
+    let end = take_decimal(&mut rest)?;
+    let src = take_ipv4(&mut rest)?;
+    let sport = u16::try_from(take_decimal(&mut rest)?).ok()?;
+    let dst = take_ipv4(&mut rest)?;
+    let dport = u16::try_from(take_decimal(&mut rest)?).ok()?;
+    let proto = Proto::from_token(take_token(&mut rest)?)?;
+    let src_pkts = take_decimal(&mut rest)?;
+    let src_bytes = take_decimal(&mut rest)?;
+    let dst_pkts = take_decimal(&mut rest)?;
+    let dst_bytes = take_decimal(&mut rest)?;
+    let state = FlowState::from_token(take_token(&mut rest)?)?;
+    // The payload is the rest of the row: a further comma is not hex.
+    if !rest.len().is_multiple_of(2) {
+        return None;
+    }
+    let mut payload = [0u8; Payload::MAX];
+    for (i, pair) in rest.chunks_exact(2).enumerate() {
+        let (hi, lo) = (
+            HEX_VALUES[usize::from(pair[0])],
+            HEX_VALUES[usize::from(pair[1])],
+        );
+        if (hi | lo) >= 16 {
+            return None;
+        }
+        if let Some(slot) = payload.get_mut(i) {
+            *slot = (hi << 4) | lo;
+        }
+    }
+    Some(FlowRecord {
+        start: SimTime::from_millis(start),
+        end: SimTime::from_millis(end),
+        src,
+        sport,
+        dst,
+        dport,
+        proto,
+        src_pkts,
+        src_bytes,
+        dst_pkts,
+        dst_bytes,
+        state,
+        payload: Payload::capture(&payload[..(rest.len() / 2).min(Payload::MAX)]),
+    })
+}
+
+/// Takes the decimal digits before the next comma, and the comma. At most
+/// 19 digits, so the value cannot overflow.
+fn take_decimal(rest: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for (i, &b) in rest.iter().enumerate() {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            if b != b',' || i == 0 || i > 19 {
+                return None;
+            }
+            *rest = rest.get(i + 1..)?;
+            return Some(v);
+        }
+        v = v.wrapping_mul(10).wrapping_add(u64::from(digit));
+    }
+    None
+}
+
+/// Takes a dotted quad and the comma after it: four octets of one to three
+/// digits, without the leading zeros `Ipv4Addr::from_str` refuses.
+fn take_ipv4(rest: &mut &[u8]) -> Option<Ipv4Addr> {
+    let mut octets = [0u8; 4];
+    for (k, octet) in octets.iter_mut().enumerate() {
+        let stop = if k == 3 { b',' } else { b'.' };
+        let (mut value, mut digits) = (0u32, 0);
+        loop {
+            let &b = rest.get(digits)?;
+            if b == stop {
+                break;
+            }
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 || digits == 3 || (digits > 0 && value == 0) {
+                return None;
+            }
+            value = value * 10 + u32::from(digit);
+            digits += 1;
+        }
+        if digits == 0 {
+            return None;
+        }
+        *octet = u8::try_from(value).ok()?;
+        *rest = rest.get(digits + 1..)?;
+    }
+    Some(Ipv4Addr::from(octets))
+}
+
+/// Takes an enum token (at most four bytes) and the comma after it.
+fn take_token<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let len = rest.iter().take(5).position(|&b| b == b',')?;
+    let token = rest.get(..len)?;
+    *rest = rest.get(len + 1..)?;
+    Some(token)
+}
+
+/// The general path: splits the row's text at its commas and parses every
+/// field with the standard parsers, in the order that decides which bad
+/// field is reported.
+fn decode_any(line: &str) -> Result<FlowRecord, ParseError> {
+    let mut fields = [""; FIELDS];
     let mut got = 0usize;
     for col in line.split(',') {
-        if got < FIELDS {
-            fields[got] = col;
+        if let Some(slot) = fields.get_mut(got) {
+            *slot = col;
         }
         got += 1;
     }
     if got != FIELDS {
-        return Err(err(ParseError::WrongFieldCount {
+        return Err(ParseError::WrongFieldCount {
             expected: FIELDS,
             got,
-        }));
+        });
     }
-    let parse_u64 = |s: &str, what: &'static str| {
-        s.parse::<u64>()
-            .map_err(|e| invalid(what, s, e.to_string()))
-    };
-    let parse_u16 = |s: &str, what: &'static str| {
-        s.parse::<u16>()
-            .map_err(|e| invalid(what, s, e.to_string()))
-    };
-    let parse_ip = |s: &str, what: &'static str| {
-        s.parse::<Ipv4Addr>()
-            .map_err(|e| invalid(what, s, e.to_string()))
-    };
-    let proto: Proto = fields[6].parse().map_err(err)?;
-    let state: FlowState = fields[11].parse().map_err(err)?;
-    let payload_bytes =
-        hex_decode(fields[12]).map_err(|reason| invalid("payload_hex", fields[12], reason))?;
+    let [start, end, src, sport, dst, dport, proto, src_pkts, src_bytes, dst_pkts, dst_bytes, state, payload] =
+        fields;
+    let proto: Proto = proto.parse()?;
+    let state: FlowState = state.parse()?;
+    let payload = parse_payload(payload)?;
     Ok(FlowRecord {
-        start: SimTime::from_millis(parse_u64(fields[0], "start_ms")?),
-        end: SimTime::from_millis(parse_u64(fields[1], "end_ms")?),
-        src: parse_ip(fields[2], "src")?,
-        sport: parse_u16(fields[3], "sport")?,
-        dst: parse_ip(fields[4], "dst")?,
-        dport: parse_u16(fields[5], "dport")?,
+        start: SimTime::from_millis(parse_field(start, "start_ms")?),
+        end: SimTime::from_millis(parse_field(end, "end_ms")?),
+        src: parse_field(src, "src")?,
+        sport: parse_field(sport, "sport")?,
+        dst: parse_field(dst, "dst")?,
+        dport: parse_field(dport, "dport")?,
         proto,
-        src_pkts: parse_u64(fields[7], "src_pkts")?,
-        src_bytes: parse_u64(fields[8], "src_bytes")?,
-        dst_pkts: parse_u64(fields[9], "dst_pkts")?,
-        dst_bytes: parse_u64(fields[10], "dst_bytes")?,
+        src_pkts: parse_field(src_pkts, "src_pkts")?,
+        src_bytes: parse_field(src_bytes, "src_bytes")?,
+        dst_pkts: parse_field(dst_pkts, "dst_pkts")?,
+        dst_bytes: parse_field(dst_bytes, "dst_bytes")?,
         state,
-        payload: Payload::capture(&payload_bytes),
+        payload,
     })
 }
+
+fn invalid(field: &'static str, value: &str, reason: String) -> ParseError {
+    ParseError::InvalidField {
+        field,
+        value: value.to_owned(),
+        reason,
+    }
+}
+
+fn parse_field<T>(s: &str, field: &'static str) -> Result<T, ParseError>
+where
+    T: FromStr,
+    T::Err: ToString,
+{
+    s.parse()
+        .map_err(|e: T::Err| invalid(field, s, e.to_string()))
+}
+
+/// `u8::from_str_radix(pair, 16)` on each pair, keeping the first
+/// [`Payload::MAX`] bytes. A pair that splits a multi-byte character is
+/// judged on its lossy text, so it fails as an invalid digit.
+fn parse_payload(s: &str) -> Result<Payload, ParseError> {
+    if !s.len().is_multiple_of(2) {
+        return Err(invalid(
+            "payload_hex",
+            s,
+            "odd-length hex payload".to_owned(),
+        ));
+    }
+    let mut payload = [0u8; Payload::MAX];
+    for (i, pair) in s.as_bytes().chunks_exact(2).enumerate() {
+        let byte = u8::from_str_radix(&String::from_utf8_lossy(pair), 16)
+            .map_err(|e| invalid("payload_hex", s, e.to_string()))?;
+        if let Some(slot) = payload.get_mut(i) {
+            *slot = byte;
+        }
+    }
+    Ok(Payload::capture(
+        &payload[..(s.len() / 2).min(Payload::MAX)],
+    ))
+}
+
+/// Bytes [`write_flows`] gathers before each write to its sink.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Writes `flows` (preceded by [`HEADER`]) to `w`.
 ///
@@ -214,22 +440,59 @@ pub fn parse_flow(line: &str, lineno: usize) -> Result<FlowRecord, RowError> {
 ///
 /// Propagates any I/O error from the writer.
 pub fn write_flows<W: Write>(mut w: W, flows: &[FlowRecord]) -> io::Result<()> {
-    writeln!(w, "{HEADER}")?;
+    let mut buf = String::with_capacity(2 * WRITE_CHUNK);
+    buf.push_str(HEADER);
+    buf.push('\n');
     for r in flows {
-        writeln!(w, "{}", format_flow(r))?;
+        push_flow(&mut buf, r);
+        buf.push('\n');
+        if buf.len() >= WRITE_CHUNK {
+            w.write_all(buf.as_bytes())?;
+            buf.clear();
+        }
     }
-    Ok(())
+    w.write_all(buf.as_bytes())
 }
 
-fn read_header<R: BufRead>(
-    lines: &mut std::iter::Enumerate<io::Lines<R>>,
-) -> Result<bool, ParseFlowError> {
-    match lines.next() {
-        Some((_, Ok(h))) if h == HEADER => Ok(true),
-        Some((_, Ok(h))) => Err(ParseFlowError::BadHeader { found: h }),
-        Some((_, Err(e))) => Err(e.into()),
-        None => Ok(false),
+/// Reads the next line into `buf` without its `\n` or `\r\n` terminator,
+/// as `BufRead::lines` would; `false` at the end of the input.
+fn next_line<R: BufRead>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+    buf.clear();
+    if r.read_until(b'\n', buf)? == 0 {
+        return Ok(false);
     }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    Ok(true)
+}
+
+/// The line loop both readers share: checks the header, then hands each
+/// non-blank row's parse to `row`, which may stop the load with an error.
+fn for_each_row<R: BufRead>(
+    mut r: R,
+    mut row: impl FnMut(Result<FlowRecord, RowError>) -> Result<(), RowError>,
+) -> Result<(), ParseFlowError> {
+    let mut line = Vec::new();
+    if !next_line(&mut r, &mut line)? {
+        return Ok(());
+    }
+    if line != HEADER.as_bytes() {
+        return Err(ParseFlowError::BadHeader {
+            found: String::from_utf8_lossy(&line).into_owned(),
+        });
+    }
+    let mut lineno = 1;
+    while next_line(&mut r, &mut line)? {
+        lineno += 1;
+        if !line.is_empty() {
+            row(parse_flow(&line, lineno))?;
+        }
+    }
+    Ok(())
 }
 
 /// Reads flows previously written by [`write_flows`], strictly: the first
@@ -241,17 +504,7 @@ fn read_header<R: BufRead>(
 /// malformed line (the header line is required).
 pub fn read_flows<R: BufRead>(r: R) -> Result<Vec<FlowRecord>, ParseFlowError> {
     let mut out = Vec::new();
-    let mut lines = r.lines().enumerate();
-    if !read_header(&mut lines)? {
-        return Ok(out);
-    }
-    for (idx, line) in lines {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        out.push(parse_flow(&line, idx + 1)?);
-    }
+    for_each_row(r, |row| row.map(|f| out.push(f)))?;
     Ok(out)
 }
 
@@ -268,20 +521,13 @@ pub fn read_flows_lossy<R: BufRead>(
 ) -> Result<(Vec<FlowRecord>, Vec<RowError>), ParseFlowError> {
     let mut out = Vec::new();
     let mut bad = Vec::new();
-    let mut lines = r.lines().enumerate();
-    if !read_header(&mut lines)? {
-        return Ok((out, bad));
-    }
-    for (idx, line) in lines {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        match parse_flow(&line, idx + 1) {
+    for_each_row(r, |row| {
+        match row {
             Ok(f) => out.push(f),
             Err(e) => bad.push(e),
         }
-    }
+        Ok(())
+    })?;
     Ok((out, bad))
 }
 
@@ -325,6 +571,12 @@ mod tests {
         ]
     }
 
+    fn row(f: &FlowRecord) -> String {
+        let mut s = String::new();
+        push_flow(&mut s, f);
+        s
+    }
+
     #[test]
     fn round_trip() {
         let flows = sample();
@@ -337,8 +589,101 @@ mod tests {
     #[test]
     fn line_codec_round_trips() {
         for f in sample() {
-            assert_eq!(parse_flow(&format_flow(&f), 1).unwrap(), f);
+            assert_eq!(parse_flow(row(&f).as_bytes(), 1).unwrap(), f);
         }
+        assert_eq!(
+            row(&sample()[0]),
+            "1000,2500,10.1.0.5,40000,8.8.8.8,53,udp,1,70,1,200,UDPR,71756572790001"
+        );
+    }
+
+    #[test]
+    fn extreme_values_round_trip() {
+        let f = FlowRecord {
+            start: SimTime::from_millis(u64::MAX),
+            end: SimTime::from_millis(0),
+            src: Ipv4Addr::new(255, 255, 255, 255),
+            sport: u16::MAX,
+            dst: Ipv4Addr::new(0, 0, 0, 0),
+            dport: 0,
+            src_pkts: u64::MAX,
+            payload: Payload::capture(&[0xAB; 64]),
+            ..sample()[0]
+        };
+        assert_eq!(parse_flow(row(&f).as_bytes(), 1).unwrap(), f);
+    }
+
+    #[test]
+    fn accepts_every_form_the_std_parsers_accept() {
+        let line = b"+1000,0002500,10.1.0.5,+40000,8.8.8.8,053,udp,1,70,1,200,UDPR,+f00AB";
+        let f = parse_flow(line, 1).unwrap();
+        assert_eq!(f.start, SimTime::from_millis(1000));
+        assert_eq!(f.end, SimTime::from_millis(2500));
+        assert_eq!((f.sport, f.dport), (40000, 53));
+        assert_eq!(f.payload.as_bytes(), &[0x0f, 0x00, 0xab]);
+        // A 20-digit counter is past the fast decoder but still a u64.
+        let big = b"18446744073709551615,1,10.1.0.5,1,8.8.8.8,2,tcp,1,1,1,1,EST,";
+        assert_eq!(parse_flow(big, 1).unwrap().start.as_millis(), u64::MAX);
+    }
+
+    #[test]
+    fn refuses_what_the_std_parsers_refuse() {
+        let good = "1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,SYN,ab";
+        assert!(parse_flow(good.as_bytes(), 1).is_ok());
+        for (col, bad) in [
+            (0, ""),
+            (1, "-2"),
+            (2, "10.0.256.1"),
+            (2, "10.0.0"),
+            (2, "10.0.0.1.2"),
+            (2, "1000.0.0.1"),
+            (2, "10.01.0.5"),
+            (3, "65536"),
+            (4, "10..0.2"),
+            (6, "tc"),
+            (10, "0x0"),
+            (11, "SYNN"),
+            (12, "abc"),
+            (12, "a,b"),
+        ] {
+            let mut cols: Vec<&str> = good.split(',').collect();
+            cols[col] = bad;
+            let row = cols.join(",");
+            let err = parse_flow(row.as_bytes(), 1).unwrap_err().error;
+            let expected = if bad.contains(',') {
+                None
+            } else {
+                HEADER.split(',').nth(col)
+            };
+            assert_eq!(err.field(), expected, "{row}: {err}");
+        }
+        let over = b"18446744073709551616,1,10.1.0.5,1,8.8.8.8,2,tcp,1,1,1,1,EST,";
+        assert_eq!(
+            parse_flow(over, 1).unwrap_err().error,
+            ParseError::InvalidField {
+                field: "start_ms",
+                value: "18446744073709551616".to_owned(),
+                reason: "number too large to fit in target type".to_owned(),
+            }
+        );
+    }
+
+    #[test]
+    fn non_utf8_rows_are_judged_on_their_lossy_text() {
+        // Two bytes of a three-byte sequence decode to one U+FFFD, so the
+        // payload is odd-length text although it is two bytes long.
+        let line = b"1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,SYN,\xE2\x82";
+        assert_eq!(
+            parse_flow(line, 7).unwrap_err(),
+            RowError {
+                line: 7,
+                error: ParseError::InvalidField {
+                    field: "payload_hex",
+                    value: "\u{FFFD}".to_owned(),
+                    reason: "odd-length hex payload".to_owned(),
+                },
+            }
+        );
     }
 
     #[test]
@@ -378,6 +723,25 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_ascii_payload_without_panicking() {
+        let mut buf = format!("{HEADER}\n");
+        buf.push_str("1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,SYN,aéb\n");
+        let (ok, bad) = read_flows_lossy(buf.as_bytes()).unwrap();
+        assert!(ok.is_empty());
+        assert_eq!(
+            bad,
+            vec![RowError {
+                line: 2,
+                error: ParseError::InvalidField {
+                    field: "payload_hex",
+                    value: "aéb".to_owned(),
+                    reason: "invalid digit found in string".to_owned(),
+                },
+            }]
+        );
+    }
+
+    #[test]
     fn rejects_bad_state() {
         let mut buf = format!("{HEADER}\n");
         buf.push_str("1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,WAT,\n");
@@ -404,7 +768,7 @@ mod tests {
         write_flows(&mut buf, &flows).unwrap();
         let mut text = String::from_utf8(buf).unwrap();
         text.push_str("1,2,3\n"); // line 4: field count
-        text.push_str(&format_flow(&flows[0]));
+        text.push_str(&row(&flows[0]));
         text.push('\n'); // line 5: fine
         text.push_str("1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,WAT,\n"); // line 6: state
         let (ok, bad) = read_flows_lossy(text.as_bytes()).unwrap();
@@ -421,6 +785,59 @@ mod tests {
         );
         assert_eq!(bad[1].line, 6);
         assert_eq!(bad[1].error.field(), Some("state"));
+    }
+
+    #[test]
+    fn a_non_utf8_byte_quarantines_only_its_row() {
+        let flows = sample();
+        let mut buf = Vec::new();
+        write_flows(&mut buf, &[flows[0], flows[1], flows[0]]).unwrap();
+        // Line 3 is the second row; put a 0xFF inside its `src` field.
+        let at = buf
+            .split(|&b| b == b'\n')
+            .take(2)
+            .map(|l| l.len() + 1)
+            .sum::<usize>()
+            + "5000,5000,10".len();
+        buf.insert(at, 0xFF);
+        let (ok, bad) = read_flows_lossy(buf.as_slice()).unwrap();
+        assert_eq!(ok, vec![flows[0], flows[0]]);
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].line, 3);
+        assert_eq!(bad[0].error.field(), Some("src"));
+        assert!(
+            bad[0].to_string().contains("10\u{FFFD}.2.3.4"),
+            "{}",
+            bad[0]
+        );
+        // Strict mode reports the same row instead of an I/O error.
+        let ParseFlowError::Row(e) = read_flows(buf.as_slice()).unwrap_err() else {
+            panic!("expected a row error");
+        };
+        assert_eq!(e, bad[0]);
+    }
+
+    #[test]
+    fn line_endings_match_bufread_lines() {
+        let flows = sample();
+        let mut text = format!("{HEADER}\r\n");
+        text.push_str(&row(&flows[0]));
+        text.push_str("\r\n\r\n");
+        text.push_str(&row(&flows[1]));
+        // The last line has no `\n`, so its bare `\r` is kept, as
+        // `BufRead::lines` keeps it: a row of one field.
+        text.push_str("\n\r");
+        let (ok, bad) = read_flows_lossy(text.as_bytes()).unwrap();
+        assert_eq!(ok, flows);
+        assert_eq!(bad.len(), 1);
+        assert_eq!(bad[0].line, 5);
+        assert_eq!(
+            bad[0].error,
+            ParseError::WrongFieldCount {
+                expected: 13,
+                got: 1
+            }
+        );
     }
 
     #[test]

@@ -14,23 +14,36 @@ pub enum Proto {
     Udp,
 }
 
+impl Proto {
+    /// Every protocol in declaration order, with its token in flow rows.
+    /// `Display`, `FromStr` and the CSV codec all read this one table.
+    const NAMES: [(Proto, &'static str); 2] = [(Proto::Tcp, "tcp"), (Proto::Udp, "udp")];
+
+    /// The protocol's token in flow rows: `tcp` or `udp`.
+    pub(crate) fn name(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// The protocol a flow-row token names, if any.
+    pub(crate) fn from_token(token: &[u8]) -> Option<Self> {
+        Self::NAMES
+            .iter()
+            .find(|(_, name)| name.as_bytes() == token)
+            .map(|&(proto, _)| proto)
+    }
+}
+
 impl std::fmt::Display for Proto {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Proto::Tcp => write!(f, "tcp"),
-            Proto::Udp => write!(f, "udp"),
-        }
+        f.write_str(self.name())
     }
 }
 
 impl std::str::FromStr for Proto {
     type Err = crate::record::ParseError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "tcp" => Ok(Proto::Tcp),
-            "udp" => Ok(Proto::Udp),
-            other => Err(crate::record::ParseError::UnknownProto(other.to_owned())),
-        }
+        Self::from_token(s.as_bytes())
+            .ok_or_else(|| crate::record::ParseError::UnknownProto(s.to_owned()))
     }
 }
 
@@ -242,6 +255,17 @@ mod tests {
         assert!(!f.contains(TcpFlags::FIN));
         assert!(f.intersects(TcpFlags::ACK | TcpFlags::RST));
         assert!(!f.intersects(TcpFlags::RST));
+    }
+
+    #[test]
+    fn proto_names_round_trip() {
+        for (i, (proto, name)) in Proto::NAMES.iter().enumerate() {
+            // `name` indexes the table by discriminant.
+            assert_eq!(*proto as usize, i);
+            assert_eq!(proto.to_string(), *name);
+            assert_eq!(name.parse::<Proto>().unwrap(), *proto);
+        }
+        assert!("icmp".parse::<Proto>().is_err());
     }
 
     #[test]

@@ -110,6 +110,32 @@ pub enum FlowState {
 }
 
 impl FlowState {
+    /// Every state in declaration order, with its token in flow rows (the
+    /// Argus abbreviation). `Display`, `FromStr` and the CSV codec all read
+    /// this one table.
+    const NAMES: [(FlowState, &'static str); 6] = [
+        (FlowState::Established, "EST"),
+        (FlowState::SynNoAnswer, "SYN"),
+        (FlowState::Rejected, "REJ"),
+        (FlowState::ResetAfterData, "RSTD"),
+        (FlowState::UdpReplied, "UDPR"),
+        (FlowState::UdpSilent, "UDPS"),
+    ];
+
+    /// The state's token in flow rows: `EST`, `SYN`, `REJ`, `RSTD`, `UDPR`
+    /// or `UDPS`.
+    pub(crate) fn name(self) -> &'static str {
+        Self::NAMES[self as usize].1
+    }
+
+    /// The state a flow-row token names, if any.
+    pub(crate) fn from_token(token: &[u8]) -> Option<Self> {
+        Self::NAMES
+            .iter()
+            .find(|(_, name)| name.as_bytes() == token)
+            .map(|&(state, _)| state)
+    }
+
     /// Whether the connection attempt *failed* in the paper's sense
     /// (§V-A): the initiator got no usable answer. Failed-connection rate is
     /// the initial data-reduction feature.
@@ -123,30 +149,14 @@ impl FlowState {
 
 impl std::fmt::Display for FlowState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            FlowState::Established => "EST",
-            FlowState::SynNoAnswer => "SYN",
-            FlowState::Rejected => "REJ",
-            FlowState::ResetAfterData => "RSTD",
-            FlowState::UdpReplied => "UDPR",
-            FlowState::UdpSilent => "UDPS",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 
 impl std::str::FromStr for FlowState {
     type Err = ParseError;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Ok(match s {
-            "EST" => FlowState::Established,
-            "SYN" => FlowState::SynNoAnswer,
-            "REJ" => FlowState::Rejected,
-            "RSTD" => FlowState::ResetAfterData,
-            "UDPR" => FlowState::UdpReplied,
-            "UDPS" => FlowState::UdpSilent,
-            other => return Err(ParseError::UnknownFlowState(other.to_owned())),
-        })
+        Self::from_token(s.as_bytes()).ok_or_else(|| ParseError::UnknownFlowState(s.to_owned()))
     }
 }
 
@@ -287,6 +297,10 @@ mod tests {
             assert_eq!(s.to_string().parse::<FlowState>().unwrap(), s);
         }
         assert!("BOGUS".parse::<FlowState>().is_err());
+        // `name` indexes the table by discriminant.
+        for (i, (state, _)) in FlowState::NAMES.iter().enumerate() {
+            assert_eq!(*state as usize, i);
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the Argus substrate.
 
+mod oracle;
+
 use proptest::prelude::*;
 use pw_flow::synth::{emit_connection, ConnOutcome, ConnSpec};
 use pw_flow::{ArgusAggregator, FlowRecord, Packet, PacketSink, Payload, Proto, TcpFlags};
@@ -165,6 +167,16 @@ proptest! {
             .collect();
         let mut buf = Vec::new();
         pw_flow::csvio::write_flows(&mut buf, &flows).unwrap();
+        // Byte for byte what the `format!`-based reference writes.
+        let mut want = format!("{}\n", pw_flow::csvio::HEADER);
+        for f in &flows {
+            let mut row = String::new();
+            pw_flow::csvio::push_flow(&mut row, f);
+            prop_assert_eq!(&row, &oracle::format_flow(f));
+            want.push_str(&row);
+            want.push('\n');
+        }
+        prop_assert_eq!(buf.as_slice(), want.as_bytes());
         let back = pw_flow::csvio::read_flows(buf.as_slice()).unwrap();
         prop_assert_eq!(back, flows);
     }

@@ -121,10 +121,15 @@ enum Msg {
     /// session was severed before any protocol dispatch.
     DeadlineRefused,
     /// A text command; reply with the full response text (capacity-1
-    /// `sync_channel`, same contract as [`Msg::Hello`]).
+    /// `sync_channel`, same contract as [`Msg::Hello`]). `written`
+    /// disconnects once the session has written that response (or given
+    /// up on it): the engine waits for it before stopping the server, so
+    /// a `SHUTDOWN` client always gets its answer before the process can
+    /// exit.
     Query {
         line: String,
         reply: SyncSender<String>,
+        written: Receiver<()>,
     },
 }
 
@@ -581,10 +586,17 @@ fn engine_loop<F: Fn(Ipv4Addr) -> bool + Sync>(
             }
             Msg::Reaped => st.sessions_reaped += 1,
             Msg::DeadlineRefused => st.deadline_failures += 1,
-            Msg::Query { line, reply } => {
+            Msg::Query {
+                line,
+                reply,
+                written,
+            } => {
                 let (response, shutdown) = st.handle_query(&line);
                 let _ = reply.send(response);
                 if shutdown {
+                    // Returns when the session drops its sender, after the
+                    // reply is written or the write failed.
+                    let _ = written.recv();
                     stop.store(true, Ordering::SeqCst);
                     // Wake the accept loop so it observes the flag.
                     let _ = TcpStream::connect(addr);
@@ -794,9 +806,12 @@ fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io:
         let cmd = line.trim().to_owned();
         if !cmd.is_empty() {
             let (reply_tx, reply_rx) = sync_channel(1);
+            // Dropped at the end of this iteration, or on an early return.
+            let (_written, written) = sync_channel(0);
             let sent = tx.send(Msg::Query {
                 line: cmd.clone(),
                 reply: reply_tx,
+                written,
             });
             let response = match (sent, reply_rx.recv()) {
                 (Ok(()), Ok(r)) => r,

@@ -19,7 +19,9 @@
 //! - Hello/Query replies ride capacity-1 channels: one message ever, so
 //!   the engine's reply send never blocks.
 //! - The engine replies to `SHUTDOWN` *before* setting the stop flag and
-//!   breaking, so the querying client always gets its `ok`.
+//!   breaking, so the querying client always gets its `ok`. (The real
+//!   engine also waits until the session has written that reply, so the
+//!   process cannot exit first; the write is outside this model.)
 //! - A caught engine panic flips `failed` without advancing the
 //!   exporter's sequence; later flows are ignored, queries still answer.
 //!

@@ -81,10 +81,12 @@ fi
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
-echo "==> bench smoke (detect benches execute one iteration)"
+echo "==> bench smoke (detect and flow benches execute one iteration)"
 # `--test` runs each bench once without measuring: catches panics in bench
-# setup/bodies (e.g. the theta_hm scaling grid) without paying bench time.
+# setup/bodies (e.g. the theta_hm scaling grid, the checkpoint fixture)
+# without paying bench time.
 cargo bench -q -p pw-bench --bench detect -- --test
+cargo bench -q -p pw-bench --bench flow -- --test
 
 echo "==> cargo doc (public docs must build cleanly)"
 cargo doc --workspace --no-deps -q

@@ -91,7 +91,7 @@ use peerwatch::detect::{
     try_find_plotters_table_tier, Error, FindPlottersConfig, PlotterReport, ProfileTier,
     ThetaHmMode, Threshold,
 };
-use peerwatch::flow::csvio::{format_flow, read_flows_lossy, RowError};
+use peerwatch::flow::csvio::{push_flow, read_flows_lossy, RowError};
 use peerwatch::flow::FlowTable;
 use peerwatch::netsim::{SimDuration, Subnet};
 use peerwatch::server::{send_flows, SendOptions, Server, ServerConfig};
@@ -127,6 +127,26 @@ fn bad_arg(msg: &str) -> ! {
 fn fail(msg: &str) -> ! {
     eprintln!("findplotters: {msg}");
     std::process::exit(1)
+}
+
+/// Ends the run on a failed write to standard output. A reader that has
+/// gone away (`findplotters … | head`) is how a filter is normally stopped,
+/// so a broken pipe exits 0 quietly; any other error fails loudly.
+fn stdout_ok(written: std::io::Result<()>) {
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(&format!("stdout: {e}"));
+    }
+}
+
+/// `println!` through a locked stdout, with errors handled by
+/// [`stdout_ok`] instead of a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        stdout_ok(writeln!(std::io::stdout().lock(), $($arg)*))
+    };
 }
 
 fn next_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
@@ -244,31 +264,31 @@ impl Quarantine {
 }
 
 fn print_report(report: &PlotterReport) {
-    println!("hosts observed:        {}", report.all_hosts.len());
-    println!(
+    outln!("hosts observed:        {}", report.all_hosts.len());
+    outln!(
         "after data reduction:  {} (failed-rate > {:.2}%)",
         report.after_reduction.len(),
         report.reduction_threshold * 100.0
     );
-    println!(
+    outln!(
         "S_vol:                 {} (τ_vol = {:.0} B/flow)",
         report.s_vol.len(),
         report.tau_vol
     );
-    println!(
+    outln!(
         "S_churn:               {} (τ_churn = {:.1}% new IPs)",
         report.s_churn.len(),
         report.tau_churn * 100.0
     );
-    println!("S_vol ∪ S_churn:       {}", report.union.len());
-    println!(
+    outln!("S_vol ∪ S_churn:       {}", report.union.len());
+    outln!(
         "θ_hm clusters:         {} (τ_hm = {:.1}s diameter)",
         report.hm.clusters.len(),
         report.hm.tau
     );
     if let Some(p) = &report.hm.profile {
         let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        println!(
+        outln!(
             "θ_hm stage profile:    hist {:.1} ms, embed {:.1} ms, bucket {:.1} ms \
              ({} buckets), fill {:.1} ms, linkage {:.1} ms, cut+diam {:.1} ms",
             ms(p.histograms),
@@ -280,11 +300,11 @@ fn print_report(report: &PlotterReport) {
             ms(p.cut_and_diameters),
         );
     }
-    println!("\nsuspected Plotters ({}):", report.suspects.len());
+    outln!("\nsuspected Plotters ({}):", report.suspects.len());
     let mut suspects: Vec<_> = report.suspects.iter().collect();
     suspects.sort();
     for ip in &suspects {
-        println!("  {ip}");
+        outln!("  {ip}");
     }
 }
 
@@ -415,10 +435,8 @@ fn serve_main(args: &[String]) -> ! {
     let is_internal = move |ip: Ipv4Addr| subnets.iter().any(|s| s.contains(ip));
     let server = Server::bind(bind.as_str(), server_cfg, is_internal)
         .unwrap_or_else(|e| fail(&format!("cannot start server: {e}")));
-    println!("listening on {}", server.local_addr());
-    std::io::stdout()
-        .flush()
-        .unwrap_or_else(|e| fail(&format!("stdout: {e}")));
+    outln!("listening on {}", server.local_addr());
+    stdout_ok(std::io::stdout().flush());
     server
         .run()
         .unwrap_or_else(|e| fail(&format!("server failed: {e}")));
@@ -564,7 +582,7 @@ fn query_main(args: &[String]) -> ! {
             if n == 0 {
                 fail("server closed the connection mid-response");
             }
-            print!("{line}");
+            stdout_ok(write!(std::io::stdout().lock(), "{line}"));
             let done = !matches!(cmd.as_str(), "REPORT" | "HEALTH")
                 || line.trim_end() == "end"
                 || line.starts_with("err");
@@ -759,7 +777,9 @@ fn main() {
                 Ok(ws) => windows.extend(ws),
                 Err(e @ Error::LateFlow { .. }) => eprintln!("dropped flow: {e}"),
                 Err(e @ Error::InvalidRecord(_)) => {
-                    quarantine.record(&format!("{}: {e}", format_flow(&f)));
+                    let mut row = String::new();
+                    push_flow(&mut row, &f);
+                    quarantine.record(&format!("{row}: {e}"));
                 }
                 Err(e) => fail(&format!("engine error: {e}")),
             }
@@ -782,6 +802,9 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("cannot write checkpoint {cp}: {e}")))
         }
         windows.extend(engine.finish());
+        // Every refused record is in the quarantine file before the report
+        // starts, so a reader that stops early cannot cut the file short.
+        quarantine.finish();
 
         let mut union_suspects: HashSet<Ipv4Addr> = HashSet::new();
         let mut last_ok: Option<PlotterReport> = None;
@@ -799,7 +822,7 @@ fn main() {
                 Ok(r) => {
                     let mut s: Vec<_> = r.suspects.iter().collect();
                     s.sort();
-                    println!(
+                    outln!(
                         "window {:>3} [{} .. {}): {} flows, {} hosts ({} evicted), \
                          {} suspects {s:?}{degraded}{forced}",
                         w.index,
@@ -813,9 +836,12 @@ fn main() {
                     union_suspects.extend(&r.suspects);
                     last_ok = Some(r.clone());
                 }
-                Err(e) => println!(
+                Err(e) => outln!(
                     "window {:>3} [{} .. {}): {} flows — no verdict: {e}{degraded}{forced}",
-                    w.index, w.start, w.end, w.flows
+                    w.index,
+                    w.start,
+                    w.end,
+                    w.flows
                 ),
             }
         }
@@ -827,9 +853,8 @@ fn main() {
                 s.late, s.late_dropped, s.late_extended, s.shed, s.quarantined, s.duplicates
             );
         }
-        println!("\nsuspects across all windows: {}", union_suspects.len());
+        outln!("\nsuspects across all windows: {}", union_suspects.len());
         let Some(mut report) = last_ok else {
-            quarantine.finish();
             fail("no window produced a verdict");
         };
         // Score the union of windows against ground truth below.
@@ -842,10 +867,10 @@ fn main() {
         eprintln!("interned {} hosts", table.hosts().len());
         let report = try_find_plotters_table_tier(&table, is_internal, &cfg, tier, threads)
             .unwrap_or_else(|e| fail(&format!("detection failed: {e}")));
+        quarantine.finish();
         print_report(&report);
         report
     };
-    quarantine.finish();
 
     if let Some(tp) = truth_path {
         let file = fs::File::open(&tp).unwrap_or_else(|e| fail(&format!("cannot read {tp}: {e}")));
@@ -864,15 +889,15 @@ fn main() {
                 e.0 += 1;
             }
         }
-        println!("\nscoring against {tp}:");
+        outln!("\nscoring against {tp}:");
         let mut families: Vec<_> = per_family.iter().collect();
         families.sort_by_key(|(fam, _)| *fam);
         for (fam, (hit, total)) in families {
-            println!("  {fam}: {hit}/{total} detected");
+            outln!("  {fam}: {hit}/{total} detected");
         }
         let fp = report.suspects.difference(&implanted).count();
         let negatives = report.all_hosts.difference(&implanted).count();
-        println!(
+        outln!(
             "  false positives: {fp}/{negatives} ({:.2}%)",
             fp as f64 / negatives.max(1) as f64 * 100.0
         );
