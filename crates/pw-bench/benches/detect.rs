@@ -6,9 +6,9 @@ use std::net::Ipv4Addr;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pw_bench::bench_day;
 use pw_detect::{
-    extract_profiles_table, find_plotters_from_table, initial_reduction_view, theta_churn_view,
-    theta_hm_view, theta_vol_view, FindPlottersConfig, HmOptions, HostMask, HostProfile,
-    ProfileRepr, ProfileTable, ProfileView, Threshold,
+    extract_profiles_table_par_tier, find_plotters_from_table, initial_reduction_view,
+    theta_churn_view, theta_hm_view, theta_vol_view, FindPlottersConfig, HmOptions, HostMask,
+    HostProfile, ProfileRepr, ProfileTable, ProfileTier, ProfileView, Threshold,
 };
 use pw_flow::FlowTable;
 
@@ -21,7 +21,14 @@ fn bench_detect(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Elements(fixture.flows.len() as u64));
     group.bench_function("extract_profiles", |b| {
-        b.iter(|| extract_profiles_table(black_box(&table), |ip| day.is_internal(ip)))
+        b.iter(|| {
+            extract_profiles_table_par_tier(
+                black_box(&table),
+                |ip| day.is_internal(ip),
+                ProfileTier::Exact,
+                1,
+            )
+        })
     });
     group.finish();
 

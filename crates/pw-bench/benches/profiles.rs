@@ -1,127 +1,46 @@
-//! Profile-extraction before/after: the pre-refactor HashMap-per-flow
-//! path (frozen here as a baseline) against the interned columnar
-//! [`FlowTable`] path, plus batch and streaming detection throughput on
-//! the same seeded campus day.
+//! Profile extraction over the interned columnar [`FlowTable`], serial
+//! and host-sharded, plus batch and streaming detection throughput on the
+//! same seeded campus day. `tests/extraction_oracle.rs` checks the
+//! extraction against an independent record-at-a-time extractor.
 
-use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pw_bench::bench_day;
 use pw_detect::stream::{DetectionEngine, EngineConfig};
 use pw_detect::{
-    extract_profiles_table, extract_profiles_table_par, extract_profiles_table_par_tier,
-    extract_profiles_table_tier, find_plotters_from_table, internal_endpoint, FindPlottersConfig,
-    HostProfile, ProfileAccumulator, ProfileRepr, ProfileTier,
+    extract_profiles_table_par_tier, find_plotters_from_table, FindPlottersConfig, HostProfile,
+    ProfileAccumulator, ProfileTier,
 };
 use pw_flow::{FlowRecord, FlowTable};
 use pw_netsim::{SimDuration, SimTime};
-
-/// The pre-refactor extraction loop, kept as the "before" side of the
-/// comparison: one address-keyed map probe per flow, two internality
-/// checks per flow, nothing shared with other pipeline stages.
-#[derive(Default)]
-struct LegacyAcc {
-    flows_involving: u64,
-    bytes_uploaded: u64,
-    initiated: u64,
-    initiated_failed: u64,
-    first_activity: Option<SimTime>,
-    first_contact: BTreeMap<Ipv4Addr, SimTime>,
-    interstitials: Vec<f64>,
-}
-
-fn legacy_extract_profiles<F>(
-    flows: &[FlowRecord],
-    is_internal: F,
-) -> HashMap<Ipv4Addr, HostProfile>
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    let mut ordered: Vec<&FlowRecord> = flows.iter().collect();
-    ordered.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
-    let mut accs: HashMap<Ipv4Addr, LegacyAcc> = HashMap::new();
-    let mut last_to: HashMap<Ipv4Addr, HashMap<Ipv4Addr, SimTime>> = HashMap::new();
-    for f in ordered {
-        let Some(host) = internal_endpoint(f, &is_internal) else {
-            continue;
-        };
-        let p = accs.entry(host).or_default();
-        p.flows_involving += 1;
-        p.bytes_uploaded += f.bytes_uploaded_by(host).unwrap_or(0);
-        if f.src == host {
-            p.initiated += 1;
-            if f.is_failed() {
-                p.initiated_failed += 1;
-            }
-            if p.first_activity.is_none() {
-                p.first_activity = Some(f.start);
-            }
-            p.first_contact.entry(f.dst).or_insert(f.start);
-            if let Some(prev) = last_to.entry(host).or_default().insert(f.dst, f.start) {
-                p.interstitials.push((f.start - prev).as_secs_f64());
-            }
-        }
-    }
-    accs.into_iter()
-        .map(|(ip, a)| {
-            (
-                ip,
-                HostProfile {
-                    ip,
-                    flows_involving: a.flows_involving,
-                    bytes_uploaded: a.bytes_uploaded,
-                    initiated: a.initiated,
-                    initiated_failed: a.initiated_failed,
-                    first_activity: a.first_activity,
-                    repr: ProfileRepr::Exact {
-                        first_contact: a.first_contact,
-                        interstitials: a.interstitials,
-                    },
-                },
-            )
-        })
-        .collect()
-}
 
 fn bench_extraction(c: &mut Criterion) {
     let fixture = bench_day();
     let day = &fixture.day;
     let flows = &fixture.flows;
     let table = FlowTable::from_records(flows);
-
-    // Keep the frozen baseline honest: it must still produce exactly what
-    // the refactored path produces.
-    assert_eq!(
-        legacy_extract_profiles(flows, |ip| day.is_internal(ip)),
-        extract_profiles_table(&table, |ip| day.is_internal(ip)).to_map(),
-        "legacy baseline diverged from the table path"
-    );
+    let extract = |table: &FlowTable, threads: usize| {
+        extract_profiles_table_par_tier(
+            black_box(table),
+            |ip| day.is_internal(ip),
+            ProfileTier::Exact,
+            threads,
+        )
+    };
 
     let mut group = c.benchmark_group("profiles/extract");
     group.sample_size(10);
     group.throughput(Throughput::Elements(flows.len() as u64));
-    group.bench_function("legacy_hashmap", |b| {
-        b.iter(|| legacy_extract_profiles(black_box(flows), |ip| day.is_internal(ip)))
-    });
     group.bench_function("table_from_records", |b| {
-        b.iter(|| {
-            let t = FlowTable::from_records(black_box(flows));
-            extract_profiles_table(&t, |ip| day.is_internal(ip))
-        })
+        b.iter(|| extract(&FlowTable::from_records(black_box(flows)), 1))
     });
-    group.bench_function("table_prebuilt", |b| {
-        b.iter(|| extract_profiles_table(black_box(&table), |ip| day.is_internal(ip)))
-    });
+    group.bench_function("table_prebuilt", |b| b.iter(|| extract(&table, 1)));
     for threads in [2usize, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("table_sharded", threads),
             &threads,
-            |b, &t| {
-                b.iter(|| {
-                    extract_profiles_table_par(black_box(&table), |ip| day.is_internal(ip), t)
-                })
-            },
+            |b, &t| b.iter(|| extract(&table, t)),
         );
     }
     group.finish();
@@ -178,10 +97,11 @@ fn bench_sketched_extraction(c: &mut Criterion) {
     group.throughput(Throughput::Elements(fixture.flows.len() as u64));
     group.bench_function("extract_day", |b| {
         b.iter(|| {
-            extract_profiles_table_tier(
+            extract_profiles_table_par_tier(
                 black_box(&table),
                 |ip| day.is_internal(ip),
                 ProfileTier::Sketched,
+                1,
             )
         })
     });
@@ -221,7 +141,8 @@ fn bench_detection(c: &mut Criterion) {
     let day = &fixture.day;
     let flows = &fixture.flows;
     let table = FlowTable::from_records(flows);
-    let profile_table = extract_profiles_table(&table, |ip| day.is_internal(ip));
+    let profile_table =
+        extract_profiles_table_par_tier(&table, |ip| day.is_internal(ip), ProfileTier::Exact, 1);
 
     let mut group = c.benchmark_group("profiles/batch_detect");
     group.sample_size(10);

@@ -5,8 +5,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use pw_bench::bench_day;
 use pw_detect::stream::{DetectionEngine, EngineConfig};
 use pw_detect::{
-    extract_profiles_table, extract_profiles_table_par, find_plotters_from_table,
-    try_find_plotters, FindPlottersConfig,
+    extract_profiles_table_par_tier, find_plotters_from_table, try_find_plotters_table_tier,
+    FindPlottersConfig, ProfileTier,
 };
 use pw_flow::FlowTable;
 use pw_netsim::SimDuration;
@@ -21,12 +21,18 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     let mut group = c.benchmark_group("stream/extract_profiles");
     group.sample_size(10);
     group.throughput(Throughput::Elements(flows.len() as u64));
-    group.bench_function("serial", |b| {
-        b.iter(|| extract_profiles_table(black_box(&table), |ip| day.is_internal(ip)))
-    });
+    let extract = |t: usize| {
+        extract_profiles_table_par_tier(
+            black_box(&table),
+            |ip| day.is_internal(ip),
+            ProfileTier::Exact,
+            t,
+        )
+    };
+    group.bench_function("serial", |b| b.iter(|| extract(1)));
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("sharded", threads), &threads, |b, &t| {
-            b.iter(|| extract_profiles_table_par(black_box(&table), |ip| day.is_internal(ip), t))
+            b.iter(|| extract(t))
         });
     }
     group.finish();
@@ -37,10 +43,11 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| {
-                try_find_plotters(
-                    black_box(&flows),
+                try_find_plotters_table_tier(
+                    &FlowTable::from_records(black_box(&flows)),
                     |ip| day.is_internal(ip),
                     &FindPlottersConfig::default(),
+                    ProfileTier::Exact,
                     t,
                 )
                 .unwrap()

@@ -32,24 +32,25 @@
 //! checksum crc32=<8 hex digits>
 //! ```
 //!
-//! Version 3 appends an integrity trailer as the final line —
-//! `checksum crc32=<8 hex digits>` over every preceding byte — so a
-//! truncated or bit-flipped snapshot is detected at restore time as a
-//! typed error instead of silently parsing garbage (the line-oriented
-//! format would otherwise accept many single-byte corruptions, e.g. a
-//! flipped digit in a counter). Version 2 added the profile-tier knob and
-//! the per-host memory gauges. Both older versions are still accepted:
-//! they parse without a trailer, and v1 restores with
-//! [`ProfileTier::Exact`] and zeroed memory gauges, which is exactly the
-//! behaviour the engine had when the snapshot was written.
+//! The final line is an integrity trailer — `checksum crc32=<8 hex
+//! digits>` over every preceding byte — so a truncated or bit-flipped
+//! snapshot is detected at restore time as a typed error instead of
+//! silently parsing garbage (the line-oriented format would otherwise
+//! accept many single-byte corruptions, e.g. a flipped digit in a
+//! counter). Every field is required. The format has one version, v3:
+//! [`EngineCheckpoint::parse`] checks the header before anything else and
+//! refuses any other with [`CheckpointError::BadMagic`].
 //!
-//! For crash-safety beyond the atomic rename, [`write_checkpoint_retained`]
-//! keeps the last *N* snapshots (`<path>.1` is the previous one, `<path>.2`
-//! the one before, …) and [`read_checkpoint_recover`] walks that chain at
-//! restore, returning the newest snapshot whose trailer verifies, plus an
-//! accounting of everything it had to skip. A machine that loses its
-//! primary checkpoint to a torn write resumes from the previous snapshot
-//! and replays the gap — byte-identically, by the resume guarantee above.
+//! Checkpoints have one I/O path. [`write_text_retained`] persists
+//! atomically (write to a temporary sibling, then rename), so a crash
+//! mid-write leaves the previous checkpoint intact, and keeps the last *N*
+//! snapshots (`<path>.1` is the previous one, `<path>.2` the one before,
+//! …). [`read_checkpoint_recover`] walks that chain at restore, returning
+//! the newest snapshot whose trailer verifies, plus an accounting of
+//! everything it had to skip. With `retain = 0` they are the plain atomic
+//! write and read. A machine that loses its primary checkpoint to a torn
+//! write resumes from the previous snapshot and replays the gap —
+//! byte-identically, by the resume guarantee above.
 //!
 //! Floats (`cut_fraction`, absolute/percentile thresholds) are serialized
 //! as the hexadecimal IEEE-754 bit pattern, so restore is exact — no
@@ -66,11 +67,6 @@
 //! under-report the next window, re-counting them would double-report.
 //! `tests/checkpoint_roundtrip.rs` sweeps a cut at every flow position
 //! under every [`LatePolicy`] to pin this.
-//!
-//! [`write_checkpoint`] persists atomically (write to a temporary sibling,
-//! then rename), so a crash mid-write leaves the previous checkpoint
-//! intact; [`read_checkpoint`] refuses unknown versions and reports the
-//! line number of any corruption.
 
 use std::fmt;
 use std::fs;
@@ -87,19 +83,10 @@ use crate::pipeline::FindPlottersConfig;
 use crate::stream::{EngineConfig, EngineStats, EvictionPolicy, LatePolicy};
 
 /// Magic first line of every checkpoint file; the version suffix gates
-/// format evolution. Version 3 requires the `checksum crc32=` trailer.
+/// format evolution, and any other version is refused.
 pub const MAGIC: &str = "peerwatch-checkpoint v3";
 
-/// The version-2 format, still accepted by [`EngineCheckpoint::parse`]:
-/// same sections as v3 but no integrity trailer.
-pub const MAGIC_V2: &str = "peerwatch-checkpoint v2";
-
-/// The version-1 format, still accepted by [`EngineCheckpoint::parse`]:
-/// no trailer, no `tier` field (implies [`ProfileTier::Exact`]), and no
-/// memory gauges.
-pub const MAGIC_V1: &str = "peerwatch-checkpoint v1";
-
-/// Line prefix of the v3 integrity trailer.
+/// Line prefix of the integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
 
 /// Room [`EngineCheckpoint::serialize`] reserves for its section lines,
@@ -110,7 +97,7 @@ const HEAD_BYTES: usize = 4096;
 /// about 100 bytes, so most snapshots fill one allocation.
 const ROW_BYTES: usize = 128;
 
-/// Appends the v3 integrity trailer: a `checksum crc32=<8 hex>` line
+/// Appends the integrity trailer: a `checksum crc32=<8 hex>` line
 /// covering every byte already in `text`. Shared with the server-side
 /// checkpoint format, which wraps an engine snapshot in its own trailer.
 pub fn append_checksum_trailer(text: &mut String) {
@@ -185,7 +172,8 @@ pub struct EngineCheckpoint {
 pub enum CheckpointError {
     /// The file could not be read or written.
     Io(io::Error),
-    /// The first line is not a supported [`MAGIC`] header.
+    /// The first line is not the [`MAGIC`] header: not a checkpoint, or
+    /// one of another version.
     BadMagic {
         /// What the first line actually said.
         found: String,
@@ -199,7 +187,7 @@ pub enum CheckpointError {
     },
     /// A serialized flow row failed to parse.
     Row(RowError),
-    /// The v3 integrity trailer does not match the file body: the
+    /// The integrity trailer does not match the file body: the
     /// snapshot was corrupted after it was written.
     Checksum {
         /// CRC32 computed over the body as read.
@@ -368,22 +356,12 @@ impl EngineCheckpoint {
     /// [`CheckpointError`] naming the offending line on any corruption;
     /// unknown versions are refused up front.
     pub fn parse(text: &str) -> Result<Self, CheckpointError> {
-        // v3 files must pass the integrity check before any line parsing;
-        // older versions have no trailer to verify.
-        let text = if text.starts_with(MAGIC) {
-            split_checksum_trailer(text)?
-        } else {
-            text
-        };
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or(CheckpointError::BadMagic {
-            found: String::new(),
-        })?;
-        if magic != MAGIC && magic != MAGIC_V2 && magic != MAGIC_V1 {
-            return Err(CheckpointError::BadMagic {
-                found: magic.to_string(),
-            });
-        }
+        // The header decides the format; the body must then pass the
+        // integrity check before any line parsing.
+        check_magic(text, MAGIC)?;
+        let text = split_checksum_trailer(text)?;
+        let total_lines = text.lines().count();
+        let mut lines = text.lines().enumerate().skip(1);
 
         let engine = section(&mut lines, "engine")?;
         let config_fields = Fields::new(engine.1, engine.0 + 1)?;
@@ -429,9 +407,9 @@ impl EngineCheckpoint {
             quarantined: stats_fields.num("quarantined")?,
             duplicates: stats_fields.num("duplicates")?,
             stall_flushes: stats_fields.num("stall_flushes")?,
-            profile_bytes: stats_fields.num_or("profile_bytes", 0)?,
-            profiles_exact: stats_fields.num_or("profiles_exact", 0)?,
-            profiles_sketched: stats_fields.num_or("profiles_sketched", 0)?,
+            profile_bytes: stats_fields.num("profile_bytes")?,
+            profiles_exact: stats_fields.num("profiles_exact")?,
+            profiles_sketched: stats_fields.num("profiles_sketched")?,
         };
 
         // Buffer section: "buffer <count>" then that many flow rows.
@@ -443,10 +421,7 @@ impl EngineCheckpoint {
                 line: buf_line + 1,
                 reason: format!("invalid buffer count {:?}", buf_rest.trim()),
             })?;
-        let mut buffer = Vec::with_capacity(buf_count);
-        for _ in 0..buf_count {
-            buffer.push(flow_row(&mut lines)?);
-        }
+        let buffer = flow_rows(&mut lines, buf_count, buf_line, total_lines)?;
 
         // Zero or more "window <index> <count>" sections, then "end".
         let mut open = Vec::new();
@@ -474,11 +449,7 @@ impl EngineCheckpoint {
             };
             let index = parse(parts.next(), "index")?;
             let count = parse(parts.next(), "flow count")? as usize;
-            let mut flows = Vec::with_capacity(count);
-            for _ in 0..count {
-                flows.push(flow_row(&mut lines)?);
-            }
-            open.push((index, flows));
+            open.push((index, flow_rows(&mut lines, count, lineno, total_lines)?));
         }
 
         Ok(EngineCheckpoint {
@@ -519,15 +490,50 @@ fn section<'a>(
     Ok((lineno, rest))
 }
 
-/// Pulls the next line and parses it as a flow row.
-fn flow_row<'a>(
+/// Refuses `text` unless its first line is exactly `magic`. Run before
+/// anything else reads the text, so a file of another version or kind is
+/// a [`CheckpointError::BadMagic`] whatever else it holds.
+///
+/// # Errors
+///
+/// [`CheckpointError::BadMagic`] naming the first line found.
+pub fn check_magic(text: &str, magic: &str) -> Result<(), CheckpointError> {
+    let first = text.lines().next().unwrap_or("");
+    if first == magic {
+        Ok(())
+    } else {
+        Err(CheckpointError::BadMagic {
+            found: first.to_string(),
+        })
+    }
+}
+
+/// Pulls the `count` flow rows that follow the section header on 0-based
+/// line `header` of a `total`-line text. `count` comes from the file, so
+/// it is checked against the lines left before anything is reserved: a
+/// forged count is a format error, not a huge allocation.
+fn flow_rows<'a>(
     lines: &mut impl Iterator<Item = (usize, &'a str)>,
-) -> Result<FlowRecord, CheckpointError> {
-    let (lineno, line) = lines.next().ok_or(CheckpointError::Format {
-        line: 0,
-        reason: "truncated checkpoint: missing flow row".to_string(),
-    })?;
-    Ok(parse_flow(line.as_bytes(), lineno + 1)?)
+    count: usize,
+    header: usize,
+    total: usize,
+) -> Result<Vec<FlowRecord>, CheckpointError> {
+    let left = total.saturating_sub(header + 1);
+    if count > left {
+        return Err(CheckpointError::Format {
+            line: header + 1,
+            reason: format!("{count} flow rows declared but only {left} lines follow"),
+        });
+    }
+    let mut rows = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (lineno, line) = lines.next().ok_or(CheckpointError::Format {
+            line: 0,
+            reason: "truncated checkpoint: missing flow row".to_string(),
+        })?;
+        rows.push(parse_flow(line.as_bytes(), lineno + 1)?);
+    }
+    Ok(rows)
 }
 
 /// `key=value` accessor over one section line.
@@ -570,16 +576,6 @@ impl<'a> Fields<'a> {
     fn num(&self, key: &str) -> Result<u64, CheckpointError> {
         let v = self.get(key)?;
         v.parse().map_err(|_| self.bad(key, v))
-    }
-
-    /// Like [`num`](Self::num), but an *absent* key yields `default` — for
-    /// fields added after v1 that older checkpoints legitimately lack. A
-    /// present-but-malformed value is still an error.
-    fn num_or(&self, key: &str, default: u64) -> Result<u64, CheckpointError> {
-        match self.pairs.iter().find(|(k, _)| *k == key) {
-            None => Ok(default),
-            Some((_, v)) => v.parse().map_err(|_| self.bad(key, v)),
-        }
     }
 
     fn opt_num(&self, key: &str) -> Result<Option<u64>, CheckpointError> {
@@ -630,41 +626,18 @@ impl<'a> Fields<'a> {
         Err(self.bad("eviction", v))
     }
 
-    /// Profile tier: absent in v1 checkpoints, which ran exact profiles.
     fn tier(&self) -> Result<ProfileTier, CheckpointError> {
-        match self.pairs.iter().find(|(k, _)| *k == "tier") {
-            None => Ok(ProfileTier::Exact),
-            Some((_, v)) => ProfileTier::from_name(v).ok_or_else(|| self.bad("tier", v)),
-        }
+        let v = self.get("tier")?;
+        ProfileTier::from_name(v).ok_or_else(|| self.bad("tier", v))
     }
 
-    /// Like [`flag`](Self::flag), but an absent key yields `default` — the
-    /// same post-v1 compatibility contract as [`num_or`](Self::num_or).
-    fn flag_or(&self, key: &str, default: bool) -> Result<bool, CheckpointError> {
-        match self.pairs.iter().find(|(k, _)| *k == key) {
-            None => Ok(default),
-            Some((_, v)) => match *v {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                v => Err(self.bad(key, v)),
-            },
-        }
-    }
-
-    /// θ_hm clustering configuration: absent in checkpoints written before
-    /// the bucketed mode existed, which always ran the exact path with the
-    /// default tiling — exactly what [`ThetaHmConfig::default`] encodes.
     fn theta_hm(&self) -> Result<ThetaHmConfig, CheckpointError> {
-        let d = ThetaHmConfig::default();
-        let mode = match self.pairs.iter().find(|(k, _)| *k == "theta_hm") {
-            None => d.mode,
-            Some((_, v)) => ThetaHmMode::from_name(v).ok_or_else(|| self.bad("theta_hm", v))?,
-        };
+        let mode = self.get("theta_hm")?;
         Ok(ThetaHmConfig {
-            mode,
-            tile: self.num_or("hm_tile", d.tile as u64)? as usize,
-            par_cutoff: self.num_or("hm_par_cutoff", d.par_cutoff as u64)? as usize,
-            profile: self.flag_or("hm_profile", d.profile)?,
+            mode: ThetaHmMode::from_name(mode).ok_or_else(|| self.bad("theta_hm", mode))?,
+            tile: self.num("hm_tile")? as usize,
+            par_cutoff: self.num("hm_par_cutoff")? as usize,
+            profile: self.flag("hm_profile")?,
         })
     }
 
@@ -678,24 +651,6 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Writes `snapshot` to `path` atomically: the serialized form goes to a
-/// temporary sibling (`<path>.tmp`) which is then renamed over `path`, so
-/// a crash mid-write can never leave a truncated checkpoint — the previous
-/// one survives intact.
-pub fn write_checkpoint(path: &Path, snapshot: &EngineCheckpoint) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    fs::write(&tmp, snapshot.serialize())?;
-    fs::rename(&tmp, path)
-}
-
-/// Reads a checkpoint previously persisted by [`write_checkpoint`].
-pub fn read_checkpoint(path: &Path) -> Result<EngineCheckpoint, CheckpointError> {
-    let text = fs::read_to_string(path)?;
-    EngineCheckpoint::parse(&text)
-}
-
 /// The path of the `k`-th retained snapshot behind `path` (`k ≥ 1`):
 /// `<path>.1` is the previous snapshot, `<path>.2` the one before it, …
 pub fn retained_path(path: &Path, k: usize) -> std::path::PathBuf {
@@ -704,10 +659,12 @@ pub fn retained_path(path: &Path, k: usize) -> std::path::PathBuf {
     std::path::PathBuf::from(os)
 }
 
-/// Atomically persists `text` to `path`, first rotating the existing
-/// snapshot chain down one slot (`path` → `path.1` → … → `path.retain`,
-/// dropping the oldest). With `retain = 0` this is a plain atomic
-/// overwrite. Shared by the engine and server checkpoint writers.
+/// Atomically persists `text` to `path`: the text goes to a temporary
+/// sibling (`<path>.tmp`) which is then renamed over `path`, so a crash
+/// mid-write can never leave a truncated checkpoint. The existing snapshot
+/// chain first rotates down one slot (`path` → `path.1` → … →
+/// `path.retain`, dropping the oldest); with `retain = 0` this is a plain
+/// atomic overwrite. The one writer of engine and server checkpoints.
 pub fn write_text_retained(path: &Path, text: &str, retain: usize) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -730,17 +687,6 @@ pub fn write_text_retained(path: &Path, text: &str, retain: usize) -> io::Result
     fs::rename(&tmp, path)
 }
 
-/// [`write_checkpoint`] plus retention: keeps the previous `retain`
-/// snapshots as `<path>.1 … <path>.retain` so restore can fall back past
-/// a corrupted primary.
-pub fn write_checkpoint_retained(
-    path: &Path,
-    snapshot: &EngineCheckpoint,
-    retain: usize,
-) -> io::Result<()> {
-    write_text_retained(path, &snapshot.serialize(), retain)
-}
-
 /// A snapshot recovered by walking the retained chain, plus an exact
 /// account of what had to be skipped to reach it.
 #[derive(Debug)]
@@ -755,9 +701,9 @@ pub struct Recovered<T> {
 }
 
 /// Walks `path`, `<path>.1`, …, `<path>.retain` and returns the first
-/// snapshot that `parse` accepts — the newest verifiable one. Generic so
-/// the server checkpoint (a different parse, same retention scheme) can
-/// reuse the walk.
+/// snapshot that `parse` accepts — the newest verifiable one. The one
+/// reader of engine and server checkpoints; with `retain = 0` it is a
+/// plain read of `path`.
 ///
 /// # Errors
 ///
@@ -792,9 +738,10 @@ pub fn recover_with<T>(
     Err(skipped.swap_remove(0).1)
 }
 
-/// [`read_checkpoint`] plus recovery: on a truncated or corrupt primary,
-/// falls back to the newest verifiable snapshot among the `retain`
-/// retained copies written by [`write_checkpoint_retained`].
+/// Reads the engine checkpoint at `path` through [`recover_with`]: on a
+/// truncated or corrupt primary, falls back to the newest verifiable
+/// snapshot among the `retain` retained copies written by
+/// [`write_text_retained`].
 pub fn read_checkpoint_recover(
     path: &Path,
     retain: usize,
@@ -833,6 +780,14 @@ mod tests {
             },
             payload: Payload::capture(b"GET /"),
         }
+    }
+
+    /// Applies `edit` to the body of a serialized checkpoint and seals it
+    /// with a fresh trailer, so the edit reaches the line parser.
+    fn resealed(text: &str, edit: impl FnOnce(&str) -> String) -> String {
+        let mut body = edit(split_checksum_trailer(text).unwrap());
+        append_checksum_trailer(&mut body);
+        body
     }
 
     fn busy_engine() -> DetectionEngine<fn(Ipv4Addr) -> bool> {
@@ -896,50 +851,22 @@ mod tests {
         let dir = std::env::temp_dir().join("pw-checkpoint-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("engine.ckpt");
-        write_checkpoint(&path, &snap).unwrap();
+        write_text_retained(&path, &snap.serialize(), 0).unwrap();
         assert!(
             !path.with_extension("ckpt.tmp").exists(),
             "tmp file renamed away"
         );
-        let read = read_checkpoint(&path).unwrap();
-        assert_eq!(read, snap);
+        let read = read_checkpoint_recover(&path, 0).unwrap();
+        assert_eq!(read.fallbacks, 0);
+        assert_eq!(read.snapshot, snap);
         // Overwrite goes through the same atomic path.
-        write_checkpoint(&path, &read).unwrap();
-        assert_eq!(read_checkpoint(&path).unwrap(), snap);
+        write_text_retained(&path, &read.snapshot.serialize(), 0).unwrap();
+        assert_eq!(read_checkpoint_recover(&path, 0).unwrap().snapshot, snap);
+        assert!(
+            !retained_path(&path, 1).exists(),
+            "retain = 0 keeps no history"
+        );
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_checkpoints_restore_as_exact_tier() {
-        let snap = busy_engine().checkpoint();
-        // Rewrite a v2 snapshot into the v1 form: old magic, no tier field,
-        // no memory gauges.
-        let v1: String = snap
-            .serialize()
-            .replacen(MAGIC, MAGIC_V1, 1)
-            .lines()
-            .map(|l| {
-                let l = if l.starts_with("engine ") {
-                    l.split(" tier=").next().unwrap()
-                } else if l.starts_with("stats ") {
-                    l.split(" profile_bytes=").next().unwrap()
-                } else {
-                    l
-                };
-                format!("{l}\n")
-            })
-            .collect();
-        let parsed = EngineCheckpoint::parse(&v1).unwrap();
-        assert_eq!(parsed.config.tier, ProfileTier::Exact);
-        assert_eq!(parsed.stats.profile_bytes, 0);
-        assert_eq!(parsed.stats.profiles_sketched, 0);
-        // Apart from the gauges a v1 file cannot carry, nothing is lost.
-        let mut expected = snap;
-        expected.stats.profile_bytes = 0;
-        expected.stats.profiles_exact = 0;
-        expected.stats.profiles_sketched = 0;
-        assert_eq!(parsed, expected);
-        assert!(DetectionEngine::restore(&parsed, internal as fn(Ipv4Addr) -> bool).is_ok());
     }
 
     #[test]
@@ -967,59 +894,25 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_without_theta_hm_fields_restore_as_exact() {
-        use crate::detectors::ThetaHmConfig;
-        let snap = busy_engine().checkpoint();
-        // Rewrite the snapshot into the pre-bucketed form: strip the θ_hm
-        // fields off the detect line (they were appended last).
-        let old: String = snap
-            .serialize()
-            .lines()
-            .map(|l| {
-                let l = if l.starts_with("detect ") {
-                    l.split(" theta_hm=").next().unwrap()
-                } else {
-                    l
-                };
-                format!("{l}\n")
-            })
-            .collect();
-        // The checksum trailer no longer matches the edited body, so parse
-        // the v2 form (no trailer) instead — same line grammar.
-        let old = old.replacen(MAGIC, MAGIC_V2, 1);
-        let old = old.lines().filter(|l| !l.starts_with("checksum ")).fold(
-            String::new(),
-            |mut acc, l| {
-                acc.push_str(l);
-                acc.push('\n');
-                acc
-            },
-        );
-        let parsed = EngineCheckpoint::parse(&old).unwrap();
-        assert_eq!(parsed.config.detect.theta_hm, ThetaHmConfig::default());
-        let mut expected = snap;
-        expected.config.detect.theta_hm = ThetaHmConfig::default();
-        assert_eq!(parsed, expected);
-    }
-
-    #[test]
     fn malformed_theta_hm_fields_are_refused() {
-        let snap = busy_engine().checkpoint();
-        let bad = snap.serialize().replacen(MAGIC, MAGIC_V2, 1);
-        let bad: String = bad
-            .lines()
-            .filter(|l| !l.starts_with("checksum "))
-            .map(|l| {
-                let l = if l.starts_with("detect ") {
-                    l.replace("theta_hm=exact", "theta_hm=warp")
-                } else {
-                    l.to_string()
-                };
-                format!("{l}\n")
-            })
-            .collect();
+        let text = busy_engine().checkpoint().serialize();
+        let bad = resealed(&text, |body| {
+            body.replacen("theta_hm=exact", "theta_hm=warp", 1)
+        });
         let err = EngineCheckpoint::parse(&bad).unwrap_err();
         assert!(err.to_string().contains("theta_hm"));
+        // Every field is required: dropping the θ_hm fields is refused too.
+        let bad = resealed(&text, |body| {
+            body.lines()
+                .map(|l| match l.split_once(" theta_hm=") {
+                    Some((head, _)) if l.starts_with("detect ") => format!("{head}\n"),
+                    _ => format!("{l}\n"),
+                })
+                .collect()
+        });
+        let err = EngineCheckpoint::parse(&bad).unwrap_err();
+        assert!(matches!(err, CheckpointError::Format { .. }), "{err}");
+        assert!(err.to_string().contains("missing field theta_hm"), "{err}");
     }
 
     #[test]
@@ -1029,26 +922,35 @@ mod tests {
         assert!(err.to_string().contains("v99"));
 
         let snap = busy_engine().checkpoint();
-        // On a v3 file, any body edit trips the checksum before line
-        // parsing ever sees it.
+        // Older versions are refused by their header, whatever follows it:
+        // a v3 body, resealed or not, under a v1 or v2 header.
+        for old in ["peerwatch-checkpoint v1", "peerwatch-checkpoint v2"] {
+            let unsealed = snap.serialize().replacen(MAGIC, old, 1);
+            let sealed = resealed(&snap.serialize(), |body| body.replacen(MAGIC, old, 1));
+            for text in [unsealed, sealed] {
+                let err = EngineCheckpoint::parse(&text).unwrap_err();
+                assert!(
+                    matches!(&err, CheckpointError::BadMagic { found } if found == old),
+                    "{old}: {err}"
+                );
+            }
+        }
+
+        // Any body edit trips the checksum before line parsing sees it.
         let text = snap
             .serialize()
             .replacen("watermark_ms=", "watermark_ms=bogus", 1);
         let err = EngineCheckpoint::parse(&text).unwrap_err();
         assert!(matches!(err, CheckpointError::Checksum { .. }), "{err}");
-        // A v2 file (no trailer) still gets the line-numbered diagnosis.
-        let text = snap.serialize().replacen(MAGIC, MAGIC_V2, 1).replacen(
-            "watermark_ms=",
-            "watermark_ms=bogus",
-            1,
-        );
-        let text = text
-            .strip_suffix('\n')
-            .and_then(|t| t.rsplit_once('\n'))
-            .map(|(body, _trailer)| format!("{body}\n"))
-            .unwrap();
+        // Resealed, the same edit gets the line-numbered diagnosis.
+        let text = resealed(&snap.serialize(), |body| {
+            body.replacen("watermark_ms=", "watermark_ms=bogus", 1)
+        });
         let err = EngineCheckpoint::parse(&text).unwrap_err();
-        assert!(matches!(err, CheckpointError::Format { .. }));
+        assert!(
+            matches!(err, CheckpointError::Format { line: 4, .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("line"), "{err}");
 
         let truncated: String = snap

@@ -417,7 +417,7 @@ pub struct ThetaHmProfile {
     pub bucket_sizes: Vec<usize>,
 }
 
-/// Design-variant knobs for [`crate::compat::theta_hm_with_options`], used by the ablation
+/// Design-variant knobs for [`theta_hm_view`], used by the ablation
 /// experiments that quantify each design decision DESIGN.md calls out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HmOptions {
@@ -691,18 +691,20 @@ pub fn theta_hm_view(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::ProfileTable;
     use pw_netsim::SimTime;
     use std::collections::{BTreeMap, HashMap};
 
-    // Map-shaped adapters over the canonical view API, mirroring the
-    // deprecated `compat` wrappers so assertions stay set-based.
+    // Set-shaped adapters over the view API, so assertions can name hosts
+    // by address.
     fn theta_vol_par(
         profiles: &HashMap<Ipv4Addr, HostProfile>,
         s: &HashSet<Ipv4Addr>,
         tau: Threshold,
         threads: usize,
     ) -> Option<(HashSet<Ipv4Addr>, f64)> {
-        let view = ProfileView::from_map(profiles);
+        let table = ProfileTable::from_map(profiles.clone());
+        let view = ProfileView::from_table(&table);
         let mask = HostMask::from_ips(&view, s);
         theta_vol_view(&view, &mask, tau, threads).map(|(kept, t)| (kept.to_ips(&view), t))
     }
@@ -713,7 +715,8 @@ mod tests {
         tau: Threshold,
         threads: usize,
     ) -> Option<(HashSet<Ipv4Addr>, f64)> {
-        let view = ProfileView::from_map(profiles);
+        let table = ProfileTable::from_map(profiles.clone());
+        let view = ProfileView::from_table(&table);
         let mask = HostMask::from_ips(&view, s);
         theta_churn_view(&view, &mask, tau, threads).map(|(kept, t)| (kept.to_ips(&view), t))
     }
@@ -741,7 +744,8 @@ mod tests {
         cut_fraction: f64,
         options: &HmOptions,
     ) -> HmOutcome {
-        let view = ProfileView::from_map(profiles);
+        let table = ProfileTable::from_map(profiles.clone());
+        let view = ProfileView::from_table(&table);
         let mask = HostMask::from_ips(&view, s);
         theta_hm_view(&view, &mask, tau, cut_fraction, options)
     }

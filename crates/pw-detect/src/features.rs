@@ -8,7 +8,6 @@
 //! close — funnels into the same accumulation code and produces a
 //! [`ProfileTable`], the dense per-host table every pipeline stage indexes.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
@@ -21,8 +20,7 @@ use pw_sketch::{DistinctSketch, GapSketch, LastSeen, SKETCHED_BYTES_PER_HOST_CAP
 ///
 /// - [`ProfileTier::Exact`] keeps the full per-destination first-contact
 ///   map and every interstitial gap sample — unbounded per-host memory,
-///   exact detector inputs. The default, and what every pre-existing entry
-///   point produces.
+///   exact detector inputs. The default.
 /// - [`ProfileTier::Sketched`] keeps fixed-size sketches instead
 ///   (see [`pw_sketch`]): memory per host is capped at
 ///   [`SKETCHED_BYTES_PER_HOST_CAP`] bytes no matter how much the host
@@ -400,8 +398,8 @@ impl ProfileTable {
         Self { hosts, profiles }
     }
 
-    /// Builds the table from a map of profiles (the row-oriented legacy
-    /// shape), keyed by host address.
+    /// Builds the table from hand-made profiles keyed by host address; the
+    /// key guarantees one profile per host.
     pub fn from_map(map: HashMap<Ipv4Addr, HostProfile>) -> Self {
         Self::from_pairs(map.into_iter().collect())
     }
@@ -460,49 +458,27 @@ impl ProfileTable {
             }
         }
     }
-
-    /// Converts into the row-oriented map shape.
-    pub fn to_map(self) -> HashMap<Ipv4Addr, HostProfile> {
-        self.hosts
-            .ips()
-            .iter()
-            .copied()
-            .zip(self.profiles)
-            .collect()
-    }
 }
 
-/// Borrowed, id-indexed view of a profile population — the working set of
-/// every pipeline stage. Host ids ascend with IP whichever source built the
-/// view, so stages iterate deterministically without re-sorting.
+/// Borrowed, id-indexed view of a [`ProfileTable`] — the working set of
+/// every pipeline stage. Host ids ascend with IP, so stages iterate
+/// deterministically without re-sorting.
 ///
-/// This is the canonical stage-level input: build one view per population
+/// This is the stage-level input: build one view per population
 /// and hand it to [`crate::reduction::initial_reduction_view`] and the
 /// `theta_*_view` detectors, sharing the interning across stages.
 #[derive(Debug)]
 pub struct ProfileView<'a> {
-    hosts: Cow<'a, HostInterner>,
-    profiles: Vec<&'a HostProfile>,
+    hosts: &'a HostInterner,
+    profiles: &'a [HostProfile],
 }
 
 impl<'a> ProfileView<'a> {
     /// Borrows a [`ProfileTable`] (no re-interning).
     pub fn from_table(table: &'a ProfileTable) -> Self {
         Self {
-            hosts: Cow::Borrowed(table.hosts()),
-            profiles: table.profiles().iter().collect(),
-        }
-    }
-
-    /// Builds a view over a map of profiles, interning keys in
-    /// ascending-IP order.
-    pub fn from_map(map: &'a HashMap<Ipv4Addr, HostProfile>) -> Self {
-        let mut pairs: Vec<(&Ipv4Addr, &HostProfile)> = map.iter().collect();
-        pairs.sort_by_key(|&(ip, _)| *ip);
-        let hosts: HostInterner = pairs.iter().map(|&(ip, _)| *ip).collect();
-        Self {
-            hosts: Cow::Owned(hosts),
-            profiles: pairs.into_iter().map(|(_, p)| p).collect(),
+            hosts: table.hosts(),
+            profiles: table.profiles(),
         }
     }
 
@@ -522,7 +498,7 @@ impl<'a> ProfileView<'a> {
     ///
     /// Panics if `id` is not within this view's id space.
     pub fn profile(&self, id: HostId) -> &'a HostProfile {
-        self.profiles[id.index()]
+        &self.profiles[id.index()]
     }
 
     /// The address of `id`.
@@ -635,8 +611,8 @@ impl LastTo {
 }
 
 /// The one per-flow update every extraction mode and both tiers funnel
-/// through: record-oriented ([`ProfileAccumulator::absorb`]), columnar
-/// ([`extract_profiles_table`]'s row walk), serial or host-sharded.
+/// through: record-oriented ([`ProfileAccumulator::absorb`]) or columnar
+/// ([`extract_profiles_table_par_tier`]'s row walk), serial or host-sharded.
 ///
 /// Callers decompose their flow representation into the monitored host's
 /// view of it — `start`/`dst`/`uploaded`/`initiated`/`failed` — so the
@@ -706,10 +682,10 @@ fn absorb_obs(
     }
 }
 
-/// The single accumulation path every *record-oriented* extraction mode
-/// shares: push-based ([`ProfileBuilder`]) and ad-hoc batch. Columnar
-/// extraction uses the same per-flow update over [`FlowTable`] rows
-/// ([`extract_profiles_table`]) — both reduce to `absorb_obs`.
+/// Record-oriented profile accumulation, for callers that hold flow
+/// records rather than a [`FlowTable`]. Columnar extraction
+/// ([`extract_profiles_table_par_tier`]) applies the same per-flow update
+/// to table rows, so both produce identical profiles.
 ///
 /// The accumulator is *attribution-agnostic*: callers decide which flows it
 /// sees and which endpoint is the monitored host (via
@@ -779,99 +755,6 @@ impl ProfileAccumulator {
                 .collect(),
         )
     }
-
-    /// Finishes the window in the row-oriented map shape.
-    pub fn finish_map(self) -> HashMap<Ipv4Addr, HostProfile> {
-        self.hosts
-            .ips()
-            .iter()
-            .copied()
-            .zip(self.profiles)
-            .collect()
-    }
-}
-
-/// Incremental profile extraction — feed flows as the border monitor emits
-/// them, read profiles at the end of the detection window.
-///
-/// Flows must arrive in non-decreasing start-time order (what a flow
-/// monitor produces); [`crate::compat::extract_profiles`] sorts for you when working from
-/// a stored dataset, and [`crate::stream::DetectionEngine`] reorders
-/// bounded-lateness streams for you.
-///
-/// # Examples
-///
-/// ```
-/// use pw_detect::features::ProfileBuilder;
-///
-/// let mut builder = ProfileBuilder::new(|ip: std::net::Ipv4Addr| ip.octets()[0] == 10);
-/// // builder.push(flow); for each arriving flow …
-/// let profiles = builder.finish();
-/// assert!(profiles.is_empty());
-/// ```
-#[derive(Debug)]
-pub struct ProfileBuilder<F> {
-    is_internal: F,
-    acc: ProfileAccumulator,
-    last_start: SimTime,
-}
-
-impl<F: Fn(Ipv4Addr) -> bool> ProfileBuilder<F> {
-    /// Creates an exact-tier builder; `is_internal` identifies monitored
-    /// addresses.
-    pub fn new(is_internal: F) -> Self {
-        Self::with_tier(is_internal, ProfileTier::Exact)
-    }
-
-    /// Creates a builder accumulating at the given tier.
-    pub fn with_tier(is_internal: F, tier: ProfileTier) -> Self {
-        Self {
-            is_internal,
-            acc: ProfileAccumulator::with_tier(tier),
-            last_start: SimTime::ZERO,
-        }
-    }
-
-    /// Number of hosts profiled so far.
-    pub fn len(&self) -> usize {
-        self.acc.len()
-    }
-
-    /// Whether no hosts have been profiled yet.
-    pub fn is_empty(&self) -> bool {
-        self.acc.is_empty()
-    }
-
-    /// Consumes one flow record.
-    ///
-    /// Non-border flows (both endpoints internal or both external) are
-    /// ignored — an edge monitor never sees them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if flows arrive out of start-time order.
-    pub fn push(&mut self, f: &FlowRecord) {
-        assert!(
-            f.start >= self.last_start,
-            "flows must arrive in start-time order (got {} after {})",
-            f.start,
-            self.last_start
-        );
-        self.last_start = f.start;
-        if let Some(host) = internal_endpoint(f, &self.is_internal) {
-            self.acc.absorb(f, host);
-        }
-    }
-
-    /// Finishes the window and returns the dense profile table.
-    pub fn finish(self) -> ProfileTable {
-        self.acc.finish()
-    }
-
-    /// Finishes the window in the row-oriented map shape.
-    pub fn finish_map(self) -> HashMap<Ipv4Addr, HostProfile> {
-        self.acc.finish_map()
-    }
 }
 
 /// Columnar accumulation state: per-table-host slot assignment over dense
@@ -932,37 +815,6 @@ impl<'t> TableProfiler<'t> {
     }
 }
 
-/// Profile extraction over an existing [`FlowTable`] — the core batch path,
-/// at the exact tier.
-///
-/// Rows are visited in the table's canonical time order, so the result is
-/// independent of the original record order.
-pub fn extract_profiles_table<F>(table: &FlowTable, is_internal: F) -> ProfileTable
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    extract_profiles_table_tier(table, is_internal, ProfileTier::Exact)
-}
-
-/// [`extract_profiles_table`] at an explicit [`ProfileTier`].
-pub fn extract_profiles_table_tier<F>(
-    table: &FlowTable,
-    is_internal: F,
-    tier: ProfileTier,
-) -> ProfileTable
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    let flags = internal_flags(table, &is_internal);
-    let mut prof = TableProfiler::new(table, tier);
-    for row in table.rows_in_order() {
-        if let Some(host) = border_host(table, row, &flags) {
-            prof.absorb_row(row, host);
-        }
-    }
-    ProfileTable::from_pairs(prof.finish())
-}
-
 /// Deterministic host→shard assignment used by every parallel stage.
 pub(crate) fn host_shard(host: Ipv4Addr, shards: usize) -> usize {
     debug_assert!(shards > 0);
@@ -971,33 +823,40 @@ pub(crate) fn host_shard(host: Ipv4Addr, shards: usize) -> usize {
     ((h >> 32) as usize) % shards
 }
 
-/// [`extract_profiles_table`] sharded over hosts with `std::thread::scope`,
-/// at the exact tier.
-///
-/// `threads == 0` is clamped to 1; `threads == 1` takes the serial path.
-pub fn extract_profiles_table_par<F>(
+/// Walks the table in canonical time order and profiles every border row
+/// whose monitored host `owns` accepts.
+fn profile_rows(
     table: &FlowTable,
-    is_internal: F,
-    threads: usize,
-) -> ProfileTable
-where
-    F: Fn(Ipv4Addr) -> bool + Sync,
-{
-    extract_profiles_table_par_tier(table, is_internal, ProfileTier::Exact, threads)
+    flags: &[bool],
+    tier: ProfileTier,
+    owns: impl Fn(HostId) -> bool,
+) -> Vec<(Ipv4Addr, HostProfile)> {
+    let mut prof = TableProfiler::new(table, tier);
+    for row in table.rows_in_order() {
+        if let Some(host) = border_host(table, row, flags) {
+            if owns(host) {
+                prof.absorb_row(row, host);
+            }
+        }
+    }
+    prof.finish()
 }
 
-/// Host-sharded extraction at an explicit [`ProfileTier`].
+/// Profile extraction over a [`FlowTable`] at the given [`ProfileTier`],
+/// sharded over hosts across `threads` scoped workers.
 ///
-/// Each worker scans the table and accumulates only the hosts assigned to
-/// its shard, so shards touch disjoint state and need no synchronization.
-/// Per-host flow order is preserved, which makes the result identical to
-/// [`extract_profiles_table_tier`] for any thread count — at *both* tiers:
-/// sketch state is a pure function of the per-host flow sequence (see
-/// [`pw_sketch`]), so shard concatenation order is invisible. The shard
-/// assignment is computed once per distinct host, not re-derived per flow
-/// per shard.
+/// Rows are visited in the table's canonical time order, so the result is
+/// independent of the original record order. Each worker scans the table
+/// and accumulates only the hosts assigned to its shard, so shards touch
+/// disjoint state and need no synchronization. Per-host flow order is
+/// preserved, which makes the result identical for any thread count — at
+/// *both* tiers: sketch state is a pure function of the per-host flow
+/// sequence (see [`pw_sketch`]), so shard concatenation order is
+/// invisible. The shard assignment is computed once per distinct host,
+/// not re-derived per flow per shard.
 ///
-/// `threads == 0` is clamped to 1; `threads == 1` takes the serial path.
+/// `threads == 0` is clamped to 1; `threads == 1` runs on the calling
+/// thread.
 pub fn extract_profiles_table_par_tier<F>(
     table: &FlowTable,
     is_internal: F,
@@ -1007,11 +866,11 @@ pub fn extract_profiles_table_par_tier<F>(
 where
     F: Fn(Ipv4Addr) -> bool + Sync,
 {
+    let flags = internal_flags(table, &is_internal);
     let threads = threads.max(1);
     if threads == 1 {
-        return extract_profiles_table_tier(table, is_internal, tier);
+        return ProfileTable::from_pairs(profile_rows(table, &flags, tier, |_| true));
     }
-    let flags = internal_flags(table, &is_internal);
     let shard_of: Vec<u32> = table
         .hosts()
         .ips()
@@ -1024,15 +883,7 @@ where
                 let flags = &flags;
                 let shard_of = &shard_of;
                 scope.spawn(move || {
-                    let mut prof = TableProfiler::new(table, tier);
-                    for row in table.rows_in_order() {
-                        if let Some(host) = border_host(table, row, flags) {
-                            if shard_of[host.index()] == tid {
-                                prof.absorb_row(row, host);
-                            }
-                        }
-                    }
-                    prof.finish()
+                    profile_rows(table, flags, tier, |host| shard_of[host.index()] == tid)
                 })
             })
             .collect();
@@ -1049,13 +900,19 @@ mod tests {
     use super::*;
     use pw_flow::{FlowState, Payload, Proto};
 
-    /// Map-shaped extraction through the canonical table path, for
-    /// assertion convenience.
-    fn extract_profiles<F: Fn(Ipv4Addr) -> bool>(
-        flows: &[FlowRecord],
-        is_internal: F,
-    ) -> HashMap<Ipv4Addr, HostProfile> {
-        extract_profiles_table(&FlowTable::from_records(flows), is_internal).to_map()
+    /// Serial exact-tier extraction over `flows`.
+    fn extract(flows: &[FlowRecord]) -> ProfileTable {
+        extract_profiles_table_par_tier(
+            &FlowTable::from_records(flows),
+            internal,
+            ProfileTier::Exact,
+            1,
+        )
+    }
+
+    /// The exact-tier profile of `ip` extracted from `flows`.
+    fn profile_of(flows: &[FlowRecord], ip: Ipv4Addr) -> HostProfile {
+        extract(flows).get(ip).expect("host profiled").clone()
     }
 
     const H: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
@@ -1102,7 +959,7 @@ mod tests {
             flow(H, E1, 0, 100, 1000, false), // host uploads 100
             flow(E2, H, 10, 50, 900, false),  // host uploads 900 (responder)
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = profile_of(&flows, H);
         assert_eq!(p.flows_involving, 2);
         assert_eq!(p.bytes_uploaded, 1000);
         assert_eq!(p.avg_upload_per_flow(), Some(500.0));
@@ -1117,7 +974,7 @@ mod tests {
             flow(H, E1, 10, 100, 100, false),
             flow(E2, H, 20, 10, 10, true), // inbound failure: not counted
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = profile_of(&flows, H);
         assert_eq!(p.failed_rate(), Some(0.5));
         assert!(p.initiated_successfully());
     }
@@ -1130,7 +987,7 @@ mod tests {
             flow(H, Ipv4Addr::new(3, 3, 3, 3), 2 * 3600, 1, 1, false), // new
             flow(H, Ipv4Addr::new(4, 4, 4, 4), 3 * 3600, 1, 1, false), // new
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = profile_of(&flows, H);
         assert_eq!(p.distinct_destinations(), 4);
         assert_eq!(p.new_ip_fraction(), Some(0.5));
     }
@@ -1141,7 +998,7 @@ mod tests {
             flow(H, E1, 0, 1, 1, false),
             flow(H, E1, 2 * 3600, 1, 1, false), // repeat, not a new IP
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = profile_of(&flows, H);
         assert_eq!(p.new_ip_fraction(), Some(0.0));
     }
 
@@ -1154,7 +1011,7 @@ mod tests {
             flow(H, E2, 305, 1, 1, false), // gap 300 to E2
             flow(H, E1, 250, 1, 1, false), // gap 150 to E1
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = profile_of(&flows, H);
         let mut ist = p.interstitials().to_vec();
         ist.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(ist, vec![100.0, 150.0, 300.0]);
@@ -1163,14 +1020,13 @@ mod tests {
     #[test]
     fn internal_to_internal_ignored() {
         let flows = vec![flow(H, H2, 0, 1, 1, false)];
-        let profiles = extract_profiles(&flows, internal);
-        assert!(profiles.is_empty());
+        assert!(extract(&flows).is_empty());
     }
 
     #[test]
     fn inbound_only_host_has_no_churn_or_failed_rate() {
         let flows = vec![flow(E1, H, 0, 10, 20, false)];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = profile_of(&flows, H);
         assert_eq!(p.failed_rate(), None);
         assert_eq!(p.new_ip_fraction(), None);
         assert_eq!(p.avg_upload_per_flow(), Some(20.0));
@@ -1183,7 +1039,7 @@ mod tests {
             flow(H, E1, 100, 1, 1, false),
             flow(H, E1, 0, 1, 1, false), // earlier, listed later
         ];
-        let p = &extract_profiles(&flows, internal)[&H];
+        let p = profile_of(&flows, H);
         assert_eq!(p.interstitials(), &[100.0]);
         assert_eq!(p.first_contact().expect("exact tier")[&E1], SimTime::ZERO);
     }
@@ -1203,45 +1059,37 @@ mod tests {
     #[test]
     fn streaming_builder_matches_batch_extraction() {
         let flows = mixed_flows();
-        let batch = extract_profiles(&flows, internal);
-        let mut builder = ProfileBuilder::new(internal);
-        assert!(builder.is_empty());
+        let mut acc = ProfileAccumulator::new();
+        assert!(acc.is_empty());
         for f in &flows {
-            builder.push(f);
+            if let Some(host) = internal_endpoint(f, internal) {
+                acc.absorb(f, host);
+            }
         }
-        assert_eq!(builder.len(), 2);
-        let streamed = builder.finish_map();
-        assert_eq!(streamed.len(), batch.len());
-        for (ip, p) in &batch {
-            let s = &streamed[ip];
-            assert_eq!(s.flows_involving, p.flows_involving);
-            assert_eq!(s.bytes_uploaded, p.bytes_uploaded);
-            assert_eq!(s.repr, p.repr);
-        }
+        assert_eq!(acc.len(), 2);
+        assert_eq!(acc.finish(), extract(&flows));
     }
 
     #[test]
-    fn table_extraction_matches_map_shape() {
+    fn table_extraction_is_ip_ordered_at_any_thread_count() {
         let flows = mixed_flows();
         let table = FlowTable::from_records(&flows);
-        let pt = extract_profiles_table(&table, internal);
+        let pt = extract(&flows);
         assert_eq!(pt.len(), 2);
         // Ascending-IP id order.
         let ips: Vec<Ipv4Addr> = pt.iter().map(|(_, p)| p.ip).collect();
         assert_eq!(ips, vec![H, H2]);
-        assert_eq!(pt.get(H).unwrap(), &extract_profiles(&flows, internal)[&H]);
-        assert_eq!(pt.clone().to_map(), extract_profiles(&flows, internal));
         // Sharded table extraction agrees for any thread count.
         for threads in [2usize, 3, 8] {
-            let par = extract_profiles_table_par(&table, internal, threads);
+            let par =
+                extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, threads);
             assert_eq!(par, pt, "threads={threads}");
         }
     }
 
     #[test]
     fn profile_table_retain_reinterns() {
-        let flows = mixed_flows();
-        let mut pt = extract_profiles_table(&FlowTable::from_records(&flows), internal);
+        let mut pt = extract(&mixed_flows());
         pt.retain(|ip, _| ip == H2);
         assert_eq!(pt.len(), 1);
         assert_eq!(pt.hosts().get(H2).map(pw_flow::HostId::index), Some(0));
@@ -1249,19 +1097,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "start-time order")]
-    fn streaming_builder_rejects_out_of_order() {
-        let mut builder = ProfileBuilder::new(internal);
-        builder.push(&flow(H, E1, 100, 1, 1, false));
-        builder.push(&flow(H, E1, 50, 1, 1, false));
-    }
-
-    #[test]
     fn sketched_tier_matches_exact_metrics_on_small_hosts() {
         let flows = mixed_flows();
         let table = FlowTable::from_records(&flows);
-        let exact = extract_profiles_table(&table, internal);
-        let sk = extract_profiles_table_tier(&table, internal, ProfileTier::Sketched);
+        let exact = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, 1);
+        let sk = extract_profiles_table_par_tier(&table, internal, ProfileTier::Sketched, 1);
         assert_eq!(exact.len(), sk.len());
         for ((_, e), (_, s)) in exact.iter().zip(sk.iter()) {
             assert_eq!(s.tier(), ProfileTier::Sketched);
@@ -1284,7 +1124,7 @@ mod tests {
     fn sketched_sharded_extraction_is_thread_count_invariant() {
         let flows = mixed_flows();
         let table = FlowTable::from_records(&flows);
-        let serial = extract_profiles_table_tier(&table, internal, ProfileTier::Sketched);
+        let serial = extract_profiles_table_par_tier(&table, internal, ProfileTier::Sketched, 1);
         for threads in [2usize, 4, 8] {
             let par =
                 extract_profiles_table_par_tier(&table, internal, ProfileTier::Sketched, threads);
@@ -1304,8 +1144,8 @@ mod tests {
         }
         flows.sort_by_key(|f| f.start);
         let table = FlowTable::from_records(&flows);
-        let exact = extract_profiles_table(&table, internal);
-        let sk = extract_profiles_table_tier(&table, internal, ProfileTier::Sketched);
+        let exact = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, 1);
+        let sk = extract_profiles_table_par_tier(&table, internal, ProfileTier::Sketched, 1);
         let (e, s) = (
             exact.get(H).expect("profiled"),
             sk.get(H).expect("profiled"),

@@ -27,31 +27,38 @@
 //! which is the basis of the paper's evasion argument (§VI): an attacker
 //! cannot know the value it must beat.
 //!
-//! The supported API is table-based and streaming: [`ProfileTable`] for
-//! extraction output, [`ProfileView`]/[`HostMask`] plus the `*_view` stage
-//! functions for stage-level work, the `*_table` entry points for whole
-//! runs, and [`stream::DetectionEngine`] for live feeds. [`prelude`]
-//! re-exports what callers typically need; the legacy map-shaped wrappers
-//! live in [`compat`] behind `#[deprecated]`.
+//! Four functions run the detector over a batch:
+//!
+//! - [`extract_profiles_table_par_tier`] turns a [`pw_flow::FlowTable`]
+//!   into a [`ProfileTable`];
+//! - [`try_find_plotters_table_tier`] extracts and runs the pipeline, with
+//!   typed errors;
+//! - [`try_find_plotters_from_table`] runs the pipeline over a
+//!   [`ProfileTable`], with typed errors;
+//! - [`find_plotters_from_table`] is its lenient form: a stage whose
+//!   threshold cannot be resolved comes back empty.
+//!
+//! [`ProfileView`]/[`HostMask`] plus the `*_view` stage functions serve
+//! stage-level work, and [`stream::DetectionEngine`] serves live feeds.
+//! [`prelude`] re-exports what callers typically need.
 //!
 //! # Examples
 //!
 //! ```
-//! use pw_detect::{FindPlottersConfig, find_plotters};
-//! use std::collections::HashSet;
+//! use pw_detect::{try_find_plotters_table_tier, Error, FindPlottersConfig, ProfileTier};
+//! use pw_flow::FlowTable;
 //!
-//! let flows: Vec<pw_flow::FlowRecord> = Vec::new();
-//! let internal: HashSet<std::net::Ipv4Addr> = HashSet::new();
-//! let report = find_plotters(&flows, |ip| internal.contains(&ip),
-//!                            &FindPlottersConfig::default());
-//! assert!(report.suspects.is_empty());
+//! let table = FlowTable::from_records(&[]);
+//! let internal = |ip: std::net::Ipv4Addr| ip.octets()[0] == 10;
+//! let cfg = FindPlottersConfig::default();
+//! let report = try_find_plotters_table_tier(&table, internal, &cfg, ProfileTier::Exact, 2);
+//! assert_eq!(report, Err(Error::EmptyWindow));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod compat;
 pub mod detectors;
 pub mod error;
 pub mod features;
@@ -64,7 +71,7 @@ pub mod reduction;
 pub mod stream;
 pub mod tdg;
 
-pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointError, EngineCheckpoint};
+pub use checkpoint::{CheckpointError, EngineCheckpoint};
 pub use detectors::{
     theta_churn_view, theta_hm_view, theta_vol_view, BucketedHmParams, HistogramDistance,
     HmOptions, HmOutcome, ThetaHmConfig, ThetaHmConfigBuilder, ThetaHmMode, ThetaHmProfile,
@@ -72,15 +79,13 @@ pub use detectors::{
 };
 pub use error::{ConfigError, Error};
 pub use features::{
-    extract_profiles_table, extract_profiles_table_par, extract_profiles_table_par_tier,
-    extract_profiles_table_tier, internal_endpoint, HostMask, HostProfile, ProfileAccumulator,
-    ProfileBuilder, ProfileRepr, ProfileTable, ProfileTier, ProfileView,
+    extract_profiles_table_par_tier, internal_endpoint, HostMask, HostProfile, ProfileAccumulator,
+    ProfileRepr, ProfileTable, ProfileTier, ProfileView,
 };
 pub use multiday::MultiDayReport;
 pub use perport::{find_plotters_per_service, PerServiceReport, ServiceKey};
 pub use pipeline::{
-    find_plotters, find_plotters_from_table, find_plotters_table, try_find_plotters,
-    try_find_plotters_from_table, try_find_plotters_table, try_find_plotters_table_tier,
+    find_plotters_from_table, try_find_plotters_from_table, try_find_plotters_table_tier,
     FindPlottersConfig, FindPlottersConfigBuilder, PlotterReport,
 };
 pub use rates::{rates_against, Rates};

@@ -20,7 +20,7 @@ use std::net::Ipv4Addr;
 
 use pw_flow::{FlowRecord, FlowTable, HostId, Proto};
 
-use crate::features::{border_host, extract_profiles_table, internal_flags};
+use crate::features::{border_host, extract_profiles_table_par_tier, internal_flags, ProfileTier};
 use crate::pipeline::{find_plotters_from_table, FindPlottersConfig};
 
 /// The application slice a flow belongs to, from the monitored host's
@@ -172,7 +172,12 @@ where
         rewritten.push(g);
     }
     let pseudo_table = FlowTable::from_records(&rewritten);
-    let profiles = extract_profiles_table(&pseudo_table, |ip| u32::from(ip) >> 24 == 0x7F);
+    let profiles = extract_profiles_table_par_tier(
+        &pseudo_table,
+        |ip| u32::from(ip) >> 24 == 0x7F,
+        ProfileTier::Exact,
+        1,
+    );
     let report = find_plotters_from_table(&profiles, cfg);
 
     let mut flagged_services: Vec<(Ipv4Addr, ServiceKey)> =
@@ -297,7 +302,14 @@ mod tests {
 
         // Whole-host pipeline: infected hosts' volume is dominated by the
         // transfers, so the volume test misses them.
-        let whole = crate::pipeline::find_plotters(&flows, internal, &Default::default());
+        let whole = crate::pipeline::try_find_plotters_table_tier(
+            &FlowTable::from_records(&flows),
+            internal,
+            &Default::default(),
+            ProfileTier::Exact,
+            1,
+        )
+        .unwrap();
         let (whole_s_vol, _) = (whole.s_vol.clone(), ());
         for h in 0..4u8 {
             assert!(

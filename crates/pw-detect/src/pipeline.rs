@@ -1,10 +1,24 @@
 //! The `FindPlotters` algorithm (Figure 4 of the paper) and its staged
 //! report.
+//!
+//! Three entry points run it:
+//!
+//! - [`try_find_plotters_table_tier`] extracts profiles from a
+//!   [`FlowTable`] and runs the pipeline — the batch path;
+//! - [`try_find_plotters_from_table`] runs it over an extracted
+//!   [`ProfileTable`] — the streaming engine's window close;
+//! - [`find_plotters_from_table`] is the lenient form of the latter: a
+//!   stage whose percentile threshold cannot be resolved comes back empty
+//!   instead of as an [`Error`], which is what per-service slices and
+//!   threshold sweeps need.
+//!
+//! [`extract_profiles_table_par_tier`] is the extraction step on its own.
+//! Whenever a strict run returns `Ok`, its report equals the lenient one.
 
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-use pw_flow::{FlowRecord, FlowTable};
+use pw_flow::FlowTable;
 
 use crate::detectors::{
     theta_churn_view, theta_hm_view, theta_vol_view, HmOptions, HmOutcome, ThetaHmConfig,
@@ -12,8 +26,7 @@ use crate::detectors::{
 };
 use crate::error::{ConfigError, Error};
 use crate::features::{
-    extract_profiles_table, extract_profiles_table_par_tier, HostMask, ProfileTable, ProfileTier,
-    ProfileView,
+    extract_profiles_table_par_tier, HostMask, ProfileTable, ProfileTier, ProfileView,
 };
 use crate::reduction::initial_reduction_view;
 
@@ -190,8 +203,8 @@ pub struct PlotterReport {
 
 /// The staged pipeline shared by every entry point. In strict mode an
 /// empty window or an unresolvable percentile threshold is an [`Error`];
-/// in lenient mode (the historical `find_plotters` contract) those stages
-/// degrade to an empty set with threshold `0.0` and the run continues.
+/// in lenient mode ([`find_plotters_from_table`]) those stages degrade to
+/// an empty set with threshold `0.0` and the run continues.
 pub(crate) fn run_stages(
     view: &ProfileView<'_>,
     cfg: &FindPlottersConfig,
@@ -247,40 +260,11 @@ pub(crate) fn run_stages(
     })
 }
 
-/// Runs `FindPlotters` over raw flow records.
-///
-/// `is_internal` identifies monitored hosts (the administrator knows her
-/// own address space). The records are interned into a [`FlowTable`] first;
-/// callers that already hold a table should use [`find_plotters_table`].
-pub fn find_plotters<F>(
-    flows: &[FlowRecord],
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-) -> PlotterReport
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    find_plotters_table(&FlowTable::from_records(flows), is_internal, cfg)
-}
-
-/// Runs `FindPlotters` over an interned [`FlowTable`] — the core batch
-/// path. Building the table once and reusing it across runs (threshold
-/// sweeps, per-service slices) avoids re-sorting and re-interning flows.
-pub fn find_plotters_table<F>(
-    table: &FlowTable,
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-) -> PlotterReport
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    let profiles = extract_profiles_table(table, is_internal);
-    find_plotters_from_table(&profiles, cfg)
-}
-
-/// Runs `FindPlotters` over a pre-extracted [`ProfileTable`] (lets callers
-/// extract once and sweep configurations, as the ROC harness does),
-/// borrowing the table instead of re-sorting a map's keys.
+/// Runs `FindPlotters` over a pre-extracted [`ProfileTable`] on one
+/// thread, leniently: an empty window or a stage whose percentile
+/// threshold cannot be resolved yields empty sets instead of an error.
+/// Lets callers extract once and sweep configurations, as the ROC harness
+/// does.
 pub fn find_plotters_from_table(
     profiles: &ProfileTable,
     cfg: &FindPlottersConfig,
@@ -289,42 +273,16 @@ pub fn find_plotters_from_table(
         .expect("lenient pipeline is infallible")
 }
 
-/// [`find_plotters`] with validated configuration, typed failures, and
-/// host-sharded parallelism across `threads` scoped workers.
+/// Extracts profiles from `table` at the given [`ProfileTier`] and runs
+/// `FindPlotters` over them, with validated configuration, typed failures,
+/// and host-sharded parallelism across `threads` scoped workers.
 ///
-/// Output is identical to the serial batch path for any thread count (the
+/// `is_internal` identifies monitored hosts (the administrator knows the
+/// monitored address space). Output is identical for any thread count (the
 /// percentile thresholds only see the — order-independent — multiset of
-/// per-host metrics).
-pub fn try_find_plotters<F>(
-    flows: &[FlowRecord],
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-    threads: usize,
-) -> Result<PlotterReport, Error>
-where
-    F: Fn(Ipv4Addr) -> bool + Sync,
-{
-    try_find_plotters_table(&FlowTable::from_records(flows), is_internal, cfg, threads)
-}
-
-/// [`find_plotters_table`] with validated configuration, typed failures,
-/// and host-sharded parallelism (see [`try_find_plotters`]).
-pub fn try_find_plotters_table<F>(
-    table: &FlowTable,
-    is_internal: F,
-    cfg: &FindPlottersConfig,
-    threads: usize,
-) -> Result<PlotterReport, Error>
-where
-    F: Fn(Ipv4Addr) -> bool + Sync,
-{
-    try_find_plotters_table_tier(table, is_internal, cfg, ProfileTier::Exact, threads)
-}
-
-/// [`try_find_plotters_table`] with an explicit profile representation
-/// tier: [`ProfileTier::Sketched`] holds a fixed byte budget per host (see
-/// [`crate::features::ProfileRepr`]) at the cost of approximate counts on
-/// very large hosts.
+/// per-host metrics). [`ProfileTier::Sketched`] holds a fixed byte budget
+/// per host (see [`crate::features::ProfileRepr`]) at the cost of
+/// approximate counts on very large hosts.
 pub fn try_find_plotters_table_tier<F>(
     table: &FlowTable,
     is_internal: F,
@@ -361,11 +319,20 @@ pub fn try_find_plotters_from_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pw_flow::{FlowState, Payload, Proto};
+    use pw_flow::{FlowRecord, FlowState, Payload, Proto};
     use pw_netsim::{SimDuration, SimTime};
 
     fn internal(ip: Ipv4Addr) -> bool {
         ip.octets()[0] == 10
+    }
+
+    fn profiles(flows: &[FlowRecord], threads: usize) -> ProfileTable {
+        let table = FlowTable::from_records(flows);
+        extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, threads)
+    }
+
+    fn lenient(flows: &[FlowRecord], cfg: &FindPlottersConfig) -> PlotterReport {
+        find_plotters_from_table(&profiles(flows, 1), cfg)
     }
 
     fn flow(
@@ -448,7 +415,7 @@ mod tests {
     #[test]
     fn pipeline_finds_bots_not_traders_or_normals() {
         let flows = mini_world();
-        let report = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let report = lenient(&flows, &FindPlottersConfig::default());
         for b in 1..=3u8 {
             assert!(
                 report.suspects.contains(&Ipv4Addr::new(10, 1, 0, b)),
@@ -473,7 +440,7 @@ mod tests {
     #[test]
     fn reduction_removes_low_failure_hosts() {
         let flows = mini_world();
-        let report = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let report = lenient(&flows, &FindPlottersConfig::default());
         assert!(report.after_reduction.len() < report.all_hosts.len());
         // Normal hosts (4% failures) fall below the median.
         assert!(!report.after_reduction.contains(&Ipv4Addr::new(10, 2, 0, 1)));
@@ -487,7 +454,7 @@ mod tests {
     #[test]
     fn stage_sets_nest_properly() {
         let flows = mini_world();
-        let report = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let report = lenient(&flows, &FindPlottersConfig::default());
         assert!(report.s_vol.is_subset(&report.after_reduction));
         assert!(report.s_churn.is_subset(&report.after_reduction));
         assert!(report.union.is_superset(&report.s_vol));
@@ -501,44 +468,15 @@ mod tests {
             with_reduction: false,
             ..Default::default()
         };
-        let report = find_plotters(&flows, internal, &cfg);
+        let report = lenient(&flows, &cfg);
         assert_eq!(report.after_reduction, report.all_hosts);
     }
 
     #[test]
     fn empty_input_is_safe() {
-        let report = find_plotters(&[], internal, &FindPlottersConfig::default());
+        let report = lenient(&[], &FindPlottersConfig::default());
         assert!(report.all_hosts.is_empty());
         assert!(report.suspects.is_empty());
-    }
-
-    #[test]
-    fn profiles_entry_point_matches_flows_entry_point() {
-        let flows = mini_world();
-        let profiles = extract_profiles_table(&FlowTable::from_records(&flows), internal);
-        let a = find_plotters(&flows, internal, &FindPlottersConfig::default());
-        let b = find_plotters_from_table(&profiles, &FindPlottersConfig::default());
-        assert_eq!(a.suspects, b.suspects);
-        assert_eq!(a.tau_vol, b.tau_vol);
-    }
-
-    #[test]
-    fn table_entry_points_match_record_entry_points() {
-        let flows = mini_world();
-        let cfg = FindPlottersConfig::default();
-        let table = FlowTable::from_records(&flows);
-        let from_records = find_plotters(&flows, internal, &cfg);
-        let from_table = find_plotters_table(&table, internal, &cfg);
-        assert_eq!(from_records, from_table);
-        let profiles = extract_profiles_table(&table, internal);
-        assert_eq!(find_plotters_from_table(&profiles, &cfg), from_records);
-        for threads in [1usize, 4] {
-            let strict = try_find_plotters_table(&table, internal, &cfg, threads).unwrap();
-            assert_eq!(strict.suspects, from_records.suspects, "threads={threads}");
-            let from_ptable = try_find_plotters_from_table(&profiles, &cfg, threads).unwrap();
-            assert_eq!(from_ptable.suspects, from_records.suspects);
-            assert_eq!(from_ptable.hm.tau.to_bits(), from_records.hm.tau.to_bits());
-        }
     }
 
     #[test]
@@ -591,16 +529,24 @@ mod tests {
     #[test]
     fn try_pipeline_matches_lenient_and_any_thread_count() {
         let flows = mini_world();
+        let table = FlowTable::from_records(&flows);
         let cfg = FindPlottersConfig::default();
-        let lenient = find_plotters(&flows, internal, &cfg);
+        let lenient = lenient(&flows, &cfg);
         for threads in [1usize, 2, 5, 16] {
-            let strict = try_find_plotters(&flows, internal, &cfg, threads).unwrap();
-            assert_eq!(lenient.suspects, strict.suspects, "threads={threads}");
-            assert_eq!(lenient.after_reduction, strict.after_reduction);
-            assert_eq!(lenient.tau_vol.to_bits(), strict.tau_vol.to_bits());
-            assert_eq!(lenient.tau_churn.to_bits(), strict.tau_churn.to_bits());
-            assert_eq!(lenient.hm.tau.to_bits(), strict.hm.tau.to_bits());
-            assert_eq!(lenient.hm.clusters, strict.hm.clusters);
+            let strict =
+                try_find_plotters_table_tier(&table, internal, &cfg, ProfileTier::Exact, threads)
+                    .unwrap();
+            let from_profiles =
+                try_find_plotters_from_table(&profiles(&flows, threads), &cfg, threads).unwrap();
+            for report in [&strict, &from_profiles] {
+                assert_eq!(report.suspects, lenient.suspects, "threads={threads}");
+                assert_eq!(report.after_reduction, lenient.after_reduction);
+                assert_eq!(report.tau_vol.to_bits(), lenient.tau_vol.to_bits());
+                assert_eq!(report.tau_churn.to_bits(), lenient.tau_churn.to_bits());
+                assert_eq!(report.hm.tau.to_bits(), lenient.hm.tau.to_bits());
+                assert_eq!(report.hm.clusters, lenient.hm.clusters);
+                assert_eq!(*report, lenient, "threads={threads}");
+            }
         }
     }
 
@@ -611,8 +557,9 @@ mod tests {
             try_find_plotters_from_table(&ProfileTable::default(), &cfg, 1),
             Err(Error::EmptyWindow)
         );
+        let table = FlowTable::from_records(&mini_world());
         assert_eq!(
-            try_find_plotters(&mini_world(), internal, &cfg, 0),
+            try_find_plotters_table_tier(&table, internal, &cfg, ProfileTier::Exact, 0),
             Err(Error::Config(ConfigError::ZeroThreads))
         );
     }

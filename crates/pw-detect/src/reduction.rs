@@ -12,9 +12,8 @@ use pw_flow::HostId;
 use crate::features::{HostMask, ProfileView};
 
 /// The data-reduction core over a dense profile view: survivors as a
-/// [`HostMask`] plus the failed-rate threshold. All pipeline stages consume
-/// this form; [`crate::compat::initial_reduction`] adapts it to the
-/// deprecated map shape.
+/// [`HostMask`] plus the failed-rate threshold, the form every later
+/// pipeline stage consumes.
 ///
 /// Only hosts that initiated at least one successful flow are eligible at
 /// all; of those, hosts whose failed-connection rate exceeds the median are
@@ -41,14 +40,15 @@ pub fn initial_reduction_view(view: &ProfileView<'_>) -> (HostMask, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{HostProfile, ProfileRepr};
+    use crate::features::{HostProfile, ProfileRepr, ProfileTable};
     use pw_netsim::SimTime;
     use std::collections::{BTreeMap, HashMap, HashSet};
     use std::net::Ipv4Addr;
 
-    /// Map-shaped reduction through the canonical view path.
+    /// Reduction over hand-built profiles, with survivors as addresses.
     fn initial_reduction(profiles: &HashMap<Ipv4Addr, HostProfile>) -> (HashSet<Ipv4Addr>, f64) {
-        let view = ProfileView::from_map(profiles);
+        let table = ProfileTable::from_map(profiles.clone());
+        let view = ProfileView::from_table(&table);
         let (survivors, threshold) = initial_reduction_view(&view);
         (survivors.to_ips(&view), threshold)
     }

@@ -16,8 +16,8 @@
 //! populations close without a quadratic allocation spike.
 //!
 //! One streaming window covering a whole trace reproduces the batch
-//! [`find_plotters`](crate::pipeline::find_plotters) output exactly — the
-//! equivalence the integration suite pins down.
+//! [`try_find_plotters_table_tier`](crate::pipeline::try_find_plotters_table_tier)
+//! output exactly — the equivalence the integration suite pins down.
 //!
 //! # Degraded modes
 //!
@@ -72,10 +72,7 @@ use pw_flow::{ArgusAggregator, FlowRecord, FlowTable};
 use pw_netsim::{SimDuration, SimTime};
 
 use crate::error::{ConfigError, Error};
-use crate::features::{
-    border_host, extract_profiles_table_par_tier, extract_profiles_table_tier, internal_flags,
-    ProfileTier,
-};
+use crate::features::{border_host, extract_profiles_table_par_tier, internal_flags, ProfileTier};
 use crate::pipeline::{try_find_plotters_from_table, FindPlottersConfig, PlotterReport};
 
 /// When a window closes, which profiled hosts still take part in the
@@ -795,12 +792,8 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         }
 
         let threads = self.cfg.threads;
-        let tier = self.cfg.tier;
-        let mut profiles = if threads == 1 {
-            extract_profiles_table_tier(&table, &self.is_internal, tier)
-        } else {
-            extract_profiles_table_par_tier(&table, &self.is_internal, tier, threads)
-        };
+        let mut profiles =
+            extract_profiles_table_par_tier(&table, &self.is_internal, self.cfg.tier, threads);
         let hosts = profiles.len();
         self.stats.profile_bytes = 0;
         self.stats.profiles_exact = 0;
@@ -859,7 +852,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::find_plotters;
+    use crate::pipeline::try_find_plotters_table_tier;
     use pw_flow::{FlowState, Payload, Proto};
 
     fn internal(ip: Ipv4Addr) -> bool {
@@ -995,7 +988,14 @@ mod tests {
     #[test]
     fn single_full_window_matches_batch() {
         let flows = two_hours();
-        let batch = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let batch = try_find_plotters_table_tier(
+            &FlowTable::from_records(&flows),
+            internal,
+            &FindPlottersConfig::default(),
+            ProfileTier::Exact,
+            1,
+        )
+        .unwrap();
         for threads in [1usize, 2, 4] {
             let mut eng = engine(EngineConfig {
                 window: SimDuration::from_hours(3),

@@ -7,7 +7,7 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 use pw_detect::stream::{DetectionEngine, EngineConfig};
 use pw_detect::{
-    extract_profiles_table, extract_profiles_table_par, find_plotters, FindPlottersConfig,
+    extract_profiles_table_par_tier, find_plotters_from_table, FindPlottersConfig, ProfileTier,
 };
 use pw_flow::{FlowRecord, FlowState, FlowTable, Payload, Proto};
 use pw_netsim::{SimDuration, SimTime};
@@ -76,8 +76,8 @@ proptest! {
     ) {
         let flows = flows_from(&seeds);
         let table = FlowTable::from_records(&flows);
-        let serial = extract_profiles_table(&table, internal);
-        let sharded = extract_profiles_table_par(&table, internal, threads);
+        let serial = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, 1);
+        let sharded = extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, threads);
         prop_assert_eq!(serial, sharded);
     }
 
@@ -87,7 +87,13 @@ proptest! {
         threads in 1usize..5,
     ) {
         let flows = flows_from(&seeds);
-        let batch = find_plotters(&flows, internal, &FindPlottersConfig::default());
+        let profiles = extract_profiles_table_par_tier(
+            &FlowTable::from_records(&flows),
+            internal,
+            ProfileTier::Exact,
+            1,
+        );
+        let batch = find_plotters_from_table(&profiles, &FindPlottersConfig::default());
 
         let cfg = EngineConfig {
             window: SimDuration::from_hours(2),

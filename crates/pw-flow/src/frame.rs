@@ -7,18 +7,18 @@
 //! dozen lines of any language:
 //!
 //! ```text
-//! exporter → server   [`Hello`]      "PWFS" + version u16 + exporter_id u32 [+ crc32 u32]
-//! server → exporter   [`HelloAck`]   "PWFS" + version u16 + next_seq u64   [+ crc32 u32]
-//! exporter → server   frame*         len u32 (body bytes) + body           [+ crc32 u32]
+//! exporter → server   [`Hello`]      "PWFS" + version u16 + exporter_id u32 + crc32 u32
+//! server → exporter   [`HelloAck`]   "PWFS" + version u16 + next_seq u64   + crc32 u32
+//! exporter → server   frame*         len u32 (body bytes) + body           + crc32 u32
 //! ```
 //!
-//! The bracketed CRC32 trailers exist only on version-2 sessions: the
-//! exporter picks the version in its [`Hello`] and both sides append an
-//! IEEE CRC32 ([`crc32`]) of the preceding message bytes (frame CRCs
-//! cover the body only, not the length prefix). A failed check surfaces
-//! as the typed [`FrameError::CrcMismatch`] instead of a silent decode of
-//! garbage. Version-1 peers are still spoken to without trailers, so old
-//! exporters interoperate with a hardened server and vice versa.
+//! Every message ends in an IEEE CRC32 ([`crc32`]) of the preceding
+//! message bytes (frame CRCs cover the body only, not the length prefix).
+//! A failed check surfaces as the typed [`FrameError::CrcMismatch`]
+//! instead of a silent decode of garbage. The protocol has one version,
+//! [`VERSION`]: both handshake readers check the magic and version before
+//! anything else and refuse any other version with
+//! [`FrameError::UnsupportedVersion`].
 //!
 //! Each frame body starts with a tag byte:
 //!
@@ -56,13 +56,8 @@ use crate::record::{FlowRecord, FlowState};
 /// First bytes of every connection in either direction.
 pub const MAGIC: [u8; 4] = *b"PWFS";
 
-/// Current protocol version, gated in the handshake. Version 2 appends a
-/// CRC32 integrity trailer to the handshake messages and every frame.
+/// The protocol version, gated in the handshake; any other is refused.
 pub const VERSION: u16 = 2;
-
-/// Legacy protocol version without CRC trailers; still accepted on both
-/// sides of the handshake so old exporters keep working.
-pub const VERSION_V1: u16 = 1;
 
 /// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
 /// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
@@ -124,11 +119,27 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-fn version_ok(version: u16) -> Result<u16, FrameError> {
-    if version == VERSION || version == VERSION_V1 {
-        Ok(version)
+/// Checks the magic and version that open both handshake messages.
+fn check_header(head: &[u8]) -> Result<(), FrameError> {
+    if head[..4] != MAGIC {
+        return Err(FrameError::BadMagic([head[0], head[1], head[2], head[3]]));
+    }
+    match u16::from_le_bytes([head[4], head[5]]) {
+        VERSION => Ok(()),
+        other => Err(FrameError::UnsupportedVersion(other)),
+    }
+}
+
+/// Checks the little-endian CRC32 trailer at the end of `msg` against the
+/// bytes before it.
+fn check_crc(msg: &[u8]) -> Result<(), FrameError> {
+    let (covered, trailer) = msg.split_at(msg.len() - 4);
+    let got = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    let expected = crc32(covered);
+    if got == expected {
+        Ok(())
     } else {
-        Err(FrameError::UnsupportedVersion(version))
+        Err(FrameError::CrcMismatch { expected, got })
     }
 }
 
@@ -172,7 +183,7 @@ pub enum FrameError {
     BadState(u8),
     /// A payload length byte above [`Payload::MAX`].
     BadPayloadLen(u8),
-    /// A version-2 message whose CRC32 trailer does not match its bytes:
+    /// A message whose CRC32 trailer does not match its bytes:
     /// the frame was corrupted in transit and must not be applied.
     CrcMismatch {
         /// CRC computed over the received bytes.
@@ -227,24 +238,17 @@ impl From<io::Error> for FrameError {
 }
 
 /// Exporter's opening message: identifies the connection's exporter so
-/// the server can resume its sequence, and picks the protocol version
-/// (and with it whether CRC trailers are in effect) for the session.
+/// the server can resume its sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// Stable identifier of the border exporter (survives reconnects).
     pub exporter_id: u32,
-    /// Protocol version this session will speak ([`VERSION`] or
-    /// [`VERSION_V1`]).
-    pub version: u16,
 }
 
 impl Hello {
-    /// A current-version hello for `exporter_id`.
+    /// A hello for `exporter_id`.
     pub fn new(exporter_id: u32) -> Self {
-        Hello {
-            exporter_id,
-            version: VERSION,
-        }
+        Hello { exporter_id }
     }
 }
 
@@ -254,17 +258,12 @@ impl Hello {
 pub struct HelloAck {
     /// First sequence number the server has not yet applied.
     pub next_seq: u64,
-    /// Echo of the session version the server will speak.
-    pub version: u16,
 }
 
 impl HelloAck {
-    /// A current-version ack expecting `next_seq`.
+    /// An ack expecting `next_seq`.
     pub fn new(next_seq: u64) -> Self {
-        HelloAck {
-            next_seq,
-            version: VERSION,
-        }
+        HelloAck { next_seq }
     }
 }
 
@@ -454,24 +453,20 @@ impl Frame {
     }
 }
 
-/// Writes the exporter's opening [`Hello`] in its declared version
-/// (version-2 hellos carry a CRC32 trailer so a corrupted handshake is a
-/// typed error rather than a garbled exporter id).
+/// Writes the exporter's opening [`Hello`]. Its CRC32 trailer makes a
+/// corrupted handshake a typed error rather than a garbled exporter id.
 pub fn write_hello<W: Write>(w: &mut W, hello: Hello) -> io::Result<()> {
     let mut buf = [0u8; 14];
     buf[..4].copy_from_slice(&MAGIC);
-    buf[4..6].copy_from_slice(&hello.version.to_le_bytes());
+    buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
     buf[6..10].copy_from_slice(&hello.exporter_id.to_le_bytes());
-    if hello.version == VERSION_V1 {
-        return w.write_all(&buf[..10]);
-    }
     let crc = crc32(&buf[..10]);
     buf[10..14].copy_from_slice(&crc.to_le_bytes());
     w.write_all(&buf)
 }
 
-/// Reads a [`Hello`], validating magic, version, and (for version 2) the
-/// CRC32 trailer.
+/// Reads a [`Hello`], validating magic and version before reading the
+/// rest, then the CRC32 trailer.
 ///
 /// `first` optionally supplies bytes already consumed from the stream
 /// (a server that sniffed the magic to tell binary exporters from text
@@ -479,106 +474,63 @@ pub fn write_hello<W: Write>(w: &mut W, hello: Hello) -> io::Result<()> {
 pub fn read_hello<R: Read>(r: &mut R, first: &[u8]) -> Result<Hello, FrameError> {
     let mut buf = [0u8; 14];
     buf[..first.len()].copy_from_slice(first);
-    let mut have = first.len();
-    // Magic and version decide how many bytes the hello has in total.
+    let have = first.len();
     if have < 6 {
         r.read_exact(&mut buf[have..6])?;
-        have = 6;
     }
-    if buf[..4] != MAGIC {
-        return Err(FrameError::BadMagic([buf[0], buf[1], buf[2], buf[3]]));
-    }
-    let version = version_ok(u16::from_le_bytes([buf[4], buf[5]]))?;
-    let total = if version == VERSION_V1 { 10 } else { 14 };
-    r.read_exact(&mut buf[have..total])?;
-    if version != VERSION_V1 {
-        let got = u32::from_le_bytes([buf[10], buf[11], buf[12], buf[13]]);
-        let expected = crc32(&buf[..10]);
-        if got != expected {
-            return Err(FrameError::CrcMismatch { expected, got });
-        }
-    }
+    check_header(&buf)?;
+    r.read_exact(&mut buf[have.max(6)..])?;
+    check_crc(&buf)?;
     Ok(Hello {
         exporter_id: u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]),
-        version,
     })
 }
 
-/// Writes the server's [`HelloAck`] in its declared version (version-2
-/// acks carry a CRC32 trailer — a corrupted `next_seq` would otherwise
-/// silently desync the resume protocol).
+/// Writes the server's [`HelloAck`]. Its CRC32 trailer matters: a
+/// corrupted `next_seq` would otherwise silently desync the resume
+/// protocol.
 pub fn write_hello_ack<W: Write>(w: &mut W, ack: HelloAck) -> io::Result<()> {
     let mut buf = [0u8; 18];
     buf[..4].copy_from_slice(&MAGIC);
-    buf[4..6].copy_from_slice(&ack.version.to_le_bytes());
+    buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
     buf[6..14].copy_from_slice(&ack.next_seq.to_le_bytes());
-    if ack.version == VERSION_V1 {
-        return w.write_all(&buf[..14]);
-    }
     let crc = crc32(&buf[..14]);
     buf[14..18].copy_from_slice(&crc.to_le_bytes());
     w.write_all(&buf)
 }
 
-/// Reads a [`HelloAck`], validating magic, version, and (for version 2)
-/// the CRC32 trailer.
+/// Reads a [`HelloAck`], validating magic and version before reading the
+/// rest, then the CRC32 trailer.
 pub fn read_hello_ack<R: Read>(r: &mut R) -> Result<HelloAck, FrameError> {
     let mut buf = [0u8; 18];
     r.read_exact(&mut buf[..6])?;
-    if buf[..4] != MAGIC {
-        return Err(FrameError::BadMagic([buf[0], buf[1], buf[2], buf[3]]));
-    }
-    let version = version_ok(u16::from_le_bytes([buf[4], buf[5]]))?;
-    let total = if version == VERSION_V1 { 14 } else { 18 };
-    r.read_exact(&mut buf[6..total])?;
-    if version != VERSION_V1 {
-        let got = u32::from_le_bytes([buf[14], buf[15], buf[16], buf[17]]);
-        let expected = crc32(&buf[..14]);
-        if got != expected {
-            return Err(FrameError::CrcMismatch { expected, got });
-        }
-    }
+    check_header(&buf)?;
+    r.read_exact(&mut buf[6..])?;
+    check_crc(&buf)?;
     Ok(HelloAck {
         next_seq: u64_at(&buf, 6),
-        version,
     })
 }
 
-/// Writes one length-prefixed frame in the legacy version-1 format (no
-/// CRC trailer). Prefer [`write_frame_v`] on negotiated sessions.
+/// Writes one length-prefixed frame followed by a CRC32 of its body; the
+/// length prefix counts body bytes only.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    write_frame_v(w, frame, VERSION_V1)
-}
-
-/// Writes one length-prefixed frame for a session speaking `version`.
-/// On version-2 sessions a CRC32 of the body follows the body; the
-/// length prefix still counts body bytes only.
-pub fn write_frame_v<W: Write>(w: &mut W, frame: &Frame, version: u16) -> io::Result<()> {
     let mut buf = Vec::with_capacity(4 + 1 + 8 + FLOW_WIRE_LEN + 4);
     frame.encode(&mut buf);
-    if version != VERSION_V1 {
-        let crc = crc32(&buf[4..]);
-        buf.extend_from_slice(&crc.to_le_bytes());
-    }
+    let crc = crc32(&buf[4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
     w.write_all(&buf)
 }
 
-/// Reads one length-prefixed version-1 frame. Returns `Ok(None)` on a
-/// clean EOF at a frame boundary; EOF mid-frame is an [`FrameError::Io`]
-/// error. Prefer [`read_frame_v`] on negotiated sessions.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
-    read_frame_v(r, VERSION_V1)
-}
-
-/// Reads one length-prefixed frame for a session speaking `version`,
-/// verifying the CRC32 trailer on version-2 sessions before any decode.
+/// Reads one length-prefixed frame, verifying its CRC32 trailer before
+/// any decode.
 ///
 /// Returns `Ok(None)` on a clean EOF at a frame boundary; EOF mid-frame
 /// is an [`FrameError::Io`] error. A corrupted length prefix surfaces as
 /// [`FrameError::Oversized`] or (because the misplaced read boundary
 /// shifts the trailer) [`FrameError::CrcMismatch`] — either way the
 /// caller knows the byte stream can no longer be trusted.
-pub fn read_frame_v<R: Read>(r: &mut R, version: u16) -> Result<Option<Frame>, FrameError> {
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameError> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -589,18 +541,10 @@ pub fn read_frame_v<R: Read>(r: &mut R, version: u16) -> Result<Option<Frame>, F
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
     }
-    let trailer = if version == VERSION_V1 { 0 } else { 4 };
-    let mut body = vec![0u8; len as usize + trailer];
+    let mut body = vec![0u8; len as usize + 4];
     r.read_exact(&mut body)?;
-    if trailer != 0 {
-        let at = body.len() - 4;
-        let got = u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
-        let expected = crc32(&body[..at]);
-        if got != expected {
-            return Err(FrameError::CrcMismatch { expected, got });
-        }
-        body.truncate(at);
-    }
+    check_crc(&body)?;
+    body.truncate(len as usize);
     Frame::decode(&body).map(Some)
 }
 
@@ -673,7 +617,7 @@ mod tests {
         write_hello(&mut wire, Hello::new(42)).unwrap();
         let hello = read_hello(&mut &wire[..], &[]).unwrap();
         assert_eq!(hello.exporter_id, 42);
-        assert_eq!(hello.version, VERSION);
+        assert_eq!(wire[4..6], VERSION.to_le_bytes());
         // Sniffed-magic path: the first four bytes were already consumed.
         let hello = read_hello(&mut &wire[4..], &MAGIC).unwrap();
         assert_eq!(hello.exporter_id, 42);
@@ -684,6 +628,18 @@ mod tests {
             read_hello_ack(&mut &ack_wire[..]).unwrap(),
             HelloAck::new(9000)
         );
+
+        // A version-1 peer sends no trailers; its header alone refuses it.
+        let v1_hello = [&MAGIC[..], &1u16.to_le_bytes(), &42u32.to_le_bytes()].concat();
+        assert!(matches!(
+            read_hello(&mut &v1_hello[..], &[]),
+            Err(FrameError::UnsupportedVersion(1))
+        ));
+        let v1_ack = [&MAGIC[..], &1u16.to_le_bytes(), &9000u64.to_le_bytes()].concat();
+        assert!(matches!(
+            read_hello_ack(&mut &v1_ack[..]),
+            Err(FrameError::UnsupportedVersion(1))
+        ));
 
         wire[4] = 0xFF;
         assert!(matches!(
@@ -704,28 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn v1_handshake_still_speaks() {
-        let legacy = Hello {
-            exporter_id: 7,
-            version: VERSION_V1,
-        };
-        let mut wire = Vec::new();
-        write_hello(&mut wire, legacy).unwrap();
-        assert_eq!(wire.len(), 10); // no trailer on v1
-        assert_eq!(read_hello(&mut &wire[..], &[]).unwrap(), legacy);
-
-        let ack = HelloAck {
-            next_seq: 3,
-            version: VERSION_V1,
-        };
-        let mut wire = Vec::new();
-        write_hello_ack(&mut wire, ack).unwrap();
-        assert_eq!(wire.len(), 14);
-        assert_eq!(read_hello_ack(&mut &wire[..]).unwrap(), ack);
-    }
-
-    #[test]
-    fn corrupt_v2_handshake_is_a_typed_error() {
+    fn corrupt_handshake_is_a_typed_error() {
         let mut wire = Vec::new();
         write_hello(&mut wire, Hello::new(42)).unwrap();
         assert_eq!(wire.len(), 14);
@@ -746,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_round_trip_and_catch_bit_flips() {
+    fn frames_round_trip_and_catch_bit_flips() {
         let frames = [
             Frame::Flow {
                 seq: 11,
@@ -757,33 +692,25 @@ mod tests {
         ];
         let mut wire = Vec::new();
         for f in &frames {
-            write_frame_v(&mut wire, f, VERSION).unwrap();
+            write_frame(&mut wire, f).unwrap();
         }
         let mut r = &wire[..];
         for f in &frames {
-            assert_eq!(read_frame_v(&mut r, VERSION).unwrap().unwrap(), *f);
+            assert_eq!(read_frame(&mut r).unwrap().unwrap(), *f);
         }
-        assert!(read_frame_v(&mut r, VERSION).unwrap().is_none());
+        assert!(read_frame(&mut r).unwrap().is_none());
 
         // Any single flipped bit — body or trailer — fails the check.
         let first_len = 4 + 1 + 8 + FLOW_WIRE_LEN + 4;
         for at in [4usize, 20, first_len - 1] {
             let mut bad = wire.clone();
             bad[at] ^= 0x40;
-            let got = read_frame_v(&mut &bad[..], VERSION);
+            let got = read_frame(&mut &bad[..]);
             assert!(
                 matches!(got, Err(FrameError::CrcMismatch { .. })),
                 "flip at {at}: {got:?}"
             );
         }
-
-        // A v1 writer and a v1 reader still interoperate via the _v API.
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frames[0]).unwrap();
-        assert_eq!(
-            read_frame_v(&mut &wire[..], VERSION_V1).unwrap().unwrap(),
-            frames[0]
-        );
     }
 
     #[test]

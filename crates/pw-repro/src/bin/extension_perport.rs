@@ -14,8 +14,23 @@ use std::net::Ipv4Addr;
 
 use pw_botnet::{generate_storm_trace, StormConfig};
 use pw_data::{build_day, overlay_bots, overlay_bots_onto};
-use pw_detect::{find_plotters, find_plotters_per_service, FindPlottersConfig};
+use pw_detect::{
+    find_plotters_per_service, try_find_plotters_table_tier, FindPlottersConfig, PlotterReport,
+    ProfileTier,
+};
+use pw_flow::{FlowRecord, FlowTable};
 use pw_repro::{table, Scale};
+
+/// Whole-host `FindPlotters` over one day's flows.
+fn whole_host(
+    flows: &[FlowRecord],
+    is_internal: impl Fn(Ipv4Addr) -> bool + Sync,
+    cfg: &FindPlottersConfig,
+) -> PlotterReport {
+    let table = FlowTable::from_records(flows);
+    try_find_plotters_table_tier(&table, is_internal, cfg, ProfileTier::Exact, 1)
+        .expect("a campus day resolves every threshold")
+}
 
 fn main() {
     let scale = Scale::from_env();
@@ -44,7 +59,7 @@ fn main() {
         // Scenario 1: random implants, whole-host detection.
         let random = overlay_bots(&day, &[&storm], cfg.campus.seed ^ d as u64);
         let storm_hosts_r: HashSet<Ipv4Addr> = random.implants.keys().copied().collect();
-        let whole_r = find_plotters(&random.flows, |ip| day.is_internal(ip), &pipeline_cfg);
+        let whole_r = whole_host(&random.flows, |ip| day.is_internal(ip), &pipeline_cfg);
         let tpr_random = whole_r.suspects.intersection(&storm_hosts_r).count() as f64
             / storm_hosts_r.len() as f64;
 
@@ -63,7 +78,7 @@ fn main() {
         let adversarial = overlay_bots_onto(&day, &[&storm], &targets);
         let storm_hosts_a: HashSet<Ipv4Addr> = targets.iter().copied().collect();
 
-        let whole_a = find_plotters(&adversarial.flows, |ip| day.is_internal(ip), &pipeline_cfg);
+        let whole_a = whole_host(&adversarial.flows, |ip| day.is_internal(ip), &pipeline_cfg);
         let tpr_whole = whole_a.suspects.intersection(&storm_hosts_a).count() as f64
             / storm_hosts_a.len() as f64;
 

@@ -12,7 +12,8 @@ use std::net::Ipv4Addr;
 
 use pw_botnet::{generate_nugache_trace, generate_storm_trace, StormConfig};
 use pw_data::{build_day, overlay_bots_onto};
-use pw_detect::{find_plotters, FindPlottersConfig, MultiDayReport};
+use pw_detect::{try_find_plotters_table_tier, FindPlottersConfig, MultiDayReport, ProfileTier};
+use pw_flow::FlowTable;
 use pw_repro::{table, Scale};
 
 fn main() {
@@ -40,11 +41,14 @@ fn main() {
         let nugache = generate_nugache_trace(&cfg.nugache, cfg.campus.seed ^ 0x4106 ^ d as u64);
         // Same hosts every day; traces are fresh (the bot keeps running).
         let overlaid = overlay_bots_onto(&day, &[&storm, &nugache], &targets);
-        let rep = find_plotters(
-            &overlaid.flows,
+        let rep = try_find_plotters_table_tier(
+            &FlowTable::from_records(&overlaid.flows),
             |ip| day.is_internal(ip),
             &FindPlottersConfig::default(),
-        );
+            ProfileTier::Exact,
+            1,
+        )
+        .expect("a campus day resolves every threshold");
         eprintln!(
             "day {d}: storm {}/{} nugache {}/{} suspects {}",
             rep.suspects.intersection(&storm_hosts).count(),

@@ -24,8 +24,8 @@ use std::net::Ipv4Addr;
 use std::process::ExitCode;
 
 use pw_detect::{
-    extract_profiles_table_tier, find_plotters_from_table, FindPlottersConfig, ProfileAccumulator,
-    ProfileTable, ProfileTier,
+    extract_profiles_table_par_tier, find_plotters_from_table, FindPlottersConfig,
+    ProfileAccumulator, ProfileTable, ProfileTier,
 };
 use pw_flow::{FlowRecord, FlowState, FlowTable, Payload, Proto};
 use pw_netsim::SimTime;
@@ -173,8 +173,12 @@ fn main() -> ExitCode {
     for (i, day) in ctx.days.iter().enumerate() {
         let flows = FlowTable::from_records(&day.run.overlaid.flows);
         let base = &day.run.overlaid.base;
-        let sketched =
-            extract_profiles_table_tier(&flows, |ip| base.is_internal(ip), ProfileTier::Sketched);
+        let sketched = extract_profiles_table_par_tier(
+            &flows,
+            |ip| base.is_internal(ip),
+            ProfileTier::Sketched,
+            1,
+        );
         let exact_report = find_plotters_from_table(&day.profiles, &cfg);
         let sketch_report = find_plotters_from_table(&sketched, &cfg);
         let diverged = exact_report

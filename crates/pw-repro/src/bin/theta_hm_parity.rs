@@ -34,8 +34,8 @@ use std::time::Instant;
 
 use pw_detect::{
     find_plotters_from_table, theta_hm_view, BucketedHmParams, FindPlottersConfig, HmOptions,
-    HmOutcome, HostMask, HostProfile, ProfileRepr, ProfileView, ThetaHmConfig, ThetaHmMode,
-    ThetaHmProfile,
+    HmOutcome, HostMask, HostProfile, ProfileRepr, ProfileTable, ProfileView, ThetaHmConfig,
+    ThetaHmMode, ThetaHmProfile,
 };
 use pw_netsim::SimTime;
 use pw_repro::{build_context, table, Scale};
@@ -72,13 +72,7 @@ fn jaccard(a: &HashSet<Ipv4Addr>, b: &HashSet<Ipv4Addr>) -> f64 {
 /// share a distribution shape (the paper's premise, and what keeps the
 /// τ_hm boundary population small). 200 interstitial samples per host,
 /// matching the pw-bench `theta_hm` fixtures.
-fn synth_population(
-    n: usize,
-) -> (
-    HashMap<Ipv4Addr, HostProfile>,
-    HashSet<Ipv4Addr>,
-    HashSet<Ipv4Addr>,
-) {
+fn synth_population(n: usize) -> (ProfileTable, HashSet<Ipv4Addr>, HashSet<Ipv4Addr>) {
     let mut profiles = HashMap::with_capacity(n);
     let mut all = HashSet::with_capacity(n);
     let mut periodic = HashSet::with_capacity(n / 4 + 1);
@@ -122,18 +116,18 @@ fn synth_population(
         );
         all.insert(ip);
     }
-    (profiles, all, periodic)
+    (ProfileTable::from_map(profiles), all, periodic)
 }
 
 /// Runs `θ_hm` over the synthetic population under the given config.
 fn run_hm(
-    profiles: &HashMap<Ipv4Addr, HostProfile>,
+    profiles: &ProfileTable,
     s: &HashSet<Ipv4Addr>,
     theta: ThetaHmConfig,
     threads: usize,
 ) -> (HmOutcome, f64) {
     let cfg = FindPlottersConfig::default();
-    let view = ProfileView::from_map(profiles);
+    let view = ProfileView::from_table(profiles);
     let mask = HostMask::from_ips(&view, s);
     let t0 = Instant::now();
     let hm = theta_hm_view(

@@ -11,8 +11,8 @@ use pw_analysis::{Ecdf, Histogram, RocCurve, RocPoint};
 use pw_botnet::{apply_evasion, BotTrace, EvasionConfig};
 use pw_data::overlay_bots;
 use pw_detect::{
-    extract_profiles_table, find_plotters_from_table, FindPlottersConfig, HostProfile,
-    ProfileTable, Threshold,
+    extract_profiles_table_par_tier, find_plotters_from_table, FindPlottersConfig, HostProfile,
+    ProfileTable, ProfileTier, Threshold,
 };
 use pw_flow::signatures::P2pApp;
 use pw_flow::FlowTable;
@@ -62,14 +62,22 @@ pub fn profiles_of_trace(trace: &BotTrace) -> ProfileTable {
         .collect();
     all.sort_by_key(|f| (f.start, f.src, f.sport, f.dst, f.dport, f.end));
     all.dedup();
-    extract_profiles_table(&FlowTable::from_records(&all), |ip| bot_ips.contains(&ip))
+    extract_profiles_table_par_tier(
+        &FlowTable::from_records(&all),
+        |ip| bot_ips.contains(&ip),
+        ProfileTier::Exact,
+        1,
+    )
 }
 
 fn base_profiles(day: &DayContext) -> ProfileTable {
     let base = &day.run.overlaid.base;
-    extract_profiles_table(&FlowTable::from_records(&base.flows), |ip| {
-        base.is_internal(ip)
-    })
+    extract_profiles_table_par_tier(
+        &FlowTable::from_records(&base.flows),
+        |ip| base.is_internal(ip),
+        ProfileTier::Exact,
+        1,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -741,10 +749,12 @@ pub fn fig12_jitter_sweep(ctx: &Context) -> Vec<JitterRow> {
                 let implants_seed = ctx.cfg.campus.seed ^ di as u64 ^ (placement << 17);
                 let overlaid =
                     overlay_bots(&day.run.overlaid.base, &[storm_t, nugache_t], implants_seed);
-                let profiles =
-                    extract_profiles_table(&FlowTable::from_records(&overlaid.flows), |ip| {
-                        day.run.overlaid.base.is_internal(ip)
-                    });
+                let profiles = extract_profiles_table_par_tier(
+                    &FlowTable::from_records(&overlaid.flows),
+                    |ip| day.run.overlaid.base.is_internal(ip),
+                    ProfileTier::Exact,
+                    1,
+                );
                 let report = find_plotters_from_table(&profiles, &cfg);
                 let storm_hosts: HashSet<Ipv4Addr> = overlaid
                     .implanted_hosts(pw_botnet::BotFamily::Storm)

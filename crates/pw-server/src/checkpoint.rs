@@ -6,8 +6,7 @@
 //! numbers describe *the same instant*. If the sequences ran ahead of
 //! the engine, flows would be skipped on replay; behind, double-applied.
 //! So both live in a single [`ServerCheckpoint`], serialized into one
-//! file with the same atomic write-to-sibling-then-rename protocol as
-//! [`pw_detect::checkpoint`]:
+//! file:
 //!
 //! ```text
 //! peerwatch-server-checkpoint v2
@@ -19,32 +18,26 @@
 //! checksum crc32=<8 hex digits>
 //! ```
 //!
-//! Version 2 appends the same `checksum crc32=` integrity trailer as the
-//! v3 engine format, covering the whole file (including the embedded
-//! engine text, which carries its own trailer — the outer trailer is
-//! stripped before the engine section is handed to the engine parser).
-//! Version 1 files (no trailer) still parse. Retention and fallback
-//! recovery reuse [`pw_detect::checkpoint::write_text_retained`] and
-//! [`pw_detect::checkpoint::recover_with`], so a torn or bit-flipped
-//! primary falls back to the newest verifiable `<path>.k` snapshot.
+//! The final line is the same `checksum crc32=` integrity trailer as the
+//! engine format, covering the whole file (including the embedded engine
+//! text, which carries its own trailer — the outer trailer is stripped
+//! before the engine section is handed to the engine parser). The format
+//! has one version, v2; any other header is refused with
+//! [`CheckpointError::BadMagic`] before anything else is read. The file is
+//! written through [`pw_detect::checkpoint::write_text_retained`] and read
+//! through [`pw_detect::checkpoint::recover_with`], the engine's own I/O
+//! path, so a torn or bit-flipped primary falls back to the newest
+//! verifiable `<path>.k` snapshot.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 use pw_detect::checkpoint::{
-    append_checksum_trailer, recover_with, split_checksum_trailer, write_text_retained,
-    CheckpointError, EngineCheckpoint, Recovered,
+    append_checksum_trailer, check_magic, split_checksum_trailer, CheckpointError, EngineCheckpoint,
 };
 
-/// Magic first line; the version suffix gates format evolution. Version 2
-/// requires the `checksum crc32=` trailer.
+/// Magic first line; the version suffix gates format evolution, and any
+/// other version is refused.
 pub const SERVER_MAGIC: &str = "peerwatch-server-checkpoint v2";
-
-/// The version-1 format, still accepted by [`ServerCheckpoint::parse`]:
-/// same sections, no integrity trailer.
-pub const SERVER_MAGIC_V1: &str = "peerwatch-server-checkpoint v1";
 
 /// A consistent snapshot of everything a restarted server needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,22 +72,12 @@ impl ServerCheckpoint {
     /// [`CheckpointError`] describing the offending line; the embedded
     /// engine section reports its own line numbers relative to itself.
     pub fn parse(text: &str) -> Result<Self, CheckpointError> {
-        // v2 files verify (and shed) the outer trailer first, so the
-        // embedded engine text below ends at the engine's own trailer.
-        let text = if text.starts_with(SERVER_MAGIC) {
-            split_checksum_trailer(text)?
-        } else {
-            text
-        };
-        let mut lines = text.lines().enumerate();
-        let (_, magic) = lines.next().ok_or(CheckpointError::BadMagic {
-            found: String::new(),
-        })?;
-        if magic != SERVER_MAGIC && magic != SERVER_MAGIC_V1 {
-            return Err(CheckpointError::BadMagic {
-                found: magic.to_owned(),
-            });
-        }
+        // The header decides the format; the outer trailer is then
+        // verified and shed, so the embedded engine text below ends at the
+        // engine's own trailer.
+        check_magic(text, SERVER_MAGIC)?;
+        let text = split_checksum_trailer(text)?;
+        let mut lines = text.lines().enumerate().skip(1);
         let (n, header) = lines.next().ok_or(CheckpointError::Format {
             line: 2,
             reason: "missing `exporters N` line".to_owned(),
@@ -148,62 +131,19 @@ impl ServerCheckpoint {
     }
 }
 
-/// Atomically persists `snapshot` to `path` (write a `.tmp` sibling,
-/// then rename), so a crash mid-write leaves the previous file intact.
-///
-/// # Errors
-///
-/// Any I/O error from writing or renaming.
-pub fn write_server_checkpoint(path: &Path, snapshot: &ServerCheckpoint) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    fs::write(&tmp, snapshot.serialize())?;
-    fs::rename(&tmp, path)
-}
-
-/// Reads a checkpoint back from disk.
-///
-/// # Errors
-///
-/// [`CheckpointError`] on I/O failure or corruption.
-pub fn read_server_checkpoint(path: &Path) -> Result<ServerCheckpoint, CheckpointError> {
-    let text = fs::read_to_string(path)?;
-    ServerCheckpoint::parse(&text)
-}
-
-/// [`write_server_checkpoint`] plus retention: keeps the previous
-/// `retain` snapshots as `<path>.1 … <path>.retain`.
-///
-/// # Errors
-///
-/// Any I/O error from writing or renaming.
-pub fn write_server_checkpoint_retained(
-    path: &Path,
-    snapshot: &ServerCheckpoint,
-    retain: usize,
-) -> io::Result<()> {
-    write_text_retained(path, &snapshot.serialize(), retain)
-}
-
-/// [`read_server_checkpoint`] plus recovery: on a truncated or corrupt
-/// primary, falls back to the newest verifiable retained snapshot.
-///
-/// # Errors
-///
-/// The primary's error if nothing in the chain is readable.
-pub fn read_server_checkpoint_recover(
-    path: &Path,
-    retain: usize,
-) -> Result<Recovered<ServerCheckpoint>, CheckpointError> {
-    recover_with(path, retain, ServerCheckpoint::parse)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pw_detect::checkpoint::{recover_with, retained_path, write_text_retained};
     use pw_detect::{DetectionEngine, EngineConfig};
     use std::net::Ipv4Addr;
+
+    /// Seals `body` with a fresh trailer, so an edit reaches the parser.
+    fn sealed(body: &str) -> String {
+        let mut text = body.to_owned();
+        append_checksum_trailer(&mut text);
+        text
+    }
 
     fn internal(ip: Ipv4Addr) -> bool {
         ip.octets()[0] == 10
@@ -234,43 +174,49 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("server.ckpt");
         let ckpt = sample();
-        write_server_checkpoint(&path, &ckpt).unwrap();
-        assert_eq!(read_server_checkpoint(&path).unwrap(), ckpt);
+        write_text_retained(&path, &ckpt.serialize(), 0).unwrap();
+        let read = recover_with(&path, 0, ServerCheckpoint::parse).unwrap();
+        assert_eq!(read.snapshot, ckpt);
         assert!(!path.with_extension("ckpt.tmp").exists());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corruption_is_refused_with_line_context() {
-        let ckpt = sample();
-        // Downgrade to the trailer-less v1 form so line-level diagnoses
-        // are reachable (on v2, the checksum trips first).
-        let text = ckpt
-            .serialize()
-            .replacen(SERVER_MAGIC, SERVER_MAGIC_V1, 1)
-            .strip_suffix('\n')
-            .unwrap()
-            .rsplit_once('\n')
-            .map(|(body, _trailer)| format!("{body}\n"))
-            .unwrap();
-        assert!(ServerCheckpoint::parse(&text).is_ok(), "v1 still parses");
+        let text = sample().serialize();
+        // Edit the body and reseal it so line-level diagnoses are
+        // reachable (otherwise the checksum trips first).
+        let body = split_checksum_trailer(&text).unwrap();
+        assert_eq!(ServerCheckpoint::parse(&sealed(body)).unwrap(), sample());
 
+        // Older versions and other files are refused by their header,
+        // sealed or not.
+        let v1 = body.replacen(SERVER_MAGIC, "peerwatch-server-checkpoint v1", 1);
+        for text in [
+            v1.clone(),
+            sealed(&v1),
+            "peerwatch-checkpoint v1\n".to_owned(),
+        ] {
+            assert!(matches!(
+                ServerCheckpoint::parse(&text),
+                Err(CheckpointError::BadMagic { .. })
+            ));
+        }
+        let truncated = sealed(&format!("{SERVER_MAGIC}\nexporters 3\nexporter 1 5\n"));
         assert!(matches!(
-            ServerCheckpoint::parse("peerwatch-checkpoint v1\n"),
-            Err(CheckpointError::BadMagic { .. })
-        ));
-        let truncated = "peerwatch-server-checkpoint v1\nexporters 3\nexporter 1 5\n";
-        assert!(matches!(
-            ServerCheckpoint::parse(truncated),
+            ServerCheckpoint::parse(&truncated),
             Err(CheckpointError::Format { .. })
         ));
-        let dup = text.replace("exporter 7 911", "exporter 1 911");
+        let dup = sealed(&body.replace("exporter 7 911", "exporter 1 911"));
         assert!(matches!(
             ServerCheckpoint::parse(&dup),
-            Err(CheckpointError::Format { reason, .. }) if reason.contains("duplicate")
+            Err(CheckpointError::Format { line: 4, reason }) if reason.contains("duplicate")
         ));
-        let garbled = text.replace("exporter 7 911", "exporter seven 911");
-        assert!(ServerCheckpoint::parse(&garbled).is_err());
+        let garbled = sealed(&body.replace("exporter 7 911", "exporter seven 911"));
+        assert!(matches!(
+            ServerCheckpoint::parse(&garbled),
+            Err(CheckpointError::Format { line: 4, .. })
+        ));
     }
 
     #[test]
@@ -296,28 +242,28 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("server.ckpt");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pw_detect::checkpoint::retained_path(&path, 1));
+        let _ = std::fs::remove_file(retained_path(&path, 1));
 
         let mut older = sample();
         older.exporters.insert(9, 1);
-        write_server_checkpoint_retained(&path, &older, 1).unwrap();
+        write_text_retained(&path, &older.serialize(), 1).unwrap();
         let newer = sample();
-        write_server_checkpoint_retained(&path, &newer, 1).unwrap();
+        write_text_retained(&path, &newer.serialize(), 1).unwrap();
 
         // Clean primary: no fallback.
-        let got = read_server_checkpoint_recover(&path, 1).unwrap();
+        let got = recover_with(&path, 1, ServerCheckpoint::parse).unwrap();
         assert_eq!(got.snapshot, newer);
         assert_eq!(got.fallbacks, 0);
 
         // Torn primary: recovery lands on the retained previous snapshot.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let got = read_server_checkpoint_recover(&path, 1).unwrap();
+        let got = recover_with(&path, 1, ServerCheckpoint::parse).unwrap();
         assert_eq!(got.snapshot, older);
         assert_eq!(got.fallbacks, 1);
         assert_eq!(got.skipped.len(), 1);
 
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(pw_detect::checkpoint::retained_path(&path, 1)).ok();
+        std::fs::remove_file(retained_path(&path, 1)).ok();
     }
 }

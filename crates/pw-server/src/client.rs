@@ -15,8 +15,8 @@
 //!
 //! Two hardening layers sit on top:
 //!
-//! - **Final delivery confirmation** (version-2 sessions): the server
-//!   answers `Bye` with an ack carrying its applied sequence. A server
+//! - **Final delivery confirmation**: the server answers `Bye` with an
+//!   ack carrying its applied sequence. A server
 //!   that severed on a corrupt frame just after the client's last write
 //!   can no longer fool the client into reporting success — the missing
 //!   ack (or a short one) surfaces as an error and, with retries on, a
@@ -34,7 +34,7 @@ use std::thread;
 use std::time::Duration;
 
 use pw_chaos::{ChaosRng, ConnPlan};
-use pw_flow::frame::{self, Frame, FrameError, Hello, VERSION, VERSION_V1};
+use pw_flow::frame::{self, Frame, FrameError, Hello};
 use pw_flow::FlowRecord;
 
 /// Why the exporter gave up.
@@ -155,10 +155,6 @@ pub struct SendOptions {
     /// Send a `Tick` heartbeat (feed clock = the flow's start time)
     /// after every `n` flows, driving the server's stall detector.
     pub tick_every: Option<usize>,
-    /// Protocol version to speak ([`VERSION`] by default). Version 1
-    /// drops the CRC trailers and the final delivery confirmation,
-    /// matching pre-hardening exporters.
-    pub version: u16,
     /// Reconnect/backoff policy for transport failures.
     pub retry: RetryPolicy,
 }
@@ -168,7 +164,6 @@ impl Default for SendOptions {
         SendOptions {
             plan: ConnPlan::none(),
             tick_every: None,
-            version: VERSION,
             retry: RetryPolicy::default(),
         }
     }
@@ -215,7 +210,7 @@ impl SendState {
 
 /// How one connection attempt ended (errors are returned, not encoded).
 enum Attempt {
-    /// `Bye` sent and (on version 2) delivery confirmed.
+    /// `Bye` sent and delivery confirmed.
     Done,
     /// An injected [`ConnPlan`] cut fired; reconnect immediately without
     /// touching the failure budget.
@@ -224,9 +219,8 @@ enum Attempt {
 
 /// Streams `flows` to the server at `addr` as exporter `exporter_id`,
 /// sequencing from 0, honouring the fault plan and retry policy in
-/// `opts`, and finishing with `Bye`. On version-2 sessions a successful
-/// return additionally certifies the server acknowledged applying the
-/// complete stream.
+/// `opts`, and finishing with `Bye`. A successful return certifies the
+/// server acknowledged applying the complete stream.
 ///
 /// # Errors
 ///
@@ -287,7 +281,7 @@ fn backoff_delay(policy: &RetryPolicy, failure_idx: u32, rng: &mut ChaosRng) -> 
 }
 
 /// One connection's worth of the protocol: connect, handshake, stream
-/// from the acked sequence, finish with `Bye` (confirmed on version 2).
+/// from the acked sequence, finish with a confirmed `Bye`.
 fn attempt<A: ToSocketAddrs>(
     addr: &A,
     exporter_id: u32,
@@ -298,13 +292,7 @@ fn attempt<A: ToSocketAddrs>(
 ) -> Result<Attempt, ClientError> {
     let stream = TcpStream::connect(addr)?;
     let mut w = BufWriter::new(stream);
-    frame::write_hello(
-        &mut w,
-        Hello {
-            exporter_id,
-            version: opts.version,
-        },
-    )?;
+    frame::write_hello(&mut w, Hello::new(exporter_id))?;
     w.flush()?;
     let ack = frame::read_hello_ack(w.get_mut())?;
     st.observe_ack(ack.next_seq);
@@ -326,24 +314,22 @@ fn attempt<A: ToSocketAddrs>(
     }
     let mut cut = false;
     for (k, flow) in flows.iter().enumerate().skip(next) {
-        frame::write_frame_v(
+        frame::write_frame(
             &mut w,
             &Frame::Flow {
                 seq: k as u64,
                 flow: *flow,
             },
-            opts.version,
         )?;
         st.report.sent += 1;
         st.resume_from = k + 1;
         if let Some(every) = opts.tick_every {
             if every > 0 && (k + 1) % every == 0 {
-                frame::write_frame_v(
+                frame::write_frame(
                     &mut w,
                     &Frame::Tick {
                         now_ms: flow.start.as_millis(),
                     },
-                    opts.version,
                 )?;
             }
         }
@@ -360,21 +346,18 @@ fn attempt<A: ToSocketAddrs>(
         w.get_ref().shutdown(Shutdown::Both)?;
         return Ok(Attempt::Cut);
     }
-    frame::write_frame_v(&mut w, &Frame::Bye, opts.version)?;
+    frame::write_frame(&mut w, &Frame::Bye)?;
     w.flush()?;
-    if opts.version != VERSION_V1 {
-        // Delivery confirmation: a server that severed on a corrupt
-        // frame closes without this ack, and a fail-safe server acks
-        // short — either way success is never reported for an
-        // incompletely-applied stream.
-        let fin = frame::read_hello_ack(w.get_mut())?;
-        st.observe_ack(fin.next_seq);
-        if u128::from(fin.next_seq) < flows.len() as u128 {
-            return Err(ClientError::ShortDelivery {
-                applied: fin.next_seq,
-                have: flows.len(),
-            });
-        }
+    // Delivery confirmation: a server that severed on a corrupt frame
+    // closes without this ack, and a fail-safe server acks short — either
+    // way success is never reported for an incompletely-applied stream.
+    let fin = frame::read_hello_ack(w.get_mut())?;
+    st.observe_ack(fin.next_seq);
+    if u128::from(fin.next_seq) < flows.len() as u128 {
+        return Err(ClientError::ShortDelivery {
+            applied: fin.next_seq,
+            have: flows.len(),
+        });
     }
     Ok(Attempt::Done)
 }

@@ -55,10 +55,7 @@ use std::time::Duration;
 
 use pw_detect::{ConfigError, EngineConfig};
 
-pub use checkpoint::{
-    read_server_checkpoint, read_server_checkpoint_recover, write_server_checkpoint,
-    write_server_checkpoint_retained, ServerCheckpoint,
-};
+pub use checkpoint::ServerCheckpoint;
 pub use client::{send_flows, ClientError, RetryPolicy, SendOptions, SendReport};
 pub use server::{Server, ServerError};
 

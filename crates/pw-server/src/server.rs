@@ -4,8 +4,8 @@
 //!
 //! Every connection socket gets a read/write deadline
 //! ([`ServerConfig::io_timeout`]); a peer idle past it is reaped and
-//! counted rather than holding a thread hostage. Version-2 exporter
-//! sessions verify a CRC32 on every frame: a corrupt frame is counted
+//! counted rather than holding a thread hostage. Exporter sessions verify
+//! a CRC32 on every frame: a corrupt frame is counted
 //! (per exporter) and the connection is *severed*, never skipped —
 //! without per-frame acks a skipped flow would be lost, whereas a
 //! severed exporter reconnects and the sequence handshake re-delivers
@@ -27,15 +27,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use pw_detect::checkpoint::{retained_path, CheckpointError};
+use pw_detect::checkpoint::{recover_with, retained_path, write_text_retained, CheckpointError};
 use pw_detect::{ConfigError, DetectionEngine, WindowReport};
-use pw_flow::frame::{self, Frame, FrameError, HelloAck, MAGIC, VERSION_V1};
+use pw_flow::frame::{self, Frame, FrameError, HelloAck, MAGIC};
 use pw_flow::FlowRecord;
 use pw_netsim::SimTime;
 
-use crate::checkpoint::{
-    read_server_checkpoint_recover, write_server_checkpoint_retained, ServerCheckpoint,
-};
+use crate::checkpoint::ServerCheckpoint;
 use crate::ServerConfig;
 
 /// Why the server could not start or stopped abnormally.
@@ -174,7 +172,7 @@ impl Server {
         let mut checkpoints_corrupt = 0u64;
         let (engine, exporters) = match &cfg.checkpoint_path {
             Some(path) if snapshot_exists(path, cfg.checkpoint_retain) => {
-                let rec = read_server_checkpoint_recover(path, cfg.checkpoint_retain)?;
+                let rec = recover_with(path, cfg.checkpoint_retain, ServerCheckpoint::parse)?;
                 checkpoint_fallbacks = u64::from(rec.fallbacks);
                 checkpoints_corrupt = rec.skipped.len() as u64;
                 for (p, e) in &rec.skipped {
@@ -339,7 +337,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
             self.checkpoint_errors += 1;
             return Err(io::Error::other("engine snapshot panicked"));
         };
-        write_server_checkpoint_retained(&path, &snapshot, self.checkpoint_retain)
+        write_text_retained(&path, &snapshot.serialize(), self.checkpoint_retain)
             .inspect_err(|_| self.checkpoint_errors += 1)
     }
 
@@ -684,9 +682,9 @@ fn handle_connection(mut stream: TcpStream, tx: &SyncSender<Msg>, timeout: Optio
 ///
 /// A corrupt frame (CRC mismatch or any decode error) severs the
 /// connection after counting it — the reconnect handshake re-delivers
-/// the lost tail, so nothing is silently dropped. On version-2 sessions
-/// a clean `Bye` is answered with a final ack carrying the applied
-/// sequence, so the exporter can verify complete delivery.
+/// the lost tail, so nothing is silently dropped. A clean `Bye` is
+/// answered with a final ack carrying the applied sequence, so the
+/// exporter can verify complete delivery.
 fn exporter_session(
     mut stream: TcpStream,
     first: [u8; 4],
@@ -717,40 +715,26 @@ fn exporter_session(
     let (Ok(()), Ok(next_seq)) = (sent, reply_rx.recv()) else {
         return Ok(()); // server shutting down
     };
-    frame::write_hello_ack(
-        &mut stream,
-        HelloAck {
-            next_seq,
-            version: hello.version,
-        },
-    )?;
+    frame::write_hello_ack(&mut stream, HelloAck::new(next_seq))?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
     loop {
-        match frame::read_frame_v(&mut reader, hello.version) {
+        match frame::read_frame(&mut reader) {
             // A severed connection is normal exporter behaviour — the
             // reconnect handshake resumes it; nothing to unwind here.
             Ok(None) => return Ok(()),
             Ok(Some(Frame::Bye)) => {
-                if hello.version != VERSION_V1 {
-                    // Final delivery confirmation: ask the engine (the
-                    // queue orders this after every flow this connection
-                    // sent) and ack the applied sequence back.
-                    let (reply_tx, reply_rx) = sync_channel(1);
-                    let sent = tx.send(Msg::Hello {
-                        exporter_id: hello.exporter_id,
-                        reply: reply_tx,
-                    });
-                    if let (Ok(()), Ok(applied)) = (sent, reply_rx.recv()) {
-                        let mut w = reader.get_ref();
-                        frame::write_hello_ack(
-                            &mut w,
-                            HelloAck {
-                                next_seq: applied,
-                                version: hello.version,
-                            },
-                        )?;
-                    }
+                // Final delivery confirmation: ask the engine (the queue
+                // orders this after every flow this connection sent) and
+                // ack the applied sequence back.
+                let (reply_tx, reply_rx) = sync_channel(1);
+                let sent = tx.send(Msg::Hello {
+                    exporter_id: hello.exporter_id,
+                    reply: reply_tx,
+                });
+                if let (Ok(()), Ok(applied)) = (sent, reply_rx.recv()) {
+                    let mut w = reader.get_ref();
+                    frame::write_hello_ack(&mut w, HelloAck::new(applied))?;
                 }
                 return Ok(());
             }

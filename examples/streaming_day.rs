@@ -1,7 +1,7 @@
 //! Streaming detection over a campus day: replay the border flow feed
 //! through the windowed [`DetectionEngine`] and watch verdicts arrive as
 //! each window closes, then confirm that one full-day window reproduces the
-//! batch `find_plotters` output exactly.
+//! batch pipeline's output exactly.
 //!
 //! ```sh
 //! cargo run --release --example streaming_day
@@ -13,7 +13,8 @@ use std::net::Ipv4Addr;
 use peerwatch::botnet::{generate_storm_trace, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, EvictionPolicy};
-use peerwatch::detect::{find_plotters, FindPlottersConfig};
+use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
+use peerwatch::flow::FlowTable;
 use peerwatch::netsim::SimDuration;
 
 fn main() {
@@ -97,11 +98,14 @@ fn main() {
         .expect("one window")
         .outcome
         .expect("non-empty day");
-    let batch = find_plotters(
-        &flows,
+    let batch = try_find_plotters_table_tier(
+        &FlowTable::from_records(&flows),
         |ip| day.is_internal(ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .expect("every threshold resolves");
     assert_eq!(report.suspects, batch.suspects);
     assert_eq!(report.tau_vol.to_bits(), batch.tau_vol.to_bits());
     assert_eq!(report.tau_churn.to_bits(), batch.tau_churn.to_bits());

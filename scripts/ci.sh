@@ -10,9 +10,8 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (deny warnings + deprecated API use)"
-# `-D deprecated` keeps the workspace itself off the `pw_detect::compat`
-# legacy surface; the compat parity tests opt back in with
-# `#[allow(deprecated)]`.
+# `-D deprecated` rejects any use of a deprecated std or dependency item;
+# the workspace itself defines none.
 cargo clippy --workspace --all-targets -- -D warnings -D deprecated
 
 echo "==> pw-lint (determinism + concurrency/resource-safety rules + dependency policy)"
@@ -88,8 +87,8 @@ echo "==> bench smoke (detect and flow benches execute one iteration)"
 cargo bench -q -p pw-bench --bench detect -- --test
 cargo bench -q -p pw-bench --bench flow -- --test
 
-echo "==> cargo doc (public docs must build cleanly)"
-cargo doc --workspace --no-deps -q
+echo "==> cargo doc (public docs must build cleanly, with no dangling links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
 
 echo "==> miri smoke over the pure kernels (tolerated: skips without nightly miri)"
 # Undefined-behaviour check on the side the lexical lints can't see.

@@ -83,9 +83,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use peerwatch::chaos::{ChaosProxy, ConnPlan, ProxyFaults};
-use peerwatch::detect::checkpoint::{
-    read_checkpoint_recover, retained_path, write_checkpoint_retained,
-};
+use peerwatch::detect::checkpoint::{read_checkpoint_recover, retained_path, write_text_retained};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
 use peerwatch::detect::{
     try_find_plotters_table_tier, Error, FindPlottersConfig, PlotterReport, ProfileTier,
@@ -787,9 +785,9 @@ fn main() {
             if let Some(cp) = checkpoint_path.as_deref() {
                 if since_checkpoint >= checkpoint_every {
                     since_checkpoint = 0;
-                    write_checkpoint_retained(
+                    write_text_retained(
                         Path::new(cp),
-                        &engine.checkpoint(),
+                        &engine.checkpoint().serialize(),
                         checkpoint_retain,
                     )
                     .unwrap_or_else(|e| fail(&format!("cannot write checkpoint {cp}: {e}")));
@@ -798,8 +796,12 @@ fn main() {
         }
         if let Some(cp) = checkpoint_path.as_deref() {
             // Final snapshot: a rerun with --resume replays nothing.
-            write_checkpoint_retained(Path::new(cp), &engine.checkpoint(), checkpoint_retain)
-                .unwrap_or_else(|e| fail(&format!("cannot write checkpoint {cp}: {e}")))
+            write_text_retained(
+                Path::new(cp),
+                &engine.checkpoint().serialize(),
+                checkpoint_retain,
+            )
+            .unwrap_or_else(|e| fail(&format!("cannot write checkpoint {cp}: {e}")))
         }
         windows.extend(engine.finish());
         // Every refused record is in the quarantine file before the report

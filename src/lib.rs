@@ -35,7 +35,8 @@
 //! ```no_run
 //! use peerwatch::data::{build_day, overlay_bots, CampusConfig};
 //! use peerwatch::botnet::{generate_storm_trace, StormConfig};
-//! use peerwatch::detect::{try_find_plotters, FindPlottersConfig, Threshold};
+//! use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier, Threshold};
+//! use peerwatch::flow::FlowTable;
 //!
 //! // One day of synthetic campus traffic with an implanted Storm botnet.
 //! let day = build_day(&CampusConfig::small(), 0);
@@ -49,7 +50,9 @@
 //!     .build()?;
 //!
 //! // Hunt for the bots using only the flow records, sharded over 4 cores.
-//! let report = try_find_plotters(&overlaid.flows, |ip| day.is_internal(ip), &cfg, 4)?;
+//! let table = FlowTable::from_records(&overlaid.flows);
+//! let report =
+//!     try_find_plotters_table_tier(&table, |ip| day.is_internal(ip), &cfg, ProfileTier::Exact, 4)?;
 //! for suspect in &report.suspects {
 //!     println!("suspected Plotter: {suspect}");
 //! }

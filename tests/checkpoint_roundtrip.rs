@@ -7,17 +7,29 @@
 use std::net::Ipv4Addr;
 
 use peerwatch::detect::checkpoint::{
-    read_checkpoint, read_checkpoint_recover, retained_path, write_checkpoint,
-    write_checkpoint_retained, CheckpointError, EngineCheckpoint, MAGIC, MAGIC_V2,
+    append_checksum_trailer, read_checkpoint_recover, retained_path, split_checksum_trailer,
+    write_text_retained, CheckpointError, EngineCheckpoint,
 };
 use peerwatch::detect::stream::{
     DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport,
 };
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
+use peerwatch::server::checkpoint::SERVER_MAGIC;
+use peerwatch::server::ServerCheckpoint;
 
 fn internal(ip: Ipv4Addr) -> bool {
     ip.octets()[0] == 10
+}
+
+/// Atomically writes `snapshot` to `path`, keeping no history.
+fn save_snapshot(path: &std::path::Path, snapshot: &EngineCheckpoint) {
+    write_text_retained(path, &snapshot.serialize(), 0).unwrap();
+}
+
+/// Reads the checkpoint at `path`, with no retained copies to fall back on.
+fn load_snapshot(path: &std::path::Path) -> Result<EngineCheckpoint, CheckpointError> {
+    read_checkpoint_recover(path, 0).map(|r| r.snapshot)
 }
 
 fn flow(src: Ipv4Addr, dst: Ipv4Addr, start: SimTime, up: u64, failed: bool) -> FlowRecord {
@@ -178,10 +190,10 @@ fn resume_through_disk_continues_under_degraded_modes() {
     for f in &flows[..cut] {
         reports.extend(first.push(*f).unwrap());
     }
-    write_checkpoint(&path, &first.checkpoint()).unwrap();
+    save_snapshot(&path, &first.checkpoint());
     drop(first);
 
-    let snapshot = read_checkpoint(&path).unwrap();
+    let snapshot = load_snapshot(&path).unwrap();
     let mut second = DetectionEngine::restore(&snapshot, internal as fn(Ipv4Addr) -> bool).unwrap();
     for f in &flows[cut..] {
         reports.extend(second.push(*f).unwrap());
@@ -330,16 +342,13 @@ fn corrupted_checkpoint_files_are_refused_with_typed_errors() {
         eng.push(*f).unwrap();
     }
     let path = temp_ckpt("refused.ckpt");
-    write_checkpoint(&path, &eng.checkpoint()).unwrap();
+    save_snapshot(&path, &eng.checkpoint());
     let good = std::fs::read(&path).unwrap();
-    assert!(
-        read_checkpoint(&path).is_ok(),
-        "the pristine file must read"
-    );
+    assert!(load_snapshot(&path).is_ok(), "the pristine file must read");
 
     // Truncation — the tail (trailer included) never made it to disk.
     std::fs::write(&path, &good[..good.len() - 40]).unwrap();
-    let err = read_checkpoint(&path).unwrap_err();
+    let err = load_snapshot(&path).unwrap_err();
     assert!(
         matches!(err, CheckpointError::Format { .. }),
         "truncation must be diagnosed as a missing trailer, got: {err}"
@@ -353,7 +362,7 @@ fn corrupted_checkpoint_files_are_refused_with_typed_errors() {
     let mid = flipped.len() / 3;
     flipped[mid] ^= 0x01;
     std::fs::write(&path, &flipped).unwrap();
-    let err = read_checkpoint(&path).unwrap_err();
+    let err = load_snapshot(&path).unwrap_err();
     assert!(
         matches!(err, CheckpointError::Checksum { .. }),
         "a body bit flip must fail the checksum, got: {err}"
@@ -365,7 +374,7 @@ fn corrupted_checkpoint_files_are_refused_with_typed_errors() {
     let hex_pos = flipped.len() - 3; // inside the trailer's 8 hex digits
     flipped[hex_pos] ^= 0x01;
     std::fs::write(&path, &flipped).unwrap();
-    let err = read_checkpoint(&path).unwrap_err();
+    let err = load_snapshot(&path).unwrap_err();
     assert!(
         matches!(
             err,
@@ -393,13 +402,13 @@ fn kill_nine_mid_write_recovers_from_last_good_retained_snapshot() {
     for f in &flows[..c1] {
         reports.extend(eng.push(*f).unwrap());
     }
-    write_checkpoint_retained(&path, &eng.checkpoint(), 2).unwrap();
+    write_text_retained(&path, &eng.checkpoint().serialize(), 2).unwrap();
     for f in &flows[c1..c2] {
         // These windows die with the process; the resumed run regenerates
         // them from the surviving snapshot.
         eng.push(*f).unwrap();
     }
-    write_checkpoint_retained(&path, &eng.checkpoint(), 2).unwrap();
+    write_text_retained(&path, &eng.checkpoint().serialize(), 2).unwrap();
     drop(eng);
     assert!(retained_path(&path, 1).exists(), "rotation kept history");
     let full = std::fs::read(&path).unwrap();
@@ -407,7 +416,7 @@ fn kill_nine_mid_write_recovers_from_last_good_retained_snapshot() {
 
     // Plain read refuses the torn primary; recovery walks back to `.1`
     // and reports exactly what it skipped.
-    assert!(read_checkpoint(&path).is_err());
+    assert!(load_snapshot(&path).is_err());
     let rec = read_checkpoint_recover(&path, 2).unwrap();
     assert_eq!(rec.fallbacks, 1, "must resume from the first retained slot");
     assert_eq!(rec.skipped.len(), 1);
@@ -434,36 +443,58 @@ fn kill_nine_mid_write_recovers_from_last_good_retained_snapshot() {
 }
 
 #[test]
-fn previous_format_checkpoint_files_still_restore() {
-    // A v2-era file (no integrity trailer) written by an older build must
-    // keep restoring byte-identically under the v3 reader.
+fn forged_row_counts_are_refused_without_allocating() {
+    // A re-sealed file is indistinguishable from a genuine one by CRC, so
+    // the row counts it declares must not size an allocation: a count far
+    // beyond the lines that follow is a typed format error, through the
+    // engine parser and through the server parser that embeds it.
     let flows = feed();
-    let cut = flows.len() / 2;
     let mut eng = DetectionEngine::new(cfg(1), internal as fn(Ipv4Addr) -> bool).unwrap();
-    let mut reports = Vec::new();
-    for f in &flows[..cut] {
-        reports.extend(eng.push(*f).unwrap());
+    for f in &flows[..flows.len() / 2] {
+        eng.push(*f).unwrap();
     }
     let snap = eng.checkpoint();
-    drop(eng);
+    assert!(!snap.open.is_empty(), "the cut leaves a window open");
+    let text = snap.serialize();
+    let body = split_checksum_trailer(&text).unwrap();
+    let window_header = body
+        .lines()
+        .find(|l| l.starts_with("window "))
+        .expect("an open window");
+    let window_index = window_header.split(' ').nth(1).unwrap();
 
-    let v3 = snap.serialize();
-    let body = v3
-        .strip_suffix('\n')
-        .and_then(|t| t.rsplit_once('\n'))
-        .map(|(body, _trailer)| format!("{body}\n"))
-        .unwrap();
-    let v2 = body.replacen(MAGIC, MAGIC_V2, 1);
-    let path = temp_ckpt("v2-era.ckpt");
-    std::fs::write(&path, v2).unwrap();
+    for forged in [u64::MAX, 1 << 40] {
+        let edits = [
+            ("buffer ", format!("buffer {forged}")),
+            (window_header, format!("window {window_index} {forged}")),
+        ];
+        for (prefix, forged_line) in edits {
+            let mut engine_text: String = body
+                .lines()
+                .map(|l| {
+                    if l.starts_with(prefix) {
+                        format!("{forged_line}\n")
+                    } else {
+                        format!("{l}\n")
+                    }
+                })
+                .collect();
+            append_checksum_trailer(&mut engine_text);
+            let err = EngineCheckpoint::parse(&engine_text).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Format { .. }),
+                "{forged_line}: {err}"
+            );
 
-    let read = read_checkpoint(&path).unwrap();
-    assert_eq!(read, snap, "a v2 file carries the full v3 state");
-    let mut revived = DetectionEngine::restore(&read, internal as fn(Ipv4Addr) -> bool).unwrap();
-    for f in &flows[cut..] {
-        reports.extend(revived.push(*f).unwrap());
+            let mut server_text =
+                format!("{SERVER_MAGIC}\nexporters 1\nexporter 3 17\nengine-checkpoint\n");
+            server_text.push_str(&engine_text);
+            append_checksum_trailer(&mut server_text);
+            let err = ServerCheckpoint::parse(&server_text).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Format { .. }),
+                "{forged_line}: {err}"
+            );
+        }
     }
-    reports.extend(revived.finish());
-    assert_eq!(reports, straight_run(&flows, cfg(1)));
-    std::fs::remove_file(&path).ok();
 }

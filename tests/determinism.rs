@@ -3,7 +3,8 @@
 
 use peerwatch::botnet::{generate_nugache_trace, generate_storm_trace, NugacheConfig, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
-use peerwatch::detect::{find_plotters, FindPlottersConfig};
+use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
+use peerwatch::flow::FlowTable;
 use peerwatch::netsim::SimDuration;
 
 fn campus(seed: u64) -> CampusConfig {
@@ -43,11 +44,14 @@ fn full_run_is_bit_for_bit_reproducible() {
             2,
         );
         let overlaid = overlay_bots(&day, &[&storm, &nugache], 9);
-        let report = find_plotters(
-            &overlaid.flows,
+        let report = try_find_plotters_table_tier(
+            &FlowTable::from_records(&overlaid.flows),
             |ip| day.is_internal(ip),
             &FindPlottersConfig::default(),
-        );
+            ProfileTier::Exact,
+            1,
+        )
+        .expect("every threshold resolves");
         (overlaid.flows, overlaid.implants, report.suspects)
     };
     let (flows_a, implants_a, suspects_a) = run();
@@ -88,19 +92,25 @@ fn detection_is_stable_across_csv_round_trip() {
         4,
     );
     let overlaid = overlay_bots(&day, &[&storm], 5);
-    let direct = find_plotters(
-        &overlaid.flows,
+    let direct = try_find_plotters_table_tier(
+        &FlowTable::from_records(&overlaid.flows),
         |ip| day.is_internal(ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .expect("every threshold resolves");
     let mut buf = Vec::new();
     peerwatch::flow::csvio::write_flows(&mut buf, &overlaid.flows).expect("write");
     let reloaded = peerwatch::flow::csvio::read_flows(buf.as_slice()).expect("read");
-    let indirect = find_plotters(
-        &reloaded,
+    let indirect = try_find_plotters_table_tier(
+        &FlowTable::from_records(&reloaded),
         |ip| day.is_internal(ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .expect("every threshold resolves");
     assert_eq!(direct.suspects, indirect.suspects);
     assert_eq!(direct.tau_vol, indirect.tau_vol);
     assert_eq!(direct.tau_churn, indirect.tau_churn);

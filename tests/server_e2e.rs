@@ -2,7 +2,7 @@
 //! `pw-server` — including injected disconnect/reconnect faults, byte-level
 //! corruption through a chaos proxy, and a `kill -9` + checkpoint-resume —
 //! produces a final verdict byte-identical to the offline batch
-//! `find_plotters` over the merged flows.
+//! `try_find_plotters_table_tier` over the merged flows.
 //!
 //! Plus property tests for the binary wire format: every flow the codec
 //! can represent round-trips exactly, through both the in-memory encoding
@@ -18,7 +18,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use peerwatch::chaos::{ChaosProxy, ConnPlan, ProxyFaults};
-use peerwatch::detect::{try_find_plotters_table, FindPlottersConfig};
+use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
 use peerwatch::flow::frame::{self, decode_flow, encode_flow, Frame, FLOW_WIRE_LEN};
 use peerwatch::flow::{csvio, FlowRecord, FlowState, FlowTable, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
@@ -212,7 +212,7 @@ fn split(flows: &[FlowRecord], n: usize) -> Vec<Vec<FlowRecord>> {
 fn batch_verdict(flows: &[FlowRecord]) -> (String, Vec<String>) {
     let table = FlowTable::from_records(flows);
     let cfg = FindPlottersConfig::default();
-    let r = try_find_plotters_table(&table, is_internal, &cfg, 1).unwrap();
+    let r = try_find_plotters_table_tier(&table, is_internal, &cfg, ProfileTier::Exact, 1).unwrap();
     let taus = format!(
         "taus reduction={:016x} vol={:016x} churn={:016x} hm={:016x}",
         r.reduction_threshold.to_bits(),

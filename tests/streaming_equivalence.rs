@@ -1,5 +1,5 @@
 //! The streaming engine's core contract on a seeded campus day: one window
-//! covering the whole trace reproduces the batch `find_plotters` output
+//! covering the whole trace reproduces the batch pipeline's output
 //! byte for byte — same suspects, same resolved thresholds — for any
 //! thread count, and tumbling replays partition the stream.
 
@@ -9,8 +9,10 @@ use std::net::Ipv4Addr;
 use peerwatch::botnet::{generate_storm_trace, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, WindowReport};
-use peerwatch::detect::{find_plotters, try_find_plotters, FindPlottersConfig, PlotterReport};
-use peerwatch::flow::FlowRecord;
+use peerwatch::detect::{
+    try_find_plotters_table_tier, FindPlottersConfig, PlotterReport, ProfileTier,
+};
+use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::SimDuration;
 
 struct Fixture {
@@ -83,11 +85,14 @@ fn stream_whole_day(fixture: &Fixture, threads: usize) -> PlotterReport {
 fn full_day_window_is_byte_identical_to_batch() {
     let fixture = campus_day();
     let internal = &fixture.internal;
-    let batch = find_plotters(
-        &fixture.flows,
+    let batch = try_find_plotters_table_tier(
+        &FlowTable::from_records(&fixture.flows),
         |ip| internal.contains(&ip),
         &FindPlottersConfig::default(),
-    );
+        ProfileTier::Exact,
+        1,
+    )
+    .expect("every threshold resolves");
     assert!(!batch.all_hosts.is_empty(), "fixture produced no hosts");
 
     let streamed = stream_whole_day(&fixture, 1);
@@ -117,10 +122,23 @@ fn parallel_batch_matches_serial_batch() {
     let fixture = campus_day();
     let internal = &fixture.internal;
     let cfg = FindPlottersConfig::default();
-    let serial = try_find_plotters(&fixture.flows, |ip| internal.contains(&ip), &cfg, 1).unwrap();
+    let serial = try_find_plotters_table_tier(
+        &FlowTable::from_records(&fixture.flows),
+        |ip| internal.contains(&ip),
+        &cfg,
+        ProfileTier::Exact,
+        1,
+    )
+    .unwrap();
     for threads in [2usize, 6] {
-        let par =
-            try_find_plotters(&fixture.flows, |ip| internal.contains(&ip), &cfg, threads).unwrap();
+        let par = try_find_plotters_table_tier(
+            &FlowTable::from_records(&fixture.flows),
+            |ip| internal.contains(&ip),
+            &cfg,
+            ProfileTier::Exact,
+            threads,
+        )
+        .unwrap();
         assert_eq!(par, serial, "threads={threads}");
     }
 }
