@@ -80,8 +80,8 @@ fn bench_csv(c: &mut Criterion) {
 
 fn bench_checkpoint(c: &mut Criterion) {
     // 20k flows over 17 minutes, each held by the four open 2 h windows
-    // that slide by 30 min: no window closes, so every flow is serialized
-    // four times, as in a sliding-window monitor's snapshots.
+    // that slide by 30 min: no window closes, and each flow is serialized
+    // once, in the buffer or the shared window log.
     let cfg = EngineConfig::builder()
         .window(SimDuration::from_hours(2))
         .slide(SimDuration::from_mins(30))
@@ -94,7 +94,9 @@ fn bench_checkpoint(c: &mut Criterion) {
         engine.push(f).unwrap();
     }
     let snapshot = engine.checkpoint();
-    let rows = snapshot.buffer.len() + snapshot.open.iter().map(|(_, f)| f.len()).sum::<usize>();
+    let rows = snapshot.buffer.len()
+        + snapshot.log.len()
+        + snapshot.open.iter().map(|(_, f)| f.len()).sum::<usize>();
 
     let mut group = c.benchmark_group("checkpoint");
     group.throughput(Throughput::Elements(rows as u64));

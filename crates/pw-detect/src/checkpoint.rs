@@ -5,7 +5,8 @@
 //! uninterrupted run would have. [`EngineCheckpoint`] is a complete,
 //! serializable snapshot of a
 //! [`DetectionEngine`](crate::stream::DetectionEngine): configuration,
-//! watermark, reorder buffer, open windows, and every ingest counter.
+//! watermark, reorder buffer, window log, open windows, and every ingest
+//! counter.
 //! [`DetectionEngine::checkpoint`](crate::stream::DetectionEngine::checkpoint)
 //! produces one; [`DetectionEngine::restore`](crate::stream::DetectionEngine::restore)
 //! revives an engine that continues *byte-identically* — same reports,
@@ -17,7 +18,7 @@
 //! deliberately takes no serialization dependency:
 //!
 //! ```text
-//! peerwatch-checkpoint v3
+//! peerwatch-checkpoint v4
 //! engine window_ms=3600000 slide_ms=3600000 ... reject_invalid=0 tier=exact
 //! detect with_reduction=1 tau_vol=p:4049000000000000 ... cut_fraction=3fa999999999999a
 //! state watermark_ms=1234 applied_to_ms=1000 ...
@@ -26,18 +27,34 @@
 //! buffer 2
 //! <flow row in csvio line format>
 //! <flow row in csvio line format>
-//! window 7 1
+//! log 3
+//! <flow row in csvio line format>
+//! <flow row in csvio line format>
+//! <flow row in csvio line format>
+//! window 7 0
+//! window 8 1
 //! <flow row in csvio line format>
 //! end
 //! checksum crc32=<8 hex digits>
 //! ```
+//!
+//! `buffer N` lists the reorder buffer in drain order. `log N` lists every
+//! flow applied to the open windows once, in canonical order
+//! `(start, src, dst, sport, dport)`; window `I` holds the logged flows
+//! starting inside `[I·slide, I·slide + window)`, so a sliding window's
+//! flows are not written once per window. Each `window I E` line names an
+//! open window, in ascending index order, followed by its `E` extras: the
+//! late flows [`LatePolicy::ExtendOldest`] appended to it, which are not
+//! in the log. [`EngineCheckpoint::parse`] refuses a log out of canonical
+//! order, and a logged flow whose windows, from the oldest open one on,
+//! are not all listed as open.
 //!
 //! The final line is an integrity trailer — `checksum crc32=<8 hex
 //! digits>` over every preceding byte — so a truncated or bit-flipped
 //! snapshot is detected at restore time as a typed error instead of
 //! silently parsing garbage (the line-oriented format would otherwise
 //! accept many single-byte corruptions, e.g. a flipped digit in a
-//! counter). Every field is required. The format has one version, v3:
+//! counter). Every field is required. The format has one version, v4:
 //! [`EngineCheckpoint::parse`] checks the header before anything else and
 //! refuses any other with [`CheckpointError::BadMagic`].
 //!
@@ -80,11 +97,11 @@ use pw_netsim::{SimDuration, SimTime};
 use crate::detectors::{ThetaHmConfig, ThetaHmMode, Threshold};
 use crate::features::ProfileTier;
 use crate::pipeline::FindPlottersConfig;
-use crate::stream::{EngineConfig, EngineStats, EvictionPolicy, LatePolicy};
+use crate::stream::{buffer_key, covering, EngineConfig, EngineStats, EvictionPolicy, LatePolicy};
 
 /// Magic first line of every checkpoint file; the version suffix gates
 /// format evolution, and any other version is refused.
-pub const MAGIC: &str = "peerwatch-checkpoint v3";
+pub const MAGIC: &str = "peerwatch-checkpoint v4";
 
 /// Line prefix of the integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
@@ -160,10 +177,16 @@ pub struct EngineCheckpoint {
     pub stall_watermark: SimTime,
     /// Feed-clock instant of the last observed watermark advance.
     pub stall_progress_at: Option<SimTime>,
-    /// Flows still in the reorder buffer (order-independent; restore
-    /// rebuilds the buffer's canonical ordering).
+    /// Flows still in the reorder buffer, in drain order. Restore
+    /// re-sorts them into canonical order; flows with equal keys keep
+    /// their order here, which is their arrival order.
     pub buffer: Vec<FlowRecord>,
-    /// Open windows: `(index, flows)` in ascending index order.
+    /// Every flow applied to the open windows, once, in canonical order.
+    pub log: Vec<FlowRecord>,
+    /// Open windows in ascending index order: `(index, extras)`, where the
+    /// extras are the late flows [`LatePolicy::ExtendOldest`] appended to
+    /// the window. Its other flows are the [`log`](Self::log) flows that
+    /// start inside its span.
     pub open: Vec<(u64, Vec<FlowRecord>)>,
 }
 
@@ -261,7 +284,9 @@ impl EngineCheckpoint {
     /// Serializes the snapshot into the versioned text form.
     pub fn serialize(&self) -> String {
         let c = &self.config;
-        let rows = self.buffer.len() + self.open.iter().map(|(_, f)| f.len()).sum::<usize>();
+        let rows = self.buffer.len()
+            + self.log.len()
+            + self.open.iter().map(|(_, f)| f.len()).sum::<usize>();
         let mut out = String::with_capacity(HEAD_BYTES + rows * ROW_BYTES);
         out.push_str(MAGIC);
         out.push('\n');
@@ -333,16 +358,12 @@ impl EngineCheckpoint {
             self.window_late, self.window_dropped, self.window_quarantined,
         ));
         out.push_str(&format!("buffer {}\n", self.buffer.len()));
-        for f in &self.buffer {
-            push_flow(&mut out, f);
-            out.push('\n');
-        }
-        for (index, flows) in &self.open {
-            out.push_str(&format!("window {} {}\n", index, flows.len()));
-            for f in flows {
-                push_flow(&mut out, f);
-                out.push('\n');
-            }
+        push_rows(&mut out, &self.buffer);
+        out.push_str(&format!("log {}\n", self.log.len()));
+        push_rows(&mut out, &self.log);
+        for (index, extras) in &self.open {
+            out.push_str(&format!("window {} {}\n", index, extras.len()));
+            push_rows(&mut out, extras);
         }
         out.push_str("end\n");
         append_checksum_trailer(&mut out);
@@ -412,19 +433,20 @@ impl EngineCheckpoint {
             profiles_sketched: stats_fields.num("profiles_sketched")?,
         };
 
-        // Buffer section: "buffer <count>" then that many flow rows.
-        let (buf_line, buf_rest) = section(&mut lines, "buffer")?;
-        let buf_count: usize = buf_rest
-            .trim()
-            .parse()
-            .map_err(|_| CheckpointError::Format {
-                line: buf_line + 1,
-                reason: format!("invalid buffer count {:?}", buf_rest.trim()),
+        // "buffer <count>" and "log <count>", each followed by its rows.
+        let mut counted_rows = |tag: &str| -> Result<(usize, Vec<FlowRecord>), CheckpointError> {
+            let (header, rest) = section(&mut lines, tag)?;
+            let count: usize = rest.trim().parse().map_err(|_| CheckpointError::Format {
+                line: header + 1,
+                reason: format!("invalid {tag} count {:?}", rest.trim()),
             })?;
-        let buffer = flow_rows(&mut lines, buf_count, buf_line, total_lines)?;
+            Ok((header, flow_rows(&mut lines, count, header, total_lines)?))
+        };
+        let (_, buffer) = counted_rows("buffer")?;
+        let (log_header, log) = counted_rows("log")?;
 
-        // Zero or more "window <index> <count>" sections, then "end".
-        let mut open = Vec::new();
+        // Zero or more "window <index> <extras>" sections, then "end".
+        let mut open: Vec<(u64, Vec<FlowRecord>)> = Vec::new();
         loop {
             let (lineno, line) = lines.next().ok_or(CheckpointError::Format {
                 line: 0,
@@ -448,9 +470,17 @@ impl EngineCheckpoint {
                     })
             };
             let index = parse(parts.next(), "index")?;
+            if open.last().is_some_and(|&(last, _)| index <= last) {
+                return Err(CheckpointError::Format {
+                    line: lineno + 1,
+                    reason: format!("window {index} listed out of ascending order"),
+                });
+            }
             let count = parse(parts.next(), "flow count")? as usize;
             open.push((index, flow_rows(&mut lines, count, lineno, total_lines)?));
         }
+        // The first log row is on 1-based line `log_header + 2`.
+        check_log(&config, &log, &open, log_header + 2)?;
 
         Ok(EngineCheckpoint {
             config,
@@ -465,9 +495,74 @@ impl EngineCheckpoint {
                 .opt_num("stall_progress_at_ms")?
                 .map(SimTime::from_millis),
             buffer,
+            log,
             open,
         })
     }
+}
+
+fn push_rows(out: &mut String, rows: &[FlowRecord]) {
+    for f in rows {
+        push_flow(out, f);
+        out.push('\n');
+    }
+}
+
+/// Refuses a log the engine could not have written: rows out of canonical
+/// order, which the binary searches for window ranges rely on, or a row
+/// whose windows, from the oldest open one on, are not all listed as open
+/// (a row older than every open window included), so that each window
+/// restores with the flows it held. `first_row` is the 1-based line of
+/// the first log row; `open` ascends strictly.
+fn check_log(
+    cfg: &EngineConfig,
+    log: &[FlowRecord],
+    open: &[(u64, Vec<FlowRecord>)],
+    first_row: usize,
+) -> Result<(), CheckpointError> {
+    let refuse = |row: usize, reason: String| CheckpointError::Format {
+        line: first_row + row,
+        reason,
+    };
+    for (row, pair) in log.windows(2).enumerate() {
+        if buffer_key(&pair[1]) < buffer_key(&pair[0]) {
+            return Err(refuse(row + 1, "log row out of canonical order".to_owned()));
+        }
+    }
+    if cfg.slide == SimDuration::ZERO {
+        // No window geometry to check against; restore refuses the
+        // configuration itself.
+        return Ok(());
+    }
+    let listed = |k: u64| open.binary_search_by_key(&k, |&(index, _)| index).ok();
+    let oldest = open.first().map_or(u64::MAX, |&(index, _)| index);
+    for (row, f) in log.iter().enumerate() {
+        let windows = covering(f.start, cfg.window, cfg.slide);
+        let (lo, hi) = ((*windows.start()).max(oldest), *windows.end());
+        let start = f.start.as_millis();
+        if lo > hi {
+            return Err(refuse(
+                row,
+                format!("logged flow starting at {start} ms is older than every open window"),
+            ));
+        }
+        // Indices ascend strictly, so `lo..=hi` is listed in full exactly
+        // when both ends are listed `hi - lo` slots apart.
+        let all_open = match (listed(lo), listed(hi)) {
+            (Some(a), Some(b)) => (b - a) as u64 == hi - lo,
+            _ => false,
+        };
+        if !all_open {
+            return Err(refuse(
+                row,
+                format!(
+                    "logged flow starting at {start} ms lies in windows {lo}..={hi}, \
+                     not all listed as open"
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Pulls the next line and checks its section tag, returning
@@ -923,8 +1018,12 @@ mod tests {
 
         let snap = busy_engine().checkpoint();
         // Older versions are refused by their header, whatever follows it:
-        // a v3 body, resealed or not, under a v1 or v2 header.
-        for old in ["peerwatch-checkpoint v1", "peerwatch-checkpoint v2"] {
+        // a v4 body, resealed or not, under a v1, v2 or v3 header.
+        for old in [
+            "peerwatch-checkpoint v1",
+            "peerwatch-checkpoint v2",
+            "peerwatch-checkpoint v3",
+        ] {
             let unsealed = snap.serialize().replacen(MAGIC, old, 1);
             let sealed = resealed(&snap.serialize(), |body| body.replacen(MAGIC, old, 1));
             for text in [unsealed, sealed] {
@@ -960,5 +1059,116 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert!(EngineCheckpoint::parse(&truncated).is_err());
+    }
+
+    /// Rewrites the lines of a resealed copy of `text` with `edit`.
+    fn edit_lines(text: &str, edit: impl FnOnce(&mut Vec<String>)) -> String {
+        resealed(text, |body| {
+            let mut lines: Vec<String> = body.lines().map(str::to_owned).collect();
+            edit(&mut lines);
+            lines.iter().map(|l| format!("{l}\n")).collect()
+        })
+    }
+
+    /// 0-based line of the first line starting with `prefix`.
+    fn line_of(lines: &[String], prefix: &str) -> usize {
+        lines.iter().position(|l| l.starts_with(prefix)).unwrap()
+    }
+
+    #[test]
+    fn log_is_written_once_and_windows_carry_only_extras() {
+        let eng = busy_engine();
+        let snap = eng.checkpoint();
+        assert!(snap.open.len() > 1, "sliding windows overlap");
+        assert!(snap.open.iter().all(|(_, extras)| extras.is_empty()));
+        // Overlapping windows count a flow twice, and the file holds it once.
+        let rows = snap.buffer.len() + snap.log.len();
+        assert!(eng.held_flows() > rows, "{} held", eng.held_flows());
+        let text = snap.serialize();
+        let body = split_checksum_trailer(&text).unwrap();
+        let flow_rows = body
+            .lines()
+            .filter(|l| l.starts_with(|c: char| c.is_ascii_digit()))
+            .count();
+        assert_eq!(flow_rows, rows);
+        assert!(body.contains(&format!("\nlog {}\n", snap.log.len())));
+        for (index, _) in &snap.open {
+            assert!(body.contains(&format!("\nwindow {index} 0\n")));
+        }
+    }
+
+    #[test]
+    fn log_out_of_order_or_outside_open_windows_is_refused() {
+        let text = busy_engine().checkpoint().serialize();
+        let refused = |text: &str| match EngineCheckpoint::parse(text) {
+            Err(CheckpointError::Format { line, reason }) => (line, reason),
+            other => panic!("expected a format error, got {other:?}"),
+        };
+
+        // Two log rows swapped: the second of them is out of order.
+        let mut second = 0;
+        let bad = edit_lines(&text, |lines| {
+            let first = line_of(lines, "log ") + 1;
+            lines.swap(first, first + 1);
+            second = first + 2;
+        });
+        let (line, reason) = refused(&bad);
+        assert_eq!(line, second, "{reason}");
+        assert!(reason.contains("canonical order"), "{reason}");
+
+        // The newest open window unlisted: flows it shares with the one
+        // before lie in a window that is not listed. The oldest unlisted:
+        // the flows only it held are older than every listed window.
+        for (newest, why) in [
+            (true, "not all listed as open"),
+            (false, "older than every open window"),
+        ] {
+            let mut log_header = 0;
+            let bad = edit_lines(&text, |lines| {
+                let mut windows = (0..lines.len()).filter(|&i| lines[i].starts_with("window "));
+                let at = if newest {
+                    windows.next_back()
+                } else {
+                    windows.next()
+                };
+                lines.remove(at.unwrap());
+                log_header = line_of(lines, "log ");
+            });
+            let (line, reason) = refused(&bad);
+            assert!(reason.contains(why), "{reason}");
+            assert!(line > log_header + 1, "line {line}: {reason}");
+        }
+
+        // Window indices must ascend.
+        let bad = edit_lines(&text, |lines| {
+            let first = line_of(lines, "window ");
+            lines.swap(first, first + 1);
+        });
+        let (_, reason) = refused(&bad);
+        assert!(reason.contains("ascending order"), "{reason}");
+    }
+
+    #[test]
+    fn hand_built_snapshots_keep_the_flow_accounting_even() {
+        // `parse` refuses both layouts below, but a snapshot built in code
+        // can carry them; the engine must still give back every flow it
+        // counts as held, without underflowing at a close.
+        let snap = busy_engine().checkpoint();
+        let finish = |s: &EngineCheckpoint| {
+            let mut eng = DetectionEngine::restore(s, internal as fn(Ipv4Addr) -> bool).unwrap();
+            let reports = eng.finish();
+            assert_eq!(eng.held_flows(), 0);
+            reports
+        };
+        // A log out of order is put back in order.
+        let mut reversed = snap.clone();
+        reversed.log.reverse();
+        assert_eq!(finish(&reversed), finish(&snap));
+        // The newest open window left out: buffered flows reopen it over
+        // logged flows that no listed window counted.
+        let mut unlisted = snap.clone();
+        let (newest, _) = unlisted.open.pop().unwrap();
+        let reports = finish(&unlisted);
+        assert!(reports.iter().any(|w| w.index == newest));
     }
 }

@@ -29,6 +29,10 @@ pub enum ConfigError {
     },
     /// The engine needs at least one worker thread.
     ZeroThreads,
+    /// The engine may use at most
+    /// [`MAX_THREADS`](crate::stream::MAX_THREADS) worker threads; the
+    /// payload is the count asked for.
+    TooManyThreads(usize),
     /// The engine's window length must be positive.
     ZeroWindow,
     /// The engine's slide must be positive.
@@ -65,6 +69,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "{which} absolute threshold must be finite")
             }
             ConfigError::ZeroThreads => f.write_str("thread count must be at least 1"),
+            ConfigError::TooManyThreads(n) => write!(
+                f,
+                "thread count {n} exceeds the cap of {}",
+                crate::stream::MAX_THREADS
+            ),
             ConfigError::ZeroWindow => f.write_str("window length must be positive"),
             ConfigError::ZeroSlide => f.write_str("window slide must be positive"),
             ConfigError::SlideExceedsWindow => {

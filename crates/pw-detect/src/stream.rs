@@ -29,9 +29,10 @@
 //!   typed error (default), dropping them with a counter, or extending
 //!   them into a still-open window so their data is not lost.
 //! - **Bounded memory** — [`EngineConfig::max_flows`] caps the flows held
-//!   across the reorder buffer and open windows; at the cap, incoming
-//!   flows are shed deterministically (newest first), counted, and still
-//!   advance the watermark so windows keep closing and memory drains.
+//!   across the reorder buffer and open windows, counted once per window
+//!   that holds them; at the cap, incoming flows are shed deterministically
+//!   (newest first), counted, and still advance the watermark so windows
+//!   keep closing and memory drains.
 //! - **Watermark stalls** — with [`EngineConfig::stall_timeout`] set,
 //!   [`tick`](DetectionEngine::tick) force-closes every open window once
 //!   the watermark has not advanced for the timeout, so a dead feed
@@ -44,6 +45,17 @@
 //! Everything above is deterministic: the same input sequence produces the
 //! same verdicts and the same counters, which is what makes the
 //! checkpoint/restore path ([`crate::checkpoint`]) byte-identical.
+//!
+//! # Storage
+//!
+//! Each accepted flow is stored once. The reorder buffer holds it until
+//! the watermark passes its lateness bound; it then moves to one shared
+//! log, kept in canonical order. Window `k` is the log range of flows
+//! starting in `[k·slide, k·slide + window)`, found by binary search, plus
+//! the late flows [`LatePolicy::ExtendOldest`] appended to it; a close
+//! builds its table from that range in place, and the log prefix older
+//! than every open window is then dropped. Sliding windows therefore
+//! share their flows instead of copying them once per window.
 //!
 //! # Examples
 //!
@@ -65,8 +77,9 @@
 //! assert!(reports.is_empty()); // nothing was pushed
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
+use std::ops::{Range, RangeInclusive};
 
 use pw_flow::{ArgusAggregator, FlowRecord, FlowTable};
 use pw_netsim::{SimDuration, SimTime};
@@ -120,16 +133,18 @@ pub struct EngineConfig {
     /// idle timeout plus the longest expected flow duration.
     pub lateness: SimDuration,
     /// Worker threads for per-window profile extraction and threshold
-    /// tests. Any value produces identical output.
+    /// tests, from 1 to [`MAX_THREADS`]. Any value produces identical
+    /// output.
     pub threads: usize,
     /// Host participation rule at window close.
     pub eviction: EvictionPolicy,
     /// What to do with flows older than the lateness bound.
     pub late_policy: LatePolicy,
-    /// Upper bound on flows held in memory (reorder buffer plus open
-    /// windows, fan-out counted). `None` is unbounded; at the cap,
-    /// incoming flows are shed deterministically and counted as
-    /// [`EngineStats::shed`].
+    /// Upper bound on flows held (reorder buffer plus open windows). A
+    /// flow counts once for each open window it belongs to, although it is
+    /// stored once, so the cap means the same for any storage layout.
+    /// `None` is unbounded; at the cap, incoming flows are shed
+    /// deterministically and counted as [`EngineStats::shed`].
     pub max_flows: Option<usize>,
     /// If the watermark does not advance for this long (measured on the
     /// feed clock passed to [`DetectionEngine::tick`]), every open window
@@ -171,6 +186,11 @@ impl Default for EngineConfig {
     }
 }
 
+/// Most worker threads an engine may use. A window close spawns this many
+/// scoped threads at most, so a configuration read back from a checkpoint
+/// cannot ask for an unbounded number.
+pub const MAX_THREADS: usize = 1024;
+
 impl EngineConfig {
     /// Starts a validated builder seeded with the defaults — the same
     /// builder idiom as [`FindPlottersConfig::builder`].
@@ -209,6 +229,9 @@ impl EngineConfig {
         }
         if self.threads == 0 {
             return Err(ConfigError::ZeroThreads);
+        }
+        if self.threads > MAX_THREADS {
+            return Err(ConfigError::TooManyThreads(self.threads));
         }
         if self.max_flows == Some(0) {
             return Err(ConfigError::ZeroCapacity);
@@ -383,10 +406,25 @@ pub struct WindowReport {
 
 /// Reorder-buffer key: the canonical flow processing order, so draining the
 /// buffer replays flows exactly as the batch path would sort them.
-type BufferKey = (SimTime, Ipv4Addr, Ipv4Addr, u16, u16);
+pub(crate) type BufferKey = (SimTime, Ipv4Addr, Ipv4Addr, u16, u16);
 
-fn buffer_key(f: &FlowRecord) -> BufferKey {
+pub(crate) fn buffer_key(f: &FlowRecord) -> BufferKey {
     (f.start, f.src, f.dst, f.sport, f.dport)
+}
+
+/// Indices of the windows (`window` long, one starting every `slide`)
+/// whose span covers instant `t`. `slide` must be positive.
+pub(crate) fn covering(t: SimTime, window: SimDuration, slide: SimDuration) -> RangeInclusive<u64> {
+    let t = t.as_millis();
+    let window_ms = window.as_millis();
+    let slide_ms = slide.as_millis();
+    let k_max = t / slide_ms;
+    let k_min = if t < window_ms {
+        0
+    } else {
+        (t - window_ms) / slide_ms + 1
+    };
+    k_min..=k_max
 }
 
 /// Streaming windowed `FindPlotters`.
@@ -399,34 +437,43 @@ fn buffer_key(f: &FlowRecord) -> BufferKey {
 /// with [`restore`](Self::restore) — see [`crate::checkpoint`].
 #[derive(Debug)]
 pub struct DetectionEngine<F> {
-    pub(crate) cfg: EngineConfig,
+    cfg: EngineConfig,
     is_internal: F,
-    /// Bounded-lateness reorder buffer (flows not yet applied to windows).
-    pub(crate) buffer: BTreeMap<BufferKey, Vec<FlowRecord>>,
-    /// Open windows by index; flow lists stay sorted in buffer-key order
-    /// because the buffer drains in ascending key order and `applied_to`
-    /// only moves forward (a late flow extended into an open window is the
-    /// one exception — the per-window canonical re-sort absorbs it).
-    pub(crate) open: BTreeMap<u64, Vec<FlowRecord>>,
+    /// Bounded-lateness reorder buffer: flows not yet applied to windows,
+    /// keyed by canonical order and then by arrival, so flows with equal
+    /// keys drain in the order they arrived.
+    buffer: BTreeMap<(BufferKey, u64), FlowRecord>,
+    /// Arrival number of the next buffered flow.
+    arrivals: u64,
+    /// Every applied flow of the open windows, once, in buffer-key order:
+    /// the buffer drains in ascending key order and `applied_to` only
+    /// moves forward, so applied flows append at the back. Window `k`
+    /// reads [`log_range`](Self::log_range)`(k)`.
+    log: VecDeque<FlowRecord>,
+    /// Open windows by index, each with its extras: the late flows
+    /// [`LatePolicy::ExtendOldest`] appended to it, outside the log (the
+    /// canonical re-sort at close puts them in place).
+    open: BTreeMap<u64, Vec<FlowRecord>>,
     /// Maximum flow start seen. Never decreases.
-    pub(crate) watermark: SimTime,
+    watermark: SimTime,
     /// Flows starting before this instant have been applied to windows;
     /// a flow arriving below it is late.
-    pub(crate) applied_to: SimTime,
+    applied_to: SimTime,
     /// Cumulative accounting.
-    pub(crate) stats: EngineStats,
+    stats: EngineStats,
     /// Deltas since the last emitted report, attributed to the next window
     /// to close.
-    pub(crate) window_late: u64,
-    pub(crate) window_dropped: u64,
-    pub(crate) window_quarantined: u64,
-    /// Flows currently held (buffer plus open windows, fan-out counted);
-    /// the quantity [`EngineConfig::max_flows`] bounds.
+    window_late: u64,
+    window_dropped: u64,
+    window_quarantined: u64,
+    /// Flows currently held: the buffer, plus each open window's log range
+    /// and extras (a flow in two windows counts twice). The quantity
+    /// [`EngineConfig::max_flows`] bounds.
     held: usize,
     /// Watermark value at the last stall check.
-    pub(crate) stall_watermark: SimTime,
+    stall_watermark: SimTime,
     /// Feed-clock instant of the last observed watermark advance.
-    pub(crate) stall_progress_at: Option<SimTime>,
+    stall_progress_at: Option<SimTime>,
 }
 
 impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
@@ -438,6 +485,8 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             cfg,
             is_internal,
             buffer: BTreeMap::new(),
+            arrivals: 0,
+            log: VecDeque::new(),
             open: BTreeMap::new(),
             watermark: SimTime::ZERO,
             applied_to: SimTime::ZERO,
@@ -468,13 +517,18 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     ) -> Result<Self, ConfigError> {
         let mut engine = Self::new(snapshot.config, is_internal)?;
         for f in &snapshot.buffer {
-            engine.buffer.entry(buffer_key(f)).or_default().push(*f);
+            engine.buffer_flow(*f);
         }
-        for (index, flows) in &snapshot.open {
-            engine.open.insert(*index, flows.clone());
+        for f in &snapshot.log {
+            engine.log_flow(*f);
         }
-        engine.held =
-            snapshot.buffer.len() + snapshot.open.iter().map(|(_, v)| v.len()).sum::<usize>();
+        engine.open = snapshot.open.iter().cloned().collect();
+        engine.held = engine.buffer.len()
+            + engine
+                .open
+                .iter()
+                .map(|(&k, extras)| engine.log_range(k).len() + extras.len())
+                .sum::<usize>();
         engine.watermark = snapshot.watermark;
         engine.applied_to = snapshot.applied_to;
         engine.stats = snapshot.stats;
@@ -501,11 +555,12 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             window_quarantined: self.window_quarantined,
             stall_watermark: self.stall_watermark,
             stall_progress_at: self.stall_progress_at,
-            buffer: self.buffer.values().flatten().copied().collect(),
+            buffer: self.buffer.values().copied().collect(),
+            log: self.log.iter().copied().collect(),
             open: self
                 .open
                 .iter()
-                .map(|(&k, flows)| (k, flows.clone()))
+                .map(|(&k, extras)| (k, extras.clone()))
                 .collect(),
         }
     }
@@ -527,7 +582,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
 
     /// Flows waiting in the reorder buffer.
     pub fn buffered(&self) -> usize {
-        self.buffer.values().map(Vec::len).sum()
+        self.buffer.len()
     }
 
     /// Windows currently open (flows assigned, watermark not yet past).
@@ -535,8 +590,9 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         self.open.len()
     }
 
-    /// Flows currently held in memory (reorder buffer plus open windows,
-    /// fan-out counted) — the quantity [`EngineConfig::max_flows`] bounds.
+    /// Flows currently held (reorder buffer plus open windows) — the
+    /// quantity [`EngineConfig::max_flows`] bounds. A flow counts once for
+    /// each open window it belongs to, although the engine stores it once.
     pub fn held_flows(&self) -> usize {
         self.held
     }
@@ -584,9 +640,15 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             }
         }
         self.stats.accepted += 1;
-        self.buffer.entry(buffer_key(&f)).or_default().push(f);
+        self.buffer_flow(f);
         self.held += 1;
         Ok(reports)
+    }
+
+    /// Queues `f` in the reorder buffer behind every flow with its key.
+    fn buffer_flow(&mut self, f: FlowRecord) {
+        self.buffer.insert((buffer_key(&f), self.arrivals), f);
+        self.arrivals += 1;
     }
 
     /// Applies the configured [`LatePolicy`] to a flow below the bound.
@@ -610,14 +672,14 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             LatePolicy::ExtendOldest => {
                 let mut placed = 0usize;
                 for k in self.covering(f.start) {
-                    if let Some(flows) = self.open.get_mut(&k) {
-                        flows.push(f);
+                    if let Some(extras) = self.open.get_mut(&k) {
+                        extras.push(f);
                         placed += 1;
                     }
                 }
                 if placed == 0 {
-                    if let Some(flows) = self.open.values_mut().next() {
-                        flows.push(f);
+                    if let Some(extras) = self.open.values_mut().next() {
+                        extras.push(f);
                         placed = 1;
                     }
                 }
@@ -699,23 +761,21 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         if forced {
             // Flows exactly at the watermark are applied too; afterwards a
             // revived feed must move strictly past the stall point.
-            self.applied_to = self
-                .applied_to
-                .max(SimTime::from_millis(self.watermark.as_millis() + 1));
+            self.applied_to = self.applied_to.max(SimTime::from_millis(
+                self.watermark.as_millis().saturating_add(1),
+            ));
         }
-        let ready = std::mem::take(&mut self.buffer);
-        for f in ready.into_values().flatten() {
+        for f in std::mem::take(&mut self.buffer).into_values() {
             self.held -= 1;
             self.assign(f);
         }
         let open = std::mem::take(&mut self.open);
-        let mut reports = Vec::new();
-        for (k, flows) in open {
-            self.applied_to = self
-                .applied_to
-                .max(SimTime::from_millis(k * self.cfg.slide.as_millis()) + self.cfg.window);
-            reports.push(self.close_window(k, flows, forced));
+        let mut reports = Vec::with_capacity(open.len());
+        for (k, extras) in open {
+            self.applied_to = self.applied_to.max(self.window_span(k).end);
+            reports.push(self.close_window(k, extras, forced));
         }
+        self.log.clear();
         reports
     }
 
@@ -725,65 +785,104 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         if cutoff <= self.applied_to {
             return Vec::new();
         }
-        let bound: BufferKey = (cutoff, Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED, 0, 0);
-        let rest = self.buffer.split_off(&bound);
-        let ready = std::mem::replace(&mut self.buffer, rest);
-        for f in ready.into_values().flatten() {
+        while let Some(ready) = self.buffer.first_entry() {
+            if ready.key().0 .0 >= cutoff {
+                break;
+            }
+            let f = ready.remove();
             self.held -= 1;
             self.assign(f);
         }
         self.applied_to = cutoff;
 
-        let window_ms = self.cfg.window.as_millis();
-        let slide_ms = self.cfg.slide.as_millis();
-        let closable: Vec<u64> = self
-            .open
-            .keys()
-            .copied()
-            .take_while(|&k| k * slide_ms + window_ms <= self.applied_to.as_millis())
-            .collect();
-        closable
-            .into_iter()
-            .filter_map(|k| {
-                let flows = self.open.remove(&k)?;
-                Some(self.close_window(k, flows, false))
-            })
-            .collect()
+        let mut reports = Vec::new();
+        while let Some(k) = self.open.first_key_value().map(|(&k, _)| k) {
+            if self.window_span(k).end > self.applied_to {
+                break;
+            }
+            let extras = self.open.remove(&k).unwrap_or_default();
+            reports.push(self.close_window(k, extras, false));
+        }
+        if !reports.is_empty() {
+            // Drop the log prefix older than every open window.
+            let keep = match self.open.first_key_value() {
+                Some((&k, _)) => self.log_range(k).start,
+                None => self.log.len(),
+            };
+            self.log.drain(..keep);
+        }
+        reports
     }
 
     /// Window indices whose span covers instant `t`.
-    fn covering(&self, t: SimTime) -> std::ops::RangeInclusive<u64> {
-        let t = t.as_millis();
-        let window_ms = self.cfg.window.as_millis();
-        let slide_ms = self.cfg.slide.as_millis();
-        let k_max = t / slide_ms;
-        let k_min = if t < window_ms {
-            0
-        } else {
-            (t - window_ms) / slide_ms + 1
-        };
-        k_min..=k_max
+    fn covering(&self, t: SimTime) -> RangeInclusive<u64> {
+        covering(t, self.cfg.window, self.cfg.slide)
     }
 
-    /// Appends the flow to every window covering its start time.
-    fn assign(&mut self, f: FlowRecord) {
-        for k in self.covering(f.start) {
-            self.open.entry(k).or_default().push(f);
-            self.held += 1;
+    /// Start and end of window `k`, saturating where a restored
+    /// configuration would overflow.
+    fn window_span(&self, k: u64) -> Range<SimTime> {
+        let start = k.saturating_mul(self.cfg.slide.as_millis());
+        SimTime::from_millis(start)
+            ..SimTime::from_millis(start.saturating_add(self.cfg.window.as_millis()))
+    }
+
+    /// Log positions of window `k`'s flows: those starting in its span.
+    fn log_range(&self, k: u64) -> Range<usize> {
+        let span = self.window_span(k);
+        let lo = self.log.partition_point(|f| f.start < span.start);
+        let hi = self.log.partition_point(|f| f.start < span.end);
+        lo..hi
+    }
+
+    /// Adds `f` to the log in canonical order. Buffer drains run in key
+    /// order and never go back, so `f` belongs at the back; a hand-built
+    /// snapshot may say otherwise, and the log stays sorted either way.
+    fn log_flow(&mut self, f: FlowRecord) {
+        let key = buffer_key(&f);
+        if self.log.back().is_none_or(|last| buffer_key(last) <= key) {
+            self.log.push_back(f);
+        } else {
+            let at = self.log.partition_point(|g| buffer_key(g) <= key);
+            self.log.insert(at, f);
         }
     }
 
-    fn close_window(&mut self, index: u64, flows: Vec<FlowRecord>, forced: bool) -> WindowReport {
-        self.held -= flows.len();
-        let start = SimTime::from_millis(index * self.cfg.slide.as_millis());
-        let end = start + self.cfg.window;
+    /// Logs the flow once and opens every window covering its start time;
+    /// `held` counts it once per covering window.
+    fn assign(&mut self, f: FlowRecord) {
+        for k in self.covering(f.start) {
+            if !self.open.contains_key(&k) {
+                // Windows open in index order, after the flows of every
+                // older window are logged, so this range is empty unless
+                // a hand-built snapshot put flows there; count them either
+                // way, or the close would take more than was added.
+                self.held += self.log_range(k).len();
+                self.open.insert(k, Vec::new());
+            }
+            self.held += 1;
+        }
+        self.log_flow(f);
+    }
+
+    fn close_window(&mut self, index: u64, extras: Vec<FlowRecord>, forced: bool) -> WindowReport {
+        let span = self.window_span(index);
+        let range = self.log_range(index);
+        let mut window_flows = range.len() + extras.len();
+        self.held -= window_flows;
         // The table interns hosts and (stably) re-sorts into the canonical
         // processing order — the same order the batch path uses, which keeps
         // the batch-equivalence guarantee independent of buffer internals.
-        let mut table = FlowTable::from_records(&flows);
+        // Extras are late, so they sort after every logged flow with their
+        // key, as they did when windows kept their own copies.
+        let mut table = if extras.is_empty() {
+            FlowTable::from_records(self.log.range(range))
+        } else {
+            let rows: Vec<FlowRecord> = self.log.range(range).chain(&extras).copied().collect();
+            FlowTable::from_records(&rows)
+        };
         let duplicates = table.duplicate_rows() as u64;
         self.stats.duplicates += duplicates;
-        let mut window_flows = flows.len();
         if self.cfg.dedupe && duplicates > 0 {
             let mut records = table.to_records();
             records.dedup();
@@ -810,7 +909,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             EvictionPolicy::WindowScoped => 0,
             EvictionPolicy::IdleLongerThan(idle) => {
                 let deadline =
-                    SimTime::from_millis(end.as_millis().saturating_sub(idle.as_millis()));
+                    SimTime::from_millis(span.end.as_millis().saturating_sub(idle.as_millis()));
                 // Dense last-activity table indexed by the flow table's ids.
                 let flags = internal_flags(&table, &self.is_internal);
                 let mut last_seen = vec![SimTime::ZERO; table.hosts().len()];
@@ -834,8 +933,8 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         let outcome = try_find_plotters_from_table(&profiles, &self.cfg.detect, threads);
         WindowReport {
             index,
-            start,
-            end,
+            start: span.start,
+            end: span.end,
             flows: window_flows,
             hosts,
             evicted,
@@ -956,6 +1055,13 @@ mod tests {
             (EngineConfig { threads: 0, ..ok }, ConfigError::ZeroThreads),
             (
                 EngineConfig {
+                    threads: MAX_THREADS + 1,
+                    ..ok
+                },
+                ConfigError::TooManyThreads(MAX_THREADS + 1),
+            ),
+            (
+                EngineConfig {
                     max_flows: Some(0),
                     ..ok
                 },
@@ -983,6 +1089,11 @@ mod tests {
             assert_eq!(cfg.validate(), Err(want));
             assert!(DetectionEngine::new(cfg, internal).is_err());
         }
+        let most = EngineConfig {
+            threads: MAX_THREADS,
+            ..ok
+        };
+        assert!(most.validate().is_ok());
     }
 
     #[test]

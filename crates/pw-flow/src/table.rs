@@ -42,7 +42,15 @@ pub struct FlowTable {
 impl FlowTable {
     /// Builds the columnar table from row-oriented records, interning every
     /// endpoint and computing the time-sorted index.
-    pub fn from_records(records: &[FlowRecord]) -> Self {
+    ///
+    /// Takes any exact-size iterator of borrowed records — a slice, or a
+    /// range of a `VecDeque` read in place — and sizes every column once.
+    pub fn from_records<'a, I>(records: I) -> Self
+    where
+        I: IntoIterator<Item = &'a FlowRecord>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let records = records.into_iter();
         let n = records.len();
         let mut t = FlowTable {
             hosts: HostInterner::new(),

@@ -220,6 +220,28 @@ mod tests {
     }
 
     #[test]
+    fn embedded_engine_of_another_version_is_refused() {
+        // A v2 server file around an engine section under the previous
+        // engine header: both trailers re-sealed, so only the engine's
+        // header check can refuse it.
+        use pw_detect::checkpoint::MAGIC;
+        let ckpt = sample();
+        let engine = ckpt.engine.serialize();
+        let old_body =
+            split_checksum_trailer(&engine)
+                .unwrap()
+                .replacen(MAGIC, "peerwatch-checkpoint v3", 1);
+        let mut text = String::from(SERVER_MAGIC);
+        text.push_str("\nexporters 1\nexporter 1 4023\nengine-checkpoint\n");
+        text.push_str(&sealed(&old_body));
+        let err = ServerCheckpoint::parse(&sealed(&text)).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::BadMagic { found } if found == "peerwatch-checkpoint v3"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn v2_trailer_catches_any_edit() {
         let text = sample().serialize();
         assert!(text.ends_with('\n'));

@@ -774,19 +774,49 @@ fn exporter_session(
     }
 }
 
+/// Longest query line read, newline included. Commands are a word or two;
+/// a client that streams bytes without a newline is answered
+/// `err query line too long` and severed, instead of growing a buffer
+/// without bound.
+const MAX_QUERY_LINE: usize = 1024;
+
+/// Appends the rest of a query line to `line`, reading no further than
+/// [`MAX_QUERY_LINE`] bytes of line in all. `Ok(false)` means the limit
+/// came first, and `line` is left as it was; a line cut short by end of
+/// input is complete, as with `read_line`.
+fn read_query_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<bool> {
+    let room = MAX_QUERY_LINE.saturating_sub(line.len());
+    let mut bytes = Vec::new();
+    let n = reader.take(room as u64).read_until(b'\n', &mut bytes)?;
+    let whole = n < room || bytes.ends_with(b"\n");
+    if whole {
+        let text = std::str::from_utf8(&bytes)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        line.push_str(text);
+    }
+    Ok(whole)
+}
+
 /// One query connection: text commands, one per line.
 fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     // The sniffed bytes are the start of the first command line.
     let mut line = String::from_utf8_lossy(&first).into_owned();
-    if let Err(e) = reader.read_line(&mut line) {
-        if is_timeout(&e) {
-            let _ = tx.send(Msg::Reaped);
+    let mut whole = match read_query_line(&mut reader, &mut line) {
+        Ok(whole) => whole,
+        Err(e) => {
+            if is_timeout(&e) {
+                let _ = tx.send(Msg::Reaped);
+            }
+            return Err(e);
         }
-        return Err(e);
-    }
+    };
     loop {
+        if !whole {
+            writer.write_all(b"err query line too long\n")?;
+            return writer.flush();
+        }
         let cmd = line.trim().to_owned();
         if !cmd.is_empty() {
             let (reply_tx, reply_rx) = sync_channel(1);
@@ -808,9 +838,9 @@ fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io:
             }
         }
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
+        match read_query_line(&mut reader, &mut line) {
+            Ok(_) if line.is_empty() => return Ok(()),
+            Ok(w) => whole = w,
             Err(e) => {
                 if is_timeout(&e) {
                     let _ = tx.send(Msg::Reaped);

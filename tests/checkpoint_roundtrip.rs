@@ -11,8 +11,9 @@ use peerwatch::detect::checkpoint::{
     write_text_retained, CheckpointError, EngineCheckpoint,
 };
 use peerwatch::detect::stream::{
-    DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport,
+    DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport, MAX_THREADS,
 };
+use peerwatch::detect::ConfigError;
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
 use peerwatch::server::checkpoint::SERVER_MAGIC;
@@ -466,6 +467,7 @@ fn forged_row_counts_are_refused_without_allocating() {
     for forged in [u64::MAX, 1 << 40] {
         let edits = [
             ("buffer ", format!("buffer {forged}")),
+            ("log ", format!("log {forged}")),
             (window_header, format!("window {window_index} {forged}")),
         ];
         for (prefix, forged_line) in edits {
@@ -495,6 +497,39 @@ fn forged_row_counts_are_refused_without_allocating() {
                 matches!(err, CheckpointError::Format { .. }),
                 "{forged_line}: {err}"
             );
+        }
+    }
+}
+
+#[test]
+fn resealed_thread_counts_above_the_cap_fail_at_restore() {
+    // The configuration line is trusted no more than the row counts: a
+    // re-sealed `threads=1000000` parses (the checkpoint is well formed)
+    // but restore refuses it, before a window close could spawn that many
+    // scoped threads.
+    let flows = feed();
+    let mut eng = DetectionEngine::new(cfg(2), internal as fn(Ipv4Addr) -> bool).unwrap();
+    for f in &flows[..flows.len() / 2] {
+        eng.push(*f).unwrap();
+    }
+    let text = eng.checkpoint().serialize();
+    let body = split_checksum_trailer(&text).unwrap();
+    assert!(body.contains(" threads=2 "));
+    for (threads, ok) in [
+        (1_000_000, false),
+        (MAX_THREADS + 1, false),
+        (MAX_THREADS, true),
+    ] {
+        let mut forged = body.replacen(" threads=2 ", &format!(" threads={threads} "), 1);
+        append_checksum_trailer(&mut forged);
+        let snapshot = EngineCheckpoint::parse(&forged).unwrap();
+        assert_eq!(snapshot.config.threads, threads);
+        match DetectionEngine::restore(&snapshot, internal as fn(Ipv4Addr) -> bool) {
+            Ok(_) => assert!(ok, "threads={threads} restored"),
+            Err(e) => {
+                assert!(!ok, "threads={threads}: {e}");
+                assert_eq!(e, ConfigError::TooManyThreads(threads));
+            }
         }
     }
 }

@@ -7,13 +7,15 @@
 //!
 //! Checkpoint bodies are re-sealed with `append_checksum_trailer` after
 //! the damage, as anyone can do, so the damage reaches the line parser
-//! instead of stopping at the checksum.
+//! instead of stopping at the checksum. Every engine checkpoint that still
+//! parses is restored and finished, so a parse that lets through a state
+//! the engine cannot hold shows up as a panic.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use peerwatch::detect::checkpoint::{append_checksum_trailer, EngineCheckpoint};
-use peerwatch::detect::stream::{DetectionEngine, EngineConfig};
+use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
 use peerwatch::flow::frame::{self, decode_flow, Frame, Hello, HelloAck, FLOW_WIRE_LEN};
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
@@ -46,20 +48,24 @@ fn flow(k: u64) -> FlowRecord {
     }
 }
 
-/// A snapshot holding both a reorder buffer and open windows.
+/// A snapshot holding a reorder buffer, a log and overlapping open
+/// windows, one of them with a late flow extended into it.
 fn snapshot() -> EngineCheckpoint {
     let cfg = EngineConfig {
         window: SimDuration::from_mins(10),
         slide: SimDuration::from_mins(5),
         lateness: SimDuration::from_mins(3),
+        late_policy: LatePolicy::ExtendOldest,
         ..Default::default()
     };
     let mut engine = DetectionEngine::new(cfg, internal as fn(Ipv4Addr) -> bool).unwrap();
     for k in 0..24 {
         let _ = engine.push(flow(k));
     }
+    let _ = engine.push(flow(1));
     let snap = engine.checkpoint();
-    assert!(!snap.buffer.is_empty() && !snap.open.is_empty());
+    assert!(!snap.buffer.is_empty() && !snap.log.is_empty() && snap.open.len() > 1);
+    assert!(snap.open.iter().any(|(_, extras)| !extras.is_empty()));
     snap
 }
 
@@ -83,13 +89,13 @@ fn server_body() -> String {
     body_of(&ckpt.serialize())
 }
 
-/// Offsets where the decimal count of a `buffer N`, `window I N` or
-/// `exporters N` line begins.
+/// Offsets where the decimal count of a `buffer N`, `log N`, `window I N`
+/// or `exporters N` line begins.
 fn text_count_slots(text: &[u8]) -> Vec<usize> {
     let mut slots = Vec::new();
     let mut start = 0;
     for line in text.split(|&b| b == b'\n') {
-        for tag in [&b"buffer "[..], b"exporters "] {
+        for tag in [&b"buffer "[..], b"log ", b"exporters "] {
             if line.starts_with(tag) {
                 slots.push(start + tag.len());
             }
@@ -205,13 +211,14 @@ fn sealed_and_not(body: &[u8]) -> [String; 2] {
 }
 
 /// Whatever the engine parser accepts must serialize back to text it
-/// accepts again, and must restore or be refused with a typed error.
+/// accepts again, and must restore and finish, or be refused with a typed
+/// error.
 fn check_engine(text: &str) {
     if let Ok(snap) = EngineCheckpoint::parse(text) {
         let again = snap.serialize();
         let back = EngineCheckpoint::parse(&again).expect("re-serialized checkpoint parses");
         assert_eq!(back.serialize(), again);
-        let _ = DetectionEngine::restore(&snap, internal as fn(Ipv4Addr) -> bool);
+        restore_and_finish(&snap);
     }
 }
 
@@ -220,7 +227,27 @@ fn check_server(text: &str) {
         let again = ckpt.serialize();
         let back = ServerCheckpoint::parse(&again).expect("re-serialized checkpoint parses");
         assert_eq!(back.serialize(), again);
+        restore_and_finish(&ckpt.engine);
     }
+}
+
+/// Revives `snap` and closes every window it holds: the engine's flow
+/// accounting must come out even whatever the parser let through.
+fn restore_and_finish(snap: &EngineCheckpoint) {
+    let Ok(mut engine) = DetectionEngine::restore(snap, internal as fn(Ipv4Addr) -> bool) else {
+        return;
+    };
+    // Buffered flows may open more windows on their way in.
+    let windows = engine.open_windows();
+    assert!(engine.finish().len() >= windows);
+    assert_eq!(
+        (
+            engine.held_flows(),
+            engine.buffered(),
+            engine.open_windows()
+        ),
+        (0, 0, 0)
+    );
 }
 
 /// Reads a hello and then frames until a clean end or the first error,
@@ -311,7 +338,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_decode_or_refuse(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
         let tail = String::from_utf8_lossy(&bytes);
-        for header in ["", "peerwatch-checkpoint v3\n", "peerwatch-server-checkpoint v2\n"] {
+        for header in ["", "peerwatch-checkpoint v4\n", "peerwatch-server-checkpoint v2\n"] {
             for text in sealed_and_not(format!("{header}{tail}").as_bytes()) {
                 check_engine(&text);
                 check_server(&text);
@@ -337,11 +364,11 @@ fn clean_inputs_decode() {
     assert!(ServerCheckpoint::parse(&server).is_ok());
     assert_eq!(
         text_count_slots(engine.as_bytes()).len(),
-        1 + snapshot().open.len()
+        2 + snapshot().open.len()
     );
     assert_eq!(
         text_count_slots(server.as_bytes()).len(),
-        2 + snapshot().open.len()
+        3 + snapshot().open.len()
     );
 
     let (wire, slots) = pwfs_stream();

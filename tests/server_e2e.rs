@@ -720,3 +720,34 @@ fn engine_panic_enters_failsafe_and_queries_still_answer() {
     assert_eq!(query(&addr, "SHUTDOWN"), ["ok"]);
     run.join().expect("server thread").expect("clean shutdown");
 }
+
+#[test]
+fn overlong_query_line_is_refused_before_its_newline() {
+    if !can_bind() {
+        eprintln!("skipping: cannot bind loopback sockets in this environment");
+        return;
+    }
+    let cfg = ServerConfig::builder().build().expect("config");
+    let server = Server::bind("127.0.0.1:0", cfg, is_internal).expect("bind");
+    let addr = server.local_addr().to_string();
+    let run = thread::spawn(move || server.run());
+
+    // 64 KiB of a would-be command and no newline: the server must answer
+    // once it has read its line limit, not wait for the newline (or for
+    // the read deadline) while the line grows.
+    let mut stream = TcpStream::connect(&addr).expect("connect query");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read deadline");
+    stream.write_all(&[b'S'; 64 * 1024]).expect("send the line");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("a reply before any newline is sent");
+    assert_eq!(reply, "err query line too long\n");
+
+    // The session was severed, not the server.
+    assert!(query(&addr, "STATS")[0].starts_with("stats "));
+    assert_eq!(query(&addr, "SHUTDOWN"), ["ok"]);
+    run.join().expect("server thread").expect("clean shutdown");
+}
