@@ -27,9 +27,9 @@ pub enum ConfigError {
         /// Which threshold was rejected.
         which: &'static str,
     },
-    /// The engine needs at least one worker thread.
+    /// Detection needs at least one worker thread.
     ZeroThreads,
-    /// The engine may use at most
+    /// Detection may use at most
     /// [`MAX_THREADS`](crate::stream::MAX_THREADS) worker threads; the
     /// payload is the count asked for.
     TooManyThreads(usize),

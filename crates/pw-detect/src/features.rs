@@ -1,12 +1,19 @@
 //! Per-host behavioural features from flow records.
 //!
-//! The extraction core works over the columnar [`FlowTable`]: endpoints are
-//! already interned to dense [`HostId`]s, so the per-flow work is array
-//! indexing instead of `Ipv4Addr` hashing, and the `is_internal` oracle is
-//! consulted once per *host* instead of twice per *flow*. Every extraction
-//! mode — batch, host-sharded parallel, and the streaming engine's window
-//! close — funnels into the same accumulation code and produces a
-//! [`ProfileTable`], the dense per-host table every pipeline stage indexes.
+//! Batch extraction works over the columnar [`FlowTable`]: endpoints are
+//! already interned to dense [`HostId`]s, so the table walk consults the
+//! `is_internal` oracle once per *host* instead of twice per *flow*. The
+//! streaming engine's window close walks its flow records in place
+//! instead, without building a table, and consults the oracle per flow.
+//! Every extraction mode — the table walk, serial or host-sharded,
+//! [`ProfileAccumulator`], and the engine's record walk — funnels into the
+//! same per-flow kernel and produces a [`ProfileTable`], the dense
+//! per-host table every pipeline stage indexes.
+//!
+//! The kernel keeps its exact-tier per-destination state flat: one map of
+//! last-contact times per worker, keyed by (host slot, destination), and
+//! per host a list of first contacts, collected into the profile's
+//! `first_contact` map once when the walk finishes.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -15,6 +22,8 @@ use pw_analysis::{CdfRepr, Histogram};
 use pw_flow::{FlowRecord, FlowTable, HostId, HostInterner};
 use pw_netsim::{SimDuration, SimTime};
 use pw_sketch::{DistinctSketch, GapSketch, LastSeen, SKETCHED_BYTES_PER_HOST_CAP};
+
+use crate::stream::MAX_THREADS;
 
 /// Which per-host representation an extraction mode accumulates.
 ///
@@ -445,19 +454,6 @@ impl ProfileTable {
             .enumerate()
             .map(|(i, p)| (HostId::from_index(i), p))
     }
-
-    /// Keeps only hosts for which `keep` returns true, re-interning the
-    /// survivors — the streaming engine's eviction hook.
-    pub fn retain<K: FnMut(Ipv4Addr, &HostProfile) -> bool>(&mut self, mut keep: K) {
-        let hosts = std::mem::take(&mut self.hosts);
-        let profiles = std::mem::take(&mut self.profiles);
-        for (ip, p) in hosts.ips().iter().zip(profiles) {
-            if keep(*ip, &p) {
-                self.hosts.intern(*ip);
-                self.profiles.push(p);
-            }
-        }
-    }
 }
 
 /// Borrowed, id-indexed view of a [`ProfileTable`] — the working set of
@@ -593,99 +589,152 @@ impl HostMask {
     }
 }
 
-/// Per-host last-contact-time tracking, tier-matched to the profile it
-/// accompanies: an exact hash map, or the bounded [`LastSeen`] cache.
+/// Per-host accumulation state the finished profile does not keep.
 #[derive(Debug, Clone)]
-enum LastTo {
-    Exact(HashMap<Ipv4Addr, SimTime>),
+enum Pending {
+    /// Exact tier: each destination with the time it was first contacted,
+    /// in first-contact order; collected into the profile's
+    /// `first_contact` map at finish. Last-contact times live in the
+    /// worker's flat [`Kernel::last_contact`] map.
+    Exact(Vec<(Ipv4Addr, SimTime)>),
+    /// Sketched tier: the bounded per-host last-contact cache.
     Sketched(LastSeen<SimTime>),
 }
 
-impl LastTo {
-    fn new(tier: ProfileTier) -> Self {
-        match tier {
-            ProfileTier::Exact => LastTo::Exact(HashMap::new()),
-            ProfileTier::Sketched => LastTo::Sketched(LastSeen::new()),
-        }
-    }
-}
-
-/// The one per-flow update every extraction mode and both tiers funnel
-/// through: record-oriented ([`ProfileAccumulator::absorb`]) or columnar
-/// ([`extract_profiles_table_par_tier`]'s row walk), serial or host-sharded.
+/// One extraction worker's state, and the one per-flow update every
+/// extraction mode and both tiers funnel through: the table walk
+/// ([`extract_profiles_table_par_tier`]), [`ProfileAccumulator`] and the
+/// streaming engine's record walk, serial or host-sharded.
 ///
-/// Callers decompose their flow representation into the monitored host's
-/// view of it — `start`/`dst`/`uploaded`/`initiated`/`failed` — so the
-/// accumulation semantics live in exactly one place. Per-host absorb order
-/// must be non-decreasing in `start` (every caller walks flows in
-/// canonical time order), which is also what makes the sketched tier's
+/// Callers give each host a dense slot ([`Kernel::open`]) and decompose
+/// their flow representation into the monitored host's view of it —
+/// `start`/`dst`/`uploaded`/`initiated`/`failed` — so the accumulation
+/// semantics live in exactly one place. Per-host absorb order must be
+/// non-decreasing in `start` (every caller walks flows in canonical time
+/// order), which is also what makes the sketched tier's
 /// `early_destinations` cutoff test exact: by the time any initiated flow
 /// is absorbed, `first_activity` is already pinned to the host's earliest
 /// one.
-fn absorb_obs(
-    p: &mut HostProfile,
-    last_to: &mut LastTo,
-    start: SimTime,
-    dst: Ipv4Addr,
-    uploaded: u64,
-    initiated: bool,
-    failed: bool,
-) {
-    p.flows_involving += 1;
-    p.bytes_uploaded += uploaded;
-    if !initiated {
-        return;
+#[derive(Debug, Clone, Default)]
+struct Kernel {
+    tier: ProfileTier,
+    /// Per slot: the profile under construction.
+    profiles: Vec<HostProfile>,
+    /// Per slot: state kept until [`Kernel::finish`].
+    pending: Vec<Pending>,
+    /// Per slot: start of the host's latest flow.
+    last_seen: Vec<SimTime>,
+    /// Exact tier: last contact time per (slot, destination), the slot in
+    /// the high 32 bits of the key. One flat map per worker rather than
+    /// one per host; it is only looked up and inserted into, never
+    /// iterated, so its order cannot reach any output. It keeps std's
+    /// keyed hasher although a fixed-key one is faster (the `hash` bench):
+    /// the monitored hosts choose the destinations, and with a public key
+    /// one of them could make its contacts collide.
+    last_contact: HashMap<u64, SimTime>,
+}
+
+impl Kernel {
+    fn new(tier: ProfileTier) -> Self {
+        Self {
+            tier,
+            ..Self::default()
+        }
     }
-    p.initiated += 1;
-    if failed {
-        p.initiated_failed += 1;
+
+    /// Number of slots opened.
+    fn len(&self) -> usize {
+        self.profiles.len()
     }
-    if p.first_activity.is_none() {
-        p.first_activity = Some(start);
+
+    /// Opens the next slot, for host `ip`.
+    fn open(&mut self, ip: Ipv4Addr) -> usize {
+        self.profiles.push(HostProfile::new(ip, self.tier));
+        self.pending.push(match self.tier {
+            ProfileTier::Exact => Pending::Exact(Vec::new()),
+            ProfileTier::Sketched => Pending::Sketched(LastSeen::new()),
+        });
+        self.last_seen.push(SimTime::ZERO);
+        self.profiles.len() - 1
     }
-    match (&mut p.repr, last_to) {
-        (
-            ProfileRepr::Exact {
-                first_contact,
-                interstitials,
-            },
-            LastTo::Exact(last),
-        ) => {
-            first_contact.entry(dst).or_insert(start);
-            if let Some(prev) = last.insert(dst, start) {
-                interstitials.push((start - prev).as_secs_f64());
+
+    /// Absorbs one flow of the host in `slot`.
+    fn absorb(
+        &mut self,
+        slot: usize,
+        start: SimTime,
+        dst: Ipv4Addr,
+        uploaded: u64,
+        initiated: bool,
+        failed: bool,
+    ) {
+        self.last_seen[slot] = start;
+        let p = &mut self.profiles[slot];
+        p.flows_involving += 1;
+        p.bytes_uploaded += uploaded;
+        if !initiated {
+            return;
+        }
+        p.initiated += 1;
+        if failed {
+            p.initiated_failed += 1;
+        }
+        let first = *p.first_activity.get_or_insert(start);
+        match (&mut p.repr, &mut self.pending[slot]) {
+            (ProfileRepr::Exact { interstitials, .. }, Pending::Exact(firsts)) => {
+                let key = (slot as u64) << 32 | u64::from(u32::from(dst));
+                match self.last_contact.insert(key, start) {
+                    Some(prev) => interstitials.push((start - prev).as_secs_f64()),
+                    None => firsts.push((dst, start)),
+                }
+            }
+            (
+                ProfileRepr::Sketched {
+                    destinations,
+                    early_destinations,
+                    gaps,
+                },
+                Pending::Sketched(last),
+            ) => {
+                let key = u32::from(dst);
+                destinations.insert(key);
+                if start <= first + SimDuration::from_hours(1) {
+                    early_destinations.insert(key);
+                }
+                if let Some(prev) = last.insert(key, start) {
+                    gaps.record((start - prev).as_secs_f64());
+                }
+            }
+            // `open` builds profile and pending state from the same tier.
+            (ProfileRepr::Exact { .. }, Pending::Sketched(_))
+            | (ProfileRepr::Sketched { .. }, Pending::Exact(_)) => {
+                unreachable!("profile repr and pending state tiers diverged")
             }
         }
-        (
-            ProfileRepr::Sketched {
-                destinations,
-                early_destinations,
-                gaps,
-            },
-            LastTo::Sketched(last),
-        ) => {
-            let key = u32::from(dst);
-            destinations.insert(key);
-            let first = p.first_activity.unwrap_or(start); // set above; kept total for safety
-            if start <= first + SimDuration::from_hours(1) {
-                early_destinations.insert(key);
-            }
-            if let Some(prev) = last.insert(key, start) {
-                gaps.record((start - prev).as_secs_f64());
-            }
-        }
-        // Accumulators construct profile and tracker from the same tier.
-        (ProfileRepr::Exact { .. }, LastTo::Sketched(_))
-        | (ProfileRepr::Sketched { .. }, LastTo::Exact(_)) => {
-            unreachable!("profile repr and last_to tracker tiers diverged")
-        }
+    }
+
+    /// Finishes every slot, in slot order: each profile with the start of
+    /// its host's latest flow.
+    fn finish(self) -> impl Iterator<Item = (HostProfile, SimTime)> {
+        self.profiles
+            .into_iter()
+            .zip(self.pending)
+            .zip(self.last_seen)
+            .map(|((mut p, pending), seen)| {
+                if let (ProfileRepr::Exact { first_contact, .. }, Pending::Exact(firsts)) =
+                    (&mut p.repr, pending)
+                {
+                    *first_contact = firsts.into_iter().collect();
+                }
+                (p, seen)
+            })
     }
 }
 
 /// Record-oriented profile accumulation, for callers that hold flow
-/// records rather than a [`FlowTable`]. Columnar extraction
-/// ([`extract_profiles_table_par_tier`]) applies the same per-flow update
-/// to table rows, so both produce identical profiles.
+/// records rather than a [`FlowTable`]. It feeds the same per-flow kernel
+/// as columnar extraction ([`extract_profiles_table_par_tier`]), so both
+/// produce identical profiles.
 ///
 /// The accumulator is *attribution-agnostic*: callers decide which flows it
 /// sees and which endpoint is the monitored host (via
@@ -695,10 +744,9 @@ fn absorb_obs(
 /// does not enforce global ordering.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileAccumulator {
-    tier: ProfileTier,
+    /// Host address → kernel slot.
     hosts: HostInterner,
-    profiles: Vec<HostProfile>,
-    last_to: Vec<LastTo>,
+    kernel: Kernel,
 }
 
 impl ProfileAccumulator {
@@ -710,32 +758,30 @@ impl ProfileAccumulator {
     /// Creates an empty accumulator for the given tier.
     pub fn with_tier(tier: ProfileTier) -> Self {
         Self {
-            tier,
-            ..Self::default()
+            hosts: HostInterner::new(),
+            kernel: Kernel::new(tier),
         }
     }
 
     /// Number of hosts profiled so far.
     pub fn len(&self) -> usize {
-        self.profiles.len()
+        self.kernel.len()
     }
 
     /// Whether no hosts have been profiled yet.
     pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
+        self.kernel.len() == 0
     }
 
     /// Absorbs one flow attributed to the monitored endpoint `host`
     /// (obtained from [`internal_endpoint`]).
     pub fn absorb(&mut self, f: &FlowRecord, host: Ipv4Addr) {
-        let slot = self.hosts.intern(host).index();
-        if slot == self.profiles.len() {
-            self.profiles.push(HostProfile::new(host, self.tier));
-            self.last_to.push(LastTo::new(self.tier));
+        let mut slot = self.hosts.intern(host).index();
+        if slot == self.kernel.len() {
+            slot = self.kernel.open(host);
         }
-        absorb_obs(
-            &mut self.profiles[slot],
-            &mut self.last_to[slot],
+        self.kernel.absorb(
+            slot,
             f.start,
             f.dst,
             f.bytes_uploaded_by(host).unwrap_or(0),
@@ -746,58 +792,39 @@ impl ProfileAccumulator {
 
     /// Finishes the window and returns the dense profile table.
     pub fn finish(self) -> ProfileTable {
-        ProfileTable::from_pairs(
-            self.hosts
-                .ips()
-                .iter()
-                .copied()
-                .zip(self.profiles)
-                .collect(),
-        )
+        ProfileTable::from_pairs(self.kernel.finish().map(|(p, _)| (p.ip, p)).collect())
     }
 }
 
 /// Columnar accumulation state: per-table-host slot assignment over dense
-/// [`HostId`]s, funneling each row into the same [`absorb_obs`] kernel the
+/// [`HostId`]s, funneling each row into the same [`Kernel`] the
 /// record-oriented accumulator uses.
 struct TableProfiler<'t> {
     table: &'t FlowTable,
-    tier: ProfileTier,
-    /// Table host id → local profile slot (`u32::MAX` = not profiled yet).
+    /// Table host id → kernel slot (`u32::MAX` = not profiled yet).
     slot: Vec<u32>,
-    ips: Vec<Ipv4Addr>,
-    profiles: Vec<HostProfile>,
-    /// Per local slot: last flow start per destination address.
-    last_to: Vec<LastTo>,
+    kernel: Kernel,
 }
 
 impl<'t> TableProfiler<'t> {
     fn new(table: &'t FlowTable, tier: ProfileTier) -> Self {
         Self {
             table,
-            tier,
             slot: vec![u32::MAX; table.hosts().len()],
-            ips: Vec::new(),
-            profiles: Vec::new(),
-            last_to: Vec::new(),
+            kernel: Kernel::new(tier),
         }
     }
 
     fn absorb_row(&mut self, row: usize, host: HostId) {
+        let t = self.table;
         let mut s = self.slot[host.index()] as usize;
         if s == u32::MAX as usize {
-            s = self.profiles.len();
+            s = self.kernel.open(t.hosts().resolve(host));
             self.slot[host.index()] = s as u32;
-            let ip = self.table.hosts().resolve(host);
-            self.ips.push(ip);
-            self.profiles.push(HostProfile::new(ip, self.tier));
-            self.last_to.push(LastTo::new(self.tier));
         }
-        let t = self.table;
         let initiated = t.src(row) == host;
-        absorb_obs(
-            &mut self.profiles[s],
-            &mut self.last_to[s],
+        self.kernel.absorb(
+            s,
             t.start(row),
             t.hosts().resolve(t.dst(row)),
             if initiated {
@@ -811,7 +838,7 @@ impl<'t> TableProfiler<'t> {
     }
 
     fn finish(self) -> Vec<(Ipv4Addr, HostProfile)> {
-        self.ips.into_iter().zip(self.profiles).collect()
+        self.kernel.finish().map(|(p, _)| (p.ip, p)).collect()
     }
 }
 
@@ -855,8 +882,8 @@ fn profile_rows(
 /// invisible. The shard assignment is computed once per distinct host,
 /// not re-derived per flow per shard.
 ///
-/// `threads == 0` is clamped to 1; `threads == 1` runs on the calling
-/// thread.
+/// `threads` is clamped to `1..=`[`MAX_THREADS`]; one thread runs on the
+/// calling thread.
 pub fn extract_profiles_table_par_tier<F>(
     table: &FlowTable,
     is_internal: F,
@@ -867,32 +894,124 @@ where
     F: Fn(Ipv4Addr) -> bool + Sync,
 {
     let flags = internal_flags(table, &is_internal);
-    let threads = threads.max(1);
-    if threads == 1 {
-        return ProfileTable::from_pairs(profile_rows(table, &flags, tier, |_| true));
-    }
-    let shard_of: Vec<u32> = table
+    let threads = threads.clamp(1, MAX_THREADS);
+    let shard_of: Vec<usize> = table
         .hosts()
         .ips()
         .iter()
-        .map(|&ip| host_shard(ip, threads) as u32)
+        .map(|&ip| host_shard(ip, threads))
         .collect();
+    let shards = on_shards(threads, |tid| {
+        profile_rows(table, &flags, tier, |host| shard_of[host.index()] == tid)
+    });
+    ProfileTable::from_pairs(shards.into_iter().flatten().collect())
+}
+
+/// Runs `work` once per shard `0..threads` — on the calling thread when
+/// there is one shard, else on scoped threads — and returns the results
+/// in shard order.
+fn on_shards<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads == 1 {
+        return vec![work(0)];
+    }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads as u32)
+        let handles: Vec<_> = (0..threads)
             .map(|tid| {
-                let flags = &flags;
-                let shard_of = &shard_of;
-                scope.spawn(move || {
-                    profile_rows(table, flags, tier, |host| shard_of[host.index()] == tid)
-                })
+                let work = &work;
+                scope.spawn(move || work(tid))
             })
             .collect();
-        let mut pairs = Vec::new();
-        for h in handles {
-            pairs.extend(h.join().expect("profile shard thread panicked"));
-        }
-        ProfileTable::from_pairs(pairs)
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("profile shard thread panicked"))
+            .collect()
     })
+}
+
+/// What [`profile_records`] found in one pass over a window's rows.
+#[derive(Debug, Default)]
+pub(crate) struct RecordWalk {
+    /// Every profiled host with the start of its latest border flow, in
+    /// no particular order.
+    pub(crate) hosts: Vec<(HostProfile, SimTime)>,
+    /// Rows profiled: every row, less the duplicates `dedupe` skipped.
+    pub(crate) rows: usize,
+    /// Rows equal to the row before them.
+    pub(crate) duplicates: usize,
+}
+
+/// One worker's pass over `rows`: profiles the border rows whose
+/// monitored host `owns` accepts, and counts every row and duplicate.
+fn walk_records<'a, F>(
+    rows: impl Iterator<Item = &'a FlowRecord>,
+    is_internal: &F,
+    tier: ProfileTier,
+    dedupe: bool,
+    owns: impl Fn(Ipv4Addr) -> bool,
+) -> RecordWalk
+where
+    F: Fn(Ipv4Addr) -> bool,
+{
+    let mut acc = ProfileAccumulator::with_tier(tier);
+    let (mut kept, mut duplicates) = (0, 0);
+    let mut prev: Option<&FlowRecord> = None;
+    for f in rows {
+        if prev.replace(f) == Some(f) {
+            duplicates += 1;
+            if dedupe {
+                continue;
+            }
+        }
+        kept += 1;
+        if let Some(host) = internal_endpoint(f, is_internal) {
+            if owns(host) {
+                acc.absorb(f, host);
+            }
+        }
+    }
+    RecordWalk {
+        hosts: acc.kernel.finish().collect(),
+        rows: kept,
+        duplicates,
+    }
+}
+
+/// Profiles records given in canonical time order without building a
+/// [`FlowTable`], in one pass per worker, sharded over hosts across
+/// `threads` scoped workers (clamped to `1..=`[`MAX_THREADS`]) — the
+/// streaming engine's window close.
+///
+/// Identical records sort adjacently, so a row equal to the one before it
+/// is a duplicate: every duplicate is counted, and skipped when `dedupe`
+/// is set. Unlike the table walk, this consults `is_internal` for both
+/// endpoints of every row. Each worker reads every row and keeps the hosts
+/// of its shard, so the result is the same for any thread count.
+pub(crate) fn profile_records<'a, I, F>(
+    rows: I,
+    is_internal: &F,
+    tier: ProfileTier,
+    threads: usize,
+    dedupe: bool,
+) -> RecordWalk
+where
+    I: Iterator<Item = &'a FlowRecord> + Clone + Send + Sync,
+    F: Fn(Ipv4Addr) -> bool + Sync,
+{
+    let threads = threads.clamp(1, MAX_THREADS);
+    let shards = on_shards(threads, |tid| {
+        // One shard owns every host, without hashing a host per row.
+        walk_records(rows.clone(), is_internal, tier, dedupe, |host| {
+            threads == 1 || host_shard(host, threads) == tid
+        })
+    });
+    // Every shard reads and counts every row, so the first's counts stand.
+    shards
+        .into_iter()
+        .reduce(|mut walk, shard| {
+            walk.hosts.extend(shard.hosts);
+            walk
+        })
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -1085,15 +1204,6 @@ mod tests {
                 extract_profiles_table_par_tier(&table, internal, ProfileTier::Exact, threads);
             assert_eq!(par, pt, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn profile_table_retain_reinterns() {
-        let mut pt = extract(&mixed_flows());
-        pt.retain(|ip, _| ip == H2);
-        assert_eq!(pt.len(), 1);
-        assert_eq!(pt.hosts().get(H2).map(pw_flow::HostId::index), Some(0));
-        assert!(pt.get(H).is_none());
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::features::{
     extract_profiles_table_par_tier, HostMask, ProfileTable, ProfileTier, ProfileView,
 };
 use crate::reduction::initial_reduction_view;
+use crate::stream::MAX_THREADS;
 
 /// Configuration of the full pipeline. Defaults are the paper's §V-B
 /// operating point: data reduction at the median failed-connection rate,
@@ -260,6 +261,15 @@ pub(crate) fn run_stages(
     })
 }
 
+/// Refuses a worker thread count outside `1..=`[`MAX_THREADS`].
+pub(crate) fn check_threads(threads: usize) -> Result<(), ConfigError> {
+    match threads {
+        0 => Err(ConfigError::ZeroThreads),
+        n if n > MAX_THREADS => Err(ConfigError::TooManyThreads(n)),
+        _ => Ok(()),
+    }
+}
+
 /// Runs `FindPlotters` over a pre-extracted [`ProfileTable`] on one
 /// thread, leniently: an empty window or a stage whose percentile
 /// threshold cannot be resolved yields empty sets instead of an error.
@@ -282,7 +292,10 @@ pub fn find_plotters_from_table(
 /// percentile thresholds only see the — order-independent — multiset of
 /// per-host metrics). [`ProfileTier::Sketched`] holds a fixed byte budget
 /// per host (see [`crate::features::ProfileRepr`]) at the cost of
-/// approximate counts on very large hosts.
+/// approximate counts on very large hosts. `threads` must lie in
+/// `1..=`[`MAX_THREADS`], or the call fails with
+/// [`ConfigError::ZeroThreads`] or [`ConfigError::TooManyThreads`] before
+/// any thread is spawned.
 pub fn try_find_plotters_table_tier<F>(
     table: &FlowTable,
     is_internal: F,
@@ -293,9 +306,7 @@ pub fn try_find_plotters_table_tier<F>(
 where
     F: Fn(Ipv4Addr) -> bool + Sync,
 {
-    if threads == 0 {
-        return Err(ConfigError::ZeroThreads.into());
-    }
+    check_threads(threads)?;
     cfg.validate()?;
     let profiles = extract_profiles_table_par_tier(table, is_internal, tier, threads);
     run_stages(&ProfileView::from_table(&profiles), cfg, threads, true)
@@ -303,15 +314,14 @@ where
 
 /// [`find_plotters_from_table`] with validated configuration, typed
 /// failures, and host-sharded parallelism — the streaming engine's
-/// window-close path.
+/// window-close path. `threads` is checked as in
+/// [`try_find_plotters_table_tier`].
 pub fn try_find_plotters_from_table(
     profiles: &ProfileTable,
     cfg: &FindPlottersConfig,
     threads: usize,
 ) -> Result<PlotterReport, Error> {
-    if threads == 0 {
-        return Err(ConfigError::ZeroThreads.into());
-    }
+    check_threads(threads)?;
     cfg.validate()?;
     run_stages(&ProfileView::from_table(profiles), cfg, threads, true)
 }
@@ -562,5 +572,25 @@ mod tests {
             try_find_plotters_table_tier(&table, internal, &cfg, ProfileTier::Exact, 0),
             Err(Error::Config(ConfigError::ZeroThreads))
         );
+    }
+
+    #[test]
+    fn thread_counts_above_the_cap_are_refused_before_spawning() {
+        let cfg = FindPlottersConfig::default();
+        let flows = mini_world();
+        let table = FlowTable::from_records(&flows);
+        let profiles = profiles(&flows, 1);
+        for threads in [MAX_THREADS + 1, 50_000] {
+            let refused = Err(Error::Config(ConfigError::TooManyThreads(threads)));
+            assert_eq!(
+                try_find_plotters_table_tier(&table, internal, &cfg, ProfileTier::Exact, threads),
+                refused
+            );
+            assert_eq!(
+                try_find_plotters_from_table(&profiles, &cfg, threads),
+                refused
+            );
+        }
+        assert!(try_find_plotters_from_table(&profiles, &cfg, MAX_THREADS).is_ok());
     }
 }

@@ -52,8 +52,10 @@
 //! the watermark passes its lateness bound; it then moves to one shared
 //! log, kept in canonical order. Window `k` is the log range of flows
 //! starting in `[k·slide, k·slide + window)`, found by binary search, plus
-//! the late flows [`LatePolicy::ExtendOldest`] appended to it; a close
-//! builds its table from that range in place, and the log prefix older
+//! the late flows [`LatePolicy::ExtendOldest`] appended to it. A close
+//! builds no [`FlowTable`](pw_flow::FlowTable): it profiles that range in
+//! place, merged in canonical order with the sorted extras, in one walk
+//! sharded over hosts (see [`crate::features`]), and the log prefix older
 //! than every open window is then dropped. Sliding windows therefore
 //! share their flows instead of copying them once per window.
 //!
@@ -77,16 +79,20 @@
 //! assert!(reports.is_empty()); // nothing was pushed
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{vec_deque, BTreeMap, VecDeque};
+use std::iter::Peekable;
 use std::net::Ipv4Addr;
 use std::ops::{Range, RangeInclusive};
+use std::slice;
 
-use pw_flow::{ArgusAggregator, FlowRecord, FlowTable};
+use pw_flow::{ArgusAggregator, FlowRecord};
 use pw_netsim::{SimDuration, SimTime};
 
 use crate::error::{ConfigError, Error};
-use crate::features::{border_host, extract_profiles_table_par_tier, internal_flags, ProfileTier};
-use crate::pipeline::{try_find_plotters_from_table, FindPlottersConfig, PlotterReport};
+use crate::features::{profile_records, ProfileTable, ProfileTier};
+use crate::pipeline::{
+    check_threads, try_find_plotters_from_table, FindPlottersConfig, PlotterReport,
+};
 
 /// When a window closes, which profiled hosts still take part in the
 /// verdict.
@@ -227,12 +233,7 @@ impl EngineConfig {
         if self.slide > self.window {
             return Err(ConfigError::SlideExceedsWindow);
         }
-        if self.threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        if self.threads > MAX_THREADS {
-            return Err(ConfigError::TooManyThreads(self.threads));
-        }
+        check_threads(self.threads)?;
         if self.max_flows == Some(0) {
             return Err(ConfigError::ZeroCapacity);
         }
@@ -425,6 +426,28 @@ pub(crate) fn covering(t: SimTime, window: SimDuration, slide: SimDuration) -> R
         (t - window_ms) / slide_ms + 1
     };
     k_min..=k_max
+}
+
+/// A window's rows in canonical order: its log range merged with its
+/// extras, which must be sorted by [`buffer_key`]. Log rows come first on
+/// equal keys, so the merge is a stable sort of the range followed by the
+/// extras.
+#[derive(Clone)]
+struct WindowRows<'a> {
+    log: Peekable<vec_deque::Iter<'a, FlowRecord>>,
+    extras: Peekable<slice::Iter<'a, FlowRecord>>,
+}
+
+impl<'a> Iterator for WindowRows<'a> {
+    type Item = &'a FlowRecord;
+
+    fn next(&mut self) -> Option<&'a FlowRecord> {
+        match (self.log.peek(), self.extras.peek()) {
+            (Some(l), Some(e)) if buffer_key(e) < buffer_key(l) => self.extras.next(),
+            (Some(_), _) => self.log.next(),
+            (None, _) => self.extras.next(),
+        }
+    }
 }
 
 /// Streaming windowed `FindPlotters`.
@@ -865,39 +888,44 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         self.log_flow(f);
     }
 
-    fn close_window(&mut self, index: u64, extras: Vec<FlowRecord>, forced: bool) -> WindowReport {
+    /// Closes window `index`: profiles its log range and `extras` in
+    /// place, in canonical order, and runs the pipeline on the hosts the
+    /// [`EvictionPolicy`] keeps. No [`FlowTable`](pw_flow::FlowTable) is
+    /// built: one walk over the rows profiles them, counts duplicates,
+    /// skips them under `dedupe` and takes each host's last-seen time.
+    fn close_window(
+        &mut self,
+        index: u64,
+        mut extras: Vec<FlowRecord>,
+        forced: bool,
+    ) -> WindowReport {
         let span = self.window_span(index);
         let range = self.log_range(index);
-        let mut window_flows = range.len() + extras.len();
-        self.held -= window_flows;
-        // The table interns hosts and (stably) re-sorts into the canonical
-        // processing order — the same order the batch path uses, which keeps
-        // the batch-equivalence guarantee independent of buffer internals.
-        // Extras are late, so they sort after every logged flow with their
-        // key, as they did when windows kept their own copies.
-        let mut table = if extras.is_empty() {
-            FlowTable::from_records(self.log.range(range))
-        } else {
-            let rows: Vec<FlowRecord> = self.log.range(range).chain(&extras).copied().collect();
-            FlowTable::from_records(&rows)
+        self.held -= range.len() + extras.len();
+        // Rows go in the canonical processing order, the order the batch
+        // path sorts a table into. Extras are late, so they come after
+        // every logged flow with their key, in arrival order among
+        // themselves, as they did when windows kept their own copies.
+        extras.sort_by_key(buffer_key);
+        let rows = WindowRows {
+            log: self.log.range(range).peekable(),
+            extras: extras.iter().peekable(),
         };
-        let duplicates = table.duplicate_rows() as u64;
-        self.stats.duplicates += duplicates;
-        if self.cfg.dedupe && duplicates > 0 {
-            let mut records = table.to_records();
-            records.dedup();
-            window_flows = records.len();
-            table = FlowTable::from_records(&records);
-        }
-
         let threads = self.cfg.threads;
-        let mut profiles =
-            extract_profiles_table_par_tier(&table, &self.is_internal, self.cfg.tier, threads);
-        let hosts = profiles.len();
+        let walk = profile_records(
+            rows,
+            &self.is_internal,
+            self.cfg.tier,
+            threads,
+            self.cfg.dedupe,
+        );
+        let duplicates = walk.duplicates as u64;
+        self.stats.duplicates += duplicates;
+        let hosts = walk.hosts.len();
         self.stats.profile_bytes = 0;
         self.stats.profiles_exact = 0;
         self.stats.profiles_sketched = 0;
-        for p in profiles.profiles() {
+        for (p, _) in &walk.hosts {
             self.stats.profile_bytes += p.estimated_bytes() as u64;
             match p.tier() {
                 ProfileTier::Exact => self.stats.profiles_exact += 1,
@@ -905,37 +933,27 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             }
         }
 
-        let evicted = match self.cfg.eviction {
-            EvictionPolicy::WindowScoped => 0,
+        let deadline = match self.cfg.eviction {
+            EvictionPolicy::WindowScoped => SimTime::ZERO,
             EvictionPolicy::IdleLongerThan(idle) => {
-                let deadline =
-                    SimTime::from_millis(span.end.as_millis().saturating_sub(idle.as_millis()));
-                // Dense last-activity table indexed by the flow table's ids.
-                let flags = internal_flags(&table, &self.is_internal);
-                let mut last_seen = vec![SimTime::ZERO; table.hosts().len()];
-                for row in 0..table.len() {
-                    if let Some(host) = border_host(&table, row, &flags) {
-                        let e = &mut last_seen[host.index()];
-                        *e = (*e).max(table.start(row));
-                    }
-                }
-                let before = profiles.len();
-                profiles.retain(|host, _| {
-                    table
-                        .hosts()
-                        .get(host)
-                        .is_some_and(|id| last_seen[id.index()] >= deadline)
-                });
-                before - profiles.len()
+                SimTime::from_millis(span.end.as_millis().saturating_sub(idle.as_millis()))
             }
         };
+        let kept: Vec<_> = walk
+            .hosts
+            .into_iter()
+            .filter(|&(_, last_seen)| last_seen >= deadline)
+            .map(|(p, _)| (p.ip, p))
+            .collect();
+        let evicted = hosts - kept.len();
+        let profiles = ProfileTable::from_pairs(kept);
 
         let outcome = try_find_plotters_from_table(&profiles, &self.cfg.detect, threads);
         WindowReport {
             index,
             start: span.start,
             end: span.end,
-            flows: window_flows,
+            flows: walk.rows,
             hosts,
             evicted,
             late: std::mem::take(&mut self.window_late),
@@ -952,7 +970,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
 mod tests {
     use super::*;
     use crate::pipeline::try_find_plotters_table_tier;
-    use pw_flow::{FlowState, Payload, Proto};
+    use pw_flow::{FlowState, FlowTable, Payload, Proto};
 
     fn internal(ip: Ipv4Addr) -> bool {
         ip.octets()[0] == 10

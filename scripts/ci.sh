@@ -80,12 +80,15 @@ fi
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
-echo "==> bench smoke (detect and flow benches execute one iteration)"
+echo "==> bench smoke (detect, flow, profiles, stream and hash benches execute)"
 # `--test` runs each bench once without measuring: catches panics in bench
 # setup/bodies (e.g. the theta_hm scaling grid, the checkpoint fixture)
-# without paying bench time.
-cargo bench -q -p pw-bench --bench detect -- --test
-cargo bench -q -p pw-bench --bench flow -- --test
+# without paying bench time. `profiles` and `stream` run the extraction
+# kernel and the engine's window close; `hash` checks that both hashers
+# it compares agree before timing them.
+for bench in detect flow profiles stream hash; do
+  cargo bench -q -p pw-bench --bench "$bench" -- --test
+done
 
 echo "==> cargo doc (public docs must build cleanly, with no dangling links)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q

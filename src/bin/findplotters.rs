@@ -867,8 +867,13 @@ fn main() {
         // it instead of re-scanning and re-hashing addresses per stage.
         let table = FlowTable::from_records(&flows);
         eprintln!("interned {} hosts", table.hosts().len());
-        let report = try_find_plotters_table_tier(&table, is_internal, &cfg, tier, threads)
-            .unwrap_or_else(|e| fail(&format!("detection failed: {e}")));
+        let report = match try_find_plotters_table_tier(&table, is_internal, &cfg, tier, threads) {
+            Ok(report) => report,
+            // A knob the library refuses, like a thread count past the
+            // cap, is an argument error here as in windowed mode.
+            Err(Error::Config(e)) => bad_arg(&format!("invalid configuration: {e}")),
+            Err(e) => fail(&format!("detection failed: {e}")),
+        };
         quarantine.finish();
         print_report(&report);
         report

@@ -7,21 +7,27 @@
 //! window, so a flow sits in as many lists as windows cover it. Both run
 //! the same seeded, disordered campus days, with duplicates and flows
 //! beyond the lateness bound, under every `LatePolicy`, with and without
-//! dedupe, with and without a `max_flows` cap that sheds, on one and two
-//! threads; the engine is serialized, parsed and restored at ⅓ and ⅔ of
-//! the feed. Every push result (window reports included), `held_flows()`
-//! after every push and the final `stats()` must agree.
+//! dedupe, with and without a `max_flows` cap that sheds, under
+//! window-scoped and idle-host eviction, on one, two and four threads;
+//! the engine is serialized, parsed and restored at ⅓ and ⅔ of the feed.
+//! Every push result (window reports included), `held_flows()` after every
+//! push and the final `stats()` must agree. The reference builds a
+//! `FlowTable` per window and profiles it on one thread, while the engine
+//! profiles its log in place, sharded over hosts; the reference's answer
+//! does not depend on the thread count, so it runs once per configuration
+//! and every thread count is checked against that one recording.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use peerwatch::data::{build_day, CampusConfig};
 use peerwatch::detect::checkpoint::EngineCheckpoint;
 use peerwatch::detect::stream::{
-    DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport,
+    DetectionEngine, EngineConfig, EngineStats, EvictionPolicy, LatePolicy, WindowReport,
 };
 use peerwatch::detect::{
-    extract_profiles_table_par_tier, try_find_plotters_from_table, Error, ProfileTier,
+    extract_profiles_table_par_tier, try_find_plotters_from_table, Error, HostProfile,
+    ProfileTable, ProfileTier,
 };
 use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::{SimDuration, SimTime};
@@ -38,7 +44,7 @@ fn key(f: &FlowRecord) -> Key {
 }
 
 /// The copy-per-window engine: same rules, every window its own list.
-/// Window-scoped eviction only, no stall timeout, no record validation.
+/// No stall timeout, no record validation.
 struct Reference {
     cfg: EngineConfig,
     buffer: BTreeMap<Key, Vec<FlowRecord>>,
@@ -202,7 +208,7 @@ impl Reference {
             window_flows = records.len();
             table = FlowTable::from_records(&records);
         }
-        let profiles =
+        let mut profiles =
             extract_profiles_table_par_tier(&table, internal, self.cfg.tier, self.cfg.threads);
         self.stats.profile_bytes = 0;
         self.stats.profiles_exact = 0;
@@ -214,13 +220,35 @@ impl Reference {
                 ProfileTier::Sketched => self.stats.profiles_sketched += 1,
             }
         }
+        let end = start + self.cfg.window;
+        let hosts = profiles.len();
+        if let EvictionPolicy::IdleLongerThan(idle) = self.cfg.eviction {
+            // Each host's last border flow, from the table's rows.
+            let mut last_seen = vec![SimTime::ZERO; table.hosts().len()];
+            for row in 0..table.len() {
+                let (src, dst) = (table.src(row), table.dst(row));
+                let src_internal = internal(table.hosts().resolve(src));
+                if src_internal != internal(table.hosts().resolve(dst)) {
+                    let host = if src_internal { src } else { dst };
+                    let seen = &mut last_seen[host.index()];
+                    *seen = (*seen).max(table.start(row));
+                }
+            }
+            let deadline = SimTime::from_millis(end.as_millis().saturating_sub(idle.as_millis()));
+            let kept: HashMap<Ipv4Addr, HostProfile> = profiles
+                .iter()
+                .filter(|(_, p)| last_seen[table.hosts().get(p.ip).unwrap().index()] >= deadline)
+                .map(|(_, p)| (p.ip, p.clone()))
+                .collect();
+            profiles = ProfileTable::from_map(kept);
+        }
         WindowReport {
             index,
             start,
-            end: start + self.cfg.window,
+            end,
             flows: window_flows,
-            hosts: profiles.len(),
-            evicted: 0,
+            hosts,
+            evicted: hosts - profiles.len(),
             late: std::mem::take(&mut self.window_late),
             dropped: std::mem::take(&mut self.window_dropped),
             quarantined: 0,
@@ -260,7 +288,10 @@ const LATENESS: SimDuration = SimDuration::from_mins(5);
 ///   more byte) and then by itself again, so equal keys must leave the
 ///   buffer in arrival order for the duplicate count to come out right;
 /// - one in 100 has that near-duplicate and copy replayed 20–60 minutes
-///   late, so the late pair must sort after the logged original.
+///   late, so the late pair must sort after the logged original;
+/// - one in 25 is answered 1–30 minutes later by its destination, a flow
+///   in the other direction, so hosts also receive flows and idle-host
+///   eviction must count them.
 fn feed(seed: u64) -> Vec<FlowRecord> {
     let campus = CampusConfig {
         seed,
@@ -297,6 +328,24 @@ fn feed(seed: u64) -> Vec<FlowRecord> {
             arrivals.push((replay, 0, near));
             arrivals.push((replay, 1, *f));
         }
+        if rng.below(25) == 0 {
+            let start = f.start + SimDuration::from_mins(1 + rng.below(30));
+            let back = FlowRecord {
+                start,
+                end: start + (f.end - f.start),
+                src: f.dst,
+                sport: f.dport,
+                dst: f.src,
+                dport: f.sport,
+                src_pkts: f.dst_pkts,
+                src_bytes: f.dst_bytes,
+                dst_pkts: f.src_pkts,
+                dst_bytes: f.src_bytes,
+                ..*f
+            };
+            let delay = rng.below(SimDuration::from_mins(4).as_millis());
+            arrivals.push((start.as_millis() + delay, 0, back));
+        }
     }
     // Stable: flows arriving in the same millisecond keep their order.
     arrivals.sort_by_key(|&(at, order, _)| (at, order));
@@ -311,36 +360,61 @@ fn revive(engine: &DetectionEngine<fn(Ipv4Addr) -> bool>) -> DetectionEngine<fn(
     DetectionEngine::restore(&parsed, internal as fn(Ipv4Addr) -> bool).unwrap()
 }
 
-/// Runs both engines over `flows`; returns how many windows closed and
-/// the final counters.
-fn compare(flows: &[FlowRecord], cfg: EngineConfig, what: &str) -> (usize, EngineStats) {
-    let mut reference = Reference::new(cfg);
+/// Everything the reference returned over one feed: each push result
+/// and `held` after it, the finish reports and the final counters.
+struct Recording {
+    pushes: Vec<(Result<Vec<WindowReport>, Error>, usize)>,
+    finish: Vec<WindowReport>,
+    stats: EngineStats,
+}
+
+impl Recording {
+    fn of(flows: &[FlowRecord], cfg: EngineConfig) -> Self {
+        let mut reference = Reference::new(cfg);
+        let pushes = flows
+            .iter()
+            .map(|f| (reference.push(*f), reference.held))
+            .collect();
+        Self {
+            pushes,
+            finish: reference.finish(),
+            stats: reference.stats,
+        }
+    }
+
+    fn reports(&self) -> impl Iterator<Item = &WindowReport> {
+        self.pushes
+            .iter()
+            .filter_map(|(r, _)| r.as_ref().ok())
+            .flatten()
+            .chain(&self.finish)
+    }
+}
+
+/// Runs the engine over `flows` and checks it against the reference's
+/// recording of the same feed.
+fn compare(flows: &[FlowRecord], cfg: EngineConfig, want: &Recording, what: &str) {
     let mut engine = DetectionEngine::new(cfg, internal as fn(Ipv4Addr) -> bool).unwrap();
     let cuts = [flows.len() / 3, 2 * flows.len() / 3];
-    let mut windows = 0;
-    for (i, f) in flows.iter().enumerate() {
+    for (i, (f, (result, held))) in flows.iter().zip(&want.pushes).enumerate() {
         if cuts.contains(&i) {
             engine = revive(&engine);
         }
-        let want = reference.push(*f);
-        let got = engine.push(*f);
-        assert_eq!(got, want, "{what}: push {i}");
-        windows += want.map_or(0, |w| w.len());
-        assert_eq!(
-            engine.held_flows(),
-            reference.held,
-            "{what}: held after push {i}"
-        );
+        assert_eq!(&engine.push(*f), result, "{what}: push {i}");
+        assert_eq!(engine.held_flows(), *held, "{what}: held after push {i}");
     }
-    let want = reference.finish();
-    assert_eq!(engine.finish(), want, "{what}: finish");
+    assert_eq!(engine.finish(), want.finish, "{what}: finish");
     assert_eq!(engine.held_flows(), 0, "{what}: held after finish");
-    assert_eq!(engine.stats(), reference.stats, "{what}: stats");
-    (windows + want.len(), reference.stats)
+    assert_eq!(engine.stats(), want.stats, "{what}: stats");
 }
 
+/// Hosts silent for this long before a window's end are evicted under
+/// [`EvictionPolicy::IdleLongerThan`].
+const IDLE: SimDuration = SimDuration::from_mins(15);
+
 /// Every configuration of one late policy: 3 seeds × 2 window shapes ×
-/// dedupe off/on × uncapped/shedding × 1 and 2 threads.
+/// dedupe off/on × uncapped/shedding × 2 eviction policies × 1, 2 and 4
+/// threads.
 fn sweep(late_policy: LatePolicy) {
     let mut configs = 0;
     for seed in [3u64, 17, 29] {
@@ -348,12 +422,15 @@ fn sweep(late_policy: LatePolicy) {
         for (window, slide) in [(60, 20), (45, 45)] {
             for dedupe in [false, true] {
                 for max_flows in [None, Some(flows.len() / 6)] {
-                    for threads in [1, 2] {
+                    for eviction in [
+                        EvictionPolicy::WindowScoped,
+                        EvictionPolicy::IdleLongerThan(IDLE),
+                    ] {
                         let cfg = EngineConfig {
                             window: SimDuration::from_mins(window),
                             slide: SimDuration::from_mins(slide),
                             lateness: LATENESS,
-                            threads,
+                            eviction,
                             late_policy,
                             dedupe,
                             max_flows,
@@ -361,24 +438,36 @@ fn sweep(late_policy: LatePolicy) {
                         };
                         let what = format!(
                             "seed {seed}, {window}/{slide} min, {late_policy:?}, \
-                             dedupe {dedupe}, cap {max_flows:?}, {threads} threads"
+                             dedupe {dedupe}, cap {max_flows:?}, {eviction:?}"
                         );
-                        let (windows, stats) = compare(&flows, cfg, &what);
+                        // The reference's answer does not depend on threads.
+                        let want = Recording::of(&flows, cfg);
                         // The feed must reach every path the layouts differ
                         // on, or agreement proves little.
+                        let (windows, stats) = (want.reports().count(), want.stats);
+                        let evicted: usize = want.reports().map(|w| w.evicted).sum();
                         assert!(windows > 3, "{what}: {windows} windows");
                         assert!(stats.late > 0 && stats.duplicates > 0, "{what}");
                         assert_eq!(max_flows.is_some(), stats.shed > 0, "{what}");
+                        assert_eq!(
+                            eviction != EvictionPolicy::WindowScoped,
+                            evicted > 0,
+                            "{what}"
+                        );
                         if late_policy == LatePolicy::ExtendOldest {
                             assert!(stats.late_extended > 0, "{what}");
                         }
-                        configs += 1;
+                        for threads in [1, 2, 4] {
+                            let cfg = EngineConfig { threads, ..cfg };
+                            compare(&flows, cfg, &want, &format!("{what}, {threads} threads"));
+                            configs += 1;
+                        }
                     }
                 }
             }
         }
     }
-    assert_eq!(configs, 48);
+    assert_eq!(configs, 144);
 }
 
 #[test]
