@@ -256,14 +256,15 @@ impl DistanceMatrix {
     }
 }
 
-/// Distributes work items round-robin into `threads` buckets (row `i` goes
-/// to bucket `i % threads`), dropping empty buckets.
+/// Distributes work items round-robin into at most `threads` buckets
+/// (item `i` goes to bucket `i % buckets`). There are never more buckets
+/// than items, so a huge thread count costs nothing, and none is empty.
 fn assign_strided<T>(items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
-    let mut buckets: Vec<Vec<T>> = (0..threads).map(|_| Vec::new()).collect();
+    let n = threads.min(items.len());
+    let mut buckets: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
     for (i, item) in items.into_iter().enumerate() {
-        buckets[i % threads].push(item);
+        buckets[i % n].push(item);
     }
-    buckets.retain(|b| !b.is_empty());
     buckets
 }
 
@@ -706,6 +707,18 @@ mod tests {
                 assert_eq!(serial, par, "n={n} threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn a_huge_thread_count_spawns_no_more_workers_than_tiles() {
+        // One bucket per requested thread would be a 26 TB allocation
+        // here, aborting the process.
+        let f = |i: usize, j: usize| ((i * 13 + j * 101) % 251) as f64 / 7.0;
+        let serial = DistanceMatrix::from_fn(300, f);
+        assert_eq!(DistanceMatrix::from_fn_par(300, 1 << 40, f), serial);
+        assert_eq!(assign_strided(vec![1, 2, 3], 1 << 40), [[1], [2], [3]]);
+        assert_eq!(assign_strided(vec![1, 2, 3], 2), [vec![1, 3], vec![2]]);
+        assert!(assign_strided(Vec::<u8>::new(), 4).is_empty());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Argus-substrate benchmarks: aggregation throughput, the flow-row codec
-//! (CSV and engine checkpoints) and the CRC32 every frame and checkpoint
-//! carries.
+//! (CSV and engine checkpoints), the PWFS batch codec of the service path
+//! and the CRC32 every frame and checkpoint carries.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use pw_bench::bench_day;
 use pw_detect::stream::{DetectionEngine, EngineConfig};
+use pw_flow::frame::{read_frame, write_flows, Frame, MAX_BATCH};
 use pw_flow::synth::{emit_connection, ConnOutcome, ConnSpec};
 use pw_flow::{ArgusAggregator, FlowRecord, Packet, PacketSink};
 use pw_netsim::{SimDuration, SimTime};
@@ -104,13 +106,49 @@ fn bench_checkpoint(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_crc32(c: &mut Criterion) {
+/// Writes `flows` as an exporter does: consecutive batches of up to
+/// `MAX_BATCH`, sequenced from 0.
+fn batches(flows: &[pw_flow::FlowRecord]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for (k, batch) in flows.chunks(MAX_BATCH).enumerate() {
+        write_flows(&mut wire, (k * MAX_BATCH) as u64, batch).unwrap();
+    }
+    wire
+}
+
+/// Reads batches until the end of `wire`, counting their flows.
+fn unbatch(mut wire: &[u8]) -> usize {
+    let mut n = 0;
+    while let Some(Frame::Flows { flows, .. }) = read_frame(&mut wire).unwrap() {
+        n += flows.len();
+    }
+    n
+}
+
+fn bench_frame(c: &mut Criterion) {
+    // The bench day through the service path's codec. Throughput is per
+    // flow, so the round trip reads as ns per flow; the wire cost per flow
+    // is printed once.
+    let flows = bench_day().flows;
+    let wire = batches(&flows);
+    assert_eq!(unbatch(&wire), flows.len());
+    println!(
+        "frame: {} flows in {} batches, {:.1} wire bytes per flow",
+        flows.len(),
+        flows.len().div_ceil(MAX_BATCH),
+        wire.len() as f64 / flows.len() as f64
+    );
+
     // About the size of one checkpoint of the benchmark's sliding-window
     // workload.
     let data: Vec<u8> = (0..6usize << 20)
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
         .collect();
     let mut group = c.benchmark_group("frame");
+    group.throughput(Throughput::Elements(flows.len() as u64));
+    group.bench_function("batch_round_trip_bench_day", |b| {
+        b.iter(|| unbatch(&batches(black_box(&flows))))
+    });
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.bench_function("crc32_6mb", |b| {
         b.iter(|| pw_flow::frame::crc32(black_box(&data)))
@@ -142,7 +180,7 @@ criterion_group!(
     bench_aggregation,
     bench_csv,
     bench_checkpoint,
-    bench_crc32,
+    bench_frame,
     bench_signatures
 );
 criterion_main!(benches);

@@ -14,6 +14,7 @@ use crate::error::ConfigError;
 #[cfg(test)]
 use crate::features::ProfileRepr;
 use crate::features::{HostMask, HostProfile, ProfileView};
+use crate::stream::MAX_THREADS;
 
 /// A test threshold: either a percentile of the input population's values
 /// (the paper's dynamic thresholds) or an absolute value.
@@ -38,7 +39,8 @@ impl Threshold {
 }
 
 /// Computes `(host, metric)` pairs for every member of `s` with a
-/// measurable metric, sharded over `threads` scoped workers when asked.
+/// measurable metric, sharded over `threads` scoped workers (clamped to
+/// `1..=`[`MAX_THREADS`]) when asked.
 ///
 /// Hosts are processed in ascending-id order (= ascending IP over a view)
 /// and shards are concatenated in shard order, so the multiset of values —
@@ -53,7 +55,7 @@ fn metric_population<M>(
 where
     M: Fn(&HostProfile) -> Option<f64> + Sync,
 {
-    let threads = threads.max(1);
+    let threads = threads.clamp(1, MAX_THREADS);
     let ids: Vec<HostId> = s.ids().collect();
     if threads == 1 {
         return ids
@@ -430,8 +432,8 @@ pub struct HmOptions {
     /// Minimum surviving cluster size (see [`MIN_CLUSTER_SIZE`]).
     pub min_cluster_size: usize,
     /// Worker threads for histogram construction and the pairwise distance
-    /// matrix (the `θ_hm` hot spots). `1` runs serially; any value produces
-    /// identical output.
+    /// matrix (the `θ_hm` hot spots), clamped to `1..=`[`MAX_THREADS`].
+    /// `1` runs serially; any value produces identical output.
     pub threads: usize,
     /// Mode, fill tuning, and profile switch (see [`ThetaHmConfig`]).
     pub theta: ThetaHmConfig,
@@ -487,7 +489,7 @@ pub fn theta_hm_view(
     options: &HmOptions,
 ) -> HmOutcome {
     let min_size = options.min_cluster_size;
-    let threads = options.threads.max(1);
+    let threads = options.threads.clamp(1, MAX_THREADS);
     let t_hist = Instant::now();
 
     // Candidates in ascending-IP order; histogram construction is
@@ -1050,6 +1052,48 @@ mod tests {
                 "theta_hm tau threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn huge_thread_counts_are_clamped_not_spawned() {
+        // 200 hosts with gap samples, past the fill's parallel cutoff: one
+        // tile bucket per requested thread used to abort the process on a
+        // 26 TB allocation.
+        let hosts = (1..=200u8)
+            .map(|k| {
+                let gaps = (0..12u64)
+                    .map(|i| 30.0 + f64::from(k % 7) * 5.0 + ((i * 37 + u64::from(k)) % 11) as f64)
+                    .collect();
+                profile_with(k, f64::from(k) * 10.0, f64::from(k % 10) / 10.0, gaps)
+            })
+            .collect();
+        let (profiles, s) = setup(hosts);
+        let huge = 1usize << 40;
+        let run = |threads| {
+            theta_hm_with_options(
+                &profiles,
+                &s,
+                Threshold::Percentile(70.0),
+                0.05,
+                &HmOptions {
+                    threads,
+                    ..Default::default()
+                },
+            )
+        };
+        let (one, many) = (run(1), run(huge));
+        assert_eq!(one.kept, many.kept);
+        assert_eq!(one.clusters, many.clusters);
+        assert_eq!(one.tau.to_bits(), many.tau.to_bits());
+        let vol = Threshold::Percentile(50.0);
+        assert_eq!(
+            theta_vol_par(&profiles, &s, vol, 1),
+            theta_vol_par(&profiles, &s, vol, huge)
+        );
+        assert_eq!(
+            theta_churn_par(&profiles, &s, vol, 1),
+            theta_churn_par(&profiles, &s, vol, huge)
+        );
     }
 
     #[test]

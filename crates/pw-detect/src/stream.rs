@@ -1288,6 +1288,59 @@ mod tests {
     }
 
     #[test]
+    fn idle_eviction_keeps_a_host_seen_exactly_at_the_deadline() {
+        // A 60-min window with a 30-min idle bound: the deadline is minute
+        // 30. Two hosts are busy early; one's last flow starts exactly on
+        // the deadline and is kept, the other's 1 ms before and is evicted.
+        let on_time = Ipv4Addr::new(10, 9, 0, 1);
+        let just_late = Ipv4Addr::new(10, 9, 0, 2);
+        let deadline = SimTime::from_secs(30 * 60);
+        let mut flows = Vec::new();
+        for (host, last) in [
+            (on_time, deadline),
+            (just_late, SimTime::from_millis(deadline.as_millis() - 1)),
+        ] {
+            for k in 0..5u64 {
+                let dst = Ipv4Addr::new(60, 0, 0, 1 + k as u8);
+                flows.push(flow(host, dst, SimTime::from_secs(k * 60), 10, false));
+            }
+            flows.push(flow(host, Ipv4Addr::new(60, 0, 0, 9), last, 10, false));
+        }
+        // Hosts busy all window long, with mixed failure rates and upload
+        // volumes, give the pipeline a population to resolve its
+        // thresholds over.
+        for b in 0..6u8 {
+            let host = Ipv4Addr::new(10, 9, 1, b + 1);
+            for k in 0..12u64 {
+                let dst = Ipv4Addr::new(70, b, 0, 1 + (k % 4) as u8);
+                let start = SimTime::from_secs(k * 300 + u64::from(b));
+                let failed = k % 6 < u64::from(b % 4);
+                flows.push(flow(host, dst, start, 100 * u64::from(b + 1), failed));
+            }
+        }
+        flows.sort_by_key(buffer_key);
+        let mut eng = engine(EngineConfig {
+            window: SimDuration::from_mins(60),
+            slide: SimDuration::from_mins(60),
+            lateness: SimDuration::ZERO,
+            eviction: EvictionPolicy::IdleLongerThan(SimDuration::from_mins(30)),
+            ..Default::default()
+        });
+        for f in &flows {
+            eng.push(*f).unwrap();
+        }
+        let report = eng.finish().pop().unwrap();
+        assert_eq!(report.end.as_millis() - deadline.as_millis(), 30 * 60_000);
+        assert_eq!((report.hosts, report.evicted), (8, 1));
+        let r = report
+            .outcome
+            .as_ref()
+            .expect("seven hosts are left to score");
+        assert!(r.all_hosts.contains(&on_time));
+        assert!(!r.all_hosts.contains(&just_late));
+    }
+
+    #[test]
     fn empty_window_outcome_is_typed() {
         // Flows between two external hosts only: windows exist but no
         // border host is profiled.

@@ -13,37 +13,58 @@
 //! ```
 //!
 //! Every message ends in an IEEE CRC32 ([`crc32`]) of the preceding
-//! message bytes (frame CRCs cover the body only, not the length prefix).
-//! A failed check surfaces as the typed [`FrameError::CrcMismatch`]
-//! instead of a silent decode of garbage. The protocol has one version,
-//! [`VERSION`]: both handshake readers check the magic and version before
-//! anything else and refuse any other version with
-//! [`FrameError::UnsupportedVersion`].
+//! message bytes. A frame's CRC covers its whole body — the tag, a
+//! batch's header and every one of its records — but not the length
+//! prefix. A failed check surfaces as the typed
+//! [`FrameError::CrcMismatch`] instead of a silent decode of garbage. The
+//! protocol has one version, [`VERSION`] 3: both handshake readers check
+//! the magic and version before anything else and refuse any other
+//! version, v2 included, with [`FrameError::UnsupportedVersion`].
 //!
 //! Each frame body starts with a tag byte:
 //!
 //! | tag | frame | body after the tag |
 //! |-----|-------|---------------------|
-//! | `0x01` | [`Frame::Flow`] | `seq` u64 + 127-byte flow record |
+//! | `0x01` | [`Frame::Flows`] | `first_seq` u64 + `count` u16 + `count` flow records |
 //! | `0x02` | [`Frame::Tick`] | feed-clock `now_ms` u64 |
 //! | `0x03` | [`Frame::Bye`]  | empty |
 //!
-//! `seq` is the exporter's own monotone counter, starting at 0. The
-//! server acknowledges the next sequence it expects in [`HelloAck`], so a
-//! reconnecting exporter (or one replaying after a server restart) knows
-//! exactly where to resume — flows below `next_seq` are already applied
-//! and must be skipped, which is what makes delivery exactly-once without
-//! any application-level dedup.
+//! A batch carries 1 to [`MAX_BATCH`] flows whose sequence numbers run
+//! consecutively from `first_seq`. Sequences are the exporter's own
+//! monotone counter, starting at 0. The server acknowledges the next
+//! sequence it expects in [`HelloAck`], so a reconnecting exporter (or one
+//! replaying after a server restart) knows exactly where to resume —
+//! flows below `next_seq` are already applied and must be skipped, which
+//! is what makes delivery exactly-once without any application-level
+//! dedup.
 //!
-//! The flow record layout is fixed at [`FLOW_WIRE_LEN`] bytes: times as
-//! millisecond u64s, addresses as 4 network-order octets, ports u16,
-//! proto and state as single bytes, the four counters u64, and the
-//! payload prefix as a length byte plus [`Payload::MAX`] raw bytes
-//! (zero-padded). Everything multi-byte is little-endian.
+//! A flow record is [`RECORD_FIXED_LEN`] fixed bytes followed by its
+//! payload prefix at the prefix's real length, with no padding.
+//! Everything multi-byte is little-endian; addresses are 4 network-order
+//! octets:
 //!
-//! [`read_frame`]/[`write_frame`] adapt the codec to blocking
-//! [`io::Read`]/[`io::Write`] streams; `decode`/`encode` work on byte
-//! slices for tests and non-blocking transports.
+//! | offset | field |
+//! |--------|-------|
+//! | 0 | `start` ms u64 |
+//! | 8 | `end` ms u64 |
+//! | 16 | `src` + `sport` u16 |
+//! | 22 | `dst` + `dport` u16 |
+//! | 28 | `proto` u8, `state` u8 |
+//! | 30 | `src_pkts`, `src_bytes`, `dst_pkts`, `dst_bytes`, u64 each |
+//! | 62 | payload length u8, at most [`Payload::MAX`] |
+//! | 63 | the payload bytes |
+//!
+//! [`MAX_FRAME_LEN`] is the body of the largest legal batch: [`MAX_BATCH`]
+//! records, each with a full payload. A longer length prefix is refused
+//! before anything is read or allocated, so a corrupted one can overshoot
+//! the real frame by at most one batch. A batch's count is checked
+//! against [`MAX_BATCH`] and against its body's length before its flows
+//! are allocated.
+//!
+//! [`read_frame`], [`write_frame`] and [`write_flows`] adapt the codec to
+//! blocking [`io::Read`]/[`io::Write`] streams; [`Frame::decode`] and
+//! [`Frame::encode`] work on byte slices for tests and non-blocking
+//! transports.
 
 use std::io::{self, Read, Write};
 use std::net::Ipv4Addr;
@@ -57,7 +78,7 @@ use crate::record::{FlowRecord, FlowState};
 pub const MAGIC: [u8; 4] = *b"PWFS";
 
 /// The protocol version, gated in the handshake; any other is refused.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
 /// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
@@ -143,15 +164,23 @@ fn check_crc(msg: &[u8]) -> Result<(), FrameError> {
     }
 }
 
-/// Serialized size of one flow record inside a [`Frame::Flow`] body.
-pub const FLOW_WIRE_LEN: usize = 8 + 8 + 4 + 2 + 4 + 2 + 1 + 1 + 8 + 8 + 8 + 8 + 1 + Payload::MAX;
+/// Fixed bytes of one flow record, ahead of its payload.
+pub const RECORD_FIXED_LEN: usize = 8 + 8 + 4 + 2 + 4 + 2 + 1 + 1 + 8 + 8 + 8 + 8 + 1;
 
-/// Upper bound on a frame body; lengths beyond this are rejected before
-/// any allocation, so a garbage length prefix cannot balloon memory.
-pub const MAX_FRAME_LEN: u32 = 4096;
+/// Most flows one [`Frame::Flows`] batch may carry.
+pub const MAX_BATCH: usize = 256;
+
+/// A batch's header after its tag: `first_seq` u64 + `count` u16.
+const BATCH_HEADER_LEN: usize = 8 + 2;
+
+/// Upper bound on a frame body: the largest legal batch, every record
+/// carrying a full payload. Lengths beyond this are rejected before any
+/// allocation, so a garbage length prefix cannot balloon memory.
+pub const MAX_FRAME_LEN: u32 =
+    (1 + BATCH_HEADER_LEN + MAX_BATCH * (RECORD_FIXED_LEN + Payload::MAX)) as u32;
 
 /// Frame body tags.
-const TAG_FLOW: u8 = 0x01;
+const TAG_FLOWS: u8 = 0x01;
 const TAG_TICK: u8 = 0x02;
 const TAG_BYE: u8 = 0x03;
 
@@ -176,6 +205,15 @@ pub enum FrameError {
         expected: usize,
         /// Bytes the body actually had.
         got: usize,
+    },
+    /// A batch whose flow count is zero, above [`MAX_BATCH`], or not what
+    /// its body holds: the records run past the body's end or leave bytes
+    /// over.
+    BadBatch {
+        /// The count in the batch header.
+        count: u16,
+        /// Bytes of the body after the tag.
+        body: usize,
     },
     /// An unknown protocol byte in a flow record.
     BadProto(u8),
@@ -207,6 +245,11 @@ impl std::fmt::Display for FrameError {
                     "tag {tag:#04x} body: expected {expected} bytes, got {got}"
                 )
             }
+            FrameError::BadBatch { count, body } => write!(
+                f,
+                "batch of {count} flows does not fit its {body}-byte body \
+                 (a batch holds 1 to {MAX_BATCH})"
+            ),
             FrameError::BadProto(b) => write!(f, "unknown proto byte {b:#04x}"),
             FrameError::BadState(b) => write!(f, "unknown flow-state byte {b:#04x}"),
             FrameError::BadPayloadLen(n) => {
@@ -268,14 +311,16 @@ impl HelloAck {
 }
 
 /// One length-prefixed message after the handshake.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// A flow record with the exporter's sequence number.
-    Flow {
-        /// Exporter-assigned monotone sequence number, from 0.
-        seq: u64,
-        /// The record itself.
-        flow: FlowRecord,
+    /// A batch of 1 to [`MAX_BATCH`] flows with consecutive sequence
+    /// numbers.
+    Flows {
+        /// The exporter's sequence number of `flows[0]`; `flows[i]` has
+        /// `first_seq + i`.
+        first_seq: u64,
+        /// The records, in sequence order.
+        flows: Vec<FlowRecord>,
     },
     /// Feed-clock heartbeat driving the server's stall detector.
     Tick {
@@ -324,24 +369,26 @@ fn state_from(b: u8) -> Result<FlowState, FrameError> {
     })
 }
 
-/// Appends the [`FLOW_WIRE_LEN`]-byte encoding of `f` to `buf`.
-pub fn encode_flow(buf: &mut Vec<u8>, f: &FlowRecord) {
-    buf.extend_from_slice(&f.start.as_millis().to_le_bytes());
-    buf.extend_from_slice(&f.end.as_millis().to_le_bytes());
-    buf.extend_from_slice(&f.src.octets());
-    buf.extend_from_slice(&f.sport.to_le_bytes());
-    buf.extend_from_slice(&f.dst.octets());
-    buf.extend_from_slice(&f.dport.to_le_bytes());
-    buf.push(proto_byte(f.proto));
-    buf.push(state_byte(f.state));
-    buf.extend_from_slice(&f.src_pkts.to_le_bytes());
-    buf.extend_from_slice(&f.src_bytes.to_le_bytes());
-    buf.extend_from_slice(&f.dst_pkts.to_le_bytes());
-    buf.extend_from_slice(&f.dst_bytes.to_le_bytes());
+/// Appends one flow record: its [`RECORD_FIXED_LEN`] fixed bytes, then
+/// the payload at its real length.
+fn encode_record(buf: &mut Vec<u8>, f: &FlowRecord) {
     let payload = f.payload.as_bytes();
-    buf.push(payload.len() as u8);
+    let mut b = [0u8; RECORD_FIXED_LEN];
+    b[0..8].copy_from_slice(&f.start.as_millis().to_le_bytes());
+    b[8..16].copy_from_slice(&f.end.as_millis().to_le_bytes());
+    b[16..20].copy_from_slice(&f.src.octets());
+    b[20..22].copy_from_slice(&f.sport.to_le_bytes());
+    b[22..26].copy_from_slice(&f.dst.octets());
+    b[26..28].copy_from_slice(&f.dport.to_le_bytes());
+    b[28] = proto_byte(f.proto);
+    b[29] = state_byte(f.state);
+    b[30..38].copy_from_slice(&f.src_pkts.to_le_bytes());
+    b[38..46].copy_from_slice(&f.src_bytes.to_le_bytes());
+    b[46..54].copy_from_slice(&f.dst_pkts.to_le_bytes());
+    b[54..62].copy_from_slice(&f.dst_bytes.to_le_bytes());
+    b[62] = payload.len() as u8;
+    buf.extend_from_slice(&b);
     buf.extend_from_slice(payload);
-    buf.extend(std::iter::repeat_n(0u8, Payload::MAX - payload.len()));
 }
 
 fn u64_at(b: &[u8], at: usize) -> u64 {
@@ -354,19 +401,8 @@ fn u16_at(b: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([b[at], b[at + 1]])
 }
 
-/// Decodes a [`FLOW_WIRE_LEN`]-byte flow record.
-pub fn decode_flow(b: &[u8]) -> Result<FlowRecord, FrameError> {
-    if b.len() != FLOW_WIRE_LEN {
-        return Err(FrameError::BadLength {
-            tag: TAG_FLOW,
-            expected: FLOW_WIRE_LEN,
-            got: b.len(),
-        });
-    }
-    let payload_len = b[62] as usize;
-    if payload_len > Payload::MAX {
-        return Err(FrameError::BadPayloadLen(b[62]));
-    }
+/// Decodes one flow record from its fixed bytes and its payload.
+fn decode_record(b: &[u8; RECORD_FIXED_LEN], payload: &[u8]) -> Result<FlowRecord, FrameError> {
     Ok(FlowRecord {
         start: SimTime::from_millis(u64_at(b, 0)),
         end: SimTime::from_millis(u64_at(b, 8)),
@@ -380,29 +416,100 @@ pub fn decode_flow(b: &[u8]) -> Result<FlowRecord, FrameError> {
         src_bytes: u64_at(b, 38),
         dst_pkts: u64_at(b, 46),
         dst_bytes: u64_at(b, 54),
-        payload: Payload::capture(&b[63..63 + payload_len]),
+        payload: Payload::capture(payload),
     })
+}
+
+/// Appends a batch body — tag, header and records — for `flows`,
+/// sequenced from `first_seq`.
+///
+/// # Panics
+///
+/// Panics if `flows` is empty or holds more than [`MAX_BATCH`] flows.
+fn encode_batch(buf: &mut Vec<u8>, first_seq: u64, flows: &[FlowRecord]) {
+    assert!(
+        (1..=MAX_BATCH).contains(&flows.len()),
+        "a batch holds 1 to {MAX_BATCH} flows, not {}",
+        flows.len()
+    );
+    buf.reserve(1 + BATCH_HEADER_LEN + flows.len() * (RECORD_FIXED_LEN + Payload::MAX) + 4);
+    buf.push(TAG_FLOWS);
+    buf.extend_from_slice(&first_seq.to_le_bytes());
+    buf.extend_from_slice(&(flows.len() as u16).to_le_bytes());
+    for f in flows {
+        encode_record(buf, f);
+    }
+}
+
+/// Decodes a batch body after its tag. The count is checked against
+/// [`MAX_BATCH`] and against the body's length before any flow is
+/// allocated.
+fn decode_batch(rest: &[u8]) -> Result<Frame, FrameError> {
+    if rest.len() < BATCH_HEADER_LEN {
+        return Err(FrameError::BadLength {
+            tag: TAG_FLOWS,
+            expected: BATCH_HEADER_LEN,
+            got: rest.len(),
+        });
+    }
+    let first_seq = u64_at(rest, 0);
+    let count = u16_at(rest, 8);
+    let bad = || FrameError::BadBatch {
+        count,
+        body: rest.len(),
+    };
+    let n = usize::from(count);
+    let mut records = &rest[BATCH_HEADER_LEN..];
+    if n == 0 || n > MAX_BATCH || records.len() < n * RECORD_FIXED_LEN {
+        return Err(bad());
+    }
+    let mut flows = Vec::with_capacity(n);
+    for _ in 0..n {
+        let (fixed, tail) = records
+            .split_first_chunk::<RECORD_FIXED_LEN>()
+            .ok_or_else(bad)?;
+        let payload_len = fixed[62];
+        if usize::from(payload_len) > Payload::MAX {
+            return Err(FrameError::BadPayloadLen(payload_len));
+        }
+        let (payload, tail) = tail
+            .split_at_checked(usize::from(payload_len))
+            .ok_or_else(bad)?;
+        flows.push(decode_record(fixed, payload)?);
+        records = tail;
+    }
+    if !records.is_empty() {
+        return Err(bad());
+    }
+    Ok(Frame::Flows { first_seq, flows })
+}
+
+/// Appends a length prefix and the body `body` appends, back-patching the
+/// prefix to the body's length.
+fn framed(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    body(buf);
+    let body_len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&body_len.to_le_bytes());
 }
 
 impl Frame {
     /// Appends the length-prefixed encoding of this frame to `buf`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`Frame::Flows`] with no flows or more than
+    /// [`MAX_BATCH`].
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        let at = buf.len();
-        buf.extend_from_slice(&[0; 4]); // length back-patched below
-        match self {
-            Frame::Flow { seq, flow } => {
-                buf.push(TAG_FLOW);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                encode_flow(buf, flow);
-            }
+        framed(buf, |buf| match self {
+            Frame::Flows { first_seq, flows } => encode_batch(buf, *first_seq, flows),
             Frame::Tick { now_ms } => {
                 buf.push(TAG_TICK);
                 buf.extend_from_slice(&now_ms.to_le_bytes());
             }
             Frame::Bye => buf.push(TAG_BYE),
-        }
-        let body_len = (buf.len() - at - 4) as u32;
-        buf[at..at + 4].copy_from_slice(&body_len.to_le_bytes());
+        });
     }
 
     /// Decodes a frame body (the bytes after the length prefix).
@@ -413,19 +520,7 @@ impl Frame {
             got: 0,
         })?;
         match tag {
-            TAG_FLOW => {
-                if rest.len() != 8 + FLOW_WIRE_LEN {
-                    return Err(FrameError::BadLength {
-                        tag,
-                        expected: 8 + FLOW_WIRE_LEN,
-                        got: rest.len(),
-                    });
-                }
-                Ok(Frame::Flow {
-                    seq: u64_at(rest, 0),
-                    flow: decode_flow(&rest[8..])?,
-                })
-            }
+            TAG_FLOWS => decode_batch(rest),
             TAG_TICK => {
                 if rest.len() != 8 {
                     return Err(FrameError::BadLength {
@@ -512,14 +607,37 @@ pub fn read_hello_ack<R: Read>(r: &mut R) -> Result<HelloAck, FrameError> {
     })
 }
 
-/// Writes one length-prefixed frame followed by a CRC32 of its body; the
-/// length prefix counts body bytes only.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + 1 + 8 + FLOW_WIRE_LEN + 4);
-    frame.encode(&mut buf);
+/// Appends the CRC32 of the framed body in `buf` (everything after its
+/// length prefix) and writes the whole frame.
+fn seal_and_write<W: Write>(w: &mut W, mut buf: Vec<u8>) -> io::Result<()> {
     let crc = crc32(&buf[4..]);
     buf.extend_from_slice(&crc.to_le_bytes());
     w.write_all(&buf)
+}
+
+/// Writes one length-prefixed frame followed by a CRC32 of its body; the
+/// length prefix counts body bytes only.
+///
+/// # Panics
+///
+/// Panics on a [`Frame::Flows`] with no flows or more than
+/// [`MAX_BATCH`].
+pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
+    let mut buf = Vec::new();
+    frame.encode(&mut buf);
+    seal_and_write(w, buf)
+}
+
+/// Writes one [`Frame::Flows`] batch of `flows`, sequenced from
+/// `first_seq`, encoded straight from the slice.
+///
+/// # Panics
+///
+/// Panics if `flows` is empty or holds more than [`MAX_BATCH`] flows.
+pub fn write_flows<W: Write>(w: &mut W, first_seq: u64, flows: &[FlowRecord]) -> io::Result<()> {
+    let mut buf = Vec::new();
+    framed(&mut buf, |buf| encode_batch(buf, first_seq, flows));
+    seal_and_write(w, buf)
 }
 
 /// Reads one length-prefixed frame, verifying its CRC32 trailer before
@@ -553,10 +671,15 @@ mod tests {
     use super::*;
     use pw_netsim::SimDuration;
 
-    fn sample_flow() -> FlowRecord {
+    fn sample_flow(k: u64) -> FlowRecord {
+        let payload: &[u8] = match k % 3 {
+            0 => b"d1:ad2:id20:",
+            1 => b"",
+            _ => &[0xE3; Payload::MAX],
+        };
         FlowRecord {
-            start: SimTime::from_millis(86_400_123),
-            end: SimTime::from_millis(86_400_123) + SimDuration::from_secs(2),
+            start: SimTime::from_millis(86_400_123 + k),
+            end: SimTime::from_millis(86_400_123 + k) + SimDuration::from_secs(2),
             src: Ipv4Addr::new(10, 1, 2, 3),
             sport: 50_123,
             dst: Ipv4Addr::new(203, 0, 113, 9),
@@ -564,36 +687,75 @@ mod tests {
             proto: Proto::Udp,
             state: FlowState::UdpReplied,
             src_pkts: 7,
-            src_bytes: 1_234,
+            src_bytes: 1_234 + k,
             dst_pkts: 9,
             dst_bytes: 55_000,
-            payload: Payload::capture(b"d1:ad2:id20:"),
+            payload: Payload::capture(payload),
         }
     }
 
+    fn batch(first_seq: u64, n: u64) -> Frame {
+        Frame::Flows {
+            first_seq,
+            flows: (0..n).map(sample_flow).collect(),
+        }
+    }
+
+    /// A batch body, re-sealed by the caller if it goes on the wire.
+    fn batch_body(first_seq: u64, n: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        batch(first_seq, n).encode(&mut buf);
+        buf.split_off(4)
+    }
+
     #[test]
-    fn flow_frame_round_trips() {
-        let frame = Frame::Flow {
-            seq: u64::MAX - 1,
-            flow: sample_flow(),
-        };
+    fn batch_frame_round_trips_unpadded() {
+        let frame = batch(u64::MAX - 1, 3);
         let mut buf = Vec::new();
         frame.encode(&mut buf);
-        assert_eq!(buf.len(), 4 + 1 + 8 + FLOW_WIRE_LEN);
-        let decoded = Frame::decode(&buf[4..]).unwrap();
-        assert_eq!(decoded, frame);
+        // Payloads of 12, 0 and 64 bytes, each written at its real length.
+        assert_eq!(
+            buf.len(),
+            4 + 1 + BATCH_HEADER_LEN + 3 * RECORD_FIXED_LEN + 12 + Payload::MAX
+        );
+        assert_eq!(Frame::decode(&buf[4..]).unwrap(), frame);
+
+        // `write_flows` writes the very bytes `write_frame` does.
+        let Frame::Flows { first_seq, flows } = &frame else {
+            unreachable!()
+        };
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        write_frame(&mut a, &frame).unwrap();
+        write_flows(&mut b, *first_seq, flows).unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn the_largest_batch_fills_max_frame_len_exactly() {
+        let flows = vec![sample_flow(2); MAX_BATCH];
+        let mut wire = Vec::new();
+        write_flows(&mut wire, 0, &flows).unwrap();
+        assert_eq!(wire.len(), 4 + MAX_FRAME_LEN as usize + 4);
+        let got = read_frame(&mut &wire[..]).unwrap().unwrap();
+        assert_eq!(
+            got,
+            Frame::Flows {
+                first_seq: 0,
+                flows
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a batch holds 1 to 256 flows")]
+    fn an_oversized_batch_is_not_encoded() {
+        let flows = vec![sample_flow(0); MAX_BATCH + 1];
+        let _ = write_flows(&mut Vec::new(), 0, &flows);
     }
 
     #[test]
     fn stream_io_round_trips_and_detects_truncation() {
-        let frames = [
-            Frame::Flow {
-                seq: 0,
-                flow: sample_flow(),
-            },
-            Frame::Tick { now_ms: 1_000 },
-            Frame::Bye,
-        ];
+        let frames = [batch(0, 5), Frame::Tick { now_ms: 1_000 }, Frame::Bye];
         let mut wire = Vec::new();
         for f in &frames {
             write_frame(&mut wire, f).unwrap();
@@ -641,6 +803,28 @@ mod tests {
             Err(FrameError::UnsupportedVersion(1))
         ));
 
+        // A version-2 peer (one flow per frame, padded records) sends
+        // well-formed, correctly trailed handshakes; the version refuses it.
+        let sealed = |mut msg: Vec<u8>| {
+            let crc = crc32(&msg);
+            msg.extend_from_slice(&crc.to_le_bytes());
+            msg
+        };
+        let v2_hello = sealed([&MAGIC[..], &2u16.to_le_bytes(), &42u32.to_le_bytes()].concat());
+        assert!(matches!(
+            read_hello(&mut &v2_hello[..], &[]),
+            Err(FrameError::UnsupportedVersion(2))
+        ));
+        assert!(matches!(
+            read_hello(&mut &v2_hello[4..], &MAGIC),
+            Err(FrameError::UnsupportedVersion(2))
+        ));
+        let v2_ack = sealed([&MAGIC[..], &2u16.to_le_bytes(), &9000u64.to_le_bytes()].concat());
+        assert!(matches!(
+            read_hello_ack(&mut &v2_ack[..]),
+            Err(FrameError::UnsupportedVersion(2))
+        ));
+
         wire[4] = 0xFF;
         assert!(matches!(
             read_hello(&mut &wire[..], &[]),
@@ -682,14 +866,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_catch_bit_flips() {
-        let frames = [
-            Frame::Flow {
-                seq: 11,
-                flow: sample_flow(),
-            },
-            Frame::Tick { now_ms: 2_000 },
-            Frame::Bye,
-        ];
+        let frames = [batch(11, 4), Frame::Tick { now_ms: 2_000 }, Frame::Bye];
         let mut wire = Vec::new();
         for f in &frames {
             write_frame(&mut wire, f).unwrap();
@@ -700,9 +877,10 @@ mod tests {
         }
         assert!(read_frame(&mut r).unwrap().is_none());
 
-        // Any single flipped bit — body or trailer — fails the check.
-        let first_len = 4 + 1 + 8 + FLOW_WIRE_LEN + 4;
-        for at in [4usize, 20, first_len - 1] {
+        // Any single flipped bit — tag, header, any record, or trailer —
+        // fails the check.
+        let first_len = 4 + batch_body(11, 4).len() + 4;
+        for at in [4usize, 9, 13, 20, first_len - 30, first_len - 1] {
             let mut bad = wire.clone();
             bad[at] ^= 0x40;
             let got = read_frame(&mut &bad[..]);
@@ -715,35 +893,59 @@ mod tests {
 
     #[test]
     fn corrupt_bodies_are_rejected_with_context() {
-        let mut buf = Vec::new();
-        Frame::Flow {
-            seq: 3,
-            flow: sample_flow(),
-        }
-        .encode(&mut buf);
-        let body = &buf[4..];
+        let body = batch_body(3, 2);
+        let count_at = 1 + 8;
+        let record = 1 + BATCH_HEADER_LEN;
 
-        let mut bad = body.to_vec();
+        let mut bad = body.clone();
         bad[0] = 0x7F;
         assert!(matches!(
             Frame::decode(&bad),
             Err(FrameError::UnknownTag(0x7F))
         ));
-
         assert!(matches!(
-            Frame::decode(&body[..body.len() - 1]),
-            Err(FrameError::BadLength { .. })
+            Frame::decode(&body[..5]),
+            Err(FrameError::BadLength { tag: TAG_FLOWS, .. })
         ));
 
-        let mut bad = body.to_vec();
-        bad[1 + 8 + 28] = 9; // proto byte
+        let mut bad = body.clone();
+        bad[record + 28] = 9; // proto byte
         assert!(matches!(Frame::decode(&bad), Err(FrameError::BadProto(9))));
-
-        let mut bad = body.to_vec();
-        bad[1 + 8 + 62] = 65; // payload length byte
+        let mut bad = body.clone();
+        bad[record + 29] = 6; // state byte
+        assert!(matches!(Frame::decode(&bad), Err(FrameError::BadState(6))));
+        let mut bad = body.clone();
+        bad[record + 62] = 65; // payload length byte
         assert!(matches!(
             Frame::decode(&bad),
             Err(FrameError::BadPayloadLen(65))
+        ));
+
+        // Counts that are zero, above the cap, or not what the body holds.
+        let rest = body.len() - 1;
+        for count in [0u16, 1, 3, MAX_BATCH as u16 + 1, u16::MAX] {
+            let mut bad = body.clone();
+            bad[count_at..count_at + 2].copy_from_slice(&count.to_le_bytes());
+            let got = Frame::decode(&bad);
+            assert!(
+                matches!(got, Err(FrameError::BadBatch { count: c, body: b }) if c == count && b == rest),
+                "count {count}: {got:?}"
+            );
+        }
+        // A payload length that runs past the body's end.
+        let mut bad = body.clone();
+        let last = record + RECORD_FIXED_LEN + 12; // the second record, empty payload
+        bad[last + 62] = 20;
+        assert!(matches!(
+            Frame::decode(&bad),
+            Err(FrameError::BadBatch { count: 2, .. })
+        ));
+        // Bytes left over after the last record.
+        let mut bad = body.clone();
+        bad.push(0);
+        assert!(matches!(
+            Frame::decode(&bad),
+            Err(FrameError::BadBatch { count: 2, .. })
         ));
 
         let oversize = (MAX_FRAME_LEN + 1).to_le_bytes();

@@ -34,7 +34,7 @@ use std::thread;
 use std::time::Duration;
 
 use pw_chaos::{ChaosRng, ConnPlan};
-use pw_flow::frame::{self, Frame, FrameError, Hello};
+use pw_flow::frame::{self, Frame, FrameError, Hello, MAX_BATCH};
 use pw_flow::FlowRecord;
 
 /// Why the exporter gave up.
@@ -172,7 +172,7 @@ impl Default for SendOptions {
 /// What a completed send did, for logs and assertions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SendReport {
-    /// Flow frames written, counting re-sends after reconnects.
+    /// Flows written, counting re-sends after reconnects.
     pub sent: u64,
     /// Flows skipped because a server ack showed them already applied.
     pub skipped: u64,
@@ -221,6 +221,12 @@ enum Attempt {
 /// sequencing from 0, honouring the fault plan and retry policy in
 /// `opts`, and finishing with `Bye`. A successful return certifies the
 /// server acknowledged applying the complete stream.
+///
+/// Flows go out in batches of up to [`MAX_BATCH`], one frame each,
+/// encoded straight from `flows`. A batch also ends at every planned cut
+/// and every `tick_every` boundary, so cuts and `Tick` frames fall after
+/// the same flow as they would one flow per frame. Only flows already in
+/// hand are coalesced: no timer holds a batch back.
 ///
 /// # Errors
 ///
@@ -280,8 +286,27 @@ fn backoff_delay(policy: &RetryPolicy, failure_idx: u32, rng: &mut ChaosRng) -> 
     delay + Duration::from_millis(jitter_ms)
 }
 
+/// Buffered bytes between writes to the exporter socket: about two full
+/// batches.
+const WRITE_BUFFER: usize = 64 * 1024;
+
+/// Where the batch starting at flow `k` ends: after at most [`MAX_BATCH`]
+/// flows, at the end of the stream, at the next planned cut, and at the
+/// next multiple of `tick_every` (nonzero), so cuts and ticks land after
+/// the same flow whatever the batching.
+fn batch_end(k: usize, len: usize, next_cut: Option<usize>, tick_every: Option<usize>) -> usize {
+    let mut end = (k + MAX_BATCH).min(len);
+    if let Some(cut) = next_cut {
+        end = end.min(cut);
+    }
+    if let Some(every) = tick_every {
+        end = end.min((k / every + 1) * every);
+    }
+    end
+}
+
 /// One connection's worth of the protocol: connect, handshake, stream
-/// from the acked sequence, finish with a confirmed `Bye`.
+/// from the acked sequence in batches, finish with a confirmed `Bye`.
 fn attempt<A: ToSocketAddrs>(
     addr: &A,
     exporter_id: u32,
@@ -291,7 +316,11 @@ fn attempt<A: ToSocketAddrs>(
     st: &mut SendState,
 ) -> Result<Attempt, ClientError> {
     let stream = TcpStream::connect(addr)?;
-    let mut w = BufWriter::new(stream);
+    // The buffer below already coalesces frames into large writes; Nagle
+    // would only hold back the short tail (a lone `Bye`) until the server
+    // acknowledged the batches before it.
+    stream.set_nodelay(true)?;
+    let mut w = BufWriter::with_capacity(WRITE_BUFFER, stream);
     frame::write_hello(&mut w, Hello::new(exporter_id))?;
     w.flush()?;
     let ack = frame::read_hello_ack(w.get_mut())?;
@@ -312,42 +341,38 @@ fn attempt<A: ToSocketAddrs>(
     while cuts.peek().is_some_and(|&c| c <= next) {
         cuts.next();
     }
-    let mut cut = false;
-    for (k, flow) in flows.iter().enumerate().skip(next) {
-        frame::write_frame(
-            &mut w,
-            &Frame::Flow {
-                seq: k as u64,
-                flow: *flow,
-            },
-        )?;
-        st.report.sent += 1;
-        st.resume_from = k + 1;
-        if let Some(every) = opts.tick_every {
-            if every > 0 && (k + 1) % every == 0 {
-                frame::write_frame(
-                    &mut w,
-                    &Frame::Tick {
-                        now_ms: flow.start.as_millis(),
-                    },
-                )?;
-            }
+    let tick_every = opts.tick_every.filter(|&every| every > 0);
+    let mut k = next;
+    while k < flows.len() {
+        let end = batch_end(k, flows.len(), cuts.peek().copied(), tick_every);
+        frame::write_flows(&mut w, k as u64, &flows[k..end])?;
+        st.report.sent += (end - k) as u64;
+        st.resume_from = end;
+        k = end;
+        if tick_every.is_some_and(|every| end.is_multiple_of(every)) {
+            frame::write_frame(
+                &mut w,
+                &Frame::Tick {
+                    now_ms: flows[end - 1].start.as_millis(),
+                },
+            )?;
         }
-        if cuts.peek() == Some(&(k + 1)) {
+        if cuts.peek() == Some(&end) {
             cuts.next();
-            cut = true;
-            break;
+            // Sever abruptly: no Bye, just a closed socket — the shape
+            // of an exporter crash or a dropped link.
+            w.flush()?;
+            w.get_ref().shutdown(Shutdown::Both)?;
+            return Ok(Attempt::Cut);
         }
-    }
-    w.flush()?;
-    if cut {
-        // Sever abruptly: no Bye, just a closed socket — the shape of
-        // an exporter crash or a dropped link.
-        w.get_ref().shutdown(Shutdown::Both)?;
-        return Ok(Attempt::Cut);
     }
     frame::write_frame(&mut w, &Frame::Bye)?;
     w.flush()?;
+    // Nothing follows the `Bye`. Half-closing says so: a server whose
+    // read boundary a corrupted length prefix pushed past the end of the
+    // stream meets end of input at once instead of waiting out its read
+    // deadline for bytes that will never come.
+    w.get_ref().shutdown(Shutdown::Write)?;
     // Delivery confirmation: a server that severed on a corrupt frame
     // closes without this ack, and a fail-safe server acks short — either
     // way success is never reported for an incompletely-applied stream.
@@ -360,4 +385,122 @@ fn attempt<A: ToSocketAddrs>(
         });
     }
     Ok(Attempt::Done)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pw_flow::frame::HelloAck;
+    use pw_flow::{FlowState, Payload, Proto};
+    use pw_netsim::SimTime;
+    use std::net::{Ipv4Addr, TcpListener};
+
+    fn flow(k: u64) -> FlowRecord {
+        FlowRecord {
+            start: SimTime::from_millis(1_000 * k),
+            end: SimTime::from_millis(1_000 * k + 500),
+            src: Ipv4Addr::new(10, 1, 0, 1),
+            sport: 40_000,
+            dst: Ipv4Addr::new(60, 0, 0, (k % 200) as u8 + 1),
+            dport: 80,
+            proto: Proto::Tcp,
+            state: FlowState::Established,
+            src_pkts: 1,
+            src_bytes: 100 + k,
+            dst_pkts: 1,
+            dst_bytes: 64,
+            payload: Payload::capture(&b"GET /"[..(k % 6) as usize]),
+        }
+    }
+
+    /// A server that applies every flow it is sent, acks what it applied,
+    /// and records each connection's frames until a `Bye`.
+    fn recording_server(listener: TcpListener) -> thread::JoinHandle<Vec<Vec<Frame>>> {
+        thread::spawn(move || {
+            let mut sessions = Vec::new();
+            let mut applied = 0;
+            loop {
+                let (mut s, _) = listener.accept().expect("accept");
+                s.set_read_timeout(Some(Duration::from_secs(10)))
+                    .expect("read deadline");
+                frame::read_hello(&mut s, &[]).expect("hello");
+                frame::write_hello_ack(&mut s, HelloAck::new(applied)).expect("ack");
+                let mut frames = Vec::new();
+                while let Some(f) = frame::read_frame(&mut s).expect("frame") {
+                    if let Frame::Flows { flows, .. } = &f {
+                        applied += flows.len() as u64;
+                    }
+                    let bye = f == Frame::Bye;
+                    frames.push(f);
+                    if bye {
+                        frame::write_hello_ack(&mut s, HelloAck::new(applied)).expect("final ack");
+                        sessions.push(frames);
+                        return sessions;
+                    }
+                }
+                sessions.push(frames);
+            }
+        })
+    }
+
+    #[test]
+    fn batches_end_at_every_cut_and_tick() {
+        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+            eprintln!("skipping: cannot bind loopback sockets in this environment");
+            return;
+        };
+        let addr = listener.local_addr().expect("local addr");
+        let flows: Vec<FlowRecord> = (0..700).map(flow).collect();
+        let plan = ConnPlan::new(7, flows.len(), 2);
+        let cuts = plan.cuts().to_vec();
+        let server = recording_server(listener);
+        let opts = SendOptions {
+            plan,
+            tick_every: Some(100),
+            ..SendOptions::default()
+        };
+        let report = send_flows(addr, 1, &flows, &opts).expect("send");
+        let sessions = server.join().expect("server thread");
+        assert_eq!(
+            report,
+            SendReport {
+                sent: 700,
+                skipped: 0,
+                reconnects: 2,
+                retries: 0
+            }
+        );
+
+        // Each cut session stops right after its cut, batches resume at
+        // the acked flow, and every tick follows the flow that ends a
+        // multiple of 100, carrying that flow's start.
+        assert_eq!(sessions.len(), cuts.len() + 1);
+        let mut at = 0;
+        let mut ticks = Vec::new();
+        for (i, frames) in sessions.iter().enumerate() {
+            for f in frames {
+                match f {
+                    Frame::Flows {
+                        first_seq,
+                        flows: batch,
+                    } => {
+                        assert_eq!(*first_seq, at as u64);
+                        assert!((1..=MAX_BATCH).contains(&batch.len()));
+                        assert_eq!(batch[..], flows[at..at + batch.len()]);
+                        at += batch.len();
+                    }
+                    Frame::Tick { now_ms } => ticks.push((at, *now_ms)),
+                    Frame::Bye => assert_eq!(i, cuts.len()),
+                }
+            }
+            if let Some(&cut) = cuts.get(i) {
+                assert_eq!(at, cut, "session {i} ran past its cut");
+            }
+        }
+        assert_eq!(at, flows.len());
+        let want: Vec<_> = (1..=7)
+            .map(|n| (n * 100, flows[n * 100 - 1].start.as_millis()))
+            .collect();
+        assert_eq!(ticks, want);
+    }
 }

@@ -9,7 +9,8 @@
 //! - **Exporters** (binary, [`pw_flow::frame`]): one connection per
 //!   border exporter. The exporter handshakes with its stable id, the
 //!   server acks the next flow sequence number it expects, and the
-//!   exporter streams length-prefixed flow frames from there. Sequencing
+//!   exporter streams its flows from there in length-prefixed batches of
+//!   up to [`MAX_BATCH`](pw_flow::frame::MAX_BATCH). Sequencing
 //!   makes delivery *exactly-once* across any number of disconnects,
 //!   reconnects, and even server restarts: flows below the acked
 //!   sequence are already applied and are skipped, never re-pushed.
@@ -20,7 +21,8 @@
 //!   batch run.
 //!
 //! Ingest is funnelled through one bounded queue into a single engine
-//! thread that owns the [`DetectionEngine`](pw_detect::DetectionEngine).
+//! thread that owns the [`DetectionEngine`](pw_detect::DetectionEngine),
+//! one message per decoded batch.
 //! The queue depth ([`ServerConfig::queue_depth`]) is the backpressure
 //! mechanism: when the engine falls behind, exporter threads block on the
 //! queue, their sockets stop draining, and TCP pushes back to the border.
@@ -79,7 +81,12 @@ pub struct ServerConfig {
     /// the primary is torn or bit-flipped. Zero keeps only the primary.
     pub checkpoint_retain: usize,
     /// Bound on the ingest queue between connection threads and the
-    /// engine thread — the backpressure knob.
+    /// engine thread — the backpressure knob. It counts flows, rounded up
+    /// to whole batches: the queue holds
+    /// `queue_depth.div_ceil(MAX_BATCH)` batch messages of up to
+    /// [`MAX_BATCH`](pw_flow::frame::MAX_BATCH) flows each, so the
+    /// default of 1,024 holds four, and the flows queued (and the memory
+    /// they take) stay bounded by the depth asked for.
     pub queue_depth: usize,
     /// Read/write deadline applied to every connection socket (exporter
     /// and query alike); a session idle past it is reaped and counted.
@@ -164,7 +171,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the bounded ingest-queue depth (backpressure).
+    /// Sets the bounded ingest-queue depth, in flows (backpressure).
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.cfg.queue_depth = depth;

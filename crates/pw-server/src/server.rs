@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use pw_detect::checkpoint::{recover_with, retained_path, write_text_retained, CheckpointError};
 use pw_detect::{ConfigError, DetectionEngine, WindowReport};
-use pw_flow::frame::{self, Frame, FrameError, HelloAck, MAGIC};
+use pw_flow::frame::{self, Frame, FrameError, HelloAck, MAGIC, MAX_BATCH};
 use pw_flow::FlowRecord;
 use pw_netsim::SimTime;
 
@@ -93,7 +93,7 @@ impl From<CheckpointError> for ServerError {
 /// Everything connection threads hand to the engine thread. One bounded
 /// queue totally orders ingest and queries, so the engine needs no locks.
 enum Msg {
-    /// An exporter handshake (or a v2 `Bye` confirming final delivery);
+    /// An exporter handshake (or a `Bye` confirming final delivery);
     /// reply with the next sequence the engine expects. Replies ride a
     /// capacity-1 `sync_channel`: exactly one message is ever sent, so
     /// the engine never blocks, and nothing on this path is unbounded.
@@ -101,11 +101,12 @@ enum Msg {
         exporter_id: u32,
         reply: SyncSender<u64>,
     },
-    /// One sequenced flow from an exporter.
-    Flow {
+    /// One decoded batch from an exporter: `flows[i]` carries sequence
+    /// `first_seq + i`.
+    Flows {
         exporter_id: u32,
-        seq: u64,
-        flow: FlowRecord,
+        first_seq: u64,
+        flows: Vec<FlowRecord>,
     },
     /// Feed-clock heartbeat for the stall detector.
     Tick { now_ms: u64 },
@@ -193,7 +194,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = sync_channel(cfg.queue_depth);
+        // Each message carries up to one batch, so whole batches bound
+        // the queued flows by `queue_depth`, rounded up.
+        let (tx, rx) = sync_channel(cfg.queue_depth.div_ceil(MAX_BATCH));
 
         let state = EngineState {
             engine,
@@ -339,6 +342,50 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
         };
         write_text_retained(&path, &snapshot.serialize(), self.checkpoint_retain)
             .inspect_err(|_| self.checkpoint_errors += 1)
+    }
+
+    /// Applies one exporter batch flow by flow, exactly once: flows below
+    /// the exporter's next expected sequence are replays (after a
+    /// reconnect or restart) and are skipped, and a batch that starts
+    /// above it is out of protocol and is skipped whole. Per-flow errors
+    /// (late under Reject, quarantined records) are already counted by
+    /// the engine; the sequence still advances — the flow was delivered.
+    /// It does NOT advance across a panic: the rest of the batch is
+    /// dropped, and the emergency checkpoint stays consistent with the
+    /// engine not having the flow.
+    fn apply_flows(&mut self, exporter_id: u32, first_seq: u64, flows: Vec<FlowRecord>) {
+        if self.failed {
+            // Terminal: ignore without advancing the sequence, so a
+            // restarted server re-requests everything from here.
+            return;
+        }
+        let mut next = self.exporters.get(&exporter_id).copied().unwrap_or(0);
+        let Some(replayed) = next.checked_sub(first_seq) else {
+            return;
+        };
+        let replayed = usize::try_from(replayed).unwrap_or(usize::MAX);
+        for flow in flows.into_iter().skip(replayed) {
+            match catch_unwind(AssertUnwindSafe(|| self.engine.push(flow))) {
+                Ok(result) => {
+                    next += 1;
+                    self.exporters.insert(exporter_id, next);
+                    if let Ok(ws) = result {
+                        self.push_reports_bounded(ws);
+                    }
+                    self.since_checkpoint += 1;
+                    if self.since_checkpoint >= self.checkpoint_every {
+                        self.since_checkpoint = 0;
+                        if let Err(e) = self.checkpoint_now() {
+                            eprintln!("pw-server: periodic checkpoint failed: {e}");
+                        }
+                    }
+                }
+                Err(_) => {
+                    self.fail_engine();
+                    return;
+                }
+            }
+        }
     }
 
     /// Flips into the terminal fail-safe state after a caught engine
@@ -526,45 +573,11 @@ fn engine_loop<F: Fn(Ipv4Addr) -> bool + Sync>(
                 let next = *st.exporters.entry(exporter_id).or_insert(0);
                 let _ = reply.send(next);
             }
-            Msg::Flow {
+            Msg::Flows {
                 exporter_id,
-                seq,
-                flow,
-            } => {
-                if st.failed {
-                    // Terminal: ignore without advancing the sequence, so
-                    // a restarted server re-requests everything from here.
-                    continue;
-                }
-                let next = st.exporters.get(&exporter_id).copied().unwrap_or(0);
-                if seq != next {
-                    // Below: already applied (replay after reconnect or
-                    // restart). Above: out of protocol. Either way,
-                    // applying would break exactly-once — skip.
-                    continue;
-                }
-                // Per-flow errors (late under Reject, quarantined records)
-                // are already counted by the engine; the sequence still
-                // advances — the flow was delivered. The sequence does NOT
-                // advance across a panic: the emergency checkpoint then
-                // stays consistent with the engine not having the flow.
-                match catch_unwind(AssertUnwindSafe(|| st.engine.push(flow))) {
-                    Ok(result) => {
-                        st.exporters.insert(exporter_id, next + 1);
-                        if let Ok(ws) = result {
-                            st.push_reports_bounded(ws);
-                        }
-                        st.since_checkpoint += 1;
-                        if st.since_checkpoint >= st.checkpoint_every {
-                            st.since_checkpoint = 0;
-                            if let Err(e) = st.checkpoint_now() {
-                                eprintln!("pw-server: periodic checkpoint failed: {e}");
-                            }
-                        }
-                    }
-                    Err(_) => st.fail_engine(),
-                }
-            }
+                first_seq,
+                flows,
+            } => st.apply_flows(exporter_id, first_seq, flows),
             Msg::Tick { now_ms } => {
                 if st.failed {
                     continue;
@@ -743,11 +756,11 @@ fn exporter_session(
                     return Ok(());
                 }
             }
-            Ok(Some(Frame::Flow { seq, flow })) => {
-                let msg = Msg::Flow {
+            Ok(Some(Frame::Flows { first_seq, flows })) => {
+                let msg = Msg::Flows {
                     exporter_id: hello.exporter_id,
-                    seq,
-                    flow,
+                    first_seq,
+                    flows,
                 };
                 // A full queue blocks here — backpressure to the socket.
                 if tx.send(msg).is_err() {

@@ -46,6 +46,12 @@ cargo test -q -p pw-server --features loom --test engine_model
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench builds against this tree (its own workspace; unit tests)"
+# perfbench/ depends on the crates by path from a workspace of its own, so
+# the workspace stages above never compile it. A public-API change that
+# breaks its adapter fails here, not in the benchmark run.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> fault-injection suite (chaos + checkpoint/restore + corruption recovery)"
 cargo test -q --test chaos_injection --test checkpoint_roundtrip
 

@@ -23,7 +23,7 @@
 //! - [`chaos`]: deterministic fault injection (drop/duplicate/reorder/
 //!   corrupt/stall) for hardening the streaming ingest path;
 //! - [`server`]: detection as a service — a long-running TCP server that
-//!   ingests sequenced flow frames from multiple border exporters,
+//!   ingests sequenced batches of flows from multiple border exporters,
 //!   checkpoints atomically, and answers line-oriented queries
 //!   (`findplotters serve` / `findplotters send`).
 //!

@@ -3,7 +3,9 @@
 //! binary exporter protocol. Seeded damage — bit flips, truncations,
 //! splices, digit runs inserted into counts and arbitrary bytes — must
 //! decode to `Ok` or a typed `CheckpointError`/`FrameError`: never a
-//! panic, and never an allocation sized by a forged count.
+//! panic, and never an allocation sized by a forged count. PWFS batch
+//! frames also get targeted damage to their flow count, their payload
+//! lengths and their length prefix, re-sealed so it reaches the decoder.
 //!
 //! Checkpoint bodies are re-sealed with `append_checksum_trailer` after
 //! the damage, as anyone can do, so the damage reaches the line parser
@@ -16,7 +18,9 @@ use std::net::Ipv4Addr;
 
 use peerwatch::detect::checkpoint::{append_checksum_trailer, EngineCheckpoint};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
-use peerwatch::flow::frame::{self, decode_flow, Frame, Hello, HelloAck, FLOW_WIRE_LEN};
+use peerwatch::flow::frame::{
+    self, crc32, Frame, FrameError, Hello, HelloAck, MAX_BATCH, MAX_FRAME_LEN, RECORD_FIXED_LEN,
+};
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
 use peerwatch::server::ServerCheckpoint;
@@ -110,18 +114,22 @@ fn text_count_slots(text: &[u8]) -> Vec<usize> {
     slots
 }
 
-/// A hello followed by a session's frames, and the offset of every
-/// frame's length prefix.
+/// A hello followed by a session's frames — two batches, a tick and a
+/// bye — and the offset of every frame's length prefix.
 fn pwfs_stream() -> (Vec<u8>, Vec<usize>) {
     let mut wire = Vec::new();
     frame::write_hello(&mut wire, Hello::new(42)).unwrap();
     let mut slots = Vec::new();
-    let frames = (0..4)
-        .map(|k| Frame::Flow {
-            seq: k,
-            flow: flow(k),
-        })
-        .chain([Frame::Tick { now_ms: 9_000 }, Frame::Bye]);
+    let batch = |seqs: std::ops::Range<u64>| Frame::Flows {
+        first_seq: seqs.start,
+        flows: seqs.map(flow).collect(),
+    };
+    let frames = [
+        batch(0..3),
+        batch(3..5),
+        Frame::Tick { now_ms: 9_000 },
+        Frame::Bye,
+    ];
     for f in frames {
         slots.push(wire.len());
         frame::write_frame(&mut wire, &f).unwrap();
@@ -269,23 +277,25 @@ fn check_pwfs_stream(wire: &[u8]) {
     }
 }
 
-/// Frame bodies and flow records straight into the body decoders, past
-/// the CRC that would refuse nearly all of them on the wire.
+/// Frame bodies straight into the body decoder, past the CRC that would
+/// refuse nearly all of them on the wire. Whatever decodes must encode
+/// back to a body that decodes to the same frame.
 fn check_frame_bodies(wire: &[u8], slots: &[usize]) {
+    let check = |body: &[u8]| {
+        if let Ok(frame) = Frame::decode(body) {
+            let mut again = Vec::new();
+            frame.encode(&mut again);
+            assert_eq!(Frame::decode(&again[4..]).unwrap(), frame);
+        }
+    };
     for &at in slots {
         let Some(len) = wire.get(at..at + 4) else {
             continue;
         };
         let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
-        let body = &wire[(at + 4).min(wire.len())..(at + 4 + len).min(wire.len())];
-        if let Ok(Frame::Flow { flow, .. }) = Frame::decode(body) {
-            let mut again = Vec::new();
-            Frame::Flow { seq: 0, flow }.encode(&mut again);
-            assert!(Frame::decode(&again[4..]).is_ok());
-        }
-        let _ = decode_flow(body.get(9..).unwrap_or(&[]));
+        check(&wire[(at + 4).min(wire.len())..(at + 4 + len).min(wire.len())]);
     }
-    let _ = decode_flow(&wire[..wire.len().min(FLOW_WIRE_LEN)]);
+    check(wire);
 }
 
 proptest! {
@@ -351,6 +361,89 @@ proptest! {
         check_pwfs_stream(&wire);
         check_frame_bodies(&bytes, &[0]);
         let _ = frame::read_hello_ack(&mut bytes.as_slice());
+    }
+}
+
+/// The first batch frame of [`pwfs_stream`]: its offset, and its body
+/// after the length prefix.
+fn first_batch() -> (Vec<u8>, usize, Vec<u8>) {
+    let (wire, slots) = pwfs_stream();
+    let at = slots[0];
+    let len = u32::from_le_bytes(wire[at..at + 4].try_into().unwrap()) as usize;
+    let body = wire[at + 4..at + 4 + len].to_vec();
+    (wire, at, body)
+}
+
+/// The stream with the first batch's body replaced by `body`, under a
+/// matching length prefix and a fresh CRC, read back to that batch.
+fn read_resealed(body: &[u8]) -> Result<Option<Frame>, FrameError> {
+    let (wire, at, clean) = first_batch();
+    let mut out = wire[..at].to_vec();
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(body);
+    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out.extend_from_slice(&wire[at + 4 + clean.len() + 4..]);
+    let mut r = out.as_slice();
+    frame::read_hello(&mut r, &[]).unwrap();
+    frame::read_frame(&mut r)
+}
+
+#[test]
+fn damaged_batches_are_refused_with_typed_errors() {
+    let (wire, at, body) = first_batch();
+    assert!(matches!(
+        read_resealed(&body),
+        Ok(Some(Frame::Flows { first_seq: 0, ref flows })) if flows.len() == 3
+    ));
+    // Tag, then `first_seq` u64, then the count u16; 5-byte payloads.
+    let count_at = 1 + 8;
+    let record = |k: usize| 1 + 8 + 2 + k * (RECORD_FIXED_LEN + 5);
+    let rest = body.len() - 1;
+
+    // Zero, above the cap, the largest a u16 holds (refused before any
+    // allocation), and one off either way from the three flows the body
+    // holds.
+    for count in [0u16, MAX_BATCH as u16 + 1, u16::MAX, 2, 4] {
+        let mut bad = body.clone();
+        bad[count_at..count_at + 2].copy_from_slice(&count.to_le_bytes());
+        let got = read_resealed(&bad);
+        assert!(
+            matches!(got, Err(FrameError::BadBatch { count: c, body: b }) if c == count && b == rest),
+            "count {count}: {got:?}"
+        );
+    }
+
+    // A payload length that runs past the end of the body, and one past
+    // the 64-byte payload cap.
+    let mut bad = body.clone();
+    bad[record(2) + 62] = 64;
+    assert!(matches!(
+        read_resealed(&bad),
+        Err(FrameError::BadBatch { count: 3, .. })
+    ));
+    bad[record(2) + 62] = 65;
+    assert!(matches!(
+        read_resealed(&bad),
+        Err(FrameError::BadPayloadLen(65))
+    ));
+
+    // A body cut inside its header.
+    assert!(matches!(
+        read_resealed(&body[..7]),
+        Err(FrameError::BadLength { tag: 0x01, .. })
+    ));
+
+    // A length prefix above the largest legal batch is refused before
+    // the body is read or allocated.
+    for len in [MAX_FRAME_LEN + 1, u32::MAX] {
+        let mut bad = wire.clone();
+        bad[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        let mut r = bad.as_slice();
+        frame::read_hello(&mut r, &[]).unwrap();
+        assert!(matches!(
+            frame::read_frame(&mut r),
+            Err(FrameError::Oversized(l)) if l == len
+        ));
     }
 }
 

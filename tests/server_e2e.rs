@@ -4,22 +4,22 @@
 //! produces a final verdict byte-identical to the offline batch
 //! `try_find_plotters_table_tier` over the merged flows.
 //!
-//! Plus property tests for the binary wire format: every flow the codec
-//! can represent round-trips exactly, through both the in-memory encoding
-//! and the length-prefixed stream I/O.
+//! Plus property tests for the binary wire format: every batch of flows
+//! the codec can represent round-trips exactly, through both the
+//! in-memory encoding and the length-prefixed stream I/O.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use peerwatch::chaos::{ChaosProxy, ConnPlan, ProxyFaults};
 use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
-use peerwatch::flow::frame::{self, decode_flow, encode_flow, Frame, FLOW_WIRE_LEN};
+use peerwatch::flow::frame::{self, Frame, MAX_BATCH, RECORD_FIXED_LEN};
 use peerwatch::flow::{csvio, FlowRecord, FlowState, FlowTable, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
 use peerwatch::server::{
@@ -86,39 +86,43 @@ fn arb_flow() -> impl Strategy<Value = FlowRecord> {
 
 proptest! {
     #[test]
-    fn flow_encoding_round_trips(f in arb_flow()) {
+    fn flow_encoding_round_trips(f in arb_flow(), seq in any::<u64>()) {
+        // One flow costs its fixed bytes plus its payload's real length:
+        // no padding.
+        let frame = Frame::Flows { first_seq: seq, flows: vec![f] };
         let mut buf = Vec::new();
-        encode_flow(&mut buf, &f);
-        prop_assert_eq!(buf.len(), FLOW_WIRE_LEN);
-        let back = decode_flow(&buf).unwrap();
-        prop_assert_eq!(back, f);
+        frame.encode(&mut buf);
+        prop_assert_eq!(buf.len(), 4 + 1 + 8 + 2 + RECORD_FIXED_LEN + f.payload.as_bytes().len());
+        prop_assert_eq!(Frame::decode(&buf[4..]).unwrap(), frame);
     }
 
     #[test]
-    fn framed_stream_round_trips(flows in proptest::collection::vec(arb_flow(), 1..20)) {
-        // Write a whole session's worth of frames, then read them back
-        // through the stream decoder.
+    fn framed_stream_round_trips(
+        flows in proptest::collection::vec(arb_flow(), 1..MAX_BATCH + 1),
+        first_seq in 0u64..1 << 40,
+    ) {
+        // Write a whole session's worth of frames, the batch straight from
+        // its slice, then read them back through the stream decoder.
         let mut wire = Vec::new();
-        for (seq, f) in flows.iter().enumerate() {
-            frame::write_frame(&mut wire, &Frame::Flow { seq: seq as u64, flow: *f }).unwrap();
-        }
+        frame::write_flows(&mut wire, first_seq, &flows).unwrap();
         frame::write_frame(&mut wire, &Frame::Tick { now_ms: 12345 }).unwrap();
         frame::write_frame(&mut wire, &Frame::Bye).unwrap();
 
         let mut r = wire.as_slice();
-        for (seq, f) in flows.iter().enumerate() {
-            let got = frame::read_frame(&mut r).unwrap().unwrap();
-            prop_assert_eq!(got, Frame::Flow { seq: seq as u64, flow: *f });
-        }
+        let got = frame::read_frame(&mut r).unwrap().unwrap();
+        prop_assert_eq!(got, Frame::Flows { first_seq, flows });
         prop_assert_eq!(frame::read_frame(&mut r).unwrap().unwrap(), Frame::Tick { now_ms: 12345 });
         prop_assert_eq!(frame::read_frame(&mut r).unwrap().unwrap(), Frame::Bye);
         prop_assert_eq!(frame::read_frame(&mut r).unwrap(), None, "clean EOF after Bye");
     }
 
     #[test]
-    fn truncated_streams_never_panic(f in arb_flow(), cut in 0usize..140) {
+    fn truncated_streams_never_panic(
+        flows in proptest::collection::vec(arb_flow(), 1..4),
+        cut in 0usize..520,
+    ) {
         let mut wire = Vec::new();
-        frame::write_frame(&mut wire, &Frame::Flow { seq: 7, flow: f }).unwrap();
+        frame::write_flows(&mut wire, 7, &flows).unwrap();
         let cut = cut.min(wire.len().saturating_sub(1));
         let mut r = &wire[..cut];
         // Any prefix must produce a clean EOF or a typed error — no panic,
@@ -653,6 +657,93 @@ fn chaos_proxy_corruption_is_survived_deterministically() {
         "retry/reconnect counts must be seed-deterministic"
     );
     assert_eq!(verdict, verdict2);
+}
+
+/// Forwards `from` to `to` until end of input, then passes the half-close
+/// on; `bump` flips the low bit of the byte at that stream offset.
+fn relay(mut from: TcpStream, mut to: TcpStream, bump: Option<usize>) {
+    let mut buf = [0u8; 4096];
+    let mut pos = 0;
+    loop {
+        let n = match from.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => n,
+        };
+        if let Some(at) = bump.filter(|at| (pos..pos + n).contains(at)) {
+            buf[at - pos] ^= 0x01;
+        }
+        if to.write_all(&buf[..n]).is_err() {
+            break;
+        }
+        pos += n;
+    }
+    let _ = to.shutdown(Shutdown::Write);
+}
+
+/// A loopback relay to `upstream` that raises the length prefix of the
+/// first connection's first frame by 256 bytes — past the end of a short
+/// stream — and forwards later connections untouched.
+fn length_bumping_relay(upstream: SocketAddr) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind relay");
+    let addr = listener.local_addr().expect("relay addr");
+    thread::spawn(move || {
+        for (k, conn) in listener.incoming().enumerate() {
+            let (Ok(client), Ok(server)) = (conn, TcpStream::connect(upstream)) else {
+                return;
+            };
+            let client_r = client.try_clone().expect("clone client socket");
+            let server_r = server.try_clone().expect("clone server socket");
+            // The hello is 14 bytes; the second byte of the length prefix
+            // after it counts 256s.
+            let bump = (k == 0).then_some(14 + 1);
+            thread::spawn(move || relay(client_r, server, bump));
+            thread::spawn(move || relay(server_r, client, None));
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_length_prefix_past_the_stream_end_costs_no_read_deadline() {
+    if !can_bind() {
+        eprintln!("skipping: cannot bind loopback sockets in this environment");
+        return;
+    }
+    // The default 30 s read deadline.
+    let cfg = ServerConfig::builder().build().expect("config");
+    let server = Server::bind("127.0.0.1:0", cfg, is_internal).expect("bind");
+    let upstream = server.local_addr();
+    let addr = upstream.to_string();
+    let run = thread::spawn(move || server.run());
+
+    // One batch of 100 payload-free flows, then a 9-byte Bye: the bumped
+    // prefix asks for 247 bytes more than the connection will ever carry.
+    let flows: Vec<FlowRecord> = feed().into_iter().take(100).collect();
+    let opts = SendOptions {
+        retry: RetryPolicy {
+            attempts: 2,
+            backoff_base: Duration::from_millis(5),
+            backoff_cap: Duration::from_millis(50),
+            seed: 1,
+        },
+        ..SendOptions::default()
+    };
+    let t = Instant::now();
+    let report = send_flows(length_bumping_relay(upstream), 1, &flows, &opts).expect("send");
+    // The client half-closes after its Bye, so the server meets end of
+    // input at once instead of waiting out its read deadline.
+    assert!(
+        t.elapsed() < Duration::from_secs(10),
+        "the corrupted session took {:?}",
+        t.elapsed()
+    );
+    assert_eq!((report.sent, report.retries), (200, 1));
+
+    let health = query(&addr, "HEALTH");
+    assert_eq!(counter(&health[0], "sessions_reaped"), 0, "{health:?}");
+    assert!(query(&addr, "STATS")[0].contains("attempted=100 "));
+    assert_eq!(query(&addr, "SHUTDOWN"), ["ok"]);
+    run.join().expect("server thread").expect("clean shutdown");
 }
 
 // ---------------------------------------------------------------------------
