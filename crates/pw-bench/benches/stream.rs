@@ -1,5 +1,6 @@
-//! Streaming-engine benchmarks: batch vs streaming, and the multi-core
-//! speedup of host-sharded profile extraction and threshold tests.
+//! Streaming-engine benchmarks: batch vs streaming, the multi-core
+//! speedup of host-sharded profile extraction and threshold tests, and the
+//! engine over tumbling and sliding windows.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pw_bench::bench_day;
@@ -73,31 +74,45 @@ fn bench_engine(c: &mut Criterion) {
     });
     group.finish();
 
-    // The engine replaying the day in hourly tumbling windows.
+    // The engine replaying the day in `window`-long windows, one starting
+    // every `slide`.
+    let replay = |window: SimDuration, slide: SimDuration, threads: usize| {
+        let cfg = EngineConfig {
+            window,
+            slide,
+            lateness: SimDuration::from_mins(10),
+            threads,
+            ..Default::default()
+        };
+        let mut engine = DetectionEngine::new(cfg, |ip| day.is_internal(ip)).expect("valid config");
+        let mut reports = Vec::new();
+        for f in black_box(&flows) {
+            reports.extend(engine.push(*f).expect("in-order replay"));
+        }
+        reports.extend(engine.finish());
+        reports
+    };
+
+    // Hourly tumbling windows.
     let mut group = c.benchmark_group("stream/engine_hourly");
     group.sample_size(10);
     group.throughput(Throughput::Elements(flows.len() as u64));
+    let hour = SimDuration::from_hours(1);
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                let cfg = EngineConfig {
-                    window: SimDuration::from_hours(1),
-                    slide: SimDuration::from_hours(1),
-                    lateness: SimDuration::from_mins(10),
-                    threads: t,
-                    ..Default::default()
-                };
-                let mut engine =
-                    DetectionEngine::new(cfg, |ip| day.is_internal(ip)).expect("valid config");
-                let mut reports = Vec::new();
-                for f in black_box(&flows) {
-                    reports.extend(engine.push(*f).expect("in-order replay"));
-                }
-                reports.extend(engine.finish());
-                reports
-            })
+            b.iter(|| replay(hour, hour, t))
         });
     }
+    group.finish();
+
+    // 2 h windows sliding by 30 min, so each flow is in four windows and
+    // every window profiles its flows as they arrive; one thread.
+    let mut group = c.benchmark_group("stream/engine_sliding");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(flows.len() as u64));
+    group.bench_function("2h_by_30min", |b| {
+        b.iter(|| replay(SimDuration::from_hours(2), SimDuration::from_mins(30), 1))
+    });
     group.finish();
 }
 

@@ -755,11 +755,20 @@ pub fn retained_path(path: &Path, k: usize) -> std::path::PathBuf {
 }
 
 /// Atomically persists `text` to `path`: the text goes to a temporary
-/// sibling (`<path>.tmp`) which is then renamed over `path`, so a crash
-/// mid-write can never leave a truncated checkpoint. The existing snapshot
-/// chain first rotates down one slot (`path` → `path.1` → … →
+/// sibling (`<path>.tmp`) which is then renamed over `path`. The existing
+/// snapshot chain first rotates down one slot (`path` → `path.1` → … →
 /// `path.retain`, dropping the oldest); with `retain = 0` this is a plain
 /// atomic overwrite. The one writer of engine and server checkpoints.
+///
+/// The write is atomic against a killed process: one killed at any point
+/// leaves every snapshot in the chain whole, never a truncated one. It
+/// calls no `fsync`, so it does not promise durability across a power
+/// loss or a kernel crash, after which a rename may have reached the disk
+/// before the data it names. On ext4 with `auto_da_alloc` (the default),
+/// the one rename of a full chain that replaces an existing file
+/// (`path.1` → `path.2` at `retain = 2`) makes the kernel flush the
+/// renamed snapshot, and that flush can cost more than the rest of a
+/// checkpoint (see DESIGN.md "Checkpoint/restore").
 pub fn write_text_retained(path: &Path, text: &str, retain: usize) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -1170,5 +1179,56 @@ mod tests {
         let (newest, _) = unlisted.open.pop().unwrap();
         let reports = finish(&unlisted);
         assert!(reports.iter().any(|w| w.index == newest));
+        // The first buffered flow logged, although it starts at or after
+        // `applied_to`. Its windows must report what the snapshot with
+        // that flow still buffered reports, after a push from a new host
+        // that lands before it, behind a row they took in at restore, and
+        // after a copy of it, a duplicate that `finish` leaves to their
+        // closes.
+        let first = snap.buffer[0];
+        assert!(first.start >= snap.applied_to);
+        let cfg = snap.config;
+        let windows = covering(first.start, cfg.window, cfg.slide);
+        assert!(windows
+            .clone()
+            .all(|k| snap.open.iter().any(|&(i, _)| i == k)));
+        let mut logged = snap.clone();
+        logged.log.push(logged.buffer.remove(0));
+        let at = |secs: i64| {
+            SimTime::from_millis(first.start.as_millis().saturating_add_signed(secs * 1000))
+        };
+        let before = FlowRecord {
+            start: at(-10),
+            end: at(0),
+            src: Ipv4Addr::new(10, 1, 0, 99),
+            dst: Ipv4Addr::new(60, 9, 9, 9),
+            ..first
+        };
+        assert!(before.start >= snap.applied_to);
+        let closer = FlowRecord {
+            start: at(20 * 60),
+            end: at(21 * 60),
+            ..first
+        };
+        let run = |s: &EngineCheckpoint, pushes: &[FlowRecord]| {
+            let mut eng = DetectionEngine::restore(s, internal as fn(Ipv4Addr) -> bool).unwrap();
+            let mut pushed = Vec::new();
+            for f in pushes {
+                pushed.extend(eng.push(*f).unwrap());
+            }
+            let finished = eng.finish();
+            assert_eq!(eng.held_flows(), 0);
+            (pushed, finished, eng.stats())
+        };
+        let (pushed, _, _) = run(&logged, &[before, closer]);
+        assert!(pushed.iter().any(|w| windows.contains(&w.index)));
+        assert_eq!(
+            run(&logged, &[before, closer]),
+            run(&snap, &[before, closer])
+        );
+        let (_, finished, _) = run(&logged, &[first]);
+        let copied = finished.iter().filter(|w| windows.contains(&w.index));
+        assert!(copied.map(|w| w.duplicates).eq([1, 1]));
+        assert_eq!(run(&logged, &[first]), run(&snap, &[first]));
     }
 }

@@ -40,6 +40,10 @@ pub enum ConfigError {
     /// A slide longer than the window would leave gaps the detector never
     /// observes.
     SlideExceedsWindow,
+    /// A flow may fall in at most
+    /// [`MAX_WINDOWS_PER_FLOW`](crate::stream::MAX_WINDOWS_PER_FLOW)
+    /// windows; the payload is `window / slide`, rounded up.
+    TooManyWindowsPerFlow(u64),
     /// A memory cap of zero flows would shed everything.
     ZeroCapacity,
     /// A zero stall timeout would force-close windows on every tick.
@@ -79,6 +83,11 @@ impl fmt::Display for ConfigError {
             ConfigError::SlideExceedsWindow => {
                 f.write_str("slide must not exceed the window length (gaps in coverage)")
             }
+            ConfigError::TooManyWindowsPerFlow(n) => write!(
+                f,
+                "window / slide ratio {n} exceeds the cap of {} windows per flow",
+                crate::stream::MAX_WINDOWS_PER_FLOW
+            ),
             ConfigError::ZeroCapacity => f.write_str("max_flows capacity must be at least 1 flow"),
             ConfigError::ZeroStallTimeout => f.write_str("stall timeout must be positive"),
             ConfigError::ZeroCheckpointInterval => {

@@ -3,17 +3,21 @@
 //! Batch extraction works over the columnar [`FlowTable`]: endpoints are
 //! already interned to dense [`HostId`]s, so the table walk consults the
 //! `is_internal` oracle once per *host* instead of twice per *flow*. The
-//! streaming engine's window close walks its flow records in place
-//! instead, without building a table, and consults the oracle per flow.
-//! Every extraction mode — the table walk, serial or host-sharded,
-//! [`ProfileAccumulator`], and the engine's record walk — funnels into the
-//! same per-flow kernel and produces a [`ProfileTable`], the dense
-//! per-host table every pipeline stage indexes.
+//! streaming engine builds no table: each open window keeps a record
+//! profiler that takes in the window's flows as the watermark logs them,
+//! and the engine consults the oracle once per flow for every window that
+//! covers it. Every extraction mode — the table walk, serial or
+//! host-sharded, [`ProfileAccumulator`], and the engine's per-window
+//! profiler — funnels into the same per-flow kernel and produces a
+//! [`ProfileTable`], the dense per-host table every pipeline stage
+//! indexes.
 //!
 //! The kernel keeps its exact-tier per-destination state flat: one map of
 //! last-contact times per worker, keyed by (host slot, destination), and
 //! per host a list of first contacts, collected into the profile's
-//! `first_contact` map once when the walk finishes.
+//! `first_contact` map once when the walk finishes. The engine's windows
+//! keep no last-contact map: the engine finds each flow's previous contact
+//! once and hands it to every window's kernel.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::Ipv4Addr;
@@ -601,14 +605,29 @@ enum Pending {
     Sketched(LastSeen<SimTime>),
 }
 
+/// Where the exact tier learns the previous contact of a host with a
+/// destination, which makes a flow an interstitial gap or a first contact.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PrevContact {
+    /// From the kernel's own last-contact map, which records this contact.
+    Tracked,
+    /// From the caller: the start of the host's previous flow to the
+    /// destination among the flows this kernel profiles, if any. The
+    /// streaming engine tracks contacts once for every window, so each
+    /// window's kernel keeps no map of its own. The sketched tier ignores
+    /// it and keeps its bounded per-host cache.
+    Given(Option<SimTime>),
+}
+
 /// One extraction worker's state, and the one per-flow update every
 /// extraction mode and both tiers funnel through: the table walk
-/// ([`extract_profiles_table_par_tier`]), [`ProfileAccumulator`] and the
-/// streaming engine's record walk, serial or host-sharded.
+/// ([`extract_profiles_table_par_tier`]), serial or host-sharded,
+/// [`ProfileAccumulator`] and the streaming engine's per-window profiler.
 ///
 /// Callers give each host a dense slot ([`Kernel::open`]) and decompose
 /// their flow representation into the monitored host's view of it —
-/// `start`/`dst`/`uploaded`/`initiated`/`failed` — so the accumulation
+/// `start`/`dst`/`uploaded`/`initiated`/`failed`, plus where the exact
+/// tier finds the previous contact ([`PrevContact`]) — so the accumulation
 /// semantics live in exactly one place. Per-host absorb order must be
 /// non-decreasing in `start` (every caller walks flows in canonical time
 /// order), which is also what makes the sketched tier's
@@ -625,9 +644,10 @@ struct Kernel {
     /// Per slot: start of the host's latest flow.
     last_seen: Vec<SimTime>,
     /// Exact tier: last contact time per (slot, destination), the slot in
-    /// the high 32 bits of the key. One flat map per worker rather than
-    /// one per host; it is only looked up and inserted into, never
-    /// iterated, so its order cannot reach any output. It keeps std's
+    /// the high 32 bits of the key, for [`PrevContact::Tracked`] flows.
+    /// One flat map per worker rather than one per host; it is only looked
+    /// up and inserted into, never iterated, so its order cannot reach any
+    /// output. It keeps std's
     /// keyed hasher although a fixed-key one is faster (the `hash` bench):
     /// the monitored hosts choose the destinations, and with a public key
     /// one of them could make its contacts collide.
@@ -659,6 +679,7 @@ impl Kernel {
     }
 
     /// Absorbs one flow of the host in `slot`.
+    #[allow(clippy::too_many_arguments)]
     fn absorb(
         &mut self,
         slot: usize,
@@ -667,6 +688,7 @@ impl Kernel {
         uploaded: u64,
         initiated: bool,
         failed: bool,
+        contact: PrevContact,
     ) {
         self.last_seen[slot] = start;
         let p = &mut self.profiles[slot];
@@ -682,8 +704,14 @@ impl Kernel {
         let first = *p.first_activity.get_or_insert(start);
         match (&mut p.repr, &mut self.pending[slot]) {
             (ProfileRepr::Exact { interstitials, .. }, Pending::Exact(firsts)) => {
-                let key = (slot as u64) << 32 | u64::from(u32::from(dst));
-                match self.last_contact.insert(key, start) {
+                let prev = match contact {
+                    PrevContact::Tracked => {
+                        let key = (slot as u64) << 32 | u64::from(u32::from(dst));
+                        self.last_contact.insert(key, start)
+                    }
+                    PrevContact::Given(prev) => prev,
+                };
+                match prev {
                     Some(prev) => interstitials.push((start - prev).as_secs_f64()),
                     None => firsts.push((dst, start)),
                 }
@@ -776,6 +804,12 @@ impl ProfileAccumulator {
     /// Absorbs one flow attributed to the monitored endpoint `host`
     /// (obtained from [`internal_endpoint`]).
     pub fn absorb(&mut self, f: &FlowRecord, host: Ipv4Addr) {
+        self.absorb_contact(f, host, PrevContact::Tracked);
+    }
+
+    /// [`absorb`](Self::absorb), with the exact tier's previous contact
+    /// taken from `contact`.
+    pub(crate) fn absorb_contact(&mut self, f: &FlowRecord, host: Ipv4Addr, contact: PrevContact) {
         let mut slot = self.hosts.intern(host).index();
         if slot == self.kernel.len() {
             slot = self.kernel.open(host);
@@ -787,6 +821,7 @@ impl ProfileAccumulator {
             f.bytes_uploaded_by(host).unwrap_or(0),
             f.src == host,
             f.is_failed(),
+            contact,
         );
     }
 
@@ -834,6 +869,7 @@ impl<'t> TableProfiler<'t> {
             },
             initiated,
             t.is_failed(row),
+            PrevContact::Tracked,
         );
     }
 
@@ -842,8 +878,8 @@ impl<'t> TableProfiler<'t> {
     }
 }
 
-/// Deterministic host→shard assignment used by every parallel stage.
-pub(crate) fn host_shard(host: Ipv4Addr, shards: usize) -> usize {
+/// Deterministic host→shard assignment of the sharded table walk.
+fn host_shard(host: Ipv4Addr, shards: usize) -> usize {
     debug_assert!(shards > 0);
     // Multiply-shift mix so adjacent campus addresses spread across shards.
     let h = (u32::from(host) as u64).wrapping_mul(0x9E3779B97F4A7C15);
@@ -928,9 +964,9 @@ fn on_shards<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T
     })
 }
 
-/// What [`profile_records`] found in one pass over a window's rows.
-#[derive(Debug, Default)]
-pub(crate) struct RecordWalk {
+/// A window's profiles, finished by [`RecordProfiler::finish`].
+#[derive(Debug)]
+pub(crate) struct RecordProfiles {
     /// Every profiled host with the start of its latest border flow, in
     /// no particular order.
     pub(crate) hosts: Vec<(HostProfile, SimTime)>,
@@ -940,78 +976,92 @@ pub(crate) struct RecordWalk {
     pub(crate) duplicates: usize,
 }
 
-/// One worker's pass over `rows`: profiles the border rows whose
-/// monitored host `owns` accepts, and counts every row and duplicate.
-fn walk_records<'a, F>(
-    rows: impl Iterator<Item = &'a FlowRecord>,
-    is_internal: &F,
-    tier: ProfileTier,
-    dedupe: bool,
-    owns: impl Fn(Ipv4Addr) -> bool,
-) -> RecordWalk
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
-    let mut acc = ProfileAccumulator::with_tier(tier);
-    let (mut kept, mut duplicates) = (0, 0);
-    let mut prev: Option<&FlowRecord> = None;
-    for f in rows {
-        if prev.replace(f) == Some(f) {
-            duplicates += 1;
-            if dedupe {
-                continue;
-            }
-        }
-        kept += 1;
-        if let Some(host) = internal_endpoint(f, is_internal) {
-            if owns(host) {
-                acc.absorb(f, host);
-            }
-        }
-    }
-    RecordWalk {
-        hosts: acc.kernel.finish().collect(),
-        rows: kept,
-        duplicates,
-    }
-}
-
-/// Profiles records given in canonical time order without building a
-/// [`FlowTable`], in one pass per worker, sharded over hosts across
-/// `threads` scoped workers (clamped to `1..=`[`MAX_THREADS`]) — the
-/// streaming engine's window close.
+/// Profiles flow records given one at a time in canonical time order,
+/// without building a [`FlowTable`] — the streaming engine's per-window
+/// profiler, which takes in each flow as the watermark logs it.
 ///
 /// Identical records sort adjacently, so a row equal to the one before it
 /// is a duplicate: every duplicate is counted, and skipped when `dedupe`
-/// is set. Unlike the table walk, this consults `is_internal` for both
-/// endpoints of every row. Each worker reads every row and keeps the hosts
-/// of its shard, so the result is the same for any thread count.
-pub(crate) fn profile_records<'a, I, F>(
-    rows: I,
-    is_internal: &F,
-    tier: ProfileTier,
-    threads: usize,
+/// is set. The caller says whether a row is a duplicate, which endpoint it
+/// monitors and where its previous contact comes from, so an engine
+/// feeding one flow to every window that covers it decides all three once.
+#[derive(Debug)]
+pub(crate) struct RecordProfiler {
+    acc: ProfileAccumulator,
     dedupe: bool,
-) -> RecordWalk
-where
-    I: Iterator<Item = &'a FlowRecord> + Clone + Send + Sync,
-    F: Fn(Ipv4Addr) -> bool + Sync,
-{
-    let threads = threads.clamp(1, MAX_THREADS);
-    let shards = on_shards(threads, |tid| {
-        // One shard owns every host, without hashing a host per row.
-        walk_records(rows.clone(), is_internal, tier, dedupe, |host| {
-            threads == 1 || host_shard(host, threads) == tid
-        })
-    });
-    // Every shard reads and counts every row, so the first's counts stand.
-    shards
-        .into_iter()
-        .reduce(|mut walk, shard| {
-            walk.hosts.extend(shard.hosts);
-            walk
-        })
-        .unwrap_or_default()
+    /// Rows taken in, duplicates included.
+    seen: usize,
+    /// Rows profiled: every row, less the duplicates `dedupe` skipped.
+    rows: usize,
+    /// Rows equal to the row before them.
+    duplicates: usize,
+}
+
+impl RecordProfiler {
+    pub(crate) fn new(tier: ProfileTier, dedupe: bool) -> Self {
+        Self {
+            acc: ProfileAccumulator::with_tier(tier),
+            dedupe,
+            seen: 0,
+            rows: 0,
+            duplicates: 0,
+        }
+    }
+
+    /// Rows taken in so far, duplicates included.
+    pub(crate) fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// Takes in the row after the last one: `duplicate` if it equals that
+    /// row, `host` its monitored endpoint ([`internal_endpoint`]) if it is
+    /// a border flow, `contact` where its previous contact comes from.
+    pub(crate) fn push(
+        &mut self,
+        f: &FlowRecord,
+        host: Option<Ipv4Addr>,
+        duplicate: bool,
+        contact: PrevContact,
+    ) {
+        self.seen += 1;
+        if duplicate {
+            self.duplicates += 1;
+            if self.dedupe {
+                return;
+            }
+        }
+        self.rows += 1;
+        if let Some(host) = host {
+            self.acc.absorb_contact(f, host, contact);
+        }
+    }
+
+    /// Takes in `rows`, the first rows it sees, tracking contacts itself.
+    /// Unlike the table walk, this consults `is_internal` for both
+    /// endpoints of every row.
+    pub(crate) fn push_rows<'a, F>(
+        &mut self,
+        rows: impl Iterator<Item = &'a FlowRecord>,
+        is_internal: &F,
+    ) where
+        F: Fn(Ipv4Addr) -> bool,
+    {
+        let mut prev = None;
+        for f in rows {
+            let duplicate = prev.replace(f) == Some(f);
+            let host = internal_endpoint(f, is_internal);
+            self.push(f, host, duplicate, PrevContact::Tracked);
+        }
+    }
+
+    /// Finishes every host's profile.
+    pub(crate) fn finish(self) -> RecordProfiles {
+        RecordProfiles {
+            hosts: self.acc.kernel.finish().collect(),
+            rows: self.rows,
+            duplicates: self.duplicates,
+        }
+    }
 }
 
 #[cfg(test)]

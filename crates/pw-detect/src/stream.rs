@@ -6,14 +6,15 @@
 //! *completion* order — reorders them within a configurable lateness bound,
 //! assigns them to tumbling or sliding windows, and emits a
 //! [`WindowReport`] (wrapping a [`PlotterReport`]) whenever a window's
-//! watermark passes. Profile extraction and the per-window threshold tests
-//! shard over hosts with `std::thread::scope`, so a multi-core monitor
-//! keeps up with line rate; any `threads` setting produces byte-identical
-//! verdicts. Each window's `θ_hm` runs on the same scaled kernel as batch
-//! detection — per-host [`pw_analysis::CdfRepr`] digests feeding the
-//! alloc-free `emd_cdf` pairwise sweep and O(n²) NN-chain clustering (see
-//! DESIGN.md "θ_hm at scale") — so wide windows over large host
-//! populations close without a quadratic allocation spike.
+//! watermark passes. Each open window profiles its flows as they arrive,
+//! so a close only finishes its profiles; the per-window threshold tests
+//! shard over hosts with `std::thread::scope`, and any `threads` setting
+//! produces byte-identical verdicts. Each window's `θ_hm` runs on the same
+//! scaled kernel as batch detection — per-host [`pw_analysis::CdfRepr`]
+//! digests feeding the alloc-free `emd_cdf` pairwise sweep and O(n²)
+//! NN-chain clustering (see DESIGN.md "θ_hm at scale") — so wide windows
+//! over large host populations close without a quadratic allocation
+//! spike.
 //!
 //! One streaming window covering a whole trace reproduces the batch
 //! [`try_find_plotters_table_tier`](crate::pipeline::try_find_plotters_table_tier)
@@ -52,12 +53,36 @@
 //! the watermark passes its lateness bound; it then moves to one shared
 //! log, kept in canonical order. Window `k` is the log range of flows
 //! starting in `[k·slide, k·slide + window)`, found by binary search, plus
-//! the late flows [`LatePolicy::ExtendOldest`] appended to it. A close
-//! builds no [`FlowTable`](pw_flow::FlowTable): it profiles that range in
-//! place, merged in canonical order with the sorted extras, in one walk
-//! sharded over hosts (see [`crate::features`]), and the log prefix older
-//! than every open window is then dropped. Sliding windows therefore
-//! share their flows instead of copying them once per window.
+//! the late flows [`LatePolicy::ExtendOldest`] appended to it. Sliding
+//! windows therefore share their flows instead of copying them once per
+//! window.
+//!
+//! Each open window also keeps a profiler (see [`crate::features`]).
+//! When the watermark moves a flow into the log, every window covering
+//! it takes the flow in, in canonical order. Whether the flow duplicates
+//! the row before it, which endpoint it monitors, and when that host last
+//! initiated a flow to the same destination are decided once for all
+//! those windows. One contact map keeps that last contact per host and
+//! destination; a window counts it as an interstitial gap if it falls
+//! inside the window and as a first contact otherwise, so the exact tier
+//! keeps no contact map per window. A close builds no
+//! [`FlowTable`](pw_flow::FlowTable) and re-walks no rows: it takes in
+//! the rows its profiler has not seen, which on the watermark path are
+//! none, and finishes the profiles. A flush
+//! ([`finish`](DetectionEngine::finish) or a stall
+//! [`tick`](DetectionEngine::tick)) closes every window in one call, so it
+//! logs the buffered flows without feeding them to any window or the
+//! contact map, and each close takes its share in one pass, with a map of
+//! just those flows' contacts; only one window's profiles are then being
+//! finished at a time. A window holding extras, which belong among rows
+//! it has already taken in, re-walks its log range merged with the sorted
+//! extras through a fresh profiler at close, as does a window whose log
+//! range got a flow inserted behind rows it had taken in (only a snapshot
+//! built in code can log flows out of order). A flow in `k` windows is
+//! held in `k` profiles, so [`EngineConfig::validate`] bounds `k`. After a
+//! close, the log prefix older than every open window is dropped, and so
+//! are the contacts older than every open window once the contact map
+//! holds twice as many contacts as the log holds flows.
 //!
 //! # Examples
 //!
@@ -79,7 +104,7 @@
 //! assert!(reports.is_empty()); // nothing was pushed
 //! ```
 
-use std::collections::{vec_deque, BTreeMap, VecDeque};
+use std::collections::{vec_deque, BTreeMap, HashMap, VecDeque};
 use std::iter::Peekable;
 use std::net::Ipv4Addr;
 use std::ops::{Range, RangeInclusive};
@@ -89,7 +114,7 @@ use pw_flow::{ArgusAggregator, FlowRecord};
 use pw_netsim::{SimDuration, SimTime};
 
 use crate::error::{ConfigError, Error};
-use crate::features::{profile_records, ProfileTable, ProfileTier};
+use crate::features::{internal_endpoint, PrevContact, ProfileTable, ProfileTier, RecordProfiler};
 use crate::pipeline::{
     check_threads, try_find_plotters_from_table, FindPlottersConfig, PlotterReport,
 };
@@ -138,9 +163,9 @@ pub struct EngineConfig {
     /// order — like [`ArgusAggregator`] — need at least the aggregator's
     /// idle timeout plus the longest expected flow duration.
     pub lateness: SimDuration,
-    /// Worker threads for per-window profile extraction and threshold
-    /// tests, from 1 to [`MAX_THREADS`]. Any value produces identical
-    /// output.
+    /// Worker threads for the per-window threshold tests, from 1 to
+    /// [`MAX_THREADS`]. Windows profile their flows as they arrive, on the
+    /// caller's thread. Any value produces identical output.
     pub threads: usize,
     /// Host participation rule at window close.
     pub eviction: EvictionPolicy,
@@ -197,6 +222,12 @@ impl Default for EngineConfig {
 /// cannot ask for an unbounded number.
 pub const MAX_THREADS: usize = 1024;
 
+/// Most windows one flow may fall in: the cap on `window / slide`,
+/// rounded up. Every flow opens, is counted in and is profiled by that
+/// many windows, so a configuration read back from a checkpoint cannot
+/// ask for millions of them.
+pub const MAX_WINDOWS_PER_FLOW: u64 = 1024;
+
 impl EngineConfig {
     /// Starts a validated builder seeded with the defaults — the same
     /// builder idiom as [`FindPlottersConfig::builder`].
@@ -232,6 +263,10 @@ impl EngineConfig {
         }
         if self.slide > self.window {
             return Err(ConfigError::SlideExceedsWindow);
+        }
+        let per_flow = self.window.as_millis().div_ceil(self.slide.as_millis());
+        if per_flow > MAX_WINDOWS_PER_FLOW {
+            return Err(ConfigError::TooManyWindowsPerFlow(per_flow));
         }
         check_threads(self.threads)?;
         if self.max_flows == Some(0) {
@@ -428,11 +463,16 @@ pub(crate) fn covering(t: SimTime, window: SimDuration, slide: SimDuration) -> R
     k_min..=k_max
 }
 
+/// The key of a host's flows to a destination in
+/// [`DetectionEngine::contacts`].
+fn contact_key(host: Ipv4Addr, dst: Ipv4Addr) -> u64 {
+    u64::from(u32::from(host)) << 32 | u64::from(u32::from(dst))
+}
+
 /// A window's rows in canonical order: its log range merged with its
 /// extras, which must be sorted by [`buffer_key`]. Log rows come first on
 /// equal keys, so the merge is a stable sort of the range followed by the
 /// extras.
-#[derive(Clone)]
 struct WindowRows<'a> {
     log: Peekable<vec_deque::Iter<'a, FlowRecord>>,
     extras: Peekable<slice::Iter<'a, FlowRecord>>,
@@ -447,6 +487,27 @@ impl<'a> Iterator for WindowRows<'a> {
             (Some(_), _) => self.log.next(),
             (None, _) => self.extras.next(),
         }
+    }
+}
+
+/// An open window: its extras and the profile of its log rows so far.
+#[derive(Debug)]
+struct OpenWindow {
+    /// The late flows [`LatePolicy::ExtendOldest`] appended to the window,
+    /// outside the log.
+    extras: Vec<FlowRecord>,
+    /// The profile of the first [`seen`](RecordProfiler::seen) rows of the
+    /// window's log range. `None` once the window must re-walk its rows at
+    /// close: it holds extras, or a flow was logged behind rows it had
+    /// taken in.
+    profile: Option<RecordProfiler>,
+}
+
+impl OpenWindow {
+    /// Appends a late flow; its rows are then re-walked at close.
+    fn extend(&mut self, f: FlowRecord) {
+        self.extras.push(f);
+        self.profile = None;
     }
 }
 
@@ -473,10 +534,16 @@ pub struct DetectionEngine<F> {
     /// moves forward, so applied flows append at the back. Window `k`
     /// reads [`log_range`](Self::log_range)`(k)`.
     log: VecDeque<FlowRecord>,
-    /// Open windows by index, each with its extras: the late flows
-    /// [`LatePolicy::ExtendOldest`] appended to it, outside the log (the
-    /// canonical re-sort at close puts them in place).
-    open: BTreeMap<u64, Vec<FlowRecord>>,
+    /// The start of the latest flow each monitored host initiated to each
+    /// destination (see [`contact_key`]), among the flows the watermark
+    /// fed to the windows: the previous contact of the next such flow, for
+    /// every window at once. A window counts it as an interstitial gap if
+    /// it falls inside the window and as a first contact otherwise, so no
+    /// window keeps a contact map of its own. It keeps std's keyed hasher:
+    /// the monitored hosts choose the destinations.
+    contacts: HashMap<u64, SimTime>,
+    /// Open windows by index.
+    open: BTreeMap<u64, OpenWindow>,
     /// Maximum flow start seen. Never decreases.
     watermark: SimTime,
     /// Flows starting before this instant have been applied to windows;
@@ -510,6 +577,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             buffer: BTreeMap::new(),
             arrivals: 0,
             log: VecDeque::new(),
+            contacts: HashMap::new(),
             open: BTreeMap::new(),
             watermark: SimTime::ZERO,
             applied_to: SimTime::ZERO,
@@ -542,15 +610,28 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         for f in &snapshot.buffer {
             engine.buffer_flow(*f);
         }
-        for f in &snapshot.log {
-            engine.log_flow(*f);
+        // Each open window takes its logged flows in again, as it had when
+        // the snapshot was taken; one with extras re-walks at close anyway.
+        for (k, extras) in &snapshot.open {
+            let window = OpenWindow {
+                extras: extras.clone(),
+                profile: extras
+                    .is_empty()
+                    .then(|| RecordProfiler::new(engine.cfg.tier, engine.cfg.dedupe)),
+            };
+            engine.open.insert(*k, window);
         }
-        engine.open = snapshot.open.iter().cloned().collect();
+        // A stable sort: flows with equal keys keep the snapshot's order.
+        let mut log = snapshot.log.clone();
+        log.sort_by_key(buffer_key);
+        for f in log {
+            engine.log_flow(f, true);
+        }
         engine.held = engine.buffer.len()
             + engine
                 .open
                 .iter()
-                .map(|(&k, extras)| engine.log_range(k).len() + extras.len())
+                .map(|(&k, w)| engine.log_range(k).len() + w.extras.len())
                 .sum::<usize>();
         engine.watermark = snapshot.watermark;
         engine.applied_to = snapshot.applied_to;
@@ -583,7 +664,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             open: self
                 .open
                 .iter()
-                .map(|(&k, extras)| (k, extras.clone()))
+                .map(|(&k, w)| (k, w.extras.clone()))
                 .collect(),
         }
     }
@@ -694,15 +775,13 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             }
             LatePolicy::ExtendOldest => {
                 let mut placed = 0usize;
-                for k in self.covering(f.start) {
-                    if let Some(extras) = self.open.get_mut(&k) {
-                        extras.push(f);
-                        placed += 1;
-                    }
+                for (_, w) in self.open.range_mut(self.covering(f.start)) {
+                    w.extend(f);
+                    placed += 1;
                 }
                 if placed == 0 {
-                    if let Some(extras) = self.open.values_mut().next() {
-                        extras.push(f);
+                    if let Some(w) = self.open.values_mut().next() {
+                        w.extend(f);
                         placed = 1;
                     }
                 }
@@ -788,17 +867,20 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
                 self.watermark.as_millis().saturating_add(1),
             ));
         }
+        // Windows take these flows in at their closes below, one window
+        // at a time, rather than all holding them at once.
         for f in std::mem::take(&mut self.buffer).into_values() {
             self.held -= 1;
-            self.assign(f);
+            self.assign(f, false);
         }
         let open = std::mem::take(&mut self.open);
         let mut reports = Vec::with_capacity(open.len());
-        for (k, extras) in open {
+        for (k, window) in open {
             self.applied_to = self.applied_to.max(self.window_span(k).end);
-            reports.push(self.close_window(k, extras, forced));
+            reports.push(self.close_window(k, window, forced));
         }
         self.log.clear();
+        self.contacts.clear();
         reports
     }
 
@@ -814,7 +896,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             }
             let f = ready.remove();
             self.held -= 1;
-            self.assign(f);
+            self.assign(f, true);
         }
         self.applied_to = cutoff;
 
@@ -823,16 +905,24 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             if self.window_span(k).end > self.applied_to {
                 break;
             }
-            let extras = self.open.remove(&k).unwrap_or_default();
-            reports.push(self.close_window(k, extras, false));
+            if let Some(window) = self.open.remove(&k) {
+                reports.push(self.close_window(k, window, false));
+            }
         }
         if !reports.is_empty() {
             // Drop the log prefix older than every open window.
-            let keep = match self.open.first_key_value() {
-                Some((&k, _)) => self.log_range(k).start,
-                None => self.log.len(),
+            let (keep, oldest) = match self.open.first_key_value() {
+                Some((&k, _)) => (self.log_range(k).start, self.window_span(k).start),
+                None => (self.log.len(), self.applied_to),
             };
             self.log.drain(..keep);
+            // A contact older than every window that may still take in a
+            // flow is never read again. Each live one is a logged flow's,
+            // so pruning only past twice the log's length keeps the cost
+            // of pruning proportional to the contacts it removes.
+            if self.contacts.len() > 2 * self.log.len() {
+                self.contacts.retain(|_, &mut t| t >= oldest);
+            }
         }
         reports
     }
@@ -861,71 +951,127 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     /// Adds `f` to the log in canonical order. Buffer drains run in key
     /// order and never go back, so `f` belongs at the back; a hand-built
     /// snapshot may say otherwise, and the log stays sorted either way.
-    fn log_flow(&mut self, f: FlowRecord) {
+    /// With `feed`, every open window covering `f` whose profile has taken
+    /// in its rows so far takes `f` in too; a flush leaves `f` to each
+    /// window's close.
+    fn log_flow(&mut self, f: FlowRecord, feed: bool) {
+        let covering = self.covering(f.start);
         let key = buffer_key(&f);
-        if self.log.back().is_none_or(|last| buffer_key(last) <= key) {
-            self.log.push_back(f);
-        } else {
+        if self.log.back().is_some_and(|last| buffer_key(last) > key) {
             let at = self.log.partition_point(|g| buffer_key(g) <= key);
             self.log.insert(at, f);
+            // Behind rows the covering windows may have taken in. Any other
+            // window that takes in a later flow starts after `f`, so no
+            // window needs `f`'s contact from the contact map.
+            for (_, w) in self.open.range_mut(covering) {
+                w.profile = None;
+            }
+            return;
+        }
+        let duplicate = self.log.back() == Some(&f);
+        self.log.push_back(f);
+        if !feed {
+            return;
+        }
+        let host = internal_endpoint(&f, &self.is_internal);
+        let prev = host
+            .filter(|&host| host == f.src)
+            .and_then(|host| self.contacts.insert(contact_key(host, f.dst), f.start));
+        let slide_ms = self.cfg.slide.as_millis();
+        for (&k, w) in self.open.range_mut(covering) {
+            if let Some(profile) = &mut w.profile {
+                let since = SimTime::from_millis(k.saturating_mul(slide_ms));
+                let contact = PrevContact::Given(prev.filter(|&t| t >= since));
+                profile.push(&f, host, duplicate, contact);
+            }
         }
     }
 
+    /// A fresh profile of `rows`, given in canonical order.
+    fn profile<'a>(&self, rows: impl Iterator<Item = &'a FlowRecord>) -> RecordProfiler {
+        let mut profile = RecordProfiler::new(self.cfg.tier, self.cfg.dedupe);
+        profile.push_rows(rows, &self.is_internal);
+        profile
+    }
+
     /// Logs the flow once and opens every window covering its start time;
-    /// `held` counts it once per covering window.
-    fn assign(&mut self, f: FlowRecord) {
+    /// `held` counts it once per covering window. With `feed`, the covering
+    /// windows take the flow in (see [`log_flow`](Self::log_flow)).
+    fn assign(&mut self, f: FlowRecord, feed: bool) {
         for k in self.covering(f.start) {
             if !self.open.contains_key(&k) {
                 // Windows open in index order, after the flows of every
                 // older window are logged, so this range is empty unless
-                // a hand-built snapshot put flows there; count them either
-                // way, or the close would take more than was added.
-                self.held += self.log_range(k).len();
-                self.open.insert(k, Vec::new());
+                // a hand-built snapshot put flows there; count and profile
+                // them either way, or the close would take more than was
+                // added.
+                let range = self.log_range(k);
+                self.held += range.len();
+                let window = OpenWindow {
+                    extras: Vec::new(),
+                    profile: Some(self.profile(self.log.range(range))),
+                };
+                self.open.insert(k, window);
             }
             self.held += 1;
         }
-        self.log_flow(f);
+        self.log_flow(f, feed);
     }
 
-    /// Closes window `index`: profiles its log range and `extras` in
-    /// place, in canonical order, and runs the pipeline on the hosts the
-    /// [`EvictionPolicy`] keeps. No [`FlowTable`](pw_flow::FlowTable) is
-    /// built: one walk over the rows profiles them, counts duplicates,
-    /// skips them under `dedupe` and takes each host's last-seen time.
-    fn close_window(
-        &mut self,
-        index: u64,
-        mut extras: Vec<FlowRecord>,
-        forced: bool,
-    ) -> WindowReport {
+    /// Closes window `index`: finishes its profiles and runs the pipeline
+    /// on the hosts the [`EvictionPolicy`] keeps. The profile has taken
+    /// in every row the watermark logged; a close takes in the rows a
+    /// flush logged since, or, if the window must re-walk, all its rows
+    /// through a fresh profile (see the module's "Storage" section). Either
+    /// way the profile counts duplicates, skips them under `dedupe` and
+    /// keeps each host's last-seen time.
+    fn close_window(&mut self, index: u64, window: OpenWindow, forced: bool) -> WindowReport {
         let span = self.window_span(index);
         let range = self.log_range(index);
-        self.held -= range.len() + extras.len();
-        // Rows go in the canonical processing order, the order the batch
-        // path sorts a table into. Extras are late, so they come after
-        // every logged flow with their key, in arrival order among
-        // themselves, as they did when windows kept their own copies.
-        extras.sort_by_key(buffer_key);
-        let rows = WindowRows {
-            log: self.log.range(range).peekable(),
-            extras: extras.iter().peekable(),
+        self.held -= range.len() + window.extras.len();
+        let profile = match window.profile {
+            // The rows a flush logged since the profile's last. Their
+            // contacts are not in the contact map, which holds those of
+            // the rows fed before them; one map more holds theirs.
+            Some(mut profile) => {
+                let from = (range.start + profile.seen()).min(range.end);
+                let mut prev = (from > range.start).then(|| &self.log[from - 1]);
+                let mut flushed = HashMap::new();
+                for f in self.log.range(from..range.end) {
+                    let duplicate = prev.replace(f) == Some(f);
+                    let host = internal_endpoint(f, &self.is_internal);
+                    let contact = host.filter(|&host| host == f.src).and_then(|host| {
+                        let key = contact_key(host, f.dst);
+                        let fed = || self.contacts.get(&key).copied();
+                        flushed.insert(key, f.start).or_else(fed)
+                    });
+                    let contact = PrevContact::Given(contact.filter(|&t| t >= span.start));
+                    profile.push(f, host, duplicate, contact);
+                }
+                profile
+            }
+            None => {
+                // Rows go in the canonical processing order, the order the
+                // batch path sorts a table into. Extras are late, so they
+                // come after every logged flow with their key, in arrival
+                // order among themselves, as they did when windows kept
+                // their own copies.
+                let mut extras = window.extras;
+                extras.sort_by_key(buffer_key);
+                self.profile(WindowRows {
+                    log: self.log.range(range).peekable(),
+                    extras: extras.iter().peekable(),
+                })
+            }
         };
-        let threads = self.cfg.threads;
-        let walk = profile_records(
-            rows,
-            &self.is_internal,
-            self.cfg.tier,
-            threads,
-            self.cfg.dedupe,
-        );
-        let duplicates = walk.duplicates as u64;
+        let finished = profile.finish();
+        let duplicates = finished.duplicates as u64;
         self.stats.duplicates += duplicates;
-        let hosts = walk.hosts.len();
+        let hosts = finished.hosts.len();
         self.stats.profile_bytes = 0;
         self.stats.profiles_exact = 0;
         self.stats.profiles_sketched = 0;
-        for (p, _) in &walk.hosts {
+        for (p, _) in &finished.hosts {
             self.stats.profile_bytes += p.estimated_bytes() as u64;
             match p.tier() {
                 ProfileTier::Exact => self.stats.profiles_exact += 1,
@@ -939,7 +1085,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
                 SimTime::from_millis(span.end.as_millis().saturating_sub(idle.as_millis()))
             }
         };
-        let kept: Vec<_> = walk
+        let kept: Vec<_> = finished
             .hosts
             .into_iter()
             .filter(|&(_, last_seen)| last_seen >= deadline)
@@ -948,12 +1094,12 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         let evicted = hosts - kept.len();
         let profiles = ProfileTable::from_pairs(kept);
 
-        let outcome = try_find_plotters_from_table(&profiles, &self.cfg.detect, threads);
+        let outcome = try_find_plotters_from_table(&profiles, &self.cfg.detect, self.cfg.threads);
         WindowReport {
             index,
             start: span.start,
             end: span.end,
-            flows: walk.rows,
+            flows: finished.rows,
             hosts,
             evicted,
             late: std::mem::take(&mut self.window_late),
@@ -1112,6 +1258,33 @@ mod tests {
             ..ok
         };
         assert!(most.validate().is_ok());
+    }
+
+    #[test]
+    fn window_slide_ratios_past_the_cap_are_refused() {
+        let cap = MAX_WINDOWS_PER_FLOW;
+        let shape = |window_ms: u64, slide_ms: u64| EngineConfig {
+            window: SimDuration::from_millis(window_ms),
+            slide: SimDuration::from_millis(slide_ms),
+            ..Default::default()
+        };
+        // At the cap, exactly or rounded up to it.
+        for (window_ms, slide_ms) in [(cap, 1), (cap * 1000, 1000), (cap * 1000 - 999, 1000)] {
+            let cfg = shape(window_ms, slide_ms);
+            assert_eq!(cfg.validate(), Ok(()), "{window_ms}/{slide_ms}");
+        }
+        // Past it, by one window or rounded up by one millisecond; a day
+        // sliding by 3 ms would put each flow in 28.8 million windows.
+        for (window_ms, slide_ms, ratio) in [
+            (cap + 1, 1, cap + 1),
+            (cap * 1000 + 1, 1000, cap + 1),
+            (SimDuration::from_hours(24).as_millis(), 3, 28_800_000),
+        ] {
+            let cfg = shape(window_ms, slide_ms);
+            let refused = Err(ConfigError::TooManyWindowsPerFlow(ratio));
+            assert_eq!(cfg.validate(), refused, "{window_ms}/{slide_ms}");
+            assert!(DetectionEngine::new(cfg, internal).is_err());
+        }
     }
 
     #[test]
@@ -1495,6 +1668,127 @@ mod tests {
         // An idle engine does not flush again.
         assert!(eng.tick(SimTime::from_secs(300)).is_empty());
         assert_eq!(eng.stats().stall_flushes, 1);
+    }
+
+    #[test]
+    fn a_stall_flush_finishes_partly_profiled_windows_as_finish_does() {
+        // Sliding windows with a 10-minute reorder buffer: when the feed
+        // dies at minute 75, windows 1 to 3 (20–80, 40–100 and 60–120
+        // min) have taken in the flows up to minute 65, and the buffer
+        // holds the rest, some of them twice. The stall flush logs those
+        // flows and each close takes in its window's share; its reports
+        // must be those of `finish` on the same pushes, bar the `forced`
+        // mark. Both must also be those of an engine whose lateness holds
+        // every flow in the buffer until `finish`, so that no window
+        // takes in a flow before its close.
+        let flows: Vec<FlowRecord> = two_hours()
+            .into_iter()
+            .filter(|f| f.start < SimTime::from_secs(75 * 60))
+            .collect();
+        for dedupe in [false, true] {
+            let cfg = EngineConfig {
+                window: SimDuration::from_mins(60),
+                slide: SimDuration::from_mins(20),
+                lateness: SimDuration::from_mins(10),
+                stall_timeout: Some(SimDuration::from_mins(1)),
+                dedupe,
+                ..Default::default()
+            };
+            let mut stalled = engine(cfg);
+            let mut finished = engine(cfg);
+            let mut lazy = engine(EngineConfig {
+                lateness: SimDuration::from_hours(2),
+                ..cfg
+            });
+            let mut closed = Vec::new();
+            for (i, f) in flows.iter().enumerate() {
+                let copies = if i % 7 == 0 { 2 } else { 1 };
+                for _ in 0..copies {
+                    let reports = stalled.push(*f).unwrap();
+                    assert_eq!(finished.push(*f).unwrap(), reports);
+                    assert!(lazy.push(*f).unwrap().is_empty());
+                    closed.extend(reports);
+                }
+            }
+            assert_eq!(closed.iter().map(|w| w.index).collect::<Vec<_>>(), [0]);
+            assert_eq!(stalled.open_windows(), 3);
+            assert!(stalled.buffered() > 0);
+            assert!(stalled.tick(SimTime::from_secs(0)).is_empty());
+            let forced = stalled.tick(SimTime::from_secs(120));
+            let mut unforced = finished.finish();
+            closed.extend(unforced.iter().cloned());
+            assert_eq!(lazy.finish(), closed, "dedupe {dedupe}");
+            assert_eq!(forced.len(), 3);
+            assert!(forced.iter().all(|w| w.forced));
+            assert!(forced.iter().any(|w| w.duplicates > 0));
+            for w in &mut unforced {
+                assert!(!w.forced);
+                w.forced = true;
+            }
+            assert_eq!(forced, unforced, "dedupe {dedupe}");
+            assert_eq!(stalled.held_flows(), 0);
+            let mut stats = stalled.stats();
+            stats.stall_flushes -= 1;
+            assert_eq!(stats, finished.stats());
+            assert_eq!(lazy.stats(), finished.stats());
+        }
+    }
+
+    #[test]
+    fn pruned_contacts_keep_the_ones_open_windows_still_need() {
+        // A burst of first contacts in the first half hour, then one host
+        // meets the same peer at minutes 40 and 70. Closing window 0 (0–60
+        // min) leaves one flow in the log and prunes the burst's contacts,
+        // but not the minute-40 one: window 1 (30–90 min) needs it to see
+        // a 30-minute gap at minute 70. The engine must report what one
+        // whose lateness keeps every flow buffered until `finish` reports.
+        let host = Ipv4Addr::new(10, 1, 0, 1);
+        let peer = Ipv4Addr::new(60, 9, 0, 1);
+        let mut flows: Vec<FlowRecord> = (0..400u32)
+            .map(|i| {
+                let dst = Ipv4Addr::from(0x4600_0000 + i);
+                flow(
+                    host,
+                    dst,
+                    SimTime::from_secs(u64::from(i) * 4),
+                    10,
+                    i % 3 == 0,
+                )
+            })
+            .collect();
+        for (src, dst, mins) in [
+            (host, peer, 40),
+            (Ipv4Addr::new(10, 1, 0, 2), peer, 61),
+            (host, peer, 70),
+        ] {
+            flows.push(flow(src, dst, SimTime::from_secs(mins * 60), 10, false));
+        }
+        let cfg = EngineConfig {
+            window: SimDuration::from_mins(60),
+            slide: SimDuration::from_mins(30),
+            lateness: SimDuration::ZERO,
+            ..Default::default()
+        };
+        let mut eager = engine(cfg);
+        let mut lazy = engine(EngineConfig {
+            lateness: SimDuration::from_hours(3),
+            ..cfg
+        });
+        let mut reports = Vec::new();
+        for f in &flows {
+            let closed = eager.push(*f).unwrap();
+            if !closed.is_empty() {
+                let minute_40 = SimTime::from_secs(40 * 60);
+                let kept: Vec<_> = eager.contacts.values().collect();
+                assert_eq!(kept, [&minute_40]);
+            }
+            reports.extend(closed);
+            assert!(lazy.push(*f).unwrap().is_empty());
+        }
+        assert_eq!(reports.len(), 1);
+        reports.extend(eager.finish());
+        assert_eq!(reports, lazy.finish());
+        assert!(eager.contacts.is_empty());
     }
 
     #[test]

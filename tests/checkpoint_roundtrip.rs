@@ -12,6 +12,7 @@ use peerwatch::detect::checkpoint::{
 };
 use peerwatch::detect::stream::{
     DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport, MAX_THREADS,
+    MAX_WINDOWS_PER_FLOW,
 };
 use peerwatch::detect::ConfigError;
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
@@ -530,6 +531,46 @@ fn resealed_thread_counts_above_the_cap_fail_at_restore() {
                 assert!(!ok, "threads={threads}: {e}");
                 assert_eq!(e, ConfigError::TooManyThreads(threads));
             }
+        }
+    }
+}
+
+#[test]
+fn resealed_window_slide_ratios_above_the_cap_fail_at_restore() {
+    // A re-sealed `slide_ms=1` parses, but each flow would then open, and
+    // be counted and profiled in, 1.8 million 30-minute windows: restore
+    // refuses it. The engine is cut before any window opens, so an edited
+    // slide leaves the snapshot's layout consistent.
+    let flows = feed();
+    let mut eng = DetectionEngine::new(cfg(1), internal as fn(Ipv4Addr) -> bool).unwrap();
+    for f in flows
+        .iter()
+        .take_while(|f| f.start < SimTime::from_secs(4 * 60))
+    {
+        eng.push(*f).unwrap();
+    }
+    assert_eq!(eng.open_windows(), 0);
+    assert!(eng.buffered() > 0);
+    let text = eng.checkpoint().serialize();
+    let body = split_checksum_trailer(&text).unwrap();
+    assert!(body.contains(" slide_ms=1800000 "));
+    // 1,800,000 ms over 1,758 ms is 1,023.9 windows, rounded up to the cap.
+    for (slide_ms, refused) in [
+        (1, Some(1_800_000)),
+        (1_757, Some(MAX_WINDOWS_PER_FLOW + 1)),
+        (1_758, None),
+    ] {
+        let mut forged = body.replacen(" slide_ms=1800000 ", &format!(" slide_ms={slide_ms} "), 1);
+        append_checksum_trailer(&mut forged);
+        let snapshot = EngineCheckpoint::parse(&forged).unwrap();
+        assert_eq!(snapshot.config.slide, SimDuration::from_millis(slide_ms));
+        match DetectionEngine::restore(&snapshot, internal as fn(Ipv4Addr) -> bool) {
+            Ok(_) => assert_eq!(refused, None, "slide_ms={slide_ms} restored"),
+            Err(e) => assert_eq!(
+                Some(e),
+                refused.map(ConfigError::TooManyWindowsPerFlow),
+                "slide_ms={slide_ms}"
+            ),
         }
     }
 }

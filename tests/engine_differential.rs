@@ -8,14 +8,17 @@
 //! the same seeded, disordered campus days, with duplicates and flows
 //! beyond the lateness bound, under every `LatePolicy`, with and without
 //! dedupe, with and without a `max_flows` cap that sheds, under
-//! window-scoped and idle-host eviction, on one, two and four threads;
-//! the engine is serialized, parsed and restored at ⅓ and ⅔ of the feed.
+//! window-scoped and idle-host eviction, on one, two and four threads,
+//! and at the sketched tier on one thread for the sliding windows; the
+//! engine is serialized, parsed and restored at ⅓ and ⅔ of the feed.
 //! Every push result (window reports included), `held_flows()` after every
 //! push and the final `stats()` must agree. The reference builds a
-//! `FlowTable` per window and profiles it on one thread, while the engine
-//! profiles its log in place, sharded over hosts; the reference's answer
-//! does not depend on the thread count, so it runs once per configuration
-//! and every thread count is checked against that one recording.
+//! `FlowTable` per window at its close, while each of the engine's open
+//! windows profiles its flows as they arrive and keeps that state, the
+//! sketched tier's per-host `LastSeen` caches included, from push to push,
+//! rebuilding it from the log at each restore; the reference's answer does
+//! not depend on the thread count, so it runs once per configuration and
+//! tier, and every thread count is checked against that one recording.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -414,7 +417,8 @@ const IDLE: SimDuration = SimDuration::from_mins(15);
 
 /// Every configuration of one late policy: 3 seeds × 2 window shapes ×
 /// dedupe off/on × uncapped/shedding × 2 eviction policies × 1, 2 and 4
-/// threads.
+/// threads at the exact tier, plus the sliding shape's 24 configurations
+/// at the sketched tier on one thread.
 fn sweep(late_policy: LatePolicy) {
     let mut configs = 0;
     for seed in [3u64, 17, 29] {
@@ -462,12 +466,21 @@ fn sweep(late_policy: LatePolicy) {
                             compare(&flows, cfg, &want, &format!("{what}, {threads} threads"));
                             configs += 1;
                         }
+                        if slide < window {
+                            let cfg = EngineConfig {
+                                tier: ProfileTier::Sketched,
+                                ..cfg
+                            };
+                            let want = Recording::of(&flows, cfg);
+                            compare(&flows, cfg, &want, &format!("{what}, sketched"));
+                            configs += 1;
+                        }
                     }
                 }
             }
         }
     }
-    assert_eq!(configs, 144);
+    assert_eq!(configs, 168);
 }
 
 #[test]
