@@ -74,8 +74,29 @@ fn bench_csv(c: &mut Criterion) {
         })
     });
     // The lossy reader is the path `findplotters` and the benchmark take.
+    // This file is under the 2 MiB at which a block is cut across cores, so
+    // it times the serial path.
     group.bench_function("read", |b| {
         b.iter(|| pw_flow::csvio::read_flows_lossy(black_box(buf.as_slice())).unwrap())
+    });
+    // The same rows tiled past 4 MiB, read through the reader `findplotters`
+    // uses: every block is cut across the cores available.
+    let rows_at = buf.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut tiled = buf.clone();
+    let mut copies = 1;
+    while tiled.len() < 4 << 20 {
+        tiled.extend_from_slice(&buf[rows_at..]);
+        copies += 1;
+    }
+    group.throughput(Throughput::Elements((flows.len() * copies) as u64));
+    group.bench_function("read_blocks", |b| {
+        b.iter(|| {
+            let reader = std::io::BufReader::with_capacity(
+                pw_flow::csvio::READ_CAPACITY,
+                black_box(tiled.as_slice()),
+            );
+            pw_flow::csvio::read_flows_lossy(reader).unwrap()
+        })
     });
     group.finish();
 }

@@ -18,8 +18,22 @@
 //! make no allocation per row: `push_flow` appends decimal digits, dotted
 //! quads and payload hex to the caller's buffer, and `parse_flow` decodes
 //! a row as the writer wrote it in one pass, with hand-written decimal,
-//! IPv4 and hex decoders. Both readers share one line loop that reads
-//! every line into the same reused buffer.
+//! IPv4 and hex decoders.
+//!
+//! # Reading in blocks
+//!
+//! Both readers share one block loop. After the header, every complete
+//! line the reader's buffer holds is parsed in place, as one block, and
+//! then consumed; only a line that does not end inside the buffer is read
+//! into a reused line buffer. Line ends are found a 64-bit word at a time.
+//! A block of 2 MiB or more is cut after line ends into at most
+//! `std::thread::available_parallelism` pieces of at least 1 MiB: the
+//! calling thread parses the first piece while scoped threads parse the
+//! rest, and their rows and errors are appended in piece order, with line
+//! numbers counted across the pieces. So rows, errors and line numbers do
+//! not depend on the core count or on the reader's buffer size. A file
+//! reaches the cut when read through a [`READ_CAPACITY`] buffer; a slice
+//! is one block.
 //!
 //! # Row grammar
 //!
@@ -454,63 +468,246 @@ pub fn write_flows<W: Write>(mut w: W, flows: &[FlowRecord]) -> io::Result<()> {
     w.write_all(buf.as_bytes())
 }
 
-/// Reads the next line into `buf` without its `\n` or `\r\n` terminator,
-/// as `BufRead::lines` would; `false` at the end of the input.
-fn next_line<R: BufRead>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
-    buf.clear();
-    if r.read_until(b'\n', buf)? == 0 {
-        return Ok(false);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
+/// Capacity of the `BufReader` a flow CSV file should be read through:
+/// the readers parse every complete line the buffer holds as one block,
+/// and only a block of at least `SPLIT_BYTES` (2 MiB) is cut across
+/// cores. A reader over a slice hands over the whole slice at once.
+pub const READ_CAPACITY: usize = 4 << 20;
+
+/// A block this long or longer is cut into pieces parsed at the same time.
+const SPLIT_BYTES: usize = 2 << 20;
+
+/// Every piece but the last is longer than this.
+const MIN_PIECE_BYTES: usize = 1 << 20;
+
+/// The shortest row [`push_flow`] writes, with its `\n`: one-digit numbers,
+/// `0.0.0.0` twice, a three-letter state and no payload. A worker's row
+/// vector starts with room for its piece's bytes over this, plus one.
+const MIN_ROW_BYTES: usize = 41;
+
+/// Index of the first `\n` in `bytes`, searched a 64-bit word at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        // A byte equal to `\n` is zero after the xor, and the lowest zero
+        // byte of a word is the lowest byte this sets the high bit of.
+        let x = u64::from_le_bytes(*word) ^ NEWLINES;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(i * 8 + (zeros.trailing_zeros() / 8) as usize);
         }
     }
-    Ok(true)
+    let at = words.len() * 8;
+    tail.iter().position(|&b| b == b'\n').map(|i| at + i)
 }
 
-/// The line loop both readers share: checks the header, then hands each
-/// non-blank row's parse to `row`, which may stop the load with an error.
-fn for_each_row<R: BufRead>(
-    mut r: R,
-    mut row: impl FnMut(Result<FlowRecord, RowError>) -> Result<(), RowError>,
-) -> Result<(), ParseFlowError> {
-    let mut line = Vec::new();
-    if !next_line(&mut r, &mut line)? {
-        return Ok(());
+/// Takes the next line off `rest` without its `\n` or `\r\n` terminator,
+/// as `BufRead::lines` would: a last line without `\n` keeps every byte.
+fn take_line<'a>(rest: &mut &'a [u8]) -> &'a [u8] {
+    match find_newline(rest) {
+        Some(at) => {
+            let (line, tail) = rest.split_at(at);
+            *rest = tail.get(1..).unwrap_or_default();
+            line.strip_suffix(b"\r").unwrap_or(line)
+        }
+        None => std::mem::take(rest),
     }
-    if line != HEADER.as_bytes() {
+}
+
+/// Parses every line of `piece`, numbered from `lineno + 1`: a row that
+/// parses goes to `rows`, one that does not to `bad`, and blank lines are
+/// skipped. Returns the number of lines taken.
+fn parse_piece(
+    mut piece: &[u8],
+    lineno: usize,
+    rows: &mut Vec<FlowRecord>,
+    bad: &mut Vec<RowError>,
+) -> usize {
+    let mut lines = 0;
+    while !piece.is_empty() {
+        let line = take_line(&mut piece);
+        lines += 1;
+        if line.is_empty() {
+            continue;
+        }
+        match parse_flow(line, lineno + lines) {
+            Ok(f) => rows.push(f),
+            Err(e) => bad.push(e),
+        }
+    }
+    lines
+}
+
+/// Cuts `block` into at most `pieces` pieces, each but the last ending
+/// with the first line end past `block.len() / n` bytes, where `n` keeps
+/// every share at least [`MIN_PIECE_BYTES`] long. A block shorter than
+/// [`SPLIT_BYTES`] stays whole.
+fn cut_block(block: &[u8], pieces: usize) -> Vec<&[u8]> {
+    let n = if block.len() < SPLIT_BYTES {
+        1
+    } else {
+        pieces.min(block.len() / MIN_PIECE_BYTES).max(1)
+    };
+    let share = block.len() / n;
+    let mut cut = Vec::with_capacity(n);
+    let mut rest = block;
+    while cut.len() + 1 < n {
+        let Some(at) = rest.get(share..).and_then(find_newline) else {
+            break;
+        };
+        let (piece, tail) = rest.split_at(share + at + 1);
+        if tail.is_empty() {
+            break;
+        }
+        cut.push(piece);
+        rest = tail;
+    }
+    cut.push(rest);
+    cut
+}
+
+/// What one worker parsed of its piece, in numbering that starts at 0.
+struct Parsed {
+    rows: Vec<FlowRecord>,
+    bad: Vec<RowError>,
+    lines: usize,
+}
+
+/// Parses `block`, whose lines follow line `lineno`, as [`parse_piece`]
+/// does, and returns the number of its last line. The block is cut by
+/// [`cut_block`]; the calling thread parses the first piece straight into
+/// `rows` while scoped threads parse the others into vectors allocated
+/// here, which are appended in piece order with their error lines moved
+/// past the pieces before them. So rows, errors and line numbers do not
+/// depend on `pieces`.
+fn parse_block(
+    block: &[u8],
+    lineno: usize,
+    pieces: usize,
+    rows: &mut Vec<FlowRecord>,
+    bad: &mut Vec<RowError>,
+) -> usize {
+    let cut = cut_block(block, pieces);
+    let [first, rest @ ..] = cut.as_slice() else {
+        return lineno;
+    };
+    if rest.is_empty() {
+        return lineno + parse_piece(first, lineno, rows, bad);
+    }
+    let mut parsed: Vec<Parsed> = rest
+        .iter()
+        .map(|piece| Parsed {
+            // Capacity no row touches costs address space, not memory.
+            rows: Vec::with_capacity(piece.len() / MIN_ROW_BYTES + 1),
+            bad: Vec::new(),
+            lines: 0,
+        })
+        .collect();
+    let mut at = std::thread::scope(|scope| {
+        let workers: Vec<_> = rest
+            .iter()
+            .zip(&mut parsed)
+            .map(|(&piece, out)| {
+                scope.spawn(move || {
+                    out.lines = parse_piece(piece, 0, &mut out.rows, &mut out.bad);
+                })
+            })
+            .collect();
+        let lines = parse_piece(first, lineno, rows, bad);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        lineno + lines
+    });
+    for mut piece in parsed {
+        rows.append(&mut piece.rows);
+        bad.extend(piece.bad.into_iter().map(|e| RowError {
+            line: e.line + at,
+            ..e
+        }));
+        at += piece.lines;
+    }
+    at
+}
+
+/// The block loop both readers share, cutting each large block into at
+/// most `pieces` pieces. After the header it parses every complete line
+/// the reader's buffer holds in place, as one block, and consumes it; only
+/// a line that does not end inside the buffer is read into a line buffer
+/// of its own. With `strict` the first refused row ends the load once the
+/// block holding it is parsed.
+fn read_rows<R: BufRead>(
+    mut r: R,
+    pieces: usize,
+    strict: bool,
+) -> Result<(Vec<FlowRecord>, Vec<RowError>), ParseFlowError> {
+    let (mut rows, mut bad) = (Vec::new(), Vec::new());
+    let mut line = Vec::new();
+    if r.read_until(b'\n', &mut line)? == 0 {
+        return Ok((rows, bad));
+    }
+    let header = take_line(&mut line.as_slice());
+    if header != HEADER.as_bytes() {
         return Err(ParseFlowError::BadHeader {
-            found: String::from_utf8_lossy(&line).into_owned(),
+            found: String::from_utf8_lossy(header).into_owned(),
         });
     }
     let mut lineno = 1;
-    while next_line(&mut r, &mut line)? {
-        lineno += 1;
-        if !line.is_empty() {
-            row(parse_flow(&line, lineno))?;
+    loop {
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if let Some(end) = buf.iter().rposition(|&b| b == b'\n') {
+            lineno = parse_block(&buf[..=end], lineno, pieces, &mut rows, &mut bad);
+            r.consume(end + 1);
+        } else if buf.is_empty() {
+            break;
+        } else {
+            line.clear();
+            r.read_until(b'\n', &mut line)?;
+            lineno += parse_piece(&line, lineno, &mut rows, &mut bad);
+        }
+        if strict && !bad.is_empty() {
+            return Err(ParseFlowError::Row(bad.swap_remove(0)));
         }
     }
-    Ok(())
+    Ok((rows, bad))
+}
+
+/// The piece count the public readers cut large blocks into.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Reads flows previously written by [`write_flows`], strictly: the first
 /// malformed row aborts the load.
 ///
+/// Both readers parse each block of complete lines the reader's buffer
+/// holds in place, and cut a block of 2 MiB or more across the cores
+/// `std::thread::available_parallelism` reports (read files through a
+/// [`READ_CAPACITY`] buffer to reach that size). The result does not depend
+/// on the core count or the reader's capacity.
+///
 /// # Errors
 ///
 /// Returns [`ParseFlowError`] on I/O failure, a wrong header, or any
-/// malformed line (the header line is required).
+/// malformed line (the header line is required); of several malformed
+/// lines, the first.
 pub fn read_flows<R: BufRead>(r: R) -> Result<Vec<FlowRecord>, ParseFlowError> {
-    let mut out = Vec::new();
-    for_each_row(r, |row| row.map(|f| out.push(f)))?;
-    Ok(out)
+    read_rows(r, cores(), true).map(|(rows, _)| rows)
 }
 
 /// Reads flows tolerantly: rows that parse are returned, rows that do not
-/// come back as [`RowError`]s for the caller to quarantine, and the load
-/// itself never fails on row content.
+/// come back as [`RowError`]s in line order for the caller to quarantine,
+/// and the load itself never fails on row content. Blocks are parsed as
+/// [`read_flows`] parses them.
 ///
 /// # Errors
 ///
@@ -519,16 +716,7 @@ pub fn read_flows<R: BufRead>(r: R) -> Result<Vec<FlowRecord>, ParseFlowError> {
 pub fn read_flows_lossy<R: BufRead>(
     r: R,
 ) -> Result<(Vec<FlowRecord>, Vec<RowError>), ParseFlowError> {
-    let mut out = Vec::new();
-    let mut bad = Vec::new();
-    for_each_row(r, |row| {
-        match row {
-            Ok(f) => out.push(f),
-            Err(e) => bad.push(e),
-        }
-        Ok(())
-    })?;
-    Ok((out, bad))
+    read_rows(r, cores(), false)
 }
 
 #[cfg(test)]
@@ -847,5 +1035,172 @@ mod tests {
         write_flows(&mut buf, &flows).unwrap();
         buf.extend_from_slice(b"\n\n");
         assert_eq!(read_flows(buf.as_slice()).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn newline_search_finds_the_first_newline_at_every_offset() {
+        // Fillers that differ from `\n` only in the high bit, and by one.
+        for filler in [b'\n' ^ 0x80, b'\n' + 1] {
+            for len in 0..40 {
+                for at in 0..=len {
+                    let mut bytes = vec![filler; len];
+                    if at < len {
+                        bytes[at] = b'\n';
+                        // A second newline later must not be the one found.
+                        bytes[len - 1] = b'\n';
+                    }
+                    let want = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(find_newline(&bytes), want, "len {len}, at {at}");
+                }
+            }
+        }
+    }
+
+    /// Header and rows of the sample flows, each with its own start of at
+    /// least seven digits, until the file passes `bytes`; the last row
+    /// has no `\n`.
+    fn tiled(bytes: usize) -> Vec<u8> {
+        let flows = sample();
+        let mut text = format!("{HEADER}\n");
+        let mut i = 0;
+        while text.len() < bytes {
+            let f = FlowRecord {
+                start: SimTime::from_millis(1_000_000 + i),
+                ..flows[(i % 2) as usize]
+            };
+            push_flow(&mut text, &f);
+            text.push('\n');
+            i += 1;
+        }
+        text.pop();
+        text.into_bytes()
+    }
+
+    /// What the readers hand [`parse_block`] of a slice: every line after
+    /// the header up to the last `\n`, and where that starts in `text`.
+    fn block_of(text: &[u8]) -> (usize, &[u8]) {
+        let from = HEADER.len() + 1;
+        let end = text.iter().rposition(|&b| b == b'\n').unwrap();
+        (from, &text[from..=end])
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum AtCut {
+        Blank,
+        CrLf,
+        Bad,
+    }
+
+    /// Rewrites the line starting at `at` in place, keeping its length:
+    /// its first byte becomes a blank line (the rest still a row), or moves
+    /// to a `\r` before the `\n`, or becomes a bad `start_ms`.
+    fn damage_line(text: &mut Vec<u8>, at: usize, kind: AtCut) {
+        let len = text[at..].iter().position(|&b| b == b'\n').unwrap() + 1;
+        match kind {
+            AtCut::Blank => text[at] = b'\n',
+            AtCut::CrLf => {
+                text.remove(at);
+                text.insert(at + len - 2, b'\r');
+            }
+            AtCut::Bad => text[at] = b'x',
+        }
+    }
+
+    /// What the first line of `piece` is, if it is one of the [`AtCut`]s.
+    fn first_line_kind(piece: &[u8]) -> Option<AtCut> {
+        let line = &piece[..piece.iter().position(|&b| b == b'\n').unwrap()];
+        if line.is_empty() {
+            Some(AtCut::Blank)
+        } else if line.ends_with(b"\r") {
+            Some(AtCut::CrLf)
+        } else if parse_flow(line, 1).is_err() {
+            Some(AtCut::Bad)
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn block_parse_is_the_same_at_every_piece_count() {
+        // Past eight pieces of the minimum, so every count up to 8 cuts it
+        // that many times.
+        let mut text = tiled(8 * MIN_PIECE_BYTES + 4096);
+        let (from, block) = block_of(&text);
+        let mut cuts: Vec<usize> = (2..=8)
+            .flat_map(|n| {
+                let pieces = cut_block(block, n);
+                assert_eq!(pieces.len(), n);
+                pieces[1..]
+                    .iter()
+                    .map(|p| p.as_ptr() as usize - block.as_ptr() as usize)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let kinds = [AtCut::Blank, AtCut::CrLf, AtCut::Bad];
+        for (i, &cut) in cuts.iter().enumerate() {
+            damage_line(&mut text, from + cut, kinds[i % kinds.len()]);
+        }
+        // Each kind still opens a later piece at some count.
+        let (_, block) = block_of(&text);
+        let mut seen: Vec<AtCut> = (2..=8)
+            .flat_map(|n| cut_block(block, n)[1..].to_vec())
+            .filter_map(first_line_kind)
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen, kinds);
+
+        let want = read_rows(io::BufReader::with_capacity(64, text.as_slice()), 1, false).unwrap();
+        let bad_lines: Vec<usize> = cuts
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| kinds[i % kinds.len()] == AtCut::Bad)
+            .map(|(_, &cut)| 2 + block[..cut].iter().filter(|&&b| b == b'\n').count())
+            .collect();
+        assert_eq!(want.1.iter().map(|e| e.line).collect::<Vec<_>>(), bad_lines);
+        assert!(want.1.iter().all(|e| e.error.field() == Some("start_ms")));
+        let last = text
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.is_empty())
+            .count()
+            - 1;
+        assert_eq!(want.0.len() + want.1.len(), last);
+        for pieces in 1..=8 {
+            assert_eq!(
+                read_rows(text.as_slice(), pieces, false).unwrap(),
+                want,
+                "{pieces} pieces"
+            );
+        }
+    }
+
+    #[test]
+    fn strict_reads_stop_at_the_first_bad_row_in_a_later_piece() {
+        let mut text = tiled(SPLIT_BYTES + 4096);
+        let (from, block) = block_of(&text);
+        let [_, second] = cut_block(block, 2)[..] else {
+            panic!("a block past the split size is cut in two");
+        };
+        let at = second.as_ptr() as usize - block.as_ptr() as usize;
+        let line = 2 + block[..at].iter().filter(|&&b| b == b'\n').count();
+        // The second row of the second piece, and the last line.
+        let second_row = at + second.iter().position(|&b| b == b'\n').unwrap() + 1;
+        damage_line(&mut text, from + second_row, AtCut::Bad);
+        *text.last_mut().unwrap() = b'x';
+        let (_, bad) = read_rows(text.as_slice(), 2, false).unwrap();
+        assert_eq!(bad.len(), 2);
+        assert_eq!(bad[0].line, line + 1);
+        for pieces in 1..=2 {
+            let Err(ParseFlowError::Row(e)) = read_rows(text.as_slice(), pieces, true) else {
+                panic!("expected a row error");
+            };
+            assert_eq!(e, bad[0], "{pieces} pieces");
+        }
+        let Err(ParseFlowError::Row(e)) = read_flows(text.as_slice()) else {
+            panic!("expected a row error");
+        };
+        assert_eq!(e, bad[0]);
     }
 }

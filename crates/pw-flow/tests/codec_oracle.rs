@@ -3,7 +3,7 @@
 
 mod oracle;
 
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
@@ -117,16 +117,17 @@ impl Edit {
     }
 }
 
-/// Reads `file` through a `capacity`-byte buffer with both readers. They
-/// must not panic; wherever the reference does not panic either, they must
-/// agree with it record for record and error for error.
-fn check_against_reference(file: &[u8], capacity: usize) {
-    let lossy = read_flows_lossy(BufReader::with_capacity(capacity, file));
-    let strict = read_flows(BufReader::with_capacity(capacity, file));
+/// Reads `file` with both readers, each through a reader `open` makes.
+/// They must not panic; wherever the reference does not panic either, they
+/// must agree with it record for record and error for error. Returns
+/// whether the reference ran.
+fn check_against_reference<R: BufRead>(file: &[u8], open: impl Fn() -> R) -> bool {
+    let lossy = read_flows_lossy(open());
+    let strict = read_flows(open());
     // The reference panics on a hex pair that splits a multi-byte
     // character; there the readers only have to survive.
     let Ok(want) = std::panic::catch_unwind(|| oracle::read_flows_lossy(file)) else {
-        return;
+        return false;
     };
     match (lossy, strict, want) {
         (Ok(got), strict, Ok((ok, bad))) => {
@@ -155,6 +156,7 @@ fn check_against_reference(file: &[u8], capacity: usize) {
             panic!("readers disagree with the reference: {lossy:?} / {strict:?} / {want:?}")
         }
     }
+    true
 }
 
 proptest! {
@@ -173,7 +175,7 @@ proptest! {
             for e in edits {
                 e.apply(&mut file);
             }
-            check_against_reference(&file, capacity);
+            check_against_reference(&file, || BufReader::with_capacity(capacity, &file[..]));
         }
     }
 
@@ -185,6 +187,107 @@ proptest! {
             let prefix = &data[..data.len() - cut];
             prop_assert_eq!(frame::crc32(prefix), oracle::crc32(prefix));
         }
+    }
+}
+
+/// SplitMix64: the seeded stream the tiled cases draw flows and damage
+/// from, below `n`.
+fn draw(state: &mut u64, n: u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) % n
+}
+
+/// A flow over the ranges [`campus_flow`] draws from.
+fn seeded_flow(state: &mut u64) -> FlowRecord {
+    let mut byte = |lo: u64, hi: u64| (lo + draw(state, hi - lo)) as u8;
+    let (src, dst) = (
+        Ipv4Addr::new(10, byte(1, 3), byte(0, 255), byte(1, 255)),
+        Ipv4Addr::new(byte(1, 224), byte(0, 255), byte(0, 255), byte(1, 255)),
+    );
+    let st = draw(state, 6) as usize;
+    let start = 32_400_000 + draw(state, 21_600_000);
+    let payload: Vec<u8> = match draw(state, 4) {
+        0 => Vec::new(),
+        1 => b"GNUTELLA CONNECT/0.6\r\n".to_vec(),
+        2 => b"\xe3\x20rest-of-frame".to_vec(),
+        _ => (0..draw(state, 80))
+            .map(|_| draw(state, 256) as u8)
+            .collect(),
+    };
+    FlowRecord {
+        start: SimTime::from_millis(start),
+        end: SimTime::from_millis(start + draw(state, 600_000)),
+        src,
+        sport: 1024 + draw(state, 64_511) as u16,
+        dst,
+        dport: [53, 80, 6881, 4662, 1 + draw(state, 65_534) as u16][draw(state, 5) as usize],
+        proto: if st >= 4 { Proto::Udp } else { Proto::Tcp },
+        src_pkts: draw(state, 40),
+        src_bytes: draw(state, 60_000),
+        dst_pkts: draw(state, 40),
+        dst_bytes: draw(state, 2_000_000),
+        state: STATES[st],
+        payload: Payload::capture(&payload),
+    }
+}
+
+/// One seeded damage that keeps a file ASCII, so the reference never
+/// panics on it.
+fn seeded_edit(state: &mut u64) -> Edit {
+    let at = draw(state, u64::MAX) as usize;
+    match draw(state, 5) {
+        0 => Edit::FlipBit {
+            at,
+            bit: draw(state, 7) as u8,
+        },
+        1 => Edit::Truncate { at },
+        2 => Edit::Splice {
+            from: at,
+            len: 1 + draw(state, 39) as usize,
+            to: draw(state, u64::MAX) as usize,
+        },
+        3 => Edit::Insert {
+            at,
+            bytes: vec![b"\r,+\nx9."[draw(state, 7) as usize]],
+        },
+        _ => Edit::Overwrite {
+            at,
+            byte: draw(state, 128) as u8,
+        },
+    }
+}
+
+/// Campus-shaped rows tiled past the 2 MiB a block needs to be cut across
+/// cores, behind one header: clean copies to past 1.25 MiB, so that on two
+/// cores or more the first damage falls in the second piece, then damaged
+/// ones. Read as one slice and through a 300-byte buffer, the split and
+/// the line-at-a-time path must both read it as the reference does.
+#[test]
+fn damaged_files_past_the_split_size_read_as_the_reference_reads_them() {
+    for seed in 0..4 {
+        let mut state = seed;
+        let flows: Vec<FlowRecord> = (0..12).map(|_| seeded_flow(&mut state)).collect();
+        let mut file = Vec::new();
+        write_flows(&mut file, &flows).unwrap();
+        let rows = file.split_off(file.iter().position(|&b| b == b'\n').unwrap() + 1);
+        let mut damaged = rows.clone();
+        for _ in 0..=draw(&mut state, 5) {
+            seeded_edit(&mut state).apply(&mut damaged);
+        }
+        while file.len() <= (5 << 18) + draw(&mut state, 1 << 18) as usize {
+            file.extend_from_slice(&rows);
+        }
+        while file.len() <= 2 << 20 {
+            file.extend_from_slice(&damaged);
+        }
+        assert!(
+            check_against_reference(&file, || &file[..])
+                && check_against_reference(&file, || BufReader::with_capacity(300, &file[..])),
+            "seed {seed}: the reference panicked"
+        );
     }
 }
 

@@ -89,8 +89,8 @@ use peerwatch::detect::{
     try_find_plotters_table_tier, Error, FindPlottersConfig, PlotterReport, ProfileTier,
     ThetaHmMode, Threshold,
 };
-use peerwatch::flow::csvio::{push_flow, read_flows_lossy, RowError};
-use peerwatch::flow::FlowTable;
+use peerwatch::flow::csvio::{push_flow, read_flows_lossy, RowError, READ_CAPACITY};
+use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::{SimDuration, Subnet};
 use peerwatch::server::{send_flows, SendOptions, Server, ServerConfig};
 
@@ -167,6 +167,31 @@ fn parse_usize(flag: &str, v: &str) -> usize {
             "invalid value {v:?} for {flag}: expected a non-negative integer"
         ))
     })
+}
+
+/// Parses a duration flag given in `unit`s of `unit_secs` seconds each.
+/// Refuses, as an argument error, a value that is not finite, is negative,
+/// or whose milliseconds overflow a `u64`: `SimDuration` would clamp it,
+/// and `Duration::from_secs_f64` panics on it.
+fn parse_duration(flag: &str, v: &str, unit_secs: f64, unit: &str) -> f64 {
+    let units = parse_f64(flag, v);
+    let ms = (units * unit_secs * 1000.0).round();
+    // NaN fails both comparisons; `u64::MAX as f64` is 2^64.
+    if !(ms >= 0.0 && ms < u64::MAX as f64) {
+        bad_arg(&format!(
+            "invalid value {v:?} for {flag}: expected a non-negative number of {unit} \
+             whose milliseconds fit in 64 bits"
+        ));
+    }
+    units
+}
+
+fn parse_hours(flag: &str, v: &str) -> f64 {
+    parse_duration(flag, v, 3600.0, "hours")
+}
+
+fn parse_minutes(flag: &str, v: &str) -> f64 {
+    parse_duration(flag, v, 60.0, "minutes")
 }
 
 fn parse_tier(v: &str) -> ProfileTier {
@@ -306,21 +331,24 @@ fn print_report(report: &PlotterReport) {
     }
 }
 
-/// Loads a flow CSV (lossy), reporting malformed rows to stderr.
-fn load_flows(path: &str) -> Vec<peerwatch::flow::FlowRecord> {
+/// Loads a flow CSV, lossily, through a reader of csvio's block size,
+/// and counts the malformed rows it skipped on stderr, followed by
+/// `skipped_hint`. The caller decides what becomes of those rows.
+fn load_flows(path: &str, skipped_hint: &str) -> (Vec<FlowRecord>, Vec<RowError>) {
     let file = fs::File::open(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}")));
-    let (flows, row_errors) = read_flows_lossy(std::io::BufReader::new(file))
-        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    let (flows, row_errors) =
+        read_flows_lossy(std::io::BufReader::with_capacity(READ_CAPACITY, file))
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     if row_errors.is_empty() {
         eprintln!("loaded {} flows", flows.len());
     } else {
         eprintln!(
-            "loaded {} flows; skipped {} malformed rows",
+            "loaded {} flows; skipped {} malformed rows{skipped_hint}",
             flows.len(),
             row_errors.len()
         );
     }
-    flows
+    (flows, row_errors)
 }
 
 /// `findplotters serve`: run the detection service until `SHUTDOWN`.
@@ -363,9 +391,9 @@ fn serve_main(args: &[String]) -> ! {
             }
             "--hm-profile" => builder = builder.hm_profile(true),
             "--threads" => threads = parse_usize(a, &next_value(&mut it, a)),
-            "--window" => window_hours = parse_f64(a, &next_value(&mut it, a)),
-            "--slide" => slide_hours = Some(parse_f64(a, &next_value(&mut it, a))),
-            "--lateness" => lateness_mins = parse_f64(a, &next_value(&mut it, a)),
+            "--window" => window_hours = parse_hours(a, &next_value(&mut it, a)),
+            "--slide" => slide_hours = Some(parse_hours(a, &next_value(&mut it, a))),
+            "--lateness" => lateness_mins = parse_minutes(a, &next_value(&mut it, a)),
             "--late-policy" => late_policy = parse_late_policy(&next_value(&mut it, a)),
             "--max-flows" => max_flows = Some(parse_usize(a, &next_value(&mut it, a))),
             "--dedupe" => dedupe = true,
@@ -387,17 +415,13 @@ fn serve_main(args: &[String]) -> ! {
                     server_builder.queue_depth(parse_usize(a, &next_value(&mut it, a)));
             }
             "--io-timeout" => {
-                let secs = parse_f64(a, &next_value(&mut it, a));
-                if secs.is_nan() || secs < 0.0 {
-                    bad_arg("--io-timeout must be a non-negative number of seconds");
-                }
+                let v = next_value(&mut it, a);
+                let secs = parse_duration(a, &v, 1.0, "seconds");
+                let timeout = Duration::try_from_secs_f64(secs)
+                    .unwrap_or_else(|e| bad_arg(&format!("invalid value {v:?} for {a}: {e}")));
                 // Zero means "no deadline" on the command line; the config
                 // type spells that as None.
-                server_builder = server_builder.io_timeout(if secs == 0.0 {
-                    None
-                } else {
-                    Some(Duration::from_secs_f64(secs))
-                });
+                server_builder = server_builder.io_timeout((secs != 0.0).then_some(timeout));
             }
             _ => bad_arg(&format!("unrecognized serve argument {a:?}")),
         }
@@ -496,7 +520,7 @@ fn send_main(args: &[String]) -> ! {
     let Some(exporter) = exporter else {
         bad_arg("send requires --exporter ID");
     };
-    let flows = load_flows(&flows_path);
+    let (flows, _) = load_flows(&flows_path, "");
     if cuts > 0 {
         opts.plan = ConnPlan::new(seed, flows.len(), cuts);
     }
@@ -643,9 +667,9 @@ fn main() {
             }
             "--hm-profile" => builder = builder.hm_profile(true),
             "--threads" => threads = parse_usize(a, &next_value(&mut it, a)),
-            "--window" => window_hours = Some(parse_f64(a, &next_value(&mut it, a))),
-            "--slide" => slide_hours = Some(parse_f64(a, &next_value(&mut it, a))),
-            "--lateness" => lateness_mins = parse_f64(a, &next_value(&mut it, a)),
+            "--window" => window_hours = Some(parse_hours(a, &next_value(&mut it, a))),
+            "--slide" => slide_hours = Some(parse_hours(a, &next_value(&mut it, a))),
+            "--lateness" => lateness_mins = parse_minutes(a, &next_value(&mut it, a)),
             "--late-policy" => late_policy = parse_late_policy(&next_value(&mut it, a)),
             "--max-flows" => max_flows = Some(parse_usize(a, &next_value(&mut it, a))),
             "--dedupe" => dedupe = true,
@@ -680,27 +704,17 @@ fn main() {
         .build()
         .unwrap_or_else(|e| bad_arg(&format!("invalid configuration: {e}")));
 
-    let file = fs::File::open(&flows_path)
-        .unwrap_or_else(|e| fail(&format!("cannot open {flows_path}: {e}")));
-    let (flows, row_errors) = read_flows_lossy(std::io::BufReader::new(file))
-        .unwrap_or_else(|e| fail(&format!("cannot read {flows_path}: {e}")));
+    let (flows, row_errors) = load_flows(
+        &flows_path,
+        if quarantine_path.is_some() {
+            ""
+        } else {
+            " (use --quarantine FILE to capture them)"
+        },
+    );
     let mut quarantine = Quarantine::open(quarantine_path.as_deref());
     for e in &row_errors {
         quarantine.row_error(e);
-    }
-    if row_errors.is_empty() {
-        eprintln!("loaded {} flows", flows.len());
-    } else {
-        eprintln!(
-            "loaded {} flows; skipped {} malformed rows{}",
-            flows.len(),
-            row_errors.len(),
-            if quarantine_path.is_some() {
-                ""
-            } else {
-                " (use --quarantine FILE to capture them)"
-            }
-        );
     }
 
     let is_internal = |ip: Ipv4Addr| subnets.iter().any(|s| s.contains(ip));
