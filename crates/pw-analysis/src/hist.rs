@@ -69,13 +69,12 @@ impl Histogram {
         let n = samples.len() as f64;
         let spread = iqr(samples).expect("non-empty");
         let mut width = 2.0 * spread * n.powf(-1.0 / 3.0);
-        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let range = max - min;
+        let extent = extent(samples);
+        let range = extent.1 - extent.0;
         if width <= 0.0 {
             width = if range > 0.0 { range / n.sqrt() } else { 1.0 };
         }
-        Self::with_bin_width(samples, width)
+        Self::binned(samples, extent, width)
     }
 
     /// Builds a histogram with an explicit `bin_width` over `samples`.
@@ -87,6 +86,13 @@ impl Histogram {
     ///
     /// Panics if `bin_width` is not finite and positive.
     pub fn with_bin_width(samples: &[f64], bin_width: f64) -> Option<Self> {
+        Self::binned(samples, extent(samples), bin_width)
+    }
+
+    /// Bins `samples`, whose `(min, max)` is `extent`, at `bin_width`,
+    /// widened where it would need more than [`MAX_BINS`] bins; the step
+    /// both constructors share.
+    fn binned(samples: &[f64], (min, max): (f64, f64), bin_width: f64) -> Option<Self> {
         assert!(
             bin_width.is_finite() && bin_width > 0.0,
             "bin width must be finite and positive"
@@ -94,15 +100,10 @@ impl Histogram {
         if samples.is_empty() {
             return None;
         }
-        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let range = max - min;
         let mut width = bin_width;
+        // `max` itself lands in the closed last bin, even on an exact edge.
         let mut bins = ((range / width).ceil() as usize).max(1);
-        if range > 0.0 && (range / width).fract() == 0.0 {
-            // `max` would land exactly on the upper edge; final closed bin
-            // handles it, no extra bin needed.
-        }
         if bins > MAX_BINS {
             bins = MAX_BINS;
             width = range / bins as f64;
@@ -174,6 +175,16 @@ impl Histogram {
             .map(|(i, &c)| (self.bin_center(i), c / self.total))
             .collect()
     }
+}
+
+/// `(min, max)` of `samples` in one pass, by the `f64::min`/`f64::max`
+/// left folds (so NaN samples are skipped); `(inf, -inf)` when empty.
+fn extent(samples: &[f64]) -> (f64, f64) {
+    samples
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
+            (lo.min(s), hi.max(s))
+        })
 }
 
 #[cfg(test)]
@@ -255,5 +266,12 @@ mod tests {
     #[should_panic(expected = "bin width")]
     fn invalid_width_panics() {
         let _ = Histogram::with_bin_width(&[1.0], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bin width")]
+    fn unfittable_fd_width_panics() {
+        // The quartiles interpolate `-inf + inf`, so the IQR is NaN.
+        let _ = Histogram::freedman_diaconis(&[f64::NEG_INFINITY, f64::INFINITY]);
     }
 }

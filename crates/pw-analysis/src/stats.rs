@@ -1,5 +1,8 @@
 //! Order statistics and moments over `f64` samples.
 //!
+//! Percentiles, the median and the IQR find their order statistics by
+//! selection, in linear time, with the bits a sort would give.
+//!
 //! All functions ignore nothing and assume finite inputs; callers are
 //! responsible for filtering NaN/inf out of measured data first. Functions
 //! that need at least one sample return [`None`] on empty input.
@@ -59,31 +62,69 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    crate::order::sort_floats(&mut sorted);
-    Some(percentile_sorted(&sorted, p))
+    Some(select_percentile(&mut xs.to_vec(), rank_of(xs.len(), p)))
 }
 
 /// Like [`percentile`], but for data already sorted ascending.
 ///
-/// Use this when computing many percentiles over the same sample to avoid
-/// re-sorting.
+/// Use this when the sample is kept sorted anyway, as
+/// [`Ecdf`](crate::Ecdf) keeps it.
 ///
 /// # Panics
 ///
 /// Panics if `xs` is empty.
 pub fn percentile_sorted(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty sample");
-    let p = p.clamp(0.0, 100.0);
-    let rank = p / 100.0 * (xs.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        xs[lo]
+    let r = rank_of(xs.len(), p);
+    if r.lo == r.hi {
+        xs[r.lo]
     } else {
-        let frac = rank - lo as f64;
-        xs[lo] + (xs[hi] - xs[lo]) * frac
+        xs[r.lo] + (xs[r.hi] - xs[r.lo]) * r.frac
     }
+}
+
+/// Where a percentile falls among sorted values: the ranks either side of
+/// it (`hi` is `lo` or `lo + 1`) and how far between them it lies.
+struct Rank {
+    lo: usize,
+    hi: usize,
+    frac: f64,
+}
+
+/// The [`Rank`] of the `p`-th percentile of `n ≥ 1` values, `p` clamped to
+/// `[0, 100]` (a NaN `p` gives rank 0).
+fn rank_of(n: usize, p: f64) -> Rank {
+    let p = p.clamp(0.0, 100.0);
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    Rank {
+        lo,
+        hi: rank.ceil() as usize,
+        frac: rank - lo as f64,
+    }
+}
+
+/// [`percentile_sorted`]'s value at rank `r` of `xs`, found by selection
+/// instead of a sort, in O(n). Reorders `xs`, leaving the value of rank
+/// `r.lo` at `xs[r.lo]`, every smaller one left of it and every larger one
+/// right of it.
+///
+/// Selection and sort agree bit for bit: under `f64::total_cmp` two values
+/// tie only if their bits are equal, so each rank holds one value however
+/// the others end up ordered. The one difference is the sign and payload of
+/// a NaN that the interpolation produces, which Rust leaves unspecified.
+fn select_percentile(xs: &mut [f64], r: Rank) -> f64 {
+    let (_, &mut lo, above) = xs.select_nth_unstable_by(r.lo, f64::total_cmp);
+    if r.lo == r.hi {
+        return lo;
+    }
+    // Rank `lo + 1` is the least of the unordered values above rank `lo`.
+    let hi = above
+        .iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .expect("rank lo + 1 < n");
+    lo + (hi - lo) * r.frac
 }
 
 /// Median (50th percentile) of `xs`, or `None` if empty.
@@ -112,9 +153,14 @@ pub fn iqr(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    crate::order::sort_floats(&mut sorted);
-    Some(percentile_sorted(&sorted, 75.0) - percentile_sorted(&sorted, 25.0))
+    let mut scratch = xs.to_vec();
+    let (q1, q3) = (rank_of(xs.len(), 25.0), rank_of(xs.len(), 75.0));
+    // After the upper quartile's selection, ranks 0..=q3.lo sit in
+    // scratch[..=q3.lo]. Both ranks of the lower quartile lie there unless
+    // there are only two values, when the two quartiles share their ranks.
+    let below = if q1.hi <= q3.lo { q3.lo + 1 } else { xs.len() };
+    let upper = select_percentile(&mut scratch, q3);
+    Some(upper - select_percentile(&mut scratch[..below], q1))
 }
 
 #[cfg(test)]

@@ -1,14 +1,209 @@
 //! Property-based tests for the statistical substrate.
 
 use proptest::prelude::*;
+use pw_analysis::hist::MAX_BINS;
 use pw_analysis::{
     average_linkage, bucketed_average_linkage, embedding_lower_bound, emd_1d, emd_cdf, iqr,
-    kmeans_partition, percentile, quantile_embedding, CdfRepr, Dendrogram, DistanceMatrix, Ecdf,
-    FillTuning, Histogram,
+    kmeans_partition, median, percentile, quantile_embedding, CdfRepr, Dendrogram, DistanceMatrix,
+    Ecdf, FillTuning, Histogram,
 };
 
 fn finite_samples(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e6f64..1.0e6, 1..max_len)
+}
+
+/// Values that make order statistics awkward: both zeros, both
+/// infinities, NaN of either sign, the smallest normal and subnormal
+/// magnitudes and the extremes.
+const SPECIALS: [f64; 11] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::MIN_POSITIVE,
+    5e-324,
+    -5e-324,
+    f64::MAX,
+    f64::MIN,
+];
+
+/// Sample vectors of 1 to 5,000 values, each drawn whole from one regime:
+/// raw bit patterns (any NaN payload, subnormals, ±inf), a mix of raw bits
+/// with specials and a few repeated values, short special-heavy vectors,
+/// heavy ties whose least value is a tie of `0.0` and `-0.0`, subnormals
+/// and signed zeros alone, and finite values with ties.
+fn hostile_samples() -> impl Strategy<Value = Vec<f64>> {
+    let raw = || any::<u64>().prop_map(f64::from_bits);
+    let special = || (0..SPECIALS.len()).prop_map(|k| SPECIALS[k]);
+    let tie = || (0u8..4).prop_map(f64::from);
+    let subnormal = || any::<u64>().prop_map(|b| f64::from_bits(b & 0x800F_FFFF_FFFF_FFFF));
+    prop_oneof![
+        prop::collection::vec(raw(), 1..5001),
+        prop::collection::vec(prop_oneof![raw(), special(), tie(), subnormal()], 1..5001),
+        prop::collection::vec(prop_oneof![special(), tie()], 1..64),
+        prop::collection::vec(prop_oneof![Just(-0.0), tie()], 1..5001),
+        prop::collection::vec(subnormal(), 1..5001),
+        prop::collection::vec(prop_oneof![-1.0e6f64..1.0e6, tie()], 1..5001),
+    ]
+}
+
+/// Percentiles from below the clamp to above it, the quartiles, and NaN.
+fn percent() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -10.0f64..110.0,
+        Just(f64::NAN),
+        Just(0.0),
+        Just(25.0),
+        Just(50.0),
+        Just(75.0),
+        Just(100.0),
+    ]
+}
+
+/// The order statistics as they were computed before selection: sort a
+/// copy in the total order, then interpolate between neighbouring ranks.
+fn sorted_percentile(xs: &[f64], p: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    percentile_of_sorted(&sorted, p)
+}
+
+fn sorted_iqr(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    percentile_of_sorted(&sorted, 75.0) - percentile_of_sorted(&sorted, 25.0)
+}
+
+fn percentile_of_sorted(xs: &[f64], p: f64) -> f64 {
+    let p = p.clamp(0.0, 100.0);
+    let rank = p / 100.0 * (xs.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        xs[lo]
+    } else {
+        let frac = rank - lo as f64;
+        xs[lo] + (xs[hi] - xs[lo]) * frac
+    }
+}
+
+/// `got` has `want`'s bits. Where `want` is NaN, any NaN will do: Rust
+/// leaves the sign and payload of a NaN that arithmetic produces
+/// unspecified, so two correct evaluations may disagree on them.
+fn same_bits(got: f64, want: f64) -> bool {
+    if want.is_nan() {
+        got.is_nan()
+    } else {
+        got.to_bits() == want.to_bits()
+    }
+}
+
+/// A histogram's fields, as the two-fold constructors below build them.
+#[derive(Debug)]
+struct OracleHistogram {
+    origin: f64,
+    width: f64,
+    counts: Vec<f64>,
+    total: f64,
+}
+
+/// The Freedman–Diaconis constructor as it was before the single range
+/// pass, over the sort-based IQR. `None` where it would panic on a bin
+/// width that is not finite and positive.
+fn two_fold_freedman_diaconis(samples: &[f64]) -> Option<OracleHistogram> {
+    let n = samples.len() as f64;
+    let spread = sorted_iqr(samples);
+    let mut width = 2.0 * spread * n.powf(-1.0 / 3.0);
+    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let range = max - min;
+    if width <= 0.0 {
+        width = if range > 0.0 { range / n.sqrt() } else { 1.0 };
+    }
+    (width.is_finite() && width > 0.0).then(|| two_fold_with_bin_width(samples, width))
+}
+
+/// `Histogram::with_bin_width` as it was, for a valid width and a
+/// non-empty sample.
+fn two_fold_with_bin_width(samples: &[f64], bin_width: f64) -> OracleHistogram {
+    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let range = max - min;
+    let mut width = bin_width;
+    let mut bins = ((range / width).ceil() as usize).max(1);
+    if bins > MAX_BINS {
+        bins = MAX_BINS;
+        width = range / bins as f64;
+    }
+    let mut counts = vec![0.0; bins];
+    for &s in samples {
+        let mut idx = ((s - min) / width) as usize;
+        if idx >= bins {
+            idx = bins - 1;
+        }
+        counts[idx] += 1.0;
+    }
+    OracleHistogram {
+        origin: min,
+        width,
+        counts,
+        total: samples.len() as f64,
+    }
+}
+
+/// `got` and `want` agree field by field, bit for bit.
+fn same_histogram(got: &Histogram, want: &OracleHistogram) -> bool {
+    same_bits(got.origin(), want.origin)
+        && same_bits(got.bin_width(), want.width)
+        && same_bits(got.total_mass(), want.total)
+        && got.counts().len() == want.counts.len()
+        && got
+            .counts()
+            .iter()
+            .zip(&want.counts)
+            .all(|(&g, &w)| same_bits(g, w))
+}
+
+#[test]
+fn histogram_oracle_holds_past_the_bin_cap_and_at_zero_iqr() {
+    // A unit spread with one far outlier: the FD width asks for about
+    // 10^10 bins, capped at MAX_BINS.
+    let mut wide: Vec<f64> = (0..1_000).map(|i| f64::from(i) / 1_000.0).collect();
+    wide.push(1.0e9);
+    // Zero IQR with a nonzero range takes the `range / sqrt(n)` fallback;
+    // identical samples take the single unit bin.
+    let mut flat = vec![1.0; 20];
+    flat.push(100.0);
+    // Ties of `0.0` and `-0.0` at the minimum, in both orders: the origin
+    // keeps whichever zero the `f64::min` fold keeps.
+    let cases = [
+        wide,
+        flat,
+        vec![5.0; 10],
+        vec![-0.0, 0.0, -0.0],
+        vec![0.0, -0.0, 3.0, 0.0],
+    ];
+    for xs in &cases {
+        let got = Histogram::freedman_diaconis(xs).unwrap();
+        let want = two_fold_freedman_diaconis(xs).unwrap();
+        assert!(same_histogram(&got, &want), "{got:?} vs {want:?}");
+    }
+    assert_eq!(
+        Histogram::freedman_diaconis(&cases[0]).unwrap().num_bins(),
+        MAX_BINS
+    );
+    assert!(iqr(&cases[1]).unwrap() == 0.0);
+    let got = Histogram::with_bin_width(&[0.0, 1.0e9], 0.001).unwrap();
+    let want = two_fold_with_bin_width(&[0.0, 1.0e9], 0.001);
+    assert_eq!(got.num_bins(), MAX_BINS);
+    assert!(same_histogram(&got, &want), "{got:?} vs {want:?}");
+    // Empty samples have no order statistics and no histogram.
+    assert_eq!(percentile(&[], 50.0), None);
+    assert_eq!(median(&[]), None);
+    assert_eq!(iqr(&[]), None);
+    assert!(Histogram::freedman_diaconis(&[]).is_none());
 }
 
 fn masses(max_len: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
@@ -81,6 +276,35 @@ fn merge_leaf_sets(dd: &Dendrogram) -> Vec<(Vec<usize>, Vec<usize>, f64)> {
 }
 
 proptest! {
+    /// Selection finds the order statistics a sort would, bit for bit, on
+    /// any input the total order can rank.
+    #[test]
+    fn order_statistics_match_the_sort_oracle_bitwise(xs in hostile_samples(), p in percent()) {
+        let (got, want) = (percentile(&xs, p).unwrap(), sorted_percentile(&xs, p));
+        prop_assert!(same_bits(got, want), "percentile {p}: {got:?} vs {want:?}");
+        let (got, want) = (median(&xs).unwrap(), sorted_percentile(&xs, 50.0));
+        prop_assert!(same_bits(got, want), "median: {got:?} vs {want:?}");
+        let (got, want) = (iqr(&xs).unwrap(), sorted_iqr(&xs));
+        prop_assert!(same_bits(got, want), "iqr: {got:?} vs {want:?}");
+    }
+
+    /// One range pass and the selected IQR build the histograms the two
+    /// folds and the sort did, field by field, bit for bit. Samples whose
+    /// FD width is NaN or infinite panic on both sides and are skipped.
+    #[test]
+    fn histograms_match_the_two_fold_oracle_bitwise(
+        xs in hostile_samples(),
+        width in prop_oneof![1.0e-3f64..1.0e3, Just(f64::MIN_POSITIVE), Just(1.0e300)],
+    ) {
+        if let Some(want) = two_fold_freedman_diaconis(&xs) {
+            let got = Histogram::freedman_diaconis(&xs).unwrap();
+            prop_assert!(same_histogram(&got, &want), "{got:?} vs {want:?}");
+        }
+        let got = Histogram::with_bin_width(&xs, width).unwrap();
+        let want = two_fold_with_bin_width(&xs, width);
+        prop_assert!(same_histogram(&got, &want), "width {width}: {got:?} vs {want:?}");
+    }
+
     #[test]
     fn percentile_is_monotone_in_p(xs in finite_samples(64), p1 in 0.0f64..100.0, p2 in 0.0f64..100.0) {
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };

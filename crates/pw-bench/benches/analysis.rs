@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pw_analysis::{
-    average_linkage, emd_cdf, emd_histograms, percentile, CdfRepr, DistanceMatrix, Histogram,
+    average_linkage, emd_cdf, emd_histograms, iqr, percentile, CdfRepr, DistanceMatrix, Histogram,
 };
 
 fn samples(n: usize, seed: u64) -> Vec<f64> {
@@ -74,6 +74,8 @@ fn bench_percentile(c: &mut Criterion) {
     c.bench_function("percentile_10k", |b| {
         b.iter(|| percentile(black_box(&xs), 50.0))
     });
+    // Both quartiles, the spread term of every FD fit.
+    c.bench_function("iqr_10k", |b| b.iter(|| iqr(black_box(&xs))));
 }
 
 criterion_group!(

@@ -754,6 +754,12 @@ pub fn retained_path(path: &Path, k: usize) -> std::path::PathBuf {
     std::path::PathBuf::from(os)
 }
 
+/// The most previous snapshots a checkpoint chain may keep behind its
+/// primary. Writing, recovering and probing a chain each walk every slot,
+/// so `serve` and windowed `findplotters` refuse a larger
+/// `--checkpoint-retain` before they touch the disk.
+pub const MAX_CHECKPOINT_RETAIN: usize = 64;
+
 /// Atomically persists `text` to `path`: the text goes to a temporary
 /// sibling (`<path>.tmp`) which is then renamed over `path`. The existing
 /// snapshot chain first rotates down one slot (`path` → `path.1` → … →

@@ -52,6 +52,18 @@ pub enum ConfigError {
     ZeroCheckpointInterval,
     /// An ingest queue of depth zero could never hand a flow to the engine.
     ZeroQueueDepth,
+    /// The ingest queue's slots are allocated when the server binds, so
+    /// its depth is capped.
+    QueueTooDeep {
+        /// The depth asked for, in flows.
+        depth: usize,
+        /// The largest depth accepted, in flows.
+        cap: usize,
+    },
+    /// At most
+    /// [`MAX_CHECKPOINT_RETAIN`](crate::checkpoint::MAX_CHECKPOINT_RETAIN)
+    /// previous snapshots may be kept; the payload is the count asked for.
+    TooManyRetained(usize),
     /// A zero I/O deadline would time every socket read out immediately.
     ZeroIoTimeout,
     /// The `θ_hm` mode/tuning configuration was rejected; the payload says
@@ -94,6 +106,15 @@ impl fmt::Display for ConfigError {
                 f.write_str("checkpoint interval must be at least 1 flow")
             }
             ConfigError::ZeroQueueDepth => f.write_str("ingest queue depth must be at least 1"),
+            ConfigError::QueueTooDeep { depth, cap } => write!(
+                f,
+                "ingest queue depth {depth} exceeds the cap of {cap} flows"
+            ),
+            ConfigError::TooManyRetained(n) => write!(
+                f,
+                "{n} retained checkpoints exceed the cap of {}",
+                crate::checkpoint::MAX_CHECKPOINT_RETAIN
+            ),
             ConfigError::ZeroIoTimeout => {
                 f.write_str("io timeout must be positive (omit it to disable deadlines)")
             }

@@ -55,11 +55,17 @@ mod server;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use pw_detect::checkpoint::MAX_CHECKPOINT_RETAIN;
 use pw_detect::{ConfigError, EngineConfig};
 
 pub use checkpoint::ServerCheckpoint;
 pub use client::{send_flows, ClientError, RetryPolicy, SendOptions, SendReport};
 pub use server::{Server, ServerError};
+
+/// The deepest ingest queue a [`ServerConfig`] accepts, in flows: 4,096
+/// batch slots of [`MAX_BATCH`](pw_flow::frame::MAX_BATCH) flows, all of
+/// which are allocated when the server binds.
+pub const MAX_QUEUE_DEPTH: usize = 1 << 20;
 
 /// Validated configuration for a [`Server`].
 ///
@@ -78,7 +84,8 @@ pub struct ServerConfig {
     pub checkpoint_every: u64,
     /// Previous snapshots kept behind the primary checkpoint as
     /// `<path>.1 … <path>.N`; restore falls back along this chain when
-    /// the primary is torn or bit-flipped. Zero keeps only the primary.
+    /// the primary is torn or bit-flipped. Zero keeps only the primary;
+    /// at most [`MAX_CHECKPOINT_RETAIN`].
     pub checkpoint_retain: usize,
     /// Bound on the ingest queue between connection threads and the
     /// engine thread — the backpressure knob. It counts flows, rounded up
@@ -86,7 +93,8 @@ pub struct ServerConfig {
     /// `queue_depth.div_ceil(MAX_BATCH)` batch messages of up to
     /// [`MAX_BATCH`](pw_flow::frame::MAX_BATCH) flows each, so the
     /// default of 1,024 holds four, and the flows queued (and the memory
-    /// they take) stay bounded by the depth asked for.
+    /// they take) stay bounded by the depth asked for. At most
+    /// [`MAX_QUEUE_DEPTH`].
     pub queue_depth: usize,
     /// Read/write deadline applied to every connection socket (exporter
     /// and query alike); a session idle past it is reaped and counted.
@@ -105,16 +113,26 @@ impl ServerConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroCheckpointInterval`] or
-    /// [`ConfigError::ZeroQueueDepth`] for this type's own knobs, or any
-    /// error from [`EngineConfig::validate`].
+    /// [`ConfigError::ZeroCheckpointInterval`],
+    /// [`ConfigError::TooManyRetained`], [`ConfigError::ZeroQueueDepth`],
+    /// [`ConfigError::QueueTooDeep`] or [`ConfigError::ZeroIoTimeout`] for
+    /// this type's own knobs, or any error from [`EngineConfig::validate`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.engine.validate()?;
         if self.checkpoint_every == 0 {
             return Err(ConfigError::ZeroCheckpointInterval);
         }
+        if self.checkpoint_retain > MAX_CHECKPOINT_RETAIN {
+            return Err(ConfigError::TooManyRetained(self.checkpoint_retain));
+        }
         if self.queue_depth == 0 {
             return Err(ConfigError::ZeroQueueDepth);
+        }
+        if self.queue_depth > MAX_QUEUE_DEPTH {
+            return Err(ConfigError::QueueTooDeep {
+                depth: self.queue_depth,
+                cap: MAX_QUEUE_DEPTH,
+            });
         }
         if self.io_timeout == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroIoTimeout);
@@ -234,6 +252,41 @@ mod tests {
         assert_eq!(
             ServerConfig::builder().engine(bad_engine).build(),
             Err(ConfigError::ZeroThreads)
+        );
+    }
+
+    #[test]
+    fn builder_caps_retained_checkpoints_and_queue_depth() {
+        // Both caps admit their bound and refuse one past it. Building
+        // allocates nothing; only binding allocates the queue.
+        let at_caps = ServerConfig::builder()
+            .checkpoint_retain(MAX_CHECKPOINT_RETAIN)
+            .queue_depth(MAX_QUEUE_DEPTH)
+            .build()
+            .unwrap();
+        assert_eq!(at_caps.checkpoint_retain, MAX_CHECKPOINT_RETAIN);
+        assert_eq!(at_caps.queue_depth, MAX_QUEUE_DEPTH);
+        assert_eq!(
+            ServerConfig::builder()
+                .checkpoint_retain(MAX_CHECKPOINT_RETAIN + 1)
+                .build(),
+            Err(ConfigError::TooManyRetained(MAX_CHECKPOINT_RETAIN + 1))
+        );
+        assert_eq!(
+            ServerConfig::builder().queue_depth(usize::MAX).build(),
+            Err(ConfigError::QueueTooDeep {
+                depth: usize::MAX,
+                cap: MAX_QUEUE_DEPTH
+            })
+        );
+        assert_eq!(
+            ServerConfig::builder()
+                .queue_depth(MAX_QUEUE_DEPTH + 1)
+                .build(),
+            Err(ConfigError::QueueTooDeep {
+                depth: MAX_QUEUE_DEPTH + 1,
+                cap: MAX_QUEUE_DEPTH
+            })
         );
     }
 }

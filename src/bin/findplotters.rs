@@ -25,7 +25,7 @@
 //! (with `--quarantine`) written to a sink file with their line numbers.
 //! In streaming mode, `--checkpoint FILE` snapshots the engine atomically
 //! every `--checkpoint-every` flows (default 10000), keeping
-//! `--checkpoint-retain` previous snapshots (default 2) behind the
+//! `--checkpoint-retain` previous snapshots (default 2, at most 64) behind the
 //! primary; a later run with `--resume` revives the engine from the
 //! newest snapshot whose checksum verifies — falling back along the
 //! retained chain past torn or bit-flipped files — and skips the part of
@@ -60,7 +60,7 @@
 //! port) and blocks until a `SHUTDOWN` query. Its sockets carry an I/O
 //! deadline (`--io-timeout`, default 30 s, `0` disables) so a stalled
 //! peer is reaped instead of pinning a thread, and its checkpoints keep
-//! `--checkpoint-retain` previous snapshots (default 2) for fallback
+//! `--checkpoint-retain` previous snapshots (default 2, at most 64) for fallback
 //! recovery when the newest one is torn or corrupt. `send` streams a CSV
 //! as one border exporter, optionally severing the connection after
 //! `--cuts` seeded positions to exercise reconnect resume; `--retry N`
@@ -83,11 +83,13 @@ use std::path::Path;
 use std::time::Duration;
 
 use peerwatch::chaos::{ChaosProxy, ConnPlan, ProxyFaults};
-use peerwatch::detect::checkpoint::{read_checkpoint_recover, retained_path, write_text_retained};
+use peerwatch::detect::checkpoint::{
+    read_checkpoint_recover, retained_path, write_text_retained, MAX_CHECKPOINT_RETAIN,
+};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
 use peerwatch::detect::{
-    try_find_plotters_table_tier, Error, FindPlottersConfig, PlotterReport, ProfileTier,
-    ThetaHmMode, Threshold,
+    try_find_plotters_table_tier, ConfigError, Error, FindPlottersConfig, PlotterReport,
+    ProfileTier, ThetaHmMode, Threshold,
 };
 use peerwatch::flow::csvio::{push_flow, read_flows_lossy, RowError, READ_CAPACITY};
 use peerwatch::flow::{FlowRecord, FlowTable};
@@ -119,6 +121,20 @@ fn usage() -> ! {
 fn bad_arg(msg: &str) -> ! {
     eprintln!("findplotters: {msg}");
     usage()
+}
+
+/// Refuses a configuration as an argument error, naming the flag behind a
+/// knob past its cap.
+fn bad_config(what: &str, e: ConfigError) -> ! {
+    let (flag, value) = match e {
+        ConfigError::TooManyRetained(n) => ("--checkpoint-retain", n),
+        ConfigError::QueueTooDeep { depth, .. } => ("--queue-depth", depth),
+        _ => bad_arg(&format!("invalid {what}: {e}")),
+    };
+    bad_arg(&format!(
+        "invalid value {:?} for {flag}: {e}",
+        value.to_string()
+    ))
 }
 
 /// Prints a runtime error and exits nonzero.
@@ -452,7 +468,7 @@ fn serve_main(args: &[String]) -> ! {
     let server_cfg = server_builder
         .engine(engine_cfg)
         .build()
-        .unwrap_or_else(|e| bad_arg(&format!("invalid server configuration: {e}")));
+        .unwrap_or_else(|e| bad_config("server configuration", e));
 
     let is_internal = move |ip: Ipv4Addr| subnets.iter().any(|s| s.contains(ip));
     let server = Server::bind(bind.as_str(), server_cfg, is_internal)
@@ -695,6 +711,12 @@ fn main() {
     }
     if checkpoint_every == 0 {
         bad_arg("--checkpoint-every must be at least 1");
+    }
+    if checkpoint_retain > MAX_CHECKPOINT_RETAIN {
+        bad_config(
+            "configuration",
+            ConfigError::TooManyRetained(checkpoint_retain),
+        );
     }
     if subnets.is_empty() {
         subnets.push(parse_cidr("10.1.0.0/16"));

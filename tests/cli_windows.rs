@@ -1,15 +1,22 @@
-//! Window shapes and durations `findplotters` refuses as argument errors
-//! (status 2, naming the flag or cap) in windowed mode and in `serve`,
-//! before any window opens or any socket is bound:
+//! Window shapes, durations and sizes `findplotters` refuses as argument
+//! errors (status 2, naming the flag or cap) in windowed mode and in
+//! `serve`, before any window opens, any socket is bound or any checkpoint
+//! is probed:
 //!
 //! - `--window H --slide S` with `H / S` past the cap. At that ratio each
 //!   flow would open, and be profiled in, millions of windows.
 //! - `--window`, `--slide`, `--lateness` and `--io-timeout` values that
 //!   are not finite, are negative, or whose milliseconds overflow a `u64`.
+//! - A `--queue-depth` past its cap, whose slots `serve` would allocate
+//!   when it binds.
+//! - A `--checkpoint-retain` past its cap: writing, recovering and probing
+//!   a checkpoint chain walk every one of its slots.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
+use peerwatch::detect::checkpoint::MAX_CHECKPOINT_RETAIN;
 use peerwatch::detect::stream::MAX_WINDOWS_PER_FLOW;
 use peerwatch::flow::csvio::write_flows;
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
@@ -104,6 +111,7 @@ fn nonsense_durations_are_argument_errors() {
         ("--io-timeout", "1e300"),
         ("--io-timeout", "-1"),
         ("--io-timeout", "nan"),
+        ("--queue-depth", "18446744073709551615"),
     ];
     for (flag, value) in cases {
         let mut runs = vec![(
@@ -113,8 +121,8 @@ fn nonsense_durations_are_argument_errors() {
                 .output()
                 .expect("run findplotters serve"),
         )];
-        // `--io-timeout` belongs to `serve` alone.
-        if flag != "--io-timeout" {
+        // `--io-timeout` and `--queue-depth` belong to `serve` alone.
+        if !matches!(flag, "--io-timeout" | "--queue-depth") {
             runs.push((
                 "windowed",
                 Command::new(env!("CARGO_BIN_EXE_findplotters"))
@@ -142,6 +150,67 @@ fn nonsense_durations_are_argument_errors() {
                 "{mode} {flag} {value}: printed output"
             );
         }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `cmd` to its end, or kills it and fails once `deadline` passes: a
+/// refusal that never comes must fail the test, not hang it.
+fn output_within(mut cmd: Command, deadline: Duration) -> Output {
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn findplotters");
+    let started = Instant::now();
+    while child.try_wait().expect("poll findplotters").is_none() {
+        if started.elapsed() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{cmd:?} still running after {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect output")
+}
+
+#[test]
+fn retained_checkpoints_past_the_cap_are_argument_errors() {
+    let dir = std::env::temp_dir().join(format!("pw-cli-retain-{}", std::process::id()));
+    let csv = three_flows(&dir);
+    let checkpoint = dir.join("ck");
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let bind = taken.local_addr().expect("local addr").to_string();
+    let retain = "100000000000";
+    assert!(retain.parse::<usize>().unwrap() > MAX_CHECKPOINT_RETAIN);
+
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_findplotters"));
+    serve
+        .args(["serve", "--bind", &bind, "--checkpoint-retain", retain])
+        .arg("--checkpoint")
+        .arg(&checkpoint);
+    // With `--resume` the chain is probed before the file is read; without
+    // it, the second checkpoint rotates the chain.
+    let mut runs = vec![("serve", serve)];
+    for resume in [&["--resume"][..], &["--checkpoint-every", "1"][..]] {
+        let mut windowed = Command::new(env!("CARGO_BIN_EXE_findplotters"));
+        windowed
+            .arg(&csv)
+            .args(["--internal", "10.0.0.0/8", "--window", "1"])
+            .args(["--checkpoint-retain", retain])
+            .arg("--checkpoint")
+            .arg(&checkpoint)
+            .args(resume);
+        runs.push(("windowed", windowed));
+    }
+    let refusal = format!("invalid value {retain:?} for --checkpoint-retain");
+    for (mode, cmd) in runs {
+        let out = output_within(cmd, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{mode}: {stderr}");
+        assert!(stderr.contains(&refusal), "{mode}: {stderr}");
+        assert!(!stderr.contains("loaded"), "{mode} read the CSV: {stderr}");
+        assert!(out.stdout.is_empty(), "{mode}: printed output");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
