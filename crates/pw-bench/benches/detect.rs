@@ -106,7 +106,8 @@ fn synth_hm_hosts(n: usize) -> ProfileTable {
                 initiated_failed: 40,
                 first_activity: None,
                 repr: ProfileRepr::Exact {
-                    first_contact: Default::default(),
+                    destinations: 0,
+                    early_destinations: 0,
                     interstitials,
                 },
             },

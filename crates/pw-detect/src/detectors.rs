@@ -695,7 +695,7 @@ mod tests {
     use super::*;
     use crate::features::ProfileTable;
     use pw_netsim::SimTime;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::HashMap;
 
     // Set-shaped adapters over the view API, so assertions can name hosts
     // by address.
@@ -773,16 +773,7 @@ mod tests {
     ) -> HostProfile {
         // Build a profile whose derived metrics equal the given values:
         // one flow with `avg_upload` bytes; churn via 100 destinations.
-        let mut first_contact = BTreeMap::new();
-        let n_new = (churn * 100.0).round() as u32;
-        for d in 0..100u32 {
-            let t = if d < n_new {
-                SimTime::from_hours(3) // after first hour: new
-            } else {
-                SimTime::from_secs(60) // within first hour: old
-            };
-            first_contact.insert(Ipv4Addr::new(8, (d / 256) as u8, (d % 256) as u8, 1), t);
-        }
+        let n_new = (churn * 100.0).round() as u64;
         HostProfile {
             ip: ip(ip_last),
             flows_involving: 1,
@@ -791,7 +782,8 @@ mod tests {
             initiated_failed: 5,
             first_activity: Some(SimTime::ZERO),
             repr: ProfileRepr::Exact {
-                first_contact,
+                destinations: 100,
+                early_destinations: 100 - n_new,
                 interstitials,
             },
         }

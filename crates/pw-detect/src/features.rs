@@ -13,13 +13,13 @@
 //! indexes.
 //!
 //! The kernel keeps its exact-tier per-destination state flat: one map of
-//! last-contact times per worker, keyed by (host slot, destination), and
-//! per host a list of first contacts, collected into the profile's
-//! `first_contact` map once when the walk finishes. The engine's windows
-//! keep no last-contact map: the engine finds each flow's previous contact
-//! once and hands it to every window's kernel.
+//! last-contact times per worker, keyed by (host slot, destination). A flow
+//! with no previous contact is a first contact, which the kernel counts at
+//! once, as early or not; a profile keeps counts, not destinations. The
+//! engine's windows keep no last-contact map: the engine finds each flow's
+//! previous contact once and hands it to every window's kernel.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use pw_analysis::{CdfRepr, Histogram};
@@ -31,9 +31,9 @@ use crate::stream::MAX_THREADS;
 
 /// Which per-host representation an extraction mode accumulates.
 ///
-/// - [`ProfileTier::Exact`] keeps the full per-destination first-contact
-///   map and every interstitial gap sample — unbounded per-host memory,
-///   exact detector inputs. The default.
+/// - [`ProfileTier::Exact`] counts destinations exactly and keeps every
+///   interstitial gap sample — per-host memory grows with the gaps, and
+///   the detector inputs are exact. The default.
 /// - [`ProfileTier::Sketched`] keeps fixed-size sketches instead
 ///   (see [`pw_sketch`]): memory per host is capped at
 ///   [`SKETCHED_BYTES_PER_HOST_CAP`] bytes no matter how much the host
@@ -67,15 +67,17 @@ impl ProfileTier {
     }
 }
 
-/// The tier-specific payload of a [`HostProfile`]: either the exact
-/// per-destination state or its bounded sketch counterpart.
+/// The tier-specific payload of a [`HostProfile`]: exact destination
+/// counts and gap samples, or their bounded sketch counterparts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProfileRepr {
-    /// Full-fidelity state, unbounded in the number of destinations and
-    /// gap samples.
+    /// Full-fidelity state: exact counts, and every gap sample.
     Exact {
-        /// First contact time per destination the host initiated flows to.
-        first_contact: BTreeMap<Ipv4Addr, SimTime>,
+        /// Distinct destinations the host initiated flows to.
+        destinations: u64,
+        /// Those first contacted at most one hour after first activity
+        /// (the θ_churn "old peer" count).
+        early_destinations: u64,
         /// Pooled per-destination interstitial times, in seconds.
         interstitials: Vec<f64>,
     },
@@ -140,7 +142,8 @@ impl HostProfile {
     fn new(ip: Ipv4Addr, tier: ProfileTier) -> Self {
         let repr = match tier {
             ProfileTier::Exact => ProfileRepr::Exact {
-                first_contact: BTreeMap::new(),
+                destinations: 0,
+                early_destinations: 0,
                 interstitials: Vec::new(),
             },
             ProfileTier::Sketched => ProfileRepr::Sketched {
@@ -200,16 +203,15 @@ impl HostProfile {
     /// (the counts are then integer-exact), a ratio of HLL estimates
     /// beyond it.
     pub fn new_ip_fraction(&self) -> Option<f64> {
-        let first = self.first_activity?;
+        self.first_activity?;
         match &self.repr {
-            ProfileRepr::Exact { first_contact, .. } => {
-                if first_contact.is_empty() {
-                    return None;
-                }
-                let cutoff = first + SimDuration::from_hours(1);
-                let new = first_contact.values().filter(|&&t| t > cutoff).count();
-                Some(new as f64 / first_contact.len() as f64)
-            }
+            ProfileRepr::Exact {
+                destinations,
+                early_destinations,
+                ..
+            } => (*destinations > 0).then(|| {
+                destinations.saturating_sub(*early_destinations) as f64 / *destinations as f64
+            }),
             ProfileRepr::Sketched {
                 destinations,
                 early_destinations,
@@ -229,7 +231,7 @@ impl HostProfile {
     /// sketched tier's sparse cap).
     pub fn distinct_destinations(&self) -> usize {
         match &self.repr {
-            ProfileRepr::Exact { first_contact, .. } => first_contact.len(),
+            ProfileRepr::Exact { destinations, .. } => *destinations as usize,
             ProfileRepr::Sketched { destinations, .. } => destinations.count().round() as usize,
         }
     }
@@ -256,14 +258,6 @@ impl HostProfile {
         match &self.repr {
             ProfileRepr::Exact { interstitials, .. } => interstitials,
             ProfileRepr::Sketched { gaps, .. } => gaps.samples().unwrap_or(&[]),
-        }
-    }
-
-    /// The exact first-contact map, if this is an exact-tier profile.
-    pub fn first_contact(&self) -> Option<&BTreeMap<Ipv4Addr, SimTime>> {
-        match &self.repr {
-            ProfileRepr::Exact { first_contact, .. } => Some(first_contact),
-            ProfileRepr::Sketched { .. } => None,
         }
     }
 
@@ -311,20 +305,12 @@ impl HostProfile {
     }
 
     /// Estimated resident bytes of this profile (struct plus heap state).
-    /// Exact-tier estimates grow with the destination and sample counts;
-    /// sketched-tier estimates are bounded by
-    /// [`SKETCHED_BYTES_PER_HOST_CAP`].
+    /// Exact-tier estimates grow with the gap sample count; sketched-tier
+    /// estimates are bounded by [`SKETCHED_BYTES_PER_HOST_CAP`].
     pub fn estimated_bytes(&self) -> usize {
         let inline = std::mem::size_of::<Self>();
         match &self.repr {
-            ProfileRepr::Exact {
-                first_contact,
-                interstitials,
-            } => {
-                // BTreeMap nodes cost well over the entry payload; 32
-                // bytes/entry is a deliberate round under-estimate.
-                inline + first_contact.len() * 32 + interstitials.len() * 8
-            }
+            ProfileRepr::Exact { interstitials, .. } => inline + interstitials.len() * 8,
             ProfileRepr::Sketched {
                 destinations,
                 early_destinations,
@@ -593,18 +579,6 @@ impl HostMask {
     }
 }
 
-/// Per-host accumulation state the finished profile does not keep.
-#[derive(Debug, Clone)]
-enum Pending {
-    /// Exact tier: each destination with the time it was first contacted,
-    /// in first-contact order; collected into the profile's
-    /// `first_contact` map at finish. Last-contact times live in the
-    /// worker's flat [`Kernel::last_contact`] map.
-    Exact(Vec<(Ipv4Addr, SimTime)>),
-    /// Sketched tier: the bounded per-host last-contact cache.
-    Sketched(LastSeen<SimTime>),
-}
-
 /// Where the exact tier learns the previous contact of a host with a
 /// destination, which makes a flow an interstitial gap or a first contact.
 #[derive(Debug, Clone, Copy)]
@@ -630,17 +604,19 @@ pub(crate) enum PrevContact {
 /// tier finds the previous contact ([`PrevContact`]) — so the accumulation
 /// semantics live in exactly one place. Per-host absorb order must be
 /// non-decreasing in `start` (every caller walks flows in canonical time
-/// order), which is also what makes the sketched tier's
-/// `early_destinations` cutoff test exact: by the time any initiated flow
-/// is absorbed, `first_activity` is already pinned to the host's earliest
-/// one.
+/// order), which is also what makes both tiers' `early_destinations`
+/// cutoff test exact: by the time any initiated flow is absorbed,
+/// `first_activity` is already pinned to the host's earliest one. Each
+/// destination has one first contact per profile, so the exact tier's
+/// counts are those of the distinct destinations.
 #[derive(Debug, Clone, Default)]
 struct Kernel {
     tier: ProfileTier,
     /// Per slot: the profile under construction.
     profiles: Vec<HostProfile>,
-    /// Per slot: state kept until [`Kernel::finish`].
-    pending: Vec<Pending>,
+    /// Sketched tier, per slot: the bounded last-contact cache the
+    /// finished profile does not keep. Empty at the exact tier.
+    recent: Vec<LastSeen<SimTime>>,
     /// Per slot: start of the host's latest flow.
     last_seen: Vec<SimTime>,
     /// Exact tier: last contact time per (slot, destination), the slot in
@@ -670,10 +646,9 @@ impl Kernel {
     /// Opens the next slot, for host `ip`.
     fn open(&mut self, ip: Ipv4Addr) -> usize {
         self.profiles.push(HostProfile::new(ip, self.tier));
-        self.pending.push(match self.tier {
-            ProfileTier::Exact => Pending::Exact(Vec::new()),
-            ProfileTier::Sketched => Pending::Sketched(LastSeen::new()),
-        });
+        if self.tier == ProfileTier::Sketched {
+            self.recent.push(LastSeen::new());
+        }
         self.last_seen.push(SimTime::ZERO);
         self.profiles.len() - 1
     }
@@ -701,9 +676,14 @@ impl Kernel {
         if failed {
             p.initiated_failed += 1;
         }
-        let first = *p.first_activity.get_or_insert(start);
-        match (&mut p.repr, &mut self.pending[slot]) {
-            (ProfileRepr::Exact { interstitials, .. }, Pending::Exact(firsts)) => {
+        // Within the host's first hour: an old peer's first contact (§IV-B).
+        let early = start <= *p.first_activity.get_or_insert(start) + SimDuration::from_hours(1);
+        match &mut p.repr {
+            ProfileRepr::Exact {
+                destinations,
+                early_destinations,
+                interstitials,
+            } => {
                 let prev = match contact {
                     PrevContact::Tracked => {
                         let key = (slot as u64) << 32 | u64::from(u32::from(dst));
@@ -713,30 +693,25 @@ impl Kernel {
                 };
                 match prev {
                     Some(prev) => interstitials.push((start - prev).as_secs_f64()),
-                    None => firsts.push((dst, start)),
+                    None => {
+                        *destinations += 1;
+                        *early_destinations += u64::from(early);
+                    }
                 }
             }
-            (
-                ProfileRepr::Sketched {
-                    destinations,
-                    early_destinations,
-                    gaps,
-                },
-                Pending::Sketched(last),
-            ) => {
+            ProfileRepr::Sketched {
+                destinations,
+                early_destinations,
+                gaps,
+            } => {
                 let key = u32::from(dst);
                 destinations.insert(key);
-                if start <= first + SimDuration::from_hours(1) {
+                if early {
                     early_destinations.insert(key);
                 }
-                if let Some(prev) = last.insert(key, start) {
+                if let Some(prev) = self.recent[slot].insert(key, start) {
                     gaps.record((start - prev).as_secs_f64());
                 }
-            }
-            // `open` builds profile and pending state from the same tier.
-            (ProfileRepr::Exact { .. }, Pending::Sketched(_))
-            | (ProfileRepr::Sketched { .. }, Pending::Exact(_)) => {
-                unreachable!("profile repr and pending state tiers diverged")
             }
         }
     }
@@ -744,18 +719,7 @@ impl Kernel {
     /// Finishes every slot, in slot order: each profile with the start of
     /// its host's latest flow.
     fn finish(self) -> impl Iterator<Item = (HostProfile, SimTime)> {
-        self.profiles
-            .into_iter()
-            .zip(self.pending)
-            .zip(self.last_seen)
-            .map(|((mut p, pending), seen)| {
-                if let (ProfileRepr::Exact { first_contact, .. }, Pending::Exact(firsts)) =
-                    (&mut p.repr, pending)
-                {
-                    *first_contact = firsts.into_iter().collect();
-                }
-                (p, seen)
-            })
+        self.profiles.into_iter().zip(self.last_seen)
     }
 }
 
@@ -1204,13 +1168,17 @@ mod tests {
 
     #[test]
     fn unsorted_input_is_handled() {
+        // Walked as listed, the first activity would be at 2 h, E2 an
+        // early destination, and the gap to E1 zero.
         let flows = vec![
-            flow(H, E1, 100, 1, 1, false),
+            flow(H, E1, 2 * 3600, 1, 1, false),
             flow(H, E1, 0, 1, 1, false), // earlier, listed later
+            flow(H, E2, 3 * 1800, 1, 1, false),
         ];
         let p = profile_of(&flows, H);
-        assert_eq!(p.interstitials(), &[100.0]);
-        assert_eq!(p.first_contact().expect("exact tier")[&E1], SimTime::ZERO);
+        assert_eq!(p.interstitials(), &[7200.0]);
+        assert_eq!(p.distinct_destinations(), 2);
+        assert_eq!(p.new_ip_fraction(), Some(0.5));
     }
 
     fn mixed_flows() -> Vec<FlowRecord> {

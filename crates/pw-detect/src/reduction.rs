@@ -42,7 +42,7 @@ mod tests {
     use super::*;
     use crate::features::{HostProfile, ProfileRepr, ProfileTable};
     use pw_netsim::SimTime;
-    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::collections::{HashMap, HashSet};
     use std::net::Ipv4Addr;
 
     /// Reduction over hand-built profiles, with survivors as addresses.
@@ -62,7 +62,8 @@ mod tests {
             initiated_failed: failed,
             first_activity: Some(SimTime::ZERO),
             repr: ProfileRepr::Exact {
-                first_contact: BTreeMap::new(),
+                destinations: 0,
+                early_destinations: 0,
                 interstitials: Vec::new(),
             },
         }

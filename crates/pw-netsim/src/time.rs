@@ -108,16 +108,19 @@ impl SimDuration {
     }
 }
 
+/// Saturates at the last instant of the clock, as subtraction saturates
+/// at zero.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
+/// Saturates as [`Add`] does.
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -176,6 +179,15 @@ mod tests {
             SimTime::from_secs(1) - SimTime::from_secs(5),
             SimDuration::ZERO
         );
+    }
+
+    #[test]
+    fn adding_past_the_end_of_the_clock_saturates() {
+        let end = SimTime::from_millis(u64::MAX);
+        let mut t = SimTime::from_millis(u64::MAX - 1);
+        assert_eq!(t + SimDuration::from_hours(1), end);
+        t += SimDuration::from_hours(1);
+        assert_eq!(t, end);
     }
 
     #[test]

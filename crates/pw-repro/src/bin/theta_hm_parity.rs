@@ -109,7 +109,8 @@ fn synth_population(n: usize) -> (ProfileTable, HashSet<Ipv4Addr>, HashSet<Ipv4A
                 initiated_failed: 0,
                 first_activity: Some(SimTime::ZERO),
                 repr: ProfileRepr::Exact {
-                    first_contact: BTreeMap::new(),
+                    destinations: 0,
+                    early_destinations: 0,
                     interstitials,
                 },
             },

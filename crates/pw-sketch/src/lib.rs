@@ -11,15 +11,16 @@
 //! Three structures cover the unbounded per-host state of the exact tier:
 //!
 //! - [`DistinctSketch`] — distinct-destination counting. Exact (a sorted
-//!   key set) up to a small cap, then a fixed-seed HyperLogLog. Replaces
-//!   the exact `first_contact` peer map for `distinct_destinations` and
+//!   key set) up to a small cap, then a fixed-seed HyperLogLog. Stands in
+//!   for the exact tier's destination counts, which the extractor takes
+//!   from its per-worker last-contact map: `distinct_destinations` and
 //!   the θ_churn numerator/denominator.
 //! - [`GapSketch`] — interstitial-gap distributions. Exact samples up to a
 //!   cap, then a fixed log-spaced histogram that lowers directly into
 //!   [`pw_analysis::CdfRepr`] so the alloc-free EMD kernel runs on
 //!   sketched hosts unchanged.
 //! - [`LastSeen`] — a fixed-capacity last-contact-time cache standing in
-//!   for the accumulators' per-host `last_to` hash maps.
+//!   for the exact tier's per-worker last-contact map.
 //!
 //! Why not GK or t-digest for the quantile side? Both are *stream-order
 //! dependent*: merging shard A into B and B into A can produce different

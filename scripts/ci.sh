@@ -86,14 +86,16 @@ fi
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
-echo "==> bench smoke (detect, flow, profiles, stream, hash and analysis benches execute)"
+echo "==> bench smoke (every pw-bench bench target executes)"
 # `--test` runs each bench once without measuring: catches panics in bench
 # setup/bodies (e.g. the theta_hm scaling grid, the checkpoint fixture)
 # without paying bench time. `profiles` and `stream` run the extraction
 # kernel and the engine's window close; `hash` checks that both hashers
 # it compares agree before timing them; `analysis` runs the θ_hm
-# statistics kernels (FD histograms, EMD, linkage, percentile and IQR).
-for bench in detect flow profiles stream hash analysis; do
+# statistics kernels (FD histograms, EMD, linkage, percentile and IQR);
+# `figures` runs the paper-figure pipelines and `kad` the Kademlia
+# overlay.
+for bench in detect flow profiles stream hash analysis figures kad; do
   cargo bench -q -p pw-bench --bench "$bench" -- --test
 done
 

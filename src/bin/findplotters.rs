@@ -96,8 +96,37 @@ use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::{SimDuration, Subnet};
 use peerwatch::server::{send_flows, SendOptions, Server, ServerConfig};
 
+/// Ends the run on a failed write to standard output. A reader that has
+/// gone away (`findplotters … | head`) is how a filter is normally stopped,
+/// so a broken pipe exits 0 quietly; any other error fails loudly.
+fn stdout_ok(written: std::io::Result<()>) {
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(&format!("stdout: {e}"));
+    }
+}
+
+/// `println!` through a locked stdout, with errors handled by
+/// [`stdout_ok`] instead of a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        stdout_ok(writeln!(std::io::stdout().lock(), $($arg)*))
+    };
+}
+
+/// `eprintln!` through a locked stderr that ignores a failed write: with
+/// standard error gone there is nowhere left to report it, and the exit
+/// status still tells what happened.
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stderr().lock(), $($arg)*);
+    }};
+}
+
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "usage: findplotters <flows.csv> [--internal CIDR]... [--truth hosts.csv] \
          [--tau-vol P] [--tau-churn P] [--tau-hm P] [--no-reduction] \
          [--theta-hm-mode exact|bucketed[:EB:TB:Q:R]] [--hm-profile] \
@@ -119,7 +148,7 @@ fn usage() -> ! {
 
 /// Prints an argument error with the offending flag/value and exits.
 fn bad_arg(msg: &str) -> ! {
-    eprintln!("findplotters: {msg}");
+    errln!("findplotters: {msg}");
     usage()
 }
 
@@ -139,28 +168,8 @@ fn bad_config(what: &str, e: ConfigError) -> ! {
 
 /// Prints a runtime error and exits nonzero.
 fn fail(msg: &str) -> ! {
-    eprintln!("findplotters: {msg}");
+    errln!("findplotters: {msg}");
     std::process::exit(1)
-}
-
-/// Ends the run on a failed write to standard output. A reader that has
-/// gone away (`findplotters … | head`) is how a filter is normally stopped,
-/// so a broken pipe exits 0 quietly; any other error fails loudly.
-fn stdout_ok(written: std::io::Result<()>) {
-    if let Err(e) = written {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        fail(&format!("stdout: {e}"));
-    }
-}
-
-/// `println!` through a locked stdout, with errors handled by
-/// [`stdout_ok`] instead of a panic.
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        stdout_ok(writeln!(std::io::stdout().lock(), $($arg)*))
-    };
 }
 
 fn next_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
@@ -296,7 +305,7 @@ impl Quarantine {
         }
         if self.written > 0 {
             if let Some(p) = &self.path {
-                eprintln!("{} records quarantined to {p}", self.written);
+                errln!("{} records quarantined to {p}", self.written);
             }
         }
     }
@@ -356,9 +365,9 @@ fn load_flows(path: &str, skipped_hint: &str) -> (Vec<FlowRecord>, Vec<RowError>
         read_flows_lossy(std::io::BufReader::with_capacity(READ_CAPACITY, file))
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     if row_errors.is_empty() {
-        eprintln!("loaded {} flows", flows.len());
+        errln!("loaded {} flows", flows.len());
     } else {
-        eprintln!(
+        errln!(
             "loaded {} flows; skipped {} malformed rows{skipped_hint}",
             flows.len(),
             row_errors.len()
@@ -557,18 +566,24 @@ fn send_main(args: &[String]) -> ! {
         let report = send_flows(proxy.addr(), exporter, &flows, &opts)
             .unwrap_or_else(|e| fail(&format!("send failed: {e}")));
         let stats = proxy.shutdown();
-        eprintln!(
+        errln!(
             "chaos proxy: {} conns, {} flips, {} cuts, {} stalls",
-            stats.conns, stats.flips, stats.cuts, stats.stalls
+            stats.conns,
+            stats.flips,
+            stats.cuts,
+            stats.stalls
         );
         report
     } else {
         send_flows(connect.as_str(), exporter, &flows, &opts)
             .unwrap_or_else(|e| fail(&format!("send failed: {e}")))
     };
-    eprintln!(
+    errln!(
         "exporter {exporter}: {} sent, {} skipped, {} reconnects, {} retries",
-        report.sent, report.skipped, report.reconnects, report.retries
+        report.sent,
+        report.skipped,
+        report.reconnects,
+        report.retries
     );
     std::process::exit(0)
 }
@@ -765,24 +780,25 @@ fn main() {
                 let recovered = read_checkpoint_recover(Path::new(cp), checkpoint_retain)
                     .unwrap_or_else(|e| fail(&format!("cannot resume from {cp}: {e}")));
                 for (path, err) in &recovered.skipped {
-                    eprintln!("checkpoint {} unusable: {err}", path.display());
+                    errln!("checkpoint {} unusable: {err}", path.display());
                 }
                 if recovered.fallbacks > 0 {
-                    eprintln!(
+                    errln!(
                         "resumed from retained snapshot {} steps behind the primary",
                         recovered.fallbacks
                     );
                 }
                 let snapshot = recovered.snapshot;
                 if snapshot.config != engine_cfg {
-                    eprintln!(
+                    errln!(
                         "resuming with the checkpoint's engine configuration \
                          (command-line knobs differ and are ignored)"
                     );
                 }
-                eprintln!(
+                errln!(
                     "resuming from {cp}: {} flows already processed, watermark {}",
-                    snapshot.stats.attempted, snapshot.watermark
+                    snapshot.stats.attempted,
+                    snapshot.watermark
                 );
                 DetectionEngine::restore(&snapshot, is_internal)
                     .unwrap_or_else(|e| fail(&format!("cannot resume from {cp}: {e}")))
@@ -809,7 +825,7 @@ fn main() {
         for f in ordered.iter().skip(skip).copied() {
             match engine.push(f) {
                 Ok(ws) => windows.extend(ws),
-                Err(e @ Error::LateFlow { .. }) => eprintln!("dropped flow: {e}"),
+                Err(e @ Error::LateFlow { .. }) => errln!("dropped flow: {e}"),
                 Err(e @ Error::InvalidRecord(_)) => {
                     let mut row = String::new();
                     push_flow(&mut row, &f);
@@ -885,10 +901,15 @@ fn main() {
         }
         let s = engine.stats();
         if s.late + s.shed + s.quarantined + s.duplicates > 0 {
-            eprintln!(
+            errln!(
                 "degraded-mode totals: {} late ({} dropped, {} extended), {} shed, \
                  {} quarantined, {} duplicate rows",
-                s.late, s.late_dropped, s.late_extended, s.shed, s.quarantined, s.duplicates
+                s.late,
+                s.late_dropped,
+                s.late_extended,
+                s.shed,
+                s.quarantined,
+                s.duplicates
             );
         }
         outln!("\nsuspects across all windows: {}", union_suspects.len());
@@ -902,7 +923,7 @@ fn main() {
         // Intern the whole file into one columnar table; detection borrows
         // it instead of re-scanning and re-hashing addresses per stage.
         let table = FlowTable::from_records(&flows);
-        eprintln!("interned {} hosts", table.hosts().len());
+        errln!("interned {} hosts", table.hosts().len());
         let report = match try_find_plotters_table_tier(&table, is_internal, &cfg, tier, threads) {
             Ok(report) => report,
             // A knob the library refuses, like a thread count past the

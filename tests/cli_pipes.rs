@@ -1,13 +1,16 @@
 //! `findplotters` writing into a pipe whose reader goes away, as in
 //! `findplotters … | head`: the run must end quietly with status 0, not
-//! panic with "failed printing to stdout: Broken pipe".
+//! panic with "failed printing to stdout: Broken pipe". With standard
+//! error in such a pipe, an error must still exit with its own status.
 
+use std::ffi::OsString;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::thread;
 
+use peerwatch::flow::csvio::write_flows;
 use peerwatch::server::{Server, ServerConfig};
 
 fn assert_quiet_success(out: &Output) {
@@ -79,4 +82,30 @@ fn batch_report_into_a_closed_pipe_ends_quietly() {
     let out = child.wait_with_output().expect("wait for findplotters");
     std::fs::remove_dir_all(&dir).ok();
     assert_quiet_success(&out);
+}
+
+#[test]
+fn errors_into_a_closed_stderr_keep_their_exit_codes() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("pw-cli-stderr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the scratch directory");
+    let csv = dir.join("flows.csv");
+    let file = std::fs::File::create(&csv).expect("create the CSV");
+    write_flows(file, &[]).expect("write the CSV header");
+    let cases: [(Vec<OsString>, i32); 3] = [
+        (vec!["x.csv".into(), "--bogus".into()], 2),
+        (vec![dir.join("missing.csv").into()], 1),
+        (vec![csv.into(), "--threads".into(), "0".into()], 2),
+    ];
+    for (args, code) in cases {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_findplotters"))
+            .args(&args)
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("spawn findplotters");
+        assert_eq!(status.code(), Some(code), "{args:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
