@@ -45,9 +45,30 @@
 //! flows are not written once per window. Each `window I E` line names an
 //! open window, in ascending index order, followed by its `E` extras: the
 //! late flows [`LatePolicy::ExtendOldest`] appended to it, which are not
-//! in the log. [`EngineCheckpoint::parse`] refuses a log out of canonical
-//! order, and a logged flow whose windows, from the oldest open one on,
-//! are not all listed as open.
+//! in the log.
+//!
+//! # Layouts `parse` refuses
+//!
+//! The engine never repairs its state, so [`EngineCheckpoint::parse`]
+//! refuses every layout no engine writes, with a
+//! [`CheckpointError::Format`] naming the offending window or row:
+//!
+//! - an open window whose end `applied_to` has reached: the watermark
+//!   closes it then;
+//! - a buffered flow that starts before `applied_to`, or a logged one that
+//!   starts at or after it: drained flows must land behind every logged
+//!   one, or windows that took those in would miss them;
+//! - a log out of canonical order, which the window ranges' binary
+//!   searches rely on;
+//! - a logged flow whose covering windows that end after `applied_to` are
+//!   not all listed as open, or have all ended: a window opens with its
+//!   first flow, so one opening later would open over logged flows its
+//!   profile never took in, and the log drops a flow once all its windows
+//!   have closed.
+//!
+//! The fields these checks compare are private, so a snapshot reaches
+//! [`DetectionEngine::restore`](crate::stream::DetectionEngine::restore)
+//! only in a layout `parse` accepts or an engine wrote.
 //!
 //! The final line is an integrity trailer — `checksum crc32=<8 hex
 //! digits>` over every preceding byte — so a truncated or bit-flipped
@@ -152,19 +173,22 @@ pub fn split_checksum_trailer(text: &str) -> Result<&str, CheckpointError> {
 /// A complete snapshot of a streaming engine.
 ///
 /// Produced by
-/// [`DetectionEngine::checkpoint`](crate::stream::DetectionEngine::checkpoint),
-/// consumed by
+/// [`DetectionEngine::checkpoint`](crate::stream::DetectionEngine::checkpoint)
+/// or [`parse`](Self::parse), consumed by
 /// [`DetectionEngine::restore`](crate::stream::DetectionEngine::restore).
-/// The fields are public so operators can inspect a snapshot (e.g. print
-/// the watermark of a checkpoint file) without reviving an engine.
+/// The watermark and the counters are public fields, so operators can
+/// inspect a snapshot (e.g. print the watermark of a checkpoint file)
+/// without reviving an engine. The configuration, `applied_to` and the
+/// rows, which `parse` checks against one another (see the [module
+/// docs](self)), are private; accessors read the configuration and rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineCheckpoint {
     /// The engine configuration at snapshot time (restore re-validates it).
-    pub config: EngineConfig,
+    pub(crate) config: EngineConfig,
     /// Maximum flow start observed.
     pub watermark: SimTime,
     /// Flows starting before this instant were already applied to windows.
-    pub applied_to: SimTime,
+    pub(crate) applied_to: SimTime,
     /// Cumulative ingest accounting.
     pub stats: EngineStats,
     /// Late-flow delta awaiting the next report.
@@ -177,17 +201,12 @@ pub struct EngineCheckpoint {
     pub stall_watermark: SimTime,
     /// Feed-clock instant of the last observed watermark advance.
     pub stall_progress_at: Option<SimTime>,
-    /// Flows still in the reorder buffer, in drain order. Restore
-    /// re-sorts them into canonical order; flows with equal keys keep
-    /// their order here, which is their arrival order.
-    pub buffer: Vec<FlowRecord>,
+    /// Flows still in the reorder buffer, in drain order.
+    pub(crate) buffer: Vec<FlowRecord>,
     /// Every flow applied to the open windows, once, in canonical order.
-    pub log: Vec<FlowRecord>,
-    /// Open windows in ascending index order: `(index, extras)`, where the
-    /// extras are the late flows [`LatePolicy::ExtendOldest`] appended to
-    /// the window. Its other flows are the [`log`](Self::log) flows that
-    /// start inside its span.
-    pub open: Vec<(u64, Vec<FlowRecord>)>,
+    pub(crate) log: Vec<FlowRecord>,
+    /// Open windows in ascending index order, with their extras.
+    pub(crate) open: Vec<(u64, Vec<FlowRecord>)>,
 }
 
 /// Why a checkpoint could not be read.
@@ -281,6 +300,29 @@ fn opt_ms(v: Option<u64>) -> String {
 }
 
 impl EngineCheckpoint {
+    /// The engine configuration at snapshot time (restore re-validates it).
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    /// Flows still in the reorder buffer, in drain order: flows with equal
+    /// keys in arrival order.
+    pub fn buffer(&self) -> &[FlowRecord] {
+        &self.buffer
+    }
+
+    /// Every flow applied to the open windows, once, in canonical order.
+    pub fn log(&self) -> &[FlowRecord] {
+        &self.log
+    }
+
+    /// Open windows in ascending index order, each with its extras: the
+    /// late flows [`LatePolicy::ExtendOldest`] appended to it. Its other
+    /// flows are the [`log`](Self::log) flows that start inside its span.
+    pub fn open(&self) -> &[(u64, Vec<FlowRecord>)] {
+        &self.open
+    }
+
     /// Serializes the snapshot into the versioned text form.
     pub fn serialize(&self) -> String {
         let c = &self.config;
@@ -442,11 +484,12 @@ impl EngineCheckpoint {
             })?;
             Ok((header, flow_rows(&mut lines, count, header, total_lines)?))
         };
-        let (_, buffer) = counted_rows("buffer")?;
+        let (buffer_header, buffer) = counted_rows("buffer")?;
         let (log_header, log) = counted_rows("log")?;
 
         // Zero or more "window <index> <extras>" sections, then "end".
         let mut open: Vec<(u64, Vec<FlowRecord>)> = Vec::new();
+        let mut window_lines = Vec::new();
         loop {
             let (lineno, line) = lines.next().ok_or(CheckpointError::Format {
                 line: 0,
@@ -478,11 +521,10 @@ impl EngineCheckpoint {
             }
             let count = parse(parts.next(), "flow count")? as usize;
             open.push((index, flow_rows(&mut lines, count, lineno, total_lines)?));
+            window_lines.push(lineno + 1);
         }
-        // The first log row is on 1-based line `log_header + 2`.
-        check_log(&config, &log, &open, log_header + 2)?;
 
-        Ok(EngineCheckpoint {
+        let snapshot = EngineCheckpoint {
             config,
             watermark: SimTime::from_millis(state_fields.num("watermark_ms")?),
             applied_to: SimTime::from_millis(state_fields.num("applied_to_ms")?),
@@ -497,7 +539,80 @@ impl EngineCheckpoint {
             buffer,
             log,
             open,
-        })
+        };
+        // A section's first row is two lines below its 0-based header.
+        snapshot.check_layout(buffer_header + 2, log_header + 2, &window_lines)?;
+        Ok(snapshot)
+    }
+
+    /// Refuses a layout no engine writes (see the module docs), naming the
+    /// first offending window or row: `first_buffered` and `first_logged`
+    /// are the 1-based lines of the first buffered and logged rows, and
+    /// `window_lines` those of the window headers. `open` ascends strictly.
+    fn check_layout(
+        &self,
+        first_buffered: usize,
+        first_logged: usize,
+        window_lines: &[usize],
+    ) -> Result<(), CheckpointError> {
+        let (window, slide, applied) = (self.config.window, self.config.slide, self.applied_to);
+        let bound = format!("applied_to_ms={}", applied.as_millis());
+        let refuse = |line, reason| Err(CheckpointError::Format { line, reason });
+        // The oldest window that ends after `applied_to`. Restore refuses
+        // an invalid configuration before it reads a row, so only a valid
+        // one's window geometry is checked.
+        let first_open = self
+            .config
+            .validate()
+            .is_ok()
+            .then(|| *covering(applied, window, slide).start());
+        for (&(index, _), &line) in self.open.iter().zip(window_lines) {
+            if first_open.is_some_and(|first| index < first) {
+                return refuse(line, format!("window {index} ends at or before {bound}"));
+            }
+        }
+        if let Some(row) = self.buffer.iter().position(|f| f.start < applied) {
+            let reason = format!("buffered flow starts before {bound}");
+            return refuse(first_buffered + row, reason);
+        }
+        let mut prev = None;
+        for (row, f) in self.log.iter().enumerate() {
+            let refused = |why: String| {
+                let start = f.start.as_millis();
+                refuse(
+                    first_logged + row,
+                    format!("logged flow starting at {start} ms {why}"),
+                )
+            };
+            if prev
+                .replace(f)
+                .is_some_and(|p| buffer_key(f) < buffer_key(p))
+            {
+                return refused("is out of canonical order".to_owned());
+            }
+            if f.start >= applied {
+                return refused(format!("is not before {bound}"));
+            }
+            let Some(first) = first_open else {
+                continue;
+            };
+            let last = *covering(f.start, window, slide).end();
+            if last < first {
+                return refused("lies only in windows that have ended".to_owned());
+            }
+            // Every listed index is at least `first` and they ascend
+            // strictly, so `first..=last` is listed in full exactly when
+            // `last` sits `last - first` slots in.
+            let listed = usize::try_from(last - first)
+                .ok()
+                .and_then(|at| self.open.get(at));
+            if listed.map(|&(index, _)| index) != Some(last) {
+                return refused(format!(
+                    "lies in windows {first}..={last}, not all listed as open"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -506,63 +621,6 @@ fn push_rows(out: &mut String, rows: &[FlowRecord]) {
         push_flow(out, f);
         out.push('\n');
     }
-}
-
-/// Refuses a log the engine could not have written: rows out of canonical
-/// order, which the binary searches for window ranges rely on, or a row
-/// whose windows, from the oldest open one on, are not all listed as open
-/// (a row older than every open window included), so that each window
-/// restores with the flows it held. `first_row` is the 1-based line of
-/// the first log row; `open` ascends strictly.
-fn check_log(
-    cfg: &EngineConfig,
-    log: &[FlowRecord],
-    open: &[(u64, Vec<FlowRecord>)],
-    first_row: usize,
-) -> Result<(), CheckpointError> {
-    let refuse = |row: usize, reason: String| CheckpointError::Format {
-        line: first_row + row,
-        reason,
-    };
-    for (row, pair) in log.windows(2).enumerate() {
-        if buffer_key(&pair[1]) < buffer_key(&pair[0]) {
-            return Err(refuse(row + 1, "log row out of canonical order".to_owned()));
-        }
-    }
-    if cfg.slide == SimDuration::ZERO {
-        // No window geometry to check against; restore refuses the
-        // configuration itself.
-        return Ok(());
-    }
-    let listed = |k: u64| open.binary_search_by_key(&k, |&(index, _)| index).ok();
-    let oldest = open.first().map_or(u64::MAX, |&(index, _)| index);
-    for (row, f) in log.iter().enumerate() {
-        let windows = covering(f.start, cfg.window, cfg.slide);
-        let (lo, hi) = ((*windows.start()).max(oldest), *windows.end());
-        let start = f.start.as_millis();
-        if lo > hi {
-            return Err(refuse(
-                row,
-                format!("logged flow starting at {start} ms is older than every open window"),
-            ));
-        }
-        // Indices ascend strictly, so `lo..=hi` is listed in full exactly
-        // when both ends are listed `hi - lo` slots apart.
-        let all_open = match (listed(lo), listed(hi)) {
-            (Some(a), Some(b)) => (b - a) as u64 == hi - lo,
-            _ => false,
-        };
-        if !all_open {
-            return Err(refuse(
-                row,
-                format!(
-                    "logged flow starting at {start} ms lies in windows {lo}..={hi}, \
-                     not all listed as open"
-                ),
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Pulls the next line and checks its section tag, returning
@@ -1131,13 +1189,9 @@ mod tests {
         assert_eq!(line, second, "{reason}");
         assert!(reason.contains("canonical order"), "{reason}");
 
-        // The newest open window unlisted: flows it shares with the one
-        // before lie in a window that is not listed. The oldest unlisted:
-        // the flows only it held are older than every listed window.
-        for (newest, why) in [
-            (true, "not all listed as open"),
-            (false, "older than every open window"),
-        ] {
+        // The newest or the oldest open window unlisted: the flows it
+        // shares with the other lie in a window that is not listed.
+        for newest in [true, false] {
             let mut log_header = 0;
             let bad = edit_lines(&text, |lines| {
                 let mut windows = (0..lines.len()).filter(|&i| lines[i].starts_with("window "));
@@ -1150,7 +1204,7 @@ mod tests {
                 log_header = line_of(lines, "log ");
             });
             let (line, reason) = refused(&bad);
-            assert!(reason.contains(why), "{reason}");
+            assert!(reason.contains("not all listed as open"), "{reason}");
             assert!(line > log_header + 1, "line {line}: {reason}");
         }
 
@@ -1164,77 +1218,76 @@ mod tests {
     }
 
     #[test]
-    fn hand_built_snapshots_keep_the_flow_accounting_even() {
-        // `parse` refuses both layouts below, but a snapshot built in code
-        // can carry them; the engine must still give back every flow it
-        // counts as held, without underflowing at a close.
+    fn layouts_no_engine_writes_are_refused_on_their_line() {
+        // No engine writes these layouts. An engine restored from one would
+        // have to repair it: insert a logged flow behind rows its windows
+        // had taken in, or open a window over logged rows its profile never
+        // took in.
         let snap = busy_engine().checkpoint();
-        let finish = |s: &EngineCheckpoint| {
-            let mut eng = DetectionEngine::restore(s, internal as fn(Ipv4Addr) -> bool).unwrap();
-            let reports = eng.finish();
-            assert_eq!(eng.held_flows(), 0);
-            reports
-        };
-        // A log out of order is put back in order.
-        let mut reversed = snap.clone();
-        reversed.log.reverse();
-        assert_eq!(finish(&reversed), finish(&snap));
-        // The newest open window left out: buffered flows reopen it over
-        // logged flows that no listed window counted.
-        let mut unlisted = snap.clone();
-        let (newest, _) = unlisted.open.pop().unwrap();
-        let reports = finish(&unlisted);
-        assert!(reports.iter().any(|w| w.index == newest));
-        // The first buffered flow logged, although it starts at or after
-        // `applied_to`. Its windows must report what the snapshot with
-        // that flow still buffered reports, after a push from a new host
-        // that lands before it, behind a row they took in at restore, and
-        // after a copy of it, a duplicate that `finish` leaves to their
-        // closes.
-        let first = snap.buffer[0];
-        assert!(first.start >= snap.applied_to);
-        let cfg = snap.config;
-        let windows = covering(first.start, cfg.window, cfg.slide);
-        assert!(windows
-            .clone()
-            .all(|k| snap.open.iter().any(|&(i, _)| i == k)));
-        let mut logged = snap.clone();
-        logged.log.push(logged.buffer.remove(0));
-        let at = |secs: i64| {
-            SimTime::from_millis(first.start.as_millis().saturating_add_signed(secs * 1000))
-        };
-        let before = FlowRecord {
-            start: at(-10),
-            end: at(0),
-            src: Ipv4Addr::new(10, 1, 0, 99),
-            dst: Ipv4Addr::new(60, 9, 9, 9),
-            ..first
-        };
-        assert!(before.start >= snap.applied_to);
-        let closer = FlowRecord {
-            start: at(20 * 60),
-            end: at(21 * 60),
-            ..first
-        };
-        let run = |s: &EngineCheckpoint, pushes: &[FlowRecord]| {
-            let mut eng = DetectionEngine::restore(s, internal as fn(Ipv4Addr) -> bool).unwrap();
-            let mut pushed = Vec::new();
-            for f in pushes {
-                pushed.extend(eng.push(*f).unwrap());
+        // `parse` refuses the snapshot `s` on the line that reads `at`.
+        let refused_on = |s: &EngineCheckpoint, at: &str, why: &str| {
+            let text = s.serialize();
+            let at = text.lines().position(|l| l == at).unwrap() + 1;
+            match EngineCheckpoint::parse(&text) {
+                Err(CheckpointError::Format { line, reason }) => {
+                    assert_eq!(line, at, "{reason}");
+                    assert!(reason.contains(why), "{reason}");
+                }
+                other => panic!("expected a format error, got {other:?}"),
             }
-            let finished = eng.finish();
-            assert_eq!(eng.held_flows(), 0);
-            (pushed, finished, eng.stats())
         };
-        let (pushed, _, _) = run(&logged, &[before, closer]);
-        assert!(pushed.iter().any(|w| windows.contains(&w.index)));
-        assert_eq!(
-            run(&logged, &[before, closer]),
-            run(&snap, &[before, closer])
+        let row = |f: &FlowRecord| {
+            let mut row = String::new();
+            push_flow(&mut row, f);
+            row
+        };
+        let (slide_ms, window_ms) = (
+            snap.config.slide.as_millis(),
+            snap.config.window.as_millis(),
         );
-        let (_, finished, _) = run(&logged, &[first]);
-        let copied = finished.iter().filter(|w| windows.contains(&w.index));
-        assert!(copied.map(|w| w.duplicates).eq([1, 1]));
-        assert_eq!(run(&logged, &[first]), run(&snap, &[first]));
+        let (oldest, _) = snap.open[0];
+
+        // The first buffered flow moved into the log.
+        let mut moved = snap.clone();
+        let first = moved.buffer.remove(0);
+        moved.log.push(first);
+        refused_on(&moved, &row(&first), "not before applied_to");
+
+        // The last logged flow moved into the buffer.
+        let mut moved = snap.clone();
+        let last = moved.log.pop().unwrap();
+        moved.buffer.insert(0, last);
+        refused_on(&moved, &row(&last), "before applied_to");
+
+        // `applied_to` moved back past the last logged flow.
+        let mut moved = snap.clone();
+        moved.applied_to = last.start;
+        refused_on(&moved, &row(&last), "not before applied_to");
+
+        // `applied_to` moved on to the oldest open window's end.
+        let mut moved = snap.clone();
+        moved.applied_to = SimTime::from_millis(oldest * slide_ms + window_ms);
+        let header = format!("window {oldest} 0");
+        refused_on(&moved, &header, "at or before applied_to");
+
+        // The oldest open window unlisted along with the flows only it
+        // held: it still covers the rest and runs past `applied_to`.
+        let mut moved = snap.clone();
+        moved.open.remove(0);
+        let next_start = SimTime::from_millis(moved.open[0].0 * slide_ms);
+        moved.log.retain(|f| f.start >= next_start);
+        assert!(snap.applied_to.as_millis() < oldest * slide_ms + window_ms);
+        refused_on(&moved, &row(&moved.log[0]), "not all listed as open");
+
+        // A logged flow older than every open window: all of its windows
+        // have ended.
+        let mut moved = snap.clone();
+        let stale = FlowRecord {
+            start: SimTime::ZERO,
+            end: SimTime::from_secs(1),
+            ..snap.log[0]
+        };
+        moved.log.insert(0, stale);
+        refused_on(&moved, &row(&stale), "only in windows that have ended");
     }
 }

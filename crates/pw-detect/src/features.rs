@@ -1000,24 +1000,6 @@ impl RecordProfiler {
         }
     }
 
-    /// Takes in `rows`, the first rows it sees, tracking contacts itself.
-    /// Unlike the table walk, this consults `is_internal` for both
-    /// endpoints of every row.
-    pub(crate) fn push_rows<'a, F>(
-        &mut self,
-        rows: impl Iterator<Item = &'a FlowRecord>,
-        is_internal: &F,
-    ) where
-        F: Fn(Ipv4Addr) -> bool,
-    {
-        let mut prev = None;
-        for f in rows {
-            let duplicate = prev.replace(f) == Some(f);
-            let host = internal_endpoint(f, is_internal);
-            self.push(f, host, duplicate, PrevContact::Tracked);
-        }
-    }
-
     /// Finishes every host's profile.
     pub(crate) fn finish(self) -> RecordProfiles {
         RecordProfiles {

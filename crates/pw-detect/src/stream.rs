@@ -66,23 +66,27 @@
 //! destination; a window counts it as an interstitial gap if it falls
 //! inside the window and as a first contact otherwise, so the exact tier
 //! keeps no contact map per window. A close builds no
-//! [`FlowTable`](pw_flow::FlowTable) and re-walks no rows: it takes in
-//! the rows its profiler has not seen, which on the watermark path are
-//! none, and finishes the profiles. A flush
-//! ([`finish`](DetectionEngine::finish) or a stall
-//! [`tick`](DetectionEngine::tick)) closes every window in one call, so it
-//! logs the buffered flows without feeding them to any window or the
-//! contact map, and each close takes its share in one pass, with a map of
-//! just those flows' contacts; only one window's profiles are then being
-//! finished at a time. A window holding extras, which belong among rows
-//! it has already taken in, re-walks its log range merged with the sorted
-//! extras through a fresh profiler at close, as does a window whose log
-//! range got a flow inserted behind rows it had taken in (only a snapshot
-//! built in code can log flows out of order). A flow in `k` windows is
-//! held in `k` profiles, so [`EngineConfig::validate`] bounds `k`. After a
-//! close, the log prefix older than every open window is dropped, and so
-//! are the contacts older than every open window once the contact map
-//! holds twice as many contacts as the log holds flows.
+//! [`FlowTable`](pw_flow::FlowTable): it takes in, in one pass, the rows
+//! its profiler has not, and finishes the profiles. On the watermark path
+//! there are none. A flush ([`finish`](DetectionEngine::finish) or a
+//! stall [`tick`](DetectionEngine::tick)) closes every window in one call,
+//! so it logs the buffered flows without feeding them to any window or the
+//! contact map, and each close takes its share, with a map of just those
+//! flows' contacts in front of the shared one; only one window's profiles
+//! are then being finished at a time. A window holding extras, which
+//! belong among rows it may have taken in, drops its profiler when the
+//! first arrives, and its close takes in every row of its log range
+//! merged with the sorted extras, with a map of their contacts alone. A
+//! flow in `k` windows is held in `k` profiles, so
+//! [`EngineConfig::validate`] bounds `k`. After a close, the log prefix
+//! older than every open window is dropped, and so are the contacts older
+//! than every open window once the contact map holds twice as many
+//! contacts as the log holds flows.
+//!
+//! The engine never repairs its state: flows reach the log in canonical
+//! order, and a window opens with its first flow, over an empty log range.
+//! [`EngineCheckpoint::parse`](crate::checkpoint::EngineCheckpoint::parse)
+//! refuses every snapshot that would break this (see [`crate::checkpoint`]).
 //!
 //! # Examples
 //!
@@ -469,10 +473,10 @@ fn contact_key(host: Ipv4Addr, dst: Ipv4Addr) -> u64 {
     u64::from(u32::from(host)) << 32 | u64::from(u32::from(dst))
 }
 
-/// A window's rows in canonical order: its log range merged with its
-/// extras, which must be sorted by [`buffer_key`]. Log rows come first on
-/// equal keys, so the merge is a stable sort of the range followed by the
-/// extras.
+/// A window's rows in canonical order: rows of its log range merged with
+/// its extras, which must be sorted by [`buffer_key`]. Log rows come first
+/// on equal keys, so the merge is a stable sort of the rows followed by
+/// the extras.
 struct WindowRows<'a> {
     log: Peekable<vec_deque::Iter<'a, FlowRecord>>,
     extras: Peekable<slice::Iter<'a, FlowRecord>>,
@@ -497,14 +501,22 @@ struct OpenWindow {
     /// outside the log.
     extras: Vec<FlowRecord>,
     /// The profile of the first [`seen`](RecordProfiler::seen) rows of the
-    /// window's log range. `None` once the window must re-walk its rows at
-    /// close: it holds extras, or a flow was logged behind rows it had
-    /// taken in.
+    /// window's log range. `None` while the window holds extras: they
+    /// belong among rows the profile may have taken in, so its close takes
+    /// in every row afresh.
     profile: Option<RecordProfiler>,
 }
 
 impl OpenWindow {
-    /// Appends a late flow; its rows are then re-walked at close.
+    /// A window holding `extras`, with a fresh profile unless it holds any.
+    fn new(extras: Vec<FlowRecord>, cfg: &EngineConfig) -> Self {
+        let profile = extras
+            .is_empty()
+            .then(|| RecordProfiler::new(cfg.tier, cfg.dedupe));
+        Self { extras, profile }
+    }
+
+    /// Appends a late flow; the close then takes in every row afresh.
     fn extend(&mut self, f: FlowRecord) {
         self.extras.push(f);
         self.profile = None;
@@ -596,7 +608,11 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     /// The configuration is taken from the snapshot, so a resumed engine
     /// continues byte-identically to the run that was interrupted.
     /// `is_internal` cannot be serialized — the caller must supply the
-    /// same predicate the checkpointed engine used.
+    /// same predicate the checkpointed engine used. Only
+    /// [`checkpoint`](Self::checkpoint) and
+    /// [`EngineCheckpoint::parse`](crate::checkpoint::EngineCheckpoint::parse)
+    /// make snapshots, both in layouts an engine writes, so restore takes
+    /// the rows in as they are.
     ///
     /// # Errors
     ///
@@ -611,21 +627,14 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             engine.buffer_flow(*f);
         }
         // Each open window takes its logged flows in again, as it had when
-        // the snapshot was taken; one with extras re-walks at close anyway.
+        // the snapshot was taken; one with extras takes them in at close.
         for (k, extras) in &snapshot.open {
-            let window = OpenWindow {
-                extras: extras.clone(),
-                profile: extras
-                    .is_empty()
-                    .then(|| RecordProfiler::new(engine.cfg.tier, engine.cfg.dedupe)),
-            };
-            engine.open.insert(*k, window);
+            engine
+                .open
+                .insert(*k, OpenWindow::new(extras.clone(), &engine.cfg));
         }
-        // A stable sort: flows with equal keys keep the snapshot's order.
-        let mut log = snapshot.log.clone();
-        log.sort_by_key(buffer_key);
-        for f in log {
-            engine.log_flow(f, true);
+        for f in &snapshot.log {
+            engine.log_flow(*f, true);
         }
         engine.held = engine.buffer.len()
             + engine
@@ -948,26 +957,13 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         lo..hi
     }
 
-    /// Adds `f` to the log in canonical order. Buffer drains run in key
-    /// order and never go back, so `f` belongs at the back; a hand-built
-    /// snapshot may say otherwise, and the log stays sorted either way.
-    /// With `feed`, every open window covering `f` whose profile has taken
-    /// in its rows so far takes `f` in too; a flush leaves `f` to each
+    /// Appends `f` to the log. Buffer drains run in key order, and every
+    /// buffered flow starts at or after `applied_to`, which every logged
+    /// flow starts before, so the log stays in canonical order. With
+    /// `feed`, every open window covering `f` whose profile has taken in
+    /// its rows so far takes `f` in too; a flush leaves `f` to each
     /// window's close.
     fn log_flow(&mut self, f: FlowRecord, feed: bool) {
-        let covering = self.covering(f.start);
-        let key = buffer_key(&f);
-        if self.log.back().is_some_and(|last| buffer_key(last) > key) {
-            let at = self.log.partition_point(|g| buffer_key(g) <= key);
-            self.log.insert(at, f);
-            // Behind rows the covering windows may have taken in. Any other
-            // window that takes in a later flow starts after `f`, so no
-            // window needs `f`'s contact from the contact map.
-            for (_, w) in self.open.range_mut(covering) {
-                w.profile = None;
-            }
-            return;
-        }
         let duplicate = self.log.back() == Some(&f);
         self.log.push_back(f);
         if !feed {
@@ -978,7 +974,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             .filter(|&host| host == f.src)
             .and_then(|host| self.contacts.insert(contact_key(host, f.dst), f.start));
         let slide_ms = self.cfg.slide.as_millis();
-        for (&k, w) in self.open.range_mut(covering) {
+        for (&k, w) in self.open.range_mut(self.covering(f.start)) {
             if let Some(profile) = &mut w.profile {
                 let since = SimTime::from_millis(k.saturating_mul(slide_ms));
                 let contact = PrevContact::Given(prev.filter(|&t| t >= since));
@@ -987,83 +983,62 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         }
     }
 
-    /// A fresh profile of `rows`, given in canonical order.
-    fn profile<'a>(&self, rows: impl Iterator<Item = &'a FlowRecord>) -> RecordProfiler {
-        let mut profile = RecordProfiler::new(self.cfg.tier, self.cfg.dedupe);
-        profile.push_rows(rows, &self.is_internal);
-        profile
-    }
-
     /// Logs the flow once and opens every window covering its start time;
-    /// `held` counts it once per covering window. With `feed`, the covering
-    /// windows take the flow in (see [`log_flow`](Self::log_flow)).
+    /// `held` counts it once per covering window. A window opens with the
+    /// first flow that falls in it, so it opens over an empty log range.
+    /// With `feed`, the covering windows take the flow in (see
+    /// [`log_flow`](Self::log_flow)).
     fn assign(&mut self, f: FlowRecord, feed: bool) {
         for k in self.covering(f.start) {
-            if !self.open.contains_key(&k) {
-                // Windows open in index order, after the flows of every
-                // older window are logged, so this range is empty unless
-                // a hand-built snapshot put flows there; count and profile
-                // them either way, or the close would take more than was
-                // added.
-                let range = self.log_range(k);
-                self.held += range.len();
-                let window = OpenWindow {
-                    extras: Vec::new(),
-                    profile: Some(self.profile(self.log.range(range))),
-                };
-                self.open.insert(k, window);
-            }
+            self.open
+                .entry(k)
+                .or_insert_with(|| OpenWindow::new(Vec::new(), &self.cfg));
             self.held += 1;
         }
         self.log_flow(f, feed);
     }
 
     /// Closes window `index`: finishes its profiles and runs the pipeline
-    /// on the hosts the [`EvictionPolicy`] keeps. The profile has taken
-    /// in every row the watermark logged; a close takes in the rows a
-    /// flush logged since, or, if the window must re-walk, all its rows
-    /// through a fresh profile (see the module's "Storage" section). Either
-    /// way the profile counts duplicates, skips them under `dedupe` and
-    /// keeps each host's last-seen time.
+    /// on the hosts the [`EvictionPolicy`] keeps. The profile has taken in
+    /// every row the watermark logged; the close takes in the rest in one
+    /// pass (see the module's "Storage" section): the rows a flush logged
+    /// since, or, when the window holds extras, every row through a fresh
+    /// profile. The profile counts duplicates, skips them under `dedupe`
+    /// and keeps each host's last-seen time.
     fn close_window(&mut self, index: u64, window: OpenWindow, forced: bool) -> WindowReport {
         let span = self.window_span(index);
         let range = self.log_range(index);
         self.held -= range.len() + window.extras.len();
-        let profile = match window.profile {
-            // The rows a flush logged since the profile's last. Their
-            // contacts are not in the contact map, which holds those of
-            // the rows fed before them; one map more holds theirs.
-            Some(mut profile) => {
-                let from = (range.start + profile.seen()).min(range.end);
-                let mut prev = (from > range.start).then(|| &self.log[from - 1]);
-                let mut flushed = HashMap::new();
-                for f in self.log.range(from..range.end) {
-                    let duplicate = prev.replace(f) == Some(f);
-                    let host = internal_endpoint(f, &self.is_internal);
-                    let contact = host.filter(|&host| host == f.src).and_then(|host| {
-                        let key = contact_key(host, f.dst);
-                        let fed = || self.contacts.get(&key).copied();
-                        flushed.insert(key, f.start).or_else(fed)
-                    });
-                    let contact = PrevContact::Given(contact.filter(|&t| t >= span.start));
-                    profile.push(f, host, duplicate, contact);
-                }
-                profile
-            }
-            None => {
-                // Rows go in the canonical processing order, the order the
-                // batch path sorts a table into. Extras are late, so they
-                // come after every logged flow with their key, in arrival
-                // order among themselves, as they did when windows kept
-                // their own copies.
-                let mut extras = window.extras;
-                extras.sort_by_key(buffer_key);
-                self.profile(WindowRows {
-                    log: self.log.range(range).peekable(),
-                    extras: extras.iter().peekable(),
-                })
-            }
+        // Rows go in the canonical processing order, the order the batch
+        // path sorts a table into. Extras are late, so they come after
+        // every logged flow with their key, in arrival order among
+        // themselves, as they did when windows kept their own copies.
+        let mut extras = window.extras;
+        extras.sort_by_key(buffer_key);
+        let mut profile = window
+            .profile
+            .unwrap_or_else(|| RecordProfiler::new(self.cfg.tier, self.cfg.dedupe));
+        let from = range.start + profile.seen();
+        let mut prev = (from > range.start).then(|| &self.log[from - 1]);
+        // The contact map holds the contacts of the rows fed before these,
+        // which only a profile that took rows in may read; one map more
+        // holds the contacts of the rows taken in here.
+        let fed = prev.is_some().then_some(&self.contacts);
+        let mut taken = HashMap::new();
+        let rows = WindowRows {
+            log: self.log.range(from..range.end).peekable(),
+            extras: extras.iter().peekable(),
         };
+        for f in rows {
+            let duplicate = prev.replace(f) == Some(f);
+            let host = internal_endpoint(f, &self.is_internal);
+            let contact = host.filter(|&host| host == f.src).and_then(|host| {
+                let key = contact_key(host, f.dst);
+                let before = || fed?.get(&key).copied().filter(|&t| t >= span.start);
+                taken.insert(key, f.start).or_else(before)
+            });
+            profile.push(f, host, duplicate, PrevContact::Given(contact));
+        }
         let finished = profile.finish();
         let duplicates = finished.duplicates as u64;
         self.stats.duplicates += duplicates;

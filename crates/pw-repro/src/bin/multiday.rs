@@ -8,6 +8,7 @@
 //! rather than the paper's per-day random re-implant.)
 
 use std::collections::HashSet;
+use std::io::Write;
 use std::net::Ipv4Addr;
 
 use pw_botnet::{generate_nugache_trace, generate_storm_trace, StormConfig};
@@ -49,7 +50,8 @@ fn main() {
             1,
         )
         .expect("a campus day resolves every threshold");
-        eprintln!(
+        let _ = writeln!(
+            std::io::stderr(),
             "day {d}: storm {}/{} nugache {}/{} suspects {}",
             rep.suspects.intersection(&storm_hosts).count(),
             storm_hosts.len(),

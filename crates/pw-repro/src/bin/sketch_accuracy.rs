@@ -20,6 +20,7 @@
 //! is exceeded, or sweep divergence leaves its bound — `scripts/ci.sh`
 //! gates on this at fast scale.
 
+use std::io::Write;
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
 
@@ -274,7 +275,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         for f in &failures {
-            eprintln!("sketch accuracy FAILURE: {f}");
+            let _ = writeln!(std::io::stderr(), "sketch accuracy FAILURE: {f}");
         }
         if check {
             ExitCode::FAILURE

@@ -28,6 +28,7 @@
 //! scale.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::io::Write;
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -410,7 +411,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         for f in &failures {
-            eprintln!("theta_hm parity FAILURE: {f}");
+            let _ = writeln!(std::io::stderr(), "theta_hm parity FAILURE: {f}");
         }
         if check {
             ExitCode::FAILURE

@@ -46,6 +46,11 @@ cargo test -q -p pw-server --features loom --test engine_model
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> streaming_day example (a full-day engine window equals the batch verdict)"
+# The example asserts the equivalence itself and exits nonzero if it
+# breaks; no other stage runs an example.
+cargo run -q --example streaming_day
+
 echo "==> perfbench builds against this tree (its own workspace; unit tests)"
 # perfbench/ depends on the crates by path from a workspace of its own, so
 # the workspace stages above never compile it. A public-API change that

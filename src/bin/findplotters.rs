@@ -91,6 +91,7 @@ use peerwatch::detect::{
     try_find_plotters_table_tier, ConfigError, Error, FindPlottersConfig, PlotterReport,
     ProfileTier, ThetaHmMode, Threshold,
 };
+use peerwatch::errln;
 use peerwatch::flow::csvio::{push_flow, read_flows_lossy, RowError, READ_CAPACITY};
 use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::{SimDuration, Subnet};
@@ -114,15 +115,6 @@ macro_rules! outln {
     ($($arg:tt)*) => {
         stdout_ok(writeln!(std::io::stdout().lock(), $($arg)*))
     };
-}
-
-/// `eprintln!` through a locked stderr that ignores a failed write: with
-/// standard error gone there is nowhere left to report it, and the exit
-/// status still tells what happened.
-macro_rules! errln {
-    ($($arg:tt)*) => {{
-        let _ = writeln!(std::io::stderr().lock(), $($arg)*);
-    }};
 }
 
 fn usage() -> ! {
@@ -211,14 +203,6 @@ fn parse_duration(flag: &str, v: &str, unit_secs: f64, unit: &str) -> f64 {
     units
 }
 
-fn parse_hours(flag: &str, v: &str) -> f64 {
-    parse_duration(flag, v, 3600.0, "hours")
-}
-
-fn parse_minutes(flag: &str, v: &str) -> f64 {
-    parse_duration(flag, v, 60.0, "minutes")
-}
-
 fn parse_tier(v: &str) -> ProfileTier {
     ProfileTier::from_name(v).unwrap_or_else(|| {
         bad_arg(&format!(
@@ -262,6 +246,85 @@ fn parse_late_policy(v: &str) -> LatePolicy {
         _ => bad_arg(&format!(
             "invalid value {v:?} for --late-policy: expected reject, drop, or extend"
         )),
+    }
+}
+
+/// The flags windowed mode and `serve` share, `--internal` through
+/// `--profile-tier`: the monitored subnets, the detection thresholds and
+/// the engine knobs.
+#[derive(Default)]
+struct EngineFlags {
+    subnets: Vec<Subnet>,
+    detect: FindPlottersConfig,
+    /// `--window`, which also turns on windowed mode.
+    window: Option<SimDuration>,
+    /// `--slide`; windows tumble without it.
+    slide: Option<SimDuration>,
+    /// Every other engine knob, from the library's defaults.
+    engine: EngineConfig,
+}
+
+impl EngineFlags {
+    /// Takes in `flag`, and its value from `it`, if it is a shared flag;
+    /// returns whether it was.
+    fn take(&mut self, flag: &str, it: &mut std::slice::Iter<'_, String>) -> bool {
+        let mut value = || next_value(it, flag);
+        let percentile = |v: String| Threshold::Percentile(parse_f64(flag, &v));
+        let duration = |v: String, unit_secs: f64, unit: &str| {
+            SimDuration::from_secs_f64(parse_duration(flag, &v, unit_secs, unit) * unit_secs)
+        };
+        let (d, e) = (&mut self.detect, &mut self.engine);
+        match flag {
+            "--internal" => self.subnets.push(parse_cidr(&value())),
+            "--tau-vol" => d.tau_vol = percentile(value()),
+            "--tau-churn" => d.tau_churn = percentile(value()),
+            "--tau-hm" => d.tau_hm = percentile(value()),
+            "--no-reduction" => d.with_reduction = false,
+            "--theta-hm-mode" => d.theta_hm.mode = parse_theta_hm_mode(&value()),
+            "--hm-profile" => d.theta_hm.profile = true,
+            "--threads" => e.threads = parse_usize(flag, &value()),
+            "--window" => self.window = Some(duration(value(), 3600.0, "hours")),
+            "--slide" => self.slide = Some(duration(value(), 3600.0, "hours")),
+            "--lateness" => e.lateness = duration(value(), 60.0, "minutes"),
+            "--late-policy" => e.late_policy = parse_late_policy(&value()),
+            "--max-flows" => e.max_flows = Some(parse_usize(flag, &value())),
+            "--dedupe" => e.dedupe = true,
+            "--reject-invalid" => e.reject_invalid = true,
+            "--profile-tier" => e.tier = parse_tier(&value()),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The detection configuration; an invalid one is an argument error.
+    fn detect(&self) -> FindPlottersConfig {
+        if let Err(e) = self.detect.validate() {
+            bad_arg(&format!("invalid configuration: {e}"));
+        }
+        self.detect
+    }
+
+    /// The engine configuration running `detect`, with the library's
+    /// one-day window unless `--window` sets one.
+    fn engine(&self, detect: FindPlottersConfig) -> EngineConfig {
+        let window = self.window.unwrap_or(self.engine.window);
+        EngineConfig {
+            window,
+            slide: self.slide.unwrap_or(window),
+            detect,
+            ..self.engine
+        }
+    }
+
+    /// Whether an address is monitored: inside an `--internal` subnet, or
+    /// by default inside the synthetic campus subnets.
+    fn is_internal(&self) -> impl Fn(Ipv4Addr) -> bool + Send + Sync + 'static {
+        let subnets = if self.subnets.is_empty() {
+            vec![parse_cidr("10.1.0.0/16"), parse_cidr("10.2.0.0/16")]
+        } else {
+            self.subnets.clone()
+        };
+        move |ip: Ipv4Addr| subnets.iter().any(|s| s.contains(ip))
     }
 }
 
@@ -380,50 +443,16 @@ fn load_flows(path: &str, skipped_hint: &str) -> (Vec<FlowRecord>, Vec<RowError>
 #[allow(clippy::too_many_lines)]
 fn serve_main(args: &[String]) -> ! {
     let mut bind: Option<String> = None;
-    let mut subnets: Vec<Subnet> = Vec::new();
-    let mut builder = FindPlottersConfig::builder();
-    let mut threads: usize = 1;
-    let mut window_hours: f64 = 24.0;
-    let mut slide_hours: Option<f64> = None;
-    let mut lateness_mins: f64 = 10.0;
-    let mut late_policy = LatePolicy::Reject;
-    let mut max_flows: Option<usize> = None;
-    let mut dedupe = false;
-    let mut reject_invalid = false;
-    let mut tier = ProfileTier::Exact;
+    let mut flags = EngineFlags::default();
     let mut server_builder = ServerConfig::builder();
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.take(a, &mut it) {
+            continue;
+        }
         match a.as_str() {
             "--bind" => bind = Some(next_value(&mut it, a)),
-            "--internal" => subnets.push(parse_cidr(&next_value(&mut it, a))),
-            "--tau-vol" => {
-                builder =
-                    builder.tau_vol(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-churn" => {
-                builder =
-                    builder.tau_churn(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-hm" => {
-                builder =
-                    builder.tau_hm(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--no-reduction" => builder = builder.with_reduction(false),
-            "--theta-hm-mode" => {
-                builder = builder.theta_hm_mode(parse_theta_hm_mode(&next_value(&mut it, a)));
-            }
-            "--hm-profile" => builder = builder.hm_profile(true),
-            "--threads" => threads = parse_usize(a, &next_value(&mut it, a)),
-            "--window" => window_hours = parse_hours(a, &next_value(&mut it, a)),
-            "--slide" => slide_hours = Some(parse_hours(a, &next_value(&mut it, a))),
-            "--lateness" => lateness_mins = parse_minutes(a, &next_value(&mut it, a)),
-            "--late-policy" => late_policy = parse_late_policy(&next_value(&mut it, a)),
-            "--max-flows" => max_flows = Some(parse_usize(a, &next_value(&mut it, a))),
-            "--dedupe" => dedupe = true,
-            "--reject-invalid" => reject_invalid = true,
-            "--profile-tier" => tier = parse_tier(&next_value(&mut it, a)),
             "--checkpoint" => {
                 server_builder = server_builder.checkpoint_path(next_value(&mut it, a));
             }
@@ -454,33 +483,13 @@ fn serve_main(args: &[String]) -> ! {
     let Some(bind) = bind else {
         bad_arg("serve requires --bind ADDR (use port 0 for an ephemeral port)");
     };
-    if subnets.is_empty() {
-        subnets.push(parse_cidr("10.1.0.0/16"));
-        subnets.push(parse_cidr("10.2.0.0/16"));
-    }
-    let detect = builder
-        .build()
-        .unwrap_or_else(|e| bad_arg(&format!("invalid configuration: {e}")));
-    let engine_cfg = EngineConfig {
-        window: SimDuration::from_secs_f64(window_hours * 3600.0),
-        slide: SimDuration::from_secs_f64(slide_hours.unwrap_or(window_hours) * 3600.0),
-        lateness: SimDuration::from_secs_f64(lateness_mins * 60.0),
-        threads,
-        late_policy,
-        max_flows,
-        dedupe,
-        reject_invalid,
-        tier,
-        detect,
-        ..Default::default()
-    };
+    let engine_cfg = flags.engine(flags.detect());
     let server_cfg = server_builder
         .engine(engine_cfg)
         .build()
         .unwrap_or_else(|e| bad_config("server configuration", e));
 
-    let is_internal = move |ip: Ipv4Addr| subnets.iter().any(|s| s.contains(ip));
-    let server = Server::bind(bind.as_str(), server_cfg, is_internal)
+    let server = Server::bind(bind.as_str(), server_cfg, flags.is_internal())
         .unwrap_or_else(|e| fail(&format!("cannot start server: {e}")));
     outln!("listening on {}", server.local_addr());
     stdout_ok(std::io::stdout().flush());
@@ -657,18 +666,8 @@ fn main() {
         _ => {}
     }
     let mut flows_path: Option<String> = None;
-    let mut subnets: Vec<Subnet> = Vec::new();
+    let mut flags = EngineFlags::default();
     let mut truth_path: Option<String> = None;
-    let mut builder = FindPlottersConfig::builder();
-    let mut threads: usize = 1;
-    let mut window_hours: Option<f64> = None;
-    let mut slide_hours: Option<f64> = None;
-    let mut lateness_mins: f64 = 10.0;
-    let mut late_policy = LatePolicy::Reject;
-    let mut max_flows: Option<usize> = None;
-    let mut dedupe = false;
-    let mut reject_invalid = false;
-    let mut tier = ProfileTier::Exact;
     let mut quarantine_path: Option<String> = None;
     let mut checkpoint_path: Option<String> = None;
     let mut checkpoint_every: usize = 10_000;
@@ -677,35 +676,11 @@ fn main() {
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.take(a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--internal" => subnets.push(parse_cidr(&next_value(&mut it, a))),
             "--truth" => truth_path = Some(next_value(&mut it, a)),
-            "--tau-vol" => {
-                builder =
-                    builder.tau_vol(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-churn" => {
-                builder =
-                    builder.tau_churn(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--tau-hm" => {
-                builder =
-                    builder.tau_hm(Threshold::Percentile(parse_f64(a, &next_value(&mut it, a))));
-            }
-            "--no-reduction" => builder = builder.with_reduction(false),
-            "--theta-hm-mode" => {
-                builder = builder.theta_hm_mode(parse_theta_hm_mode(&next_value(&mut it, a)));
-            }
-            "--hm-profile" => builder = builder.hm_profile(true),
-            "--threads" => threads = parse_usize(a, &next_value(&mut it, a)),
-            "--window" => window_hours = Some(parse_hours(a, &next_value(&mut it, a))),
-            "--slide" => slide_hours = Some(parse_hours(a, &next_value(&mut it, a))),
-            "--lateness" => lateness_mins = parse_minutes(a, &next_value(&mut it, a)),
-            "--late-policy" => late_policy = parse_late_policy(&next_value(&mut it, a)),
-            "--max-flows" => max_flows = Some(parse_usize(a, &next_value(&mut it, a))),
-            "--dedupe" => dedupe = true,
-            "--reject-invalid" => reject_invalid = true,
-            "--profile-tier" => tier = parse_tier(&next_value(&mut it, a)),
             "--quarantine" => quarantine_path = Some(next_value(&mut it, a)),
             "--checkpoint" => checkpoint_path = Some(next_value(&mut it, a)),
             "--checkpoint-every" => checkpoint_every = parse_usize(a, &next_value(&mut it, a)),
@@ -721,7 +696,7 @@ fn main() {
     if resume && checkpoint_path.is_none() {
         bad_arg("--resume requires --checkpoint FILE");
     }
-    if checkpoint_path.is_some() && window_hours.is_none() {
+    if checkpoint_path.is_some() && flags.window.is_none() {
         bad_arg("--checkpoint only applies to streaming mode (--window)");
     }
     if checkpoint_every == 0 {
@@ -733,13 +708,7 @@ fn main() {
             ConfigError::TooManyRetained(checkpoint_retain),
         );
     }
-    if subnets.is_empty() {
-        subnets.push(parse_cidr("10.1.0.0/16"));
-        subnets.push(parse_cidr("10.2.0.0/16"));
-    }
-    let cfg = builder
-        .build()
-        .unwrap_or_else(|e| bad_arg(&format!("invalid configuration: {e}")));
+    let cfg = flags.detect();
 
     let (flows, row_errors) = load_flows(
         &flows_path,
@@ -754,23 +723,11 @@ fn main() {
         quarantine.row_error(e);
     }
 
-    let is_internal = |ip: Ipv4Addr| subnets.iter().any(|s| s.contains(ip));
+    let is_internal = flags.is_internal();
 
-    let report = if let Some(wh) = window_hours {
+    let report = if flags.window.is_some() {
         // Streaming mode: replay the file through the windowed engine.
-        let engine_cfg = EngineConfig {
-            window: SimDuration::from_secs_f64(wh * 3600.0),
-            slide: SimDuration::from_secs_f64(slide_hours.unwrap_or(wh) * 3600.0),
-            lateness: SimDuration::from_secs_f64(lateness_mins * 60.0),
-            threads,
-            late_policy,
-            max_flows,
-            dedupe,
-            reject_invalid,
-            tier,
-            detect: cfg,
-            ..Default::default()
-        };
+        let engine_cfg = flags.engine(cfg);
         let snapshot_exists = |cp: &str| {
             Path::new(cp).exists()
                 || (1..=checkpoint_retain).any(|k| retained_path(Path::new(cp), k).exists())
@@ -789,7 +746,7 @@ fn main() {
                     );
                 }
                 let snapshot = recovered.snapshot;
-                if snapshot.config != engine_cfg {
+                if *snapshot.config() != engine_cfg {
                     errln!(
                         "resuming with the checkpoint's engine configuration \
                          (command-line knobs differ and are ignored)"
@@ -924,7 +881,13 @@ fn main() {
         // it instead of re-scanning and re-hashing addresses per stage.
         let table = FlowTable::from_records(&flows);
         errln!("interned {} hosts", table.hosts().len());
-        let report = match try_find_plotters_table_tier(&table, is_internal, &cfg, tier, threads) {
+        let report = match try_find_plotters_table_tier(
+            &table,
+            is_internal,
+            &cfg,
+            flags.engine.tier,
+            flags.engine.threads,
+        ) {
             Ok(report) => report,
             // A knob the library refuses, like a thread count past the
             // cap, is an argument error here as in windowed mode.

@@ -17,10 +17,11 @@ use peerwatch::botnet::{
     generate_nugache_trace, generate_storm_trace, BotFamily, NugacheConfig, StormConfig,
 };
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
+use peerwatch::errln;
 use peerwatch::flow::csvio::write_flows;
 
 fn usage() -> ! {
-    eprintln!("usage: gen-campus <out_dir> [--seed N] [--day N] [--hosts N] [--no-bots] [--small]");
+    errln!("usage: gen-campus <out_dir> [--seed N] [--day N] [--hosts N] [--no-bots] [--small]");
     std::process::exit(2)
 }
 
@@ -75,7 +76,7 @@ fn main() {
     if let Some(h) = hosts {
         campus.n_background = h;
     }
-    eprintln!(
+    errln!(
         "building day {day}: {} background hosts + {} traders…",
         campus.n_background,
         campus.n_gnutella + campus.n_emule + campus.n_bittorrent
@@ -102,7 +103,7 @@ fn main() {
             },
             seed ^ 0x4106 ^ day as u64,
         );
-        eprintln!(
+        errln!(
             "implanting {} storm + {} nugache bots…",
             storm.bots.len(),
             nugache.bots.len()
@@ -117,10 +118,10 @@ fn main() {
     let flow_path = format!("{out_dir}/flows.csv");
     let f = fs::File::create(&flow_path).expect("create flows.csv");
     write_flows(std::io::BufWriter::new(f), &flows).expect("write flows");
-    eprintln!("wrote {} flows to {flow_path}", flows.len());
+    errln!("wrote {} flows to {flow_path}", flows.len());
 
     let hosts_path = format!("{out_dir}/hosts.csv");
     let hf = std::io::BufWriter::new(fs::File::create(&hosts_path).expect("create hosts.csv"));
     peerwatch::data::write_ground_truth(hf, &dataset.hosts, &implants).expect("write ground truth");
-    eprintln!("wrote ground truth to {hosts_path}");
+    errln!("wrote ground truth to {hosts_path}");
 }

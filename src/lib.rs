@@ -105,3 +105,14 @@ pub use pw_kad as kad;
 pub use pw_netsim as netsim;
 pub use pw_server as server;
 pub use pw_traders as traders;
+
+/// `eprintln!` that ignores a failed write instead of panicking: with
+/// standard error gone there is nowhere left to report it, and the exit
+/// status still tells what happened. The command-line tools use it.
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr().lock(), $($arg)*);
+    }};
+}

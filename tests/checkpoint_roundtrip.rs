@@ -456,7 +456,7 @@ fn forged_row_counts_are_refused_without_allocating() {
         eng.push(*f).unwrap();
     }
     let snap = eng.checkpoint();
-    assert!(!snap.open.is_empty(), "the cut leaves a window open");
+    assert!(!snap.open().is_empty(), "the cut leaves a window open");
     let text = snap.serialize();
     let body = split_checksum_trailer(&text).unwrap();
     let window_header = body
@@ -524,7 +524,7 @@ fn resealed_thread_counts_above_the_cap_fail_at_restore() {
         let mut forged = body.replacen(" threads=2 ", &format!(" threads={threads} "), 1);
         append_checksum_trailer(&mut forged);
         let snapshot = EngineCheckpoint::parse(&forged).unwrap();
-        assert_eq!(snapshot.config.threads, threads);
+        assert_eq!(snapshot.config().threads, threads);
         match DetectionEngine::restore(&snapshot, internal as fn(Ipv4Addr) -> bool) {
             Ok(_) => assert!(ok, "threads={threads} restored"),
             Err(e) => {
@@ -563,7 +563,7 @@ fn resealed_window_slide_ratios_above_the_cap_fail_at_restore() {
         let mut forged = body.replacen(" slide_ms=1800000 ", &format!(" slide_ms={slide_ms} "), 1);
         append_checksum_trailer(&mut forged);
         let snapshot = EngineCheckpoint::parse(&forged).unwrap();
-        assert_eq!(snapshot.config.slide, SimDuration::from_millis(slide_ms));
+        assert_eq!(snapshot.config().slide, SimDuration::from_millis(slide_ms));
         match DetectionEngine::restore(&snapshot, internal as fn(Ipv4Addr) -> bool) {
             Ok(_) => assert_eq!(refused, None, "slide_ms={slide_ms} restored"),
             Err(e) => assert_eq!(

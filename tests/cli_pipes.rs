@@ -109,3 +109,16 @@ fn errors_into_a_closed_stderr_keep_their_exit_codes() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn gen_campus_errors_into_a_closed_stderr_keep_their_exit_code() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_gen-campus"))
+        .arg("--bogus")
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("spawn gen-campus");
+    assert_eq!(status.code(), Some(2));
+}

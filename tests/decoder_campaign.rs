@@ -68,8 +68,8 @@ fn snapshot() -> EngineCheckpoint {
     }
     let _ = engine.push(flow(1));
     let snap = engine.checkpoint();
-    assert!(!snap.buffer.is_empty() && !snap.log.is_empty() && snap.open.len() > 1);
-    assert!(snap.open.iter().any(|(_, extras)| !extras.is_empty()));
+    assert!(!snap.buffer().is_empty() && !snap.log().is_empty() && snap.open().len() > 1);
+    assert!(snap.open().iter().any(|(_, extras)| !extras.is_empty()));
     snap
 }
 
@@ -91,6 +91,111 @@ fn server_body() -> String {
         engine: snapshot(),
     };
     body_of(&ckpt.serialize())
+}
+
+/// An engine checkpoint body cut into its sections, so rows can move
+/// between them with every count kept right.
+struct Sections {
+    /// The magic and the `engine` to `deltas` lines.
+    head: Vec<String>,
+    buffer: Vec<String>,
+    log: Vec<String>,
+    /// Each open window's index and extras.
+    windows: Vec<(u64, Vec<String>)>,
+}
+
+impl Sections {
+    fn of(body: &str) -> Self {
+        let mut lines = body.lines().map(str::to_owned);
+        let head: Vec<String> = lines.by_ref().take(6).collect();
+        let mut rows = |tag: &str| -> Vec<String> {
+            let header = lines.next().unwrap();
+            let count: usize = header.strip_prefix(tag).unwrap().parse().unwrap();
+            lines.by_ref().take(count).collect()
+        };
+        let (buffer, log) = (rows("buffer "), rows("log "));
+        let mut windows = Vec::new();
+        while let Some(header) = lines.next().filter(|l| l != "end") {
+            let (index, count) = header["window ".len()..].split_once(' ').unwrap();
+            let extras = lines.by_ref().take(count.parse().unwrap()).collect();
+            windows.push((index.parse().unwrap(), extras));
+        }
+        Self {
+            head,
+            buffer,
+            log,
+            windows,
+        }
+    }
+
+    fn body(&self) -> String {
+        let mut out: Vec<String> = self.head.clone();
+        out.push(format!("buffer {}", self.buffer.len()));
+        out.extend(self.buffer.iter().cloned());
+        out.push(format!("log {}", self.log.len()));
+        out.extend(self.log.iter().cloned());
+        for (index, extras) in &self.windows {
+            out.push(format!("window {index} {}", extras.len()));
+            out.extend(extras.iter().cloned());
+        }
+        out.push("end".to_owned());
+        out.iter().map(|l| format!("{l}\n")).collect()
+    }
+
+    /// Sets the `state` line's `applied_to_ms`.
+    fn applied_to(&mut self, ms: u64) {
+        let state = &mut self.head[3];
+        let (before, rest) = state.split_once("applied_to_ms=").unwrap();
+        let after = rest.split_once(' ').map_or("", |(_, after)| after);
+        *state = format!("{before}applied_to_ms={ms} {after}");
+    }
+}
+
+/// Engine checkpoint bodies in layouts no engine writes: the first
+/// buffered flow moved into the log, the last logged flow moved into the
+/// buffer, `applied_to` moved back past the last logged flow or on to the
+/// oldest open window's end, and the oldest open window unlisted along
+/// with the flows only it held.
+fn moved_layouts() -> Vec<String> {
+    let snap = snapshot();
+    let (window_ms, slide_ms) = (
+        snap.config().window.as_millis(),
+        snap.config().slide.as_millis(),
+    );
+    let oldest = snap.open()[0].0;
+    let mut layouts = Vec::new();
+
+    let mut s = Sections::of(&engine_body());
+    let first = s.buffer.remove(0);
+    s.log.push(first);
+    layouts.push(s.body());
+
+    let mut s = Sections::of(&engine_body());
+    let last = s.log.pop().unwrap();
+    s.buffer.insert(0, last);
+    layouts.push(s.body());
+
+    for applied_ms in [
+        snap.log().last().unwrap().start.as_millis(),
+        oldest * slide_ms + window_ms,
+    ] {
+        let mut s = Sections::of(&engine_body());
+        s.applied_to(applied_ms);
+        layouts.push(s.body());
+    }
+
+    let mut s = Sections::of(&engine_body());
+    s.windows.remove(0);
+    let next_start = s.windows[0].0 * slide_ms;
+    let only_oldest = snap
+        .log()
+        .partition_point(|f| f.start.as_millis() < next_start);
+    s.log.drain(..only_oldest);
+    assert!(only_oldest > 0 && !s.log.is_empty());
+    layouts.push(s.body());
+
+    assert_eq!(Sections::of(&engine_body()).body(), engine_body());
+    layouts
 }
 
 /// Offsets where the decimal count of a `buffer N`, `log N`, `window I N`
@@ -448,6 +553,14 @@ fn damaged_batches_are_refused_with_typed_errors() {
 }
 
 #[test]
+fn moved_rows_and_bounds_decode_or_refuse() {
+    for mut text in moved_layouts() {
+        append_checksum_trailer(&mut text);
+        check_engine(&text);
+    }
+}
+
+#[test]
 fn clean_inputs_decode() {
     let mut engine = engine_body();
     append_checksum_trailer(&mut engine);
@@ -457,11 +570,11 @@ fn clean_inputs_decode() {
     assert!(ServerCheckpoint::parse(&server).is_ok());
     assert_eq!(
         text_count_slots(engine.as_bytes()).len(),
-        2 + snapshot().open.len()
+        2 + snapshot().open().len()
     );
     assert_eq!(
         text_count_slots(server.as_bytes()).len(),
-        3 + snapshot().open.len()
+        3 + snapshot().open().len()
     );
 
     let (wire, slots) = pwfs_stream();
