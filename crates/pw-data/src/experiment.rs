@@ -77,9 +77,8 @@ pub struct DayRun {
 }
 
 impl DayRun {
-    /// Interns the day's overlaid flows into a columnar [`FlowTable`] — the
-    /// shared input of batch detection, payload labelling, and per-service
-    /// slicing, built once per day instead of once per consumer.
+    /// Interns the day's overlaid flows into a [`FlowTable`], the index
+    /// batch detection walks; row `i` is `overlaid.flows[i]`.
     pub fn flow_table(&self) -> FlowTable {
         FlowTable::from_records(&self.overlaid.flows)
     }
@@ -148,11 +147,13 @@ mod tests {
     #[test]
     fn flow_table_round_trips_the_day() {
         let run = &run_experiment(&fast_cfg())[0];
+        let flows = &run.overlaid.flows;
         let table = run.flow_table();
-        assert_eq!(table.len(), run.overlaid.flows.len());
-        let mut sorted = run.overlaid.flows.clone();
+        assert_eq!(table.len(), flows.len());
+        let mut sorted = flows.clone();
         sorted.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
-        assert_eq!(table.to_records(), sorted);
+        let walked: Vec<_> = table.rows_in_order().map(|row| flows[row]).collect();
+        assert_eq!(walked, sorted);
     }
 
     #[test]

@@ -11,7 +11,9 @@ use pw_flow::{FlowRecord, FlowTable, HostId};
 ///
 /// A host is labelled with the protocol that signed the most of its flows;
 /// `min_flows` signed flows are required (the paper's scan is effectively
-/// `≥ 1`, the default).
+/// `≥ 1`, the default). Endpoints are interned into a [`FlowTable`], so the
+/// internality oracle runs once per distinct host and the tallies live in
+/// a dense id-indexed table; payloads are read from `flows`.
 pub fn label_traders_by_payload<F>(
     flows: &[FlowRecord],
     is_internal: F,
@@ -20,21 +22,7 @@ pub fn label_traders_by_payload<F>(
 where
     F: Fn(Ipv4Addr) -> bool,
 {
-    label_traders_by_payload_table(&FlowTable::from_records(flows), is_internal, min_flows)
-}
-
-/// [`label_traders_by_payload`] over an interned [`FlowTable`]: the
-/// internality oracle runs once per distinct host and the per-host
-/// signature tallies live in a dense id-indexed table, so a day's table can
-/// be labelled and detected on without re-scanning addresses.
-pub fn label_traders_by_payload_table<F>(
-    table: &FlowTable,
-    is_internal: F,
-    min_flows: usize,
-) -> HashMap<Ipv4Addr, P2pApp>
-where
-    F: Fn(Ipv4Addr) -> bool,
-{
+    let table = FlowTable::from_records(flows);
     let internal: Vec<bool> = table
         .hosts()
         .ips()
@@ -42,9 +30,8 @@ where
         .map(|&ip| is_internal(ip))
         .collect();
     let mut counts: Vec<HashMap<P2pApp, usize>> = vec![HashMap::new(); table.hosts().len()];
-    for row in 0..table.len() {
-        let f = table.record(row);
-        let Some(app) = classify_flow(&f) else {
+    for (row, f) in flows.iter().enumerate() {
+        let Some(app) = classify_flow(f) else {
             continue;
         };
         for id in [table.src(row), table.dst(row)] {
@@ -139,20 +126,5 @@ mod tests {
         let flows = vec![flow_with_payload(EXT, IN1, build::emule_hello())];
         let labels = label_traders_by_payload(&flows, internal, 1);
         assert!(!labels.contains_key(&EXT));
-    }
-
-    #[test]
-    fn table_path_matches_record_path() {
-        let flows = vec![
-            flow_with_payload(IN1, EXT, build::gnutella_connect()),
-            flow_with_payload(IN1, EXT, build::bittorrent_handshake()),
-            flow_with_payload(EXT, IN2, build::emule_hello()),
-            flow_with_payload(IN2, EXT, Payload::capture(b"GET / HTTP/1.1")),
-        ];
-        let table = FlowTable::from_records(&flows);
-        assert_eq!(
-            label_traders_by_payload_table(&table, internal, 1),
-            label_traders_by_payload(&flows, internal, 1),
-        );
     }
 }

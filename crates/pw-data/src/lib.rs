@@ -34,6 +34,6 @@ pub mod persist;
 
 pub use campus::{build_day, CampusConfig, DayDataset, HostInfo, HostRole};
 pub use experiment::{run_experiment, DayRun, ExperimentConfig};
-pub use labels::{label_traders_by_payload, label_traders_by_payload_table};
+pub use labels::label_traders_by_payload;
 pub use overlay::{overlay_bots, overlay_bots_onto, OverlaidDay};
 pub use persist::{read_ground_truth, write_ground_truth, GroundTruthRow};

@@ -268,21 +268,21 @@ impl ThetaHmMode {
 ///
 /// Historically the tuning knobs were the hardcoded `pw_analysis::TILE` /
 /// `PAR_CUTOFF` constants; they are promoted here so one validated struct
-/// carries everything `θ_hm`-shaped. Build one with [`ThetaHmConfig::builder`]
-/// (validates) or a struct literal + [`ThetaHmConfig::validate`].
+/// carries everything `θ_hm`-shaped. Build one as a struct literal and
+/// check it with [`ThetaHmConfig::validate`].
 ///
 /// # Examples
 ///
 /// ```
 /// use pw_detect::{BucketedHmParams, ThetaHmConfig, ThetaHmMode};
 ///
-/// let cfg = ThetaHmConfig::builder()
-///     .mode(ThetaHmMode::Bucketed(BucketedHmParams::default()))
-///     .profile(true)
-///     .build()
-///     .unwrap();
-/// assert!(cfg.profile);
-/// assert!(ThetaHmConfig::builder().tile(0).build().is_err());
+/// let cfg = ThetaHmConfig {
+///     mode: ThetaHmMode::Bucketed(BucketedHmParams::default()),
+///     profile: true,
+///     ..ThetaHmConfig::default()
+/// };
+/// assert!(cfg.validate().is_ok());
+/// assert!(ThetaHmConfig { tile: 0, ..cfg }.validate().is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThetaHmConfig {
@@ -311,13 +311,6 @@ impl Default for ThetaHmConfig {
 }
 
 impl ThetaHmConfig {
-    /// Starts a validated builder from the defaults.
-    pub fn builder() -> ThetaHmConfigBuilder {
-        ThetaHmConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-
     /// Checks every constraint; [`crate::FindPlottersConfig::validate`]
     /// calls this so invalid `θ_hm` settings are caught before any data is
     /// touched.
@@ -354,44 +347,6 @@ impl ThetaHmConfig {
             tile: self.tile,
             par_cutoff: self.par_cutoff,
         }
-    }
-}
-
-/// Validated builder for [`ThetaHmConfig`].
-#[derive(Debug, Clone)]
-pub struct ThetaHmConfigBuilder {
-    cfg: ThetaHmConfig,
-}
-
-impl ThetaHmConfigBuilder {
-    /// Sets the clustering mode.
-    pub fn mode(mut self, mode: ThetaHmMode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets the distance-fill cache-block edge.
-    pub fn tile(mut self, tile: usize) -> Self {
-        self.cfg.tile = tile;
-        self
-    }
-
-    /// Sets the minimum population for a parallel fill.
-    pub fn par_cutoff(mut self, par_cutoff: usize) -> Self {
-        self.cfg.par_cutoff = par_cutoff;
-        self
-    }
-
-    /// Enables or disables the stage profile.
-    pub fn profile(mut self, profile: bool) -> Self {
-        self.cfg.profile = profile;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<ThetaHmConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 

@@ -22,7 +22,7 @@
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-use pw_analysis::{CdfRepr, Histogram};
+use pw_analysis::Histogram;
 use pw_flow::{FlowRecord, FlowTable, HostId, HostInterner};
 use pw_netsim::{SimDuration, SimTime};
 use pw_sketch::{DistinctSketch, GapSketch, LastSeen, SKETCHED_BYTES_PER_HOST_CAP};
@@ -261,36 +261,16 @@ impl HostProfile {
         }
     }
 
-    /// The interstitial distribution digested for the EMD kernel: exact
-    /// samples (and sparse sketches, identically) go through the
-    /// Freedman–Diaconis histogram — or `bin_width` when given — while
-    /// densified sketches lower their fixed bins directly. `None` when no
-    /// gaps were observed.
+    /// The interstitial distribution as normalized point masses, the shape
+    /// the θ_hm L1 distance consumes: exact samples (and sparse sketches,
+    /// identically) go through the Freedman–Diaconis histogram — or
+    /// `bin_width` when given — while densified sketches return their fixed
+    /// bins directly. `None` when no gaps were observed.
     ///
     /// # Panics
     ///
     /// Panics if `bin_width` is `Some` but not finite and positive
     /// (validated at configuration time by the θ_hm options).
-    pub fn gap_cdf(&self, bin_width: Option<f64>) -> Option<CdfRepr> {
-        match &self.repr {
-            ProfileRepr::Exact { interstitials, .. } => {
-                let h = match bin_width {
-                    None => Histogram::freedman_diaconis(interstitials)?,
-                    Some(w) => Histogram::with_bin_width(interstitials, w)?,
-                };
-                Some(CdfRepr::from_histogram(&h))
-            }
-            ProfileRepr::Sketched { gaps, .. } => gaps.to_cdf(bin_width),
-        }
-    }
-
-    /// The interstitial distribution as normalized point masses, the shape
-    /// the θ_hm L1 distance consumes. Same tier semantics as
-    /// [`HostProfile::gap_cdf`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width` is `Some` but not finite and positive.
     pub fn gap_point_masses(&self, bin_width: Option<f64>) -> Option<Vec<(f64, f64)>> {
         match &self.repr {
             ProfileRepr::Exact { interstitials, .. } => {
@@ -1226,7 +1206,7 @@ mod tests {
             let mut ist = e.interstitials().to_vec();
             ist.sort_by(f64::total_cmp);
             assert_eq!(ist.as_slice(), s.interstitials());
-            assert_eq!(e.gap_cdf(None), s.gap_cdf(None));
+            assert_eq!(e.gap_point_masses(None), s.gap_point_masses(None));
         }
     }
 
@@ -1266,6 +1246,6 @@ mod tests {
         let err = (s.distinct_destinations() as f64 - 4000.0).abs() / 4000.0;
         assert!(err < 0.1, "distinct-destination error {err}");
         assert!(s.has_interstitials());
-        assert!(s.gap_cdf(None).is_some());
+        assert!(s.gap_point_masses(None).is_some());
     }
 }

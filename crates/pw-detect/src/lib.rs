@@ -74,8 +74,7 @@ pub mod tdg;
 pub use checkpoint::{CheckpointError, EngineCheckpoint};
 pub use detectors::{
     theta_churn_view, theta_hm_view, theta_vol_view, BucketedHmParams, HistogramDistance,
-    HmOptions, HmOutcome, ThetaHmConfig, ThetaHmConfigBuilder, ThetaHmMode, ThetaHmProfile,
-    Threshold, MIN_CLUSTER_SIZE,
+    HmOptions, HmOutcome, ThetaHmConfig, ThetaHmMode, ThetaHmProfile, Threshold, MIN_CLUSTER_SIZE,
 };
 pub use error::{ConfigError, Error};
 pub use features::{

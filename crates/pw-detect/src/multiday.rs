@@ -97,30 +97,6 @@ impl MultiDayReport {
         v
     }
 
-    /// Hosts flagged on at least a `fraction` of the days they were
-    /// *observed* (sorted) — fair to hosts that are not active every day.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `(0, 1]`.
-    pub fn flagged_fraction(&self, fraction: f64) -> Vec<Ipv4Addr> {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1]"
-        );
-        let mut v: Vec<Ipv4Addr> = self
-            .flag_counts
-            .iter()
-            .filter(|&(ip, &n)| {
-                let seen = self.seen_counts.get(ip).copied().unwrap_or(n).max(1);
-                n as f64 / seen as f64 >= fraction
-            })
-            .map(|(ip, _)| *ip)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Precision/recall of the `k`-day rule against ground-truth positives.
     pub fn rates_at(&self, k: usize, positives: &HashSet<Ipv4Addr>) -> crate::rates::Rates {
         let flagged: HashSet<Ipv4Addr> = self.flagged_at_least(k).into_iter().collect();
@@ -186,16 +162,6 @@ mod tests {
         assert_eq!(md.flagged_at_least(1).len(), 3);
         assert_eq!(md.flagged_at_least(2), vec![ip(1)]);
         assert_eq!(md.flagged_at_least(3), vec![ip(1)]);
-    }
-
-    #[test]
-    fn fraction_rule_is_fair_to_part_time_hosts() {
-        // Host 5 observed one day, flagged that day: fraction 1.0.
-        let days = [report(&[1, 5], &[5]), report(&[1], &[]), report(&[1], &[1])];
-        let md = MultiDayReport::from_reports(days.iter());
-        assert_eq!(md.flagged_fraction(1.0), vec![ip(5)]);
-        let third = md.flagged_fraction(0.3);
-        assert!(third.contains(&ip(1)) && third.contains(&ip(5)));
     }
 
     #[test]

@@ -98,15 +98,16 @@ where
     F: Fn(Ipv4Addr) -> bool,
 {
     // Intern endpoints once; the internality oracle runs per distinct host
-    // and slice counting indexes a dense per-host table.
+    // and slice counting indexes a dense per-host table. Row `i` of the
+    // table is `flows[i]`, which holds the ports and protocol.
     let table = FlowTable::from_records(flows);
     let flags = internal_flags(&table, &is_internal);
     let mut slices: Vec<HashMap<ServiceKey, usize>> = vec![HashMap::new(); table.hosts().len()];
-    for row in 0..table.len() {
+    for (row, f) in flows.iter().enumerate() {
         if let Some(host) = border_host(&table, row, &flags) {
             let svc = ServiceKey {
-                proto: table.proto(row),
-                port: table.dport(row),
+                proto: f.proto,
+                port: f.dport,
             };
             *slices[host.index()].entry(svc).or_insert(0) += 1;
         }
@@ -150,20 +151,20 @@ where
     // Rewrite each border flow's internal endpoint to its slice's pseudo
     // address, then run the standard pipeline unchanged.
     let mut rewritten: Vec<FlowRecord> = Vec::with_capacity(table.len());
-    for row in 0..table.len() {
+    for (row, f) in flows.iter().enumerate() {
         let Some(host_id) = border_host(&table, row, &flags) else {
             continue;
         };
         let host = table.hosts().resolve(host_id);
         let mut svc = ServiceKey {
-            proto: table.proto(row),
-            port: table.dport(row),
+            proto: f.proto,
+            port: f.dport,
         };
         if slices[host_id.index()][&svc] < min_flows {
             svc = OTHER;
         }
         let pseudo = pseudo_of[&(host, svc)];
-        let mut g = table.record(row);
+        let mut g = *f;
         if table.src(row) == host_id {
             g.src = pseudo;
         } else {

@@ -21,8 +21,7 @@ use std::net::Ipv4Addr;
 use pw_flow::FlowTable;
 
 use crate::detectors::{
-    theta_churn_view, theta_hm_view, theta_vol_view, HmOptions, HmOutcome, ThetaHmConfig,
-    ThetaHmMode, Threshold,
+    theta_churn_view, theta_hm_view, theta_vol_view, HmOptions, HmOutcome, ThetaHmConfig, Threshold,
 };
 use crate::error::{ConfigError, Error};
 use crate::features::{
@@ -48,8 +47,9 @@ pub struct FindPlottersConfig {
     /// Fraction of heaviest dendrogram links removed when forming clusters.
     pub cut_fraction: f64,
     /// `θ_hm` clustering mode, fill tuning, and stage-profile switch. The
-    /// default ([`ThetaHmMode::Exact`], stock tuning, profile off) keeps
-    /// the pipeline byte-identical to its historical output.
+    /// default ([`ThetaHmMode::Exact`](crate::ThetaHmMode::Exact), stock
+    /// tuning, profile off) keeps the pipeline byte-identical to its
+    /// historical output.
     pub theta_hm: ThetaHmConfig,
 }
 
@@ -153,19 +153,6 @@ impl FindPlottersConfigBuilder {
     /// Replaces the whole `θ_hm` configuration (mode + tuning + profile).
     pub fn theta_hm(mut self, t: ThetaHmConfig) -> Self {
         self.cfg.theta_hm = t;
-        self
-    }
-
-    /// Sets just the `θ_hm` clustering mode, keeping tuning defaults.
-    pub fn theta_hm_mode(mut self, mode: ThetaHmMode) -> Self {
-        self.cfg.theta_hm.mode = mode;
-        self
-    }
-
-    /// Toggles the `θ_hm` stage profile
-    /// ([`ThetaHmProfile`](crate::detectors::ThetaHmProfile)).
-    pub fn hm_profile(mut self, on: bool) -> Self {
-        self.cfg.theta_hm.profile = on;
         self
     }
 

@@ -114,7 +114,7 @@ use std::net::Ipv4Addr;
 use std::ops::{Range, RangeInclusive};
 use std::slice;
 
-use pw_flow::{ArgusAggregator, FlowRecord};
+use pw_flow::FlowRecord;
 use pw_netsim::{SimDuration, SimTime};
 
 use crate::error::{ConfigError, Error};
@@ -164,8 +164,8 @@ pub struct EngineConfig {
     pub slide: SimDuration,
     /// How far behind the watermark (maximum flow start seen) a flow may
     /// start and still be accepted. Feeds that deliver flows in completion
-    /// order — like [`ArgusAggregator`] — need at least the aggregator's
-    /// idle timeout plus the longest expected flow duration.
+    /// order — like [`pw_flow::ArgusAggregator`] — need at least the
+    /// aggregator's idle timeout plus the longest expected flow duration.
     pub lateness: SimDuration,
     /// Worker threads for the per-window threshold tests, from 1 to
     /// [`MAX_THREADS`]. Windows profile their flows as they arrive, on the
@@ -525,9 +525,8 @@ impl OpenWindow {
 
 /// Streaming windowed `FindPlotters`.
 ///
-/// Feed flows with [`push`](Self::push) (or drain an aggregator with
-/// [`drain_aggregator`](Self::drain_aggregator)); closed windows come back
-/// as [`WindowReport`]s. Call [`finish`](Self::finish) at end of input to
+/// Feed flows with [`push`](Self::push); closed windows come back as
+/// [`WindowReport`]s. Call [`finish`](Self::finish) at end of input to
 /// flush windows the watermark never passed. Long-running deployments
 /// snapshot the engine with [`checkpoint`](Self::checkpoint) and revive it
 /// with [`restore`](Self::restore) — see [`crate::checkpoint`].
@@ -804,24 +803,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
                 Ok(Vec::new())
             }
         }
-    }
-
-    /// Drains every completed flow out of `agg` into the engine.
-    ///
-    /// The aggregator emits flows in completion order; they are re-sorted
-    /// by start before being pushed, so only flows older than the lateness
-    /// bound can fail (see [`EngineConfig::lateness`]).
-    pub fn drain_aggregator(
-        &mut self,
-        agg: &mut ArgusAggregator,
-    ) -> Result<Vec<WindowReport>, Error> {
-        let mut flows = agg.drain_completed();
-        flows.sort_by_key(buffer_key);
-        let mut reports = Vec::new();
-        for f in flows {
-            reports.extend(self.push(f)?);
-        }
-        Ok(reports)
     }
 
     /// Reports feed-clock time to the stall detector. Call this

@@ -11,7 +11,6 @@ use pw_netsim::{SimDuration, SimTime};
 
 use crate::packet::{Packet, PacketSink, Payload, Proto, TcpFlags};
 use crate::record::{FlowRecord, FlowState};
-use crate::table::FlowTable;
 
 /// Aggregator tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -241,13 +240,6 @@ impl ArgusAggregator {
         let mut out = std::mem::take(&mut self.completed);
         out.sort_by_key(|r| (r.start, r.src, r.sport, r.dst, r.dport, r.end));
         out
-    }
-
-    /// Flushes all remaining flows as of `end` directly into the columnar
-    /// [`FlowTable`] every detection stage consumes — endpoints interned,
-    /// time-sorted index built once.
-    pub fn finish_table(self, end: SimTime) -> FlowTable {
-        FlowTable::from_records(&self.finish(end))
     }
 }
 

@@ -4,14 +4,11 @@
 //! hex-encoded payload) so datasets can be saved, inspected with standard
 //! tools, and reloaded for the multi-day experiments.
 //!
-//! Two ingest modes cover the two deployment realities:
-//!
-//! - [`read_flows`] — strict: the first malformed row aborts the load.
-//!   Right for curated datasets, where damage means the file is wrong.
-//! - [`read_flows_lossy`] — degraded: malformed rows are returned as typed
-//!   [`RowError`]s (line number, offending field, reason) alongside the rows
-//!   that did parse, so a live feed with a corrupt record keeps flowing and
-//!   the damage can be quarantined instead of killing the monitor.
+//! [`read_flows_lossy`] is the one reader. Malformed rows come back as
+//! typed [`RowError`]s (line number, offending field, reason) alongside the
+//! rows that did parse, so a live feed with a corrupt record keeps flowing
+//! and the damage can be quarantined instead of killing the monitor; a
+//! caller that wants a clean file checks that there are none.
 //!
 //! [`push_flow`] and [`parse_flow`] are the single-row codec; the streaming
 //! engine's checkpoint format reuses them verbatim. Both work on bytes and
@@ -22,10 +19,10 @@
 //!
 //! # Reading in blocks
 //!
-//! Both readers share one block loop. After the header, every complete
-//! line the reader's buffer holds is parsed in place, as one block, and
-//! then consumed; only a line that does not end inside the buffer is read
-//! into a reused line buffer. Line ends are found a 64-bit word at a time.
+//! After the header, every complete line the reader's buffer holds is
+//! parsed in place, as one block, and then consumed; only a line that does
+//! not end inside the buffer is read into a reused line buffer. Line ends
+//! are found a 64-bit word at a time.
 //! A block of 2 MiB or more is cut after line ends into at most
 //! `std::thread::available_parallelism` pieces of at least 1 MiB: the
 //! calling thread parses the first piece while scoped threads parse the
@@ -127,9 +124,6 @@ pub enum ParseFlowError {
         /// not UTF-8).
         found: String,
     },
-    /// A malformed row (strict mode only — [`read_flows_lossy`] collects
-    /// these instead of failing).
-    Row(RowError),
 }
 
 impl std::fmt::Display for ParseFlowError {
@@ -139,7 +133,6 @@ impl std::fmt::Display for ParseFlowError {
             ParseFlowError::BadHeader { found } => {
                 write!(f, "unexpected flow csv header `{found}`")
             }
-            ParseFlowError::Row(e) => write!(f, "malformed flow csv at {e}"),
         }
     }
 }
@@ -149,7 +142,6 @@ impl std::error::Error for ParseFlowError {
         match self {
             ParseFlowError::Io(e) => Some(e),
             ParseFlowError::BadHeader { .. } => None,
-            ParseFlowError::Row(e) => Some(e),
         }
     }
 }
@@ -157,12 +149,6 @@ impl std::error::Error for ParseFlowError {
 impl From<io::Error> for ParseFlowError {
     fn from(e: io::Error) -> Self {
         ParseFlowError::Io(e)
-    }
-}
-
-impl From<RowError> for ParseFlowError {
-    fn from(e: RowError) -> Self {
-        ParseFlowError::Row(e)
     }
 }
 
@@ -469,7 +455,7 @@ pub fn write_flows<W: Write>(mut w: W, flows: &[FlowRecord]) -> io::Result<()> {
 }
 
 /// Capacity of the `BufReader` a flow CSV file should be read through:
-/// the readers parse every complete line the buffer holds as one block,
+/// the reader parses every complete line the buffer holds as one block,
 /// and only a block of at least `SPLIT_BYTES` (2 MiB) is cut across
 /// cores. A reader over a slice hands over the whole slice at once.
 pub const READ_CAPACITY: usize = 4 << 20;
@@ -635,16 +621,13 @@ fn parse_block(
     at
 }
 
-/// The block loop both readers share, cutting each large block into at
-/// most `pieces` pieces. After the header it parses every complete line
-/// the reader's buffer holds in place, as one block, and consumes it; only
-/// a line that does not end inside the buffer is read into a line buffer
-/// of its own. With `strict` the first refused row ends the load once the
-/// block holding it is parsed.
+/// The block loop, cutting each large block into at most `pieces` pieces.
+/// After the header it parses every complete line the reader's buffer
+/// holds in place, as one block, and consumes it; only a line that does not
+/// end inside the buffer is read into a line buffer of its own.
 fn read_rows<R: BufRead>(
     mut r: R,
     pieces: usize,
-    strict: bool,
 ) -> Result<(Vec<FlowRecord>, Vec<RowError>), ParseFlowError> {
     let (mut rows, mut bad) = (Vec::new(), Vec::new());
     let mut line = Vec::new();
@@ -674,40 +657,20 @@ fn read_rows<R: BufRead>(
             r.read_until(b'\n', &mut line)?;
             lineno += parse_piece(&line, lineno, &mut rows, &mut bad);
         }
-        if strict && !bad.is_empty() {
-            return Err(ParseFlowError::Row(bad.swap_remove(0)));
-        }
     }
     Ok((rows, bad))
 }
 
-/// The piece count the public readers cut large blocks into.
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Reads flows previously written by [`write_flows`], strictly: the first
-/// malformed row aborts the load.
+/// Reads flows previously written by [`write_flows`], tolerantly: rows
+/// that parse are returned, rows that do not come back as [`RowError`]s in
+/// line order for the caller to quarantine, and the load itself never
+/// fails on row content.
 ///
-/// Both readers parse each block of complete lines the reader's buffer
-/// holds in place, and cut a block of 2 MiB or more across the cores
+/// Each block of complete lines the reader's buffer holds is parsed in
+/// place, and a block of 2 MiB or more is cut across the cores
 /// `std::thread::available_parallelism` reports (read files through a
 /// [`READ_CAPACITY`] buffer to reach that size). The result does not depend
 /// on the core count or the reader's capacity.
-///
-/// # Errors
-///
-/// Returns [`ParseFlowError`] on I/O failure, a wrong header, or any
-/// malformed line (the header line is required); of several malformed
-/// lines, the first.
-pub fn read_flows<R: BufRead>(r: R) -> Result<Vec<FlowRecord>, ParseFlowError> {
-    read_rows(r, cores(), true).map(|(rows, _)| rows)
-}
-
-/// Reads flows tolerantly: rows that parse are returned, rows that do not
-/// come back as [`RowError`]s in line order for the caller to quarantine,
-/// and the load itself never fails on row content. Blocks are parsed as
-/// [`read_flows`] parses them.
 ///
 /// # Errors
 ///
@@ -716,7 +679,8 @@ pub fn read_flows<R: BufRead>(r: R) -> Result<Vec<FlowRecord>, ParseFlowError> {
 pub fn read_flows_lossy<R: BufRead>(
     r: R,
 ) -> Result<(Vec<FlowRecord>, Vec<RowError>), ParseFlowError> {
-    read_rows(r, cores(), false)
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    read_rows(r, cores)
 }
 
 #[cfg(test)]
@@ -765,12 +729,20 @@ mod tests {
         s
     }
 
+    /// The one row error of a file holding `row` after the header.
+    fn only_error(row: &str) -> RowError {
+        let (ok, mut bad) = read_flows_lossy(format!("{HEADER}\n{row}\n").as_bytes()).unwrap();
+        assert!(ok.is_empty() && bad.len() == 1, "{ok:?} {bad:?}");
+        bad.remove(0)
+    }
+
     #[test]
     fn round_trip() {
         let flows = sample();
         let mut buf = Vec::new();
         write_flows(&mut buf, &flows).unwrap();
-        let back = read_flows(buf.as_slice()).unwrap();
+        let (back, bad) = read_flows_lossy(buf.as_slice()).unwrap();
+        assert!(bad.is_empty());
         assert_eq!(back, flows);
     }
 
@@ -878,36 +850,31 @@ mod tests {
     fn empty_round_trip() {
         let mut buf = Vec::new();
         write_flows(&mut buf, &[]).unwrap();
-        assert!(read_flows(buf.as_slice()).unwrap().is_empty());
         // Entirely empty input is also fine.
-        assert!(read_flows(&b""[..]).unwrap().is_empty());
-        let (ok, bad) = read_flows_lossy(&b""[..]).unwrap();
-        assert!(ok.is_empty() && bad.is_empty());
+        for file in [buf.as_slice(), b""] {
+            let (ok, bad) = read_flows_lossy(file).unwrap();
+            assert!(ok.is_empty() && bad.is_empty());
+        }
     }
 
     #[test]
     fn rejects_bad_header() {
-        let e = read_flows(&b"nope\n"[..]).unwrap_err();
+        // The whole file is in the wrong format, not one row.
+        let e = read_flows_lossy(&b"nope\n"[..]).unwrap_err();
         assert!(e.to_string().contains("header"));
-        // Lossy mode is equally strict about the header: the whole file is
-        // in the wrong format, not one row.
-        assert!(read_flows_lossy(&b"nope\n"[..]).is_err());
     }
 
     #[test]
     fn rejects_wrong_field_count() {
-        let mut buf = format!("{HEADER}\n");
-        buf.push_str("1,2,3\n");
-        let e = read_flows(buf.as_bytes()).unwrap_err();
+        let e = only_error("1,2,3");
         assert!(e.to_string().contains("line 2"));
         assert!(e.to_string().contains("13 fields"));
     }
 
     #[test]
     fn rejects_bad_payload_hex() {
-        let mut buf = format!("{HEADER}\n");
-        buf.push_str("1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,SYN,zz\n");
-        assert!(read_flows(buf.as_bytes()).is_err());
+        let e = only_error("1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,SYN,zz");
+        assert_eq!(e.error.field(), Some("payload_hex"));
     }
 
     #[test]
@@ -931,19 +898,13 @@ mod tests {
 
     #[test]
     fn rejects_bad_state() {
-        let mut buf = format!("{HEADER}\n");
-        buf.push_str("1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,WAT,\n");
-        let e = read_flows(buf.as_bytes()).unwrap_err();
+        let e = only_error("1,2,10.0.0.1,1,10.0.0.2,2,tcp,1,40,0,0,WAT,");
         assert!(e.to_string().contains("WAT"));
     }
 
     #[test]
     fn row_errors_name_line_and_field() {
-        let mut buf = format!("{HEADER}\n");
-        buf.push_str("1,2,10.0.0.1,notaport,10.0.0.2,2,tcp,1,40,0,0,SYN,\n");
-        let ParseFlowError::Row(e) = read_flows(buf.as_bytes()).unwrap_err() else {
-            panic!("expected a row error");
-        };
+        let e = only_error("1,2,10.0.0.1,notaport,10.0.0.2,2,tcp,1,40,0,0,SYN,");
         assert_eq!(e.line, 2);
         assert_eq!(e.error.field(), Some("sport"));
         assert!(e.to_string().contains("notaport"));
@@ -998,11 +959,6 @@ mod tests {
             "{}",
             bad[0]
         );
-        // Strict mode reports the same row instead of an I/O error.
-        let ParseFlowError::Row(e) = read_flows(buf.as_slice()).unwrap_err() else {
-            panic!("expected a row error");
-        };
-        assert_eq!(e, bad[0]);
     }
 
     #[test]
@@ -1034,7 +990,8 @@ mod tests {
         let mut buf = Vec::new();
         write_flows(&mut buf, &flows).unwrap();
         buf.extend_from_slice(b"\n\n");
-        assert_eq!(read_flows(buf.as_slice()).unwrap().len(), 2);
+        let (ok, bad) = read_flows_lossy(buf.as_slice()).unwrap();
+        assert_eq!((ok.len(), bad.len()), (2, 0));
     }
 
     #[test]
@@ -1152,7 +1109,7 @@ mod tests {
         seen.dedup();
         assert_eq!(seen, kinds);
 
-        let want = read_rows(io::BufReader::with_capacity(64, text.as_slice()), 1, false).unwrap();
+        let want = read_rows(io::BufReader::with_capacity(64, text.as_slice()), 1).unwrap();
         let bad_lines: Vec<usize> = cuts
             .iter()
             .enumerate()
@@ -1169,38 +1126,10 @@ mod tests {
         assert_eq!(want.0.len() + want.1.len(), last);
         for pieces in 1..=8 {
             assert_eq!(
-                read_rows(text.as_slice(), pieces, false).unwrap(),
+                read_rows(text.as_slice(), pieces).unwrap(),
                 want,
                 "{pieces} pieces"
             );
         }
-    }
-
-    #[test]
-    fn strict_reads_stop_at_the_first_bad_row_in_a_later_piece() {
-        let mut text = tiled(SPLIT_BYTES + 4096);
-        let (from, block) = block_of(&text);
-        let [_, second] = cut_block(block, 2)[..] else {
-            panic!("a block past the split size is cut in two");
-        };
-        let at = second.as_ptr() as usize - block.as_ptr() as usize;
-        let line = 2 + block[..at].iter().filter(|&&b| b == b'\n').count();
-        // The second row of the second piece, and the last line.
-        let second_row = at + second.iter().position(|&b| b == b'\n').unwrap() + 1;
-        damage_line(&mut text, from + second_row, AtCut::Bad);
-        *text.last_mut().unwrap() = b'x';
-        let (_, bad) = read_rows(text.as_slice(), 2, false).unwrap();
-        assert_eq!(bad.len(), 2);
-        assert_eq!(bad[0].line, line + 1);
-        for pieces in 1..=2 {
-            let Err(ParseFlowError::Row(e)) = read_rows(text.as_slice(), pieces, true) else {
-                panic!("expected a row error");
-            };
-            assert_eq!(e, bad[0], "{pieces} pieces");
-        }
-        let Err(ParseFlowError::Row(e)) = read_flows(text.as_slice()) else {
-            panic!("expected a row error");
-        };
-        assert_eq!(e, bad[0]);
     }
 }

@@ -9,17 +9,19 @@
 //! - [`ArgusAggregator`]: groups packets of a connection into one
 //!   bi-directional [`FlowRecord`], tracking TCP state, idle timeouts, and
 //!   the first 64 payload bytes ([`aggregator`], [`record`]);
-//! - [`FlowTable`]: the columnar (struct-of-arrays) form of a flow
-//!   dataset, with endpoints interned to dense [`HostId`]s by a
-//!   [`HostInterner`] and a canonical time-sorted index — the shape every
-//!   `pw-detect` stage consumes ([`table`], [`host`]);
+//! - [`FlowTable`]: the index batch detection walks over a slice of
+//!   records — the columns the paper's tests read, with endpoints interned
+//!   to dense [`HostId`]s by a [`HostInterner`], and a canonical
+//!   time-sorted order; row `i` is `records[i]`, which keeps every other
+//!   field ([`table`], [`host`]);
 //! - [`synth`]: canonical packet sequences for whole connections
 //!   (handshake, data, teardown; failed variants), so every traffic model
 //!   exercises the same aggregation path;
 //! - [`signatures`]: the 64-byte payload keywords the paper uses for ground
 //!   truth (Gnutella/eMule/BitTorrent), plus builders that generate
 //!   protocol-faithful prefixes;
-//! - [`csvio`]: persistence for flow datasets;
+//! - [`csvio`]: persistence for flow datasets, with one reader that
+//!   returns malformed rows as typed errors;
 //! - [`frame`]: the length-prefixed binary wire format border exporters
 //!   use to stream flows to a long-running detection server.
 //!

@@ -7,7 +7,7 @@ use std::io::{BufRead, BufReader};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
-use pw_flow::csvio::{read_flows, read_flows_lossy, write_flows, ParseFlowError};
+use pw_flow::csvio::{read_flows_lossy, write_flows, ParseFlowError};
 use pw_flow::{frame, FlowRecord, FlowState, Payload, Proto};
 use pw_netsim::SimTime;
 
@@ -117,44 +117,21 @@ impl Edit {
     }
 }
 
-/// Reads `file` with both readers, each through a reader `open` makes.
-/// They must not panic; wherever the reference does not panic either, they
-/// must agree with it record for record and error for error. Returns
-/// whether the reference ran.
+/// Reads `file` through a reader `open` makes. The read must not panic;
+/// wherever the reference does not panic either, it must agree with it
+/// record for record and error for error. Returns whether the reference
+/// ran.
 fn check_against_reference<R: BufRead>(file: &[u8], open: impl Fn() -> R) -> bool {
-    let lossy = read_flows_lossy(open());
-    let strict = read_flows(open());
+    let got = read_flows_lossy(open());
     // The reference panics on a hex pair that splits a multi-byte
-    // character; there the readers only have to survive.
+    // character; there the reader only has to survive.
     let Ok(want) = std::panic::catch_unwind(|| oracle::read_flows_lossy(file)) else {
         return false;
     };
-    match (lossy, strict, want) {
-        (Ok(got), strict, Ok((ok, bad))) => {
-            let want_strict = match bad.first() {
-                None => Ok(ok.clone()),
-                Some(e) => Err(e.clone()),
-            };
-            let got_strict = strict.map_err(|e| match e {
-                ParseFlowError::Row(e) => e,
-                other => panic!("strict read failed outside a row: {other}"),
-            });
-            assert_eq!(got, (ok, bad));
-            assert_eq!(got_strict, want_strict);
-        }
-        (
-            Err(ParseFlowError::BadHeader { found }),
-            Err(ParseFlowError::BadHeader {
-                found: strict_found,
-            }),
-            Err(want),
-        ) => {
-            assert_eq!(found, want);
-            assert_eq!(strict_found, want);
-        }
-        (lossy, strict, want) => {
-            panic!("readers disagree with the reference: {lossy:?} / {strict:?} / {want:?}")
-        }
+    match (got, want) {
+        (Ok(got), Ok(want)) => assert_eq!(got, want),
+        (Err(ParseFlowError::BadHeader { found }), Err(want)) => assert_eq!(found, want),
+        (got, want) => panic!("the reader disagrees with the reference: {got:?} / {want:?}"),
     }
     true
 }

@@ -1,5 +1,5 @@
 //! Property tests for the interned data plane: `HostInterner` id↔ip
-//! round trips and `FlowTable` columnarisation invariants.
+//! round trips and the columns and order `FlowTable` keeps of its flows.
 
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -85,19 +85,23 @@ proptest! {
         let table = FlowTable::from_records(&flows);
 
         prop_assert_eq!(table.len(), flows.len());
-        // Raw rows reproduce the input verbatim, in input order.
+        // Row `i` holds the columns of `flows[i]`, in input order.
         for (row, f) in flows.iter().enumerate() {
-            prop_assert_eq!(&table.record(row), f);
+            prop_assert_eq!(table.start(row), f.start);
+            prop_assert_eq!(table.hosts().resolve(table.src(row)), f.src);
+            prop_assert_eq!(table.hosts().resolve(table.dst(row)), f.dst);
+            prop_assert_eq!(table.src_bytes(row), f.src_bytes);
+            prop_assert_eq!(table.dst_bytes(row), f.dst_bytes);
+            prop_assert_eq!(table.is_failed(row), f.is_failed());
         }
-        // The sorted index is a permutation of 0..len …
-        let mut perm: Vec<u32> = table.order().to_vec();
-        perm.sort_unstable();
-        let identity: Vec<u32> = (0..flows.len() as u32).collect();
-        prop_assert_eq!(perm, identity);
-        // … and walking it yields the canonical processing order.
-        let mut expected = flows.clone();
-        expected.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
-        prop_assert_eq!(table.to_records(), expected);
+        // The sorted index is the stable argsort of the canonical key, so
+        // rows with equal keys keep their input order.
+        let mut expected: Vec<u32> = (0..flows.len() as u32).collect();
+        expected.sort_by_key(|&i| {
+            let f = &flows[i as usize];
+            (f.start, f.src, f.dst, f.sport, f.dport)
+        });
+        prop_assert_eq!(table.order(), expected.as_slice());
         // The interner covers exactly the endpoint addresses.
         let endpoints: HashSet<Ipv4Addr> =
             flows.iter().flat_map(|f| [f.src, f.dst]).collect();

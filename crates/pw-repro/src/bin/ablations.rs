@@ -13,6 +13,7 @@
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
+use peerwatch::outln;
 use pw_detect::{
     find_plotters_from_table, FindPlottersConfig, HistogramDistance, HmOptions, Threshold,
 };
@@ -130,7 +131,7 @@ fn main() {
             table::pct(f),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Ablations — pipeline outcomes per design variant",
@@ -180,7 +181,7 @@ fn main() {
         table::pct(full.0),
         table::pct(full.1),
     ]);
-    println!(
+    outln!(
         "{}",
         table::render(
             "Single-test baseline vs the composed pipeline (all bots)",

@@ -11,6 +11,7 @@
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
+use peerwatch::outln;
 use pw_detect::{tdg_scan, TdgConfig};
 use pw_repro::{build_context, stages, table, Scale};
 
@@ -55,7 +56,7 @@ fn main() {
             ),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "P2P-host identification: failed-rate reduction vs TDG (hosts kept (recall/precision))",
@@ -71,14 +72,14 @@ fn main() {
     let report = tdg_scan(&day.run.overlaid.flows, |ip| base.is_internal(ip), &tdg_cfg);
     let bots_in = report.p2p_hosts.intersection(&day.implanted).count();
     let traders_in = report.p2p_hosts.intersection(&day.traders).count();
-    println!(
+    outln!(
         "day 0 TDG P2P set: {} hosts, containing {bots_in} Plotters and {traders_in} Traders —",
         report.p2p_hosts.len()
     );
-    println!("the graph alone offers no way to tell which is which; that separation is");
-    println!("precisely what the paper's volume/churn/timing tests contribute.");
+    outln!("the graph alone offers no way to tell which is which; that separation is");
+    outln!("precisely what the paper's volume/churn/timing tests contribute.");
 
-    println!("\nLargest service graphs on day 0:");
+    outln!("\nLargest service graphs on day 0:");
     let mut rows = Vec::new();
     for g in report.graphs.iter().take(10) {
         rows.push(vec![
@@ -94,7 +95,7 @@ fn main() {
             },
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "TDG metrics per service",

@@ -4,6 +4,7 @@
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
+use peerwatch::outln;
 use pw_data::HostRole;
 use pw_detect::Threshold;
 use pw_repro::{build_context, stages, table, Scale};
@@ -18,7 +19,7 @@ fn main() {
         let (s_churn, _) = stages::churn(&day.profiles, &reduced, Threshold::Percentile(50.0));
         let union: HashSet<Ipv4Addr> = s_vol.union(&s_churn).copied().collect();
         let hm = stages::hm(&day.profiles, &union, Threshold::Percentile(70.0), 0.05);
-        print!("day {di}: tau={:7.1} |", hm.tau);
+        let mut line = format!("day {di}: tau={:7.1} |", hm.tau);
         for (members, d) in &hm.clusters {
             let s = members
                 .iter()
@@ -30,11 +31,11 @@ fn main() {
                 .count();
             let bg = members.len() - s - n;
             let kept = if *d <= hm.tau { "K" } else { "d" };
-            print!(" {kept}[{}|s{s} n{n} bg{bg} @{d:.0}]", members.len());
+            line += &format!(" {kept}[{}|s{s} n{n} bg{bg} @{d:.0}]", members.len());
         }
-        println!();
+        outln!("{line}");
     }
-    println!();
+    outln!();
 
     let day = &ctx.days[0];
     let base = &day.run.overlaid.base;
@@ -98,7 +99,7 @@ fn main() {
             format!("{dests:.0}"),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Day 0 — median features per class",
@@ -111,8 +112,8 @@ fn main() {
     let (reduced, thr) = stages::reduce(&day.profiles);
     let (s_vol, tau_vol) = stages::vol(&day.profiles, &reduced, Threshold::Percentile(50.0));
     let (s_churn, tau_churn) = stages::churn(&day.profiles, &reduced, Threshold::Percentile(50.0));
-    println!("reduction threshold (failed rate): {}", table::pct(thr));
-    println!(
+    outln!("reduction threshold (failed rate): {}", table::pct(thr));
+    outln!(
         "tau_vol: {tau_vol:.0} B/flow   tau_churn: {}",
         table::pct(tau_churn)
     );
@@ -120,12 +121,12 @@ fn main() {
     // Class composition of the hm input and clusters.
     let union: HashSet<Ipv4Addr> = s_vol.union(&s_churn).copied().collect();
     let hm = stages::hm(&day.profiles, &union, Threshold::Percentile(70.0), 0.05);
-    println!(
+    outln!(
         "\nθ_hm input {} hosts; {} without interstitial samples",
         union.len(),
         hm.no_samples
     );
-    println!(
+    outln!(
         "τ_hm = {:.3}; {} multi-host clusters",
         hm.tau,
         hm.clusters.len()
@@ -136,7 +137,7 @@ fn main() {
             *comp.entry(class_of(ip)).or_default() += 1;
         }
         let kept = if *diameter <= hm.tau { "KEEP" } else { "drop" };
-        println!(
+        outln!(
             "  {kept} d={diameter:9.3} size={:3} {comp:?}",
             members.len()
         );
@@ -178,13 +179,13 @@ fn main() {
             }
         }
     }
-    println!(
+    outln!(
         "\nstorm-storm EMD: max {:.1}  median {:.1}",
         storm_pairs.iter().cloned().fold(0.0, f64::max),
         pw_analysis::median(&storm_pairs).unwrap_or(f64::NAN)
     );
-    println!("storm-to-nonstorm min EMD: {storm_cross_min:.1}");
-    println!(
+    outln!("storm-to-nonstorm min EMD: {storm_cross_min:.1}");
+    outln!(
         "background-background EMD: median {:.1}  p90 {:.1}",
         pw_analysis::median(&bg_pairs).unwrap_or(f64::NAN),
         pw_analysis::percentile(&bg_pairs, 90.0).unwrap_or(f64::NAN)
@@ -197,5 +198,5 @@ fn main() {
         .take(12)
         .map(|h| format!("{h:.0}"))
         .collect();
-    println!("top merge heights: {top:?}");
+    outln!("top merge heights: {top:?}");
 }

@@ -12,6 +12,7 @@
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
+use peerwatch::outln;
 use pw_botnet::{generate_storm_trace, StormConfig};
 use pw_data::{build_day, overlay_bots, overlay_bots_onto};
 use pw_detect::{
@@ -133,7 +134,7 @@ fn main() {
         table::pct(sums[3] / n),
         table::pct(sums[4] / n),
     ]);
-    println!(
+    outln!(
         "{}",
         table::render(
             "§VI extension — Storm hiding on Traders: whole-host vs per-service detection",
@@ -148,10 +149,10 @@ fn main() {
             &rows
         )
     );
-    println!(
+    outln!(
         "Of the adversarially placed bots, {} were flagged specifically on their",
         table::pct(sums[5] / n)
     );
-    println!("Overnet service slice (udp/7871) — the per-port split attributes the");
-    println!("detection to the control channel itself, not to the Trader's traffic.");
+    outln!("Overnet service slice (udp/7871) — the per-port split attributes the");
+    outln!("detection to the control channel itself, not to the Trader's traffic.");
 }

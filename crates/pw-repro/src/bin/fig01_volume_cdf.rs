@@ -1,6 +1,7 @@
 //! Figure 1: CDF of the average flow size (bytes uploaded per flow) per
 //! host, for the CMU, Trader, Storm, and Nugache datasets.
 
+use peerwatch::outln;
 use pw_repro::figures::fig01_volume_cdfs;
 use pw_repro::{build_context, table, Scale};
 
@@ -16,7 +17,7 @@ fn main() {
         }
         rows.push(row);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Figure 1 — avg bytes uploaded per flow, per host (quantiles)",
@@ -24,5 +25,5 @@ fn main() {
             &rows
         )
     );
-    println!("Paper shape: Plotters (Storm, Nugache) far left of CMU; Traders far right.");
+    outln!("Paper shape: Plotters (Storm, Nugache) far left of CMU; Traders far right.");
 }

@@ -1,5 +1,6 @@
 //! Figure 2: new IPs contacted by a Trader vs a Storm bot over one day.
 
+use peerwatch::outln;
 use pw_repro::figures::fig02_new_ips;
 use pw_repro::{build_context, table, Scale};
 
@@ -11,7 +12,7 @@ fn main() {
             .iter()
             .map(|&(h, f)| vec![format!("{h:02}:00"), table::pct(f)])
             .collect();
-        println!(
+        outln!(
             "{}",
             table::render(
                 &format!("Figure 2 — {}", s.name),
@@ -19,10 +20,10 @@ fn main() {
                 &rows
             )
         );
-        println!(
+        outln!(
             "day-level new-IP fraction: {}\n",
             table::pct(s.day_new_fraction)
         );
     }
-    println!("Paper shape: Trader >55% new IPs; Storm bot mostly repeat contacts (<40% new).");
+    outln!("Paper shape: Trader >55% new IPs; Storm bot mostly repeat contacts (<40% new).");
 }

@@ -1,6 +1,7 @@
 //! Figure 3: per-destination flow interstitial-time distributions for a
 //! Storm bot, a Nugache bot, a BitTorrent host, and a Gnutella host.
 
+use peerwatch::outln;
 use pw_repro::figures::fig03_interstitials;
 use pw_repro::{build_context, table, Scale};
 
@@ -14,7 +15,7 @@ fn main() {
             .map(|&(c, m)| vec![format!("{c:.1}"), table::pct(m)])
             .collect();
         rows.truncate(20);
-        println!(
+        outln!(
             "{}",
             table::render(
                 &format!(
@@ -26,5 +27,5 @@ fn main() {
             )
         );
     }
-    println!("Paper shape: bots show sharp periodic modes (Nugache ≈10/25/50 s); traders diffuse.");
+    outln!("Paper shape: bots show sharp periodic modes (Nugache ≈10/25/50 s); traders diffuse.");
 }

@@ -1,5 +1,6 @@
 //! Figure 5: CDF of the percentage of failed connections per host.
 
+use peerwatch::outln;
 use pw_repro::figures::fig05_failed_cdfs;
 use pw_repro::{build_context, table, Scale};
 
@@ -16,7 +17,7 @@ fn main() {
         row.push(table::pct(1.0 - s.fraction_below(0.65)));
         rows.push(row);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Figure 5 — failed-connection rate per host (quantiles)",
@@ -33,5 +34,5 @@ fn main() {
             &rows
         )
     );
-    println!("Paper shape: CMU\\Trader low; Trader high; almost all Nugache bots above 65%.");
+    outln!("Paper shape: CMU\\Trader low; Trader high; almost all Nugache bots above 65%.");
 }

@@ -1,5 +1,6 @@
 //! Figure 7: ROC of the peer-churn test θ_churn, averaged over all days.
 
+use peerwatch::outln;
 use pw_repro::figures::fig07_roc_churn;
 use pw_repro::{build_context, table, Scale};
 
@@ -11,7 +12,7 @@ fn main() {
             .iter()
             .map(|p| vec![p.label.clone(), table::pct(p.fpr), table::pct(p.tpr)])
             .collect();
-        println!(
+        outln!(
             "{}",
             table::render(
                 &format!(
@@ -24,5 +25,5 @@ fn main() {
             )
         );
     }
-    println!("Paper shape: Storm reaches high TPR at mid thresholds; Nugache lower throughout.");
+    outln!("Paper shape: Storm reaches high TPR at mid thresholds; Nugache lower throughout.");
 }

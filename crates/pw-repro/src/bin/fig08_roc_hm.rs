@@ -1,6 +1,7 @@
 //! Figure 8: ROC of the human-vs-machine test θ_hm; input is
 //! S_vol ∪ S_churn at the 50th percentile.
 
+use peerwatch::outln;
 use pw_repro::figures::fig08_roc_hm;
 use pw_repro::{build_context, table, Scale};
 
@@ -12,7 +13,7 @@ fn main() {
             .iter()
             .map(|p| vec![p.label.clone(), table::pct(p.fpr), table::pct(p.tpr)])
             .collect();
-        println!(
+        outln!(
             "{}",
             table::render(
                 &format!(
@@ -25,5 +26,5 @@ fn main() {
             )
         );
     }
-    println!("Paper shape: very low FPR at all thresholds; Storm ≫ Nugache TPR.");
+    outln!("Paper shape: very low FPR at all thresholds; Storm ≫ Nugache TPR.");
 }

@@ -2,6 +2,7 @@
 //! detection numbers (87.50% Storm / 30% Nugache TP at 0.81% FP in the
 //! paper).
 
+use peerwatch::outln;
 use pw_repro::figures::fig09_pipeline;
 use pw_repro::{build_context, table, Scale};
 
@@ -21,7 +22,7 @@ fn main() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         table::render(
             "Figure 9 — mean hosts surviving each stage",
@@ -56,7 +57,7 @@ fn main() {
             table::pct(fig.trader_share_of_output),
         ],
     ];
-    println!(
+    outln!(
         "{}",
         table::render("Headline numbers", &["metric", "paper", "measured"], &cmp)
     );

@@ -1,6 +1,7 @@
 //! Figure 10: CDFs of the flow counts of Nugache bots surviving each test
 //! (log10 axis in the paper), accumulated over all days.
 
+use peerwatch::outln;
 use pw_repro::figures::fig10_nugache_flow_counts;
 use pw_repro::{build_context, table, Scale};
 
@@ -20,7 +21,7 @@ fn main() {
         }
         rows.push(row);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Figure 10 — flow counts of surviving Nugache bots (quantiles)",
@@ -28,6 +29,6 @@ fn main() {
             &rows
         )
     );
-    println!("Paper shape: each stage preferentially drops the *least* communicative bots,");
-    println!("so surviving bots have higher flow counts than the full population.");
+    outln!("Paper shape: each stage preferentially drops the *least* communicative bots,");
+    outln!("so surviving bots have higher flow counts than the full population.");
 }

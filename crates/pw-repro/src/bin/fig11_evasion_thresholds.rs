@@ -1,6 +1,7 @@
 //! Figure 11: per-day detection thresholds versus the median Plotter — how
 //! much behaviour change evading θ_vol / θ_churn would take.
 
+use peerwatch::outln;
 use pw_repro::figures::fig11_evasion_margins;
 use pw_repro::{build_context, table, Scale};
 
@@ -20,7 +21,7 @@ fn main() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         table::render(
             "Figure 11a — τ_vol vs median Plotter avg bytes/flow",
@@ -48,7 +49,7 @@ fn main() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         table::render(
             "Figure 11b — τ_churn vs median Plotter new-IP fraction",
@@ -63,6 +64,6 @@ fn main() {
             &rows
         )
     );
-    println!("Paper shape: median Storm needs ≈5× its per-flow volume, Nugache ≈1.3×;");
-    println!("churn evasion needs ≥1.5× more new hosts.");
+    outln!("Paper shape: median Storm needs ≈5× its per-flow volume, Nugache ≈1.3×;");
+    outln!("churn evasion needs ≥1.5× more new hosts.");
 }

@@ -1,6 +1,7 @@
 //! Figure 12: pipeline TPR as Plotters add ±d random delay to repeat-peer
 //! connections, d from 30 s to 3 h.
 
+use peerwatch::outln;
 use pw_repro::figures::fig12_jitter_sweep;
 use pw_repro::{build_context, table, Scale};
 
@@ -20,7 +21,7 @@ fn main() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         table::render(
             "Figure 12 — TPR under interstitial jitter",
@@ -28,5 +29,5 @@ fn main() {
             &rows
         )
     );
-    println!("Paper shape: minutes-scale jitter is needed before TPR decays substantially.");
+    outln!("Paper shape: minutes-scale jitter is needed before TPR decays substantially.");
 }

@@ -8,9 +8,9 @@
 //! rather than the paper's per-day random re-implant.)
 
 use std::collections::HashSet;
-use std::io::Write;
 use std::net::Ipv4Addr;
 
+use peerwatch::{errln, outln};
 use pw_botnet::{generate_nugache_trace, generate_storm_trace, StormConfig};
 use pw_data::{build_day, overlay_bots_onto};
 use pw_detect::{try_find_plotters_table_tier, FindPlottersConfig, MultiDayReport, ProfileTier};
@@ -50,8 +50,7 @@ fn main() {
             1,
         )
         .expect("a campus day resolves every threshold");
-        let _ = writeln!(
-            std::io::stderr(),
+        errln!(
             "day {d}: storm {}/{} nugache {}/{} suspects {}",
             rep.suspects.intersection(&storm_hosts).count(),
             storm_hosts.len(),
@@ -79,7 +78,7 @@ fn main() {
             flagged.len().to_string(),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Multi-day corroboration — flag a host only if detected on ≥k days",
@@ -87,11 +86,11 @@ fn main() {
             &rows
         )
     );
-    println!("Two effects compose here. First, single-day θ_hm verdicts are volatile —");
-    println!("the bot cluster survives the diameter cut on some days and not others —");
-    println!("so any one day can miss everything. Second, background false positives");
-    println!("rarely repeat across days (the ≥1 union FPR is several times the per-day");
-    println!("rate), while infected hosts are re-flagged every day the cluster survives.");
-    println!("A 3-of-8 rule therefore reaches 100% Storm detection at sub-1% FPR at our");
-    println!("campus scale — the paper's FP regime — without touching the detector.");
+    outln!("Two effects compose here. First, single-day θ_hm verdicts are volatile —");
+    outln!("the bot cluster survives the diameter cut on some days and not others —");
+    outln!("so any one day can miss everything. Second, background false positives");
+    outln!("rarely repeat across days (the ≥1 union FPR is several times the per-day");
+    outln!("rate), while infected hosts are re-flagged every day the cluster survives.");
+    outln!("A 3-of-8 rule therefore reaches 100% Storm detection at sub-1% FPR at our");
+    outln!("campus scale — the paper's FP regime — without touching the detector.");
 }

@@ -20,10 +20,10 @@
 //! is exceeded, or sweep divergence leaves its bound — `scripts/ci.sh`
 //! gates on this at fast scale.
 
-use std::io::Write;
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
 
+use peerwatch::{errln, outln};
 use pw_detect::{
     extract_profiles_table_par_tier, find_plotters_from_table, FindPlottersConfig,
     ProfileAccumulator, ProfileTable, ProfileTier,
@@ -201,7 +201,7 @@ fn main() -> ExitCode {
             format!("{}", total_bytes(&sketched)),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Campus-day decision parity (exact vs sketched tier)",
@@ -251,7 +251,7 @@ fn main() -> ExitCode {
             format!("{}", row.diverged_hosts),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Dense sweep — memory and divergence vs exact tier",
@@ -268,19 +268,19 @@ fn main() -> ExitCode {
             &rows
         )
     );
-    println!("bytes-per-host cap: {SKETCHED_BYTES_PER_HOST_CAP}");
+    outln!("bytes-per-host cap: {SKETCHED_BYTES_PER_HOST_CAP}");
 
     if failures.is_empty() {
-        println!("sketch accuracy: OK");
+        outln!("sketch accuracy: OK");
         ExitCode::SUCCESS
     } else {
         for f in &failures {
-            let _ = writeln!(std::io::stderr(), "sketch accuracy FAILURE: {f}");
+            errln!("sketch accuracy FAILURE: {f}");
         }
         if check {
             ExitCode::FAILURE
         } else {
-            println!("(advisory run; pass --check to gate)");
+            outln!("(advisory run; pass --check to gate)");
             ExitCode::SUCCESS
         }
     }

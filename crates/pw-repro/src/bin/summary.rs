@@ -3,6 +3,7 @@
 //! profile of day 0 (the [`ThetaHmConfig::profile`] switch surfaced here
 //! instead of hand-pasted bench numbers).
 
+use peerwatch::outln;
 use pw_detect::{find_plotters_from_table, FindPlottersConfig, ThetaHmConfig};
 use pw_repro::figures::{fig05_failed_cdfs, fig09_pipeline};
 use pw_repro::{build_context, table, Scale};
@@ -43,7 +44,7 @@ fn main() {
             table::pct(1.0 - failed[3].fraction_below(0.65)),
         ],
     ];
-    println!(
+    outln!(
         "{}",
         table::render(
             "Reproduction summary (paper §V)",
@@ -70,7 +71,7 @@ fn main() {
             vec!["NN-chain linkage".into(), ms(p.linkage)],
             vec!["cut + diameters".into(), ms(p.cut_and_diameters)],
         ];
-        println!(
+        outln!(
             "{}",
             table::render("θ_hm stage profile (day 0, ms)", &["stage", "value"], &rows)
         );

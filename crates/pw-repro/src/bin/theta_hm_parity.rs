@@ -28,11 +28,11 @@
 //! scale.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::Write;
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use peerwatch::{errln, outln};
 use pw_detect::{
     find_plotters_from_table, theta_hm_view, BucketedHmParams, FindPlottersConfig, HmOptions,
     HmOutcome, HostMask, HostProfile, ProfileRepr, ProfileTable, ProfileView, ThetaHmConfig,
@@ -227,7 +227,7 @@ fn main() -> ExitCode {
             format!("{forced_ms:.1}"),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Synthetic fixture parity (exact vs bucketed mode)",
@@ -285,7 +285,7 @@ fn main() -> ExitCode {
             format!("{j:.3}"),
         ]);
     }
-    println!(
+    outln!(
         "{}",
         table::render(
             "Campus-day decision parity (exact vs bucketed θ_hm)",
@@ -317,7 +317,7 @@ fn main() -> ExitCode {
             };
             let (hm, ms) = run_hm(&profiles, &s, theta, threads);
             let p = hm.profile.clone().unwrap_or_default();
-            println!(
+            outln!(
                 "exact n={n}: {ms:.1} ms (hist {:.1}, fill {:.1}, linkage {:.1}, cut {:.1}), kept {}",
                 p.histograms.as_secs_f64() * 1e3,
                 p.distance_fill.as_secs_f64() * 1e3,
@@ -360,7 +360,7 @@ fn main() -> ExitCode {
                 p.bucket_sizes.len(),
             ));
         }
-        println!(
+        outln!(
             "{}",
             table::render(
                 "Bucketed θ_hm scaling (default params, stage profile, ms)",
@@ -383,40 +383,41 @@ fn main() -> ExitCode {
         let base_n = 16_384f64;
         let extrapolated_100k = exact_ms[&16_384] * (100_000f64 / base_n).powi(2);
         let speedup = extrapolated_100k / bucketed_ms[&100_000];
-        println!(
+        outln!(
             "n=16384 exact vs bucketed: kept-set Jaccard {jaccard_16384:.3}, \
              periodic-host agreement {bot_agree_16384:.3}"
         );
-        println!(
+        outln!(
             "exact extrapolated to n=100000: {extrapolated_100k:.0} ms; bucketed measured: \
              {:.0} ms; speedup {speedup:.1}x",
             bucketed_ms[&100_000]
         );
-        println!("\n--- JSON for BENCH_10.json ---");
-        println!("{{");
-        println!(
+        outln!("\n--- JSON for BENCH_10.json ---");
+        outln!("{{");
+        outln!(
             "  \"exact_ms\": {{ \"4096\": {:.1}, \"16384\": {:.1} }},",
-            exact_ms[&4_096], exact_ms[&16_384]
+            exact_ms[&4_096],
+            exact_ms[&16_384]
         );
-        println!("  \"bucketed_stage_profile_ms\": {{\n{profiles_json}  }},");
-        println!("  \"kept_jaccard_n16384\": {jaccard_16384:.3},");
-        println!("  \"periodic_host_agreement_n16384\": {bot_agree_16384:.3},");
-        println!("  \"exact_extrapolated_100k_ms\": {extrapolated_100k:.0},");
-        println!("  \"speedup_100k_vs_extrapolated_exact\": {speedup:.1}");
-        println!("}}");
+        outln!("  \"bucketed_stage_profile_ms\": {{\n{profiles_json}  }},");
+        outln!("  \"kept_jaccard_n16384\": {jaccard_16384:.3},");
+        outln!("  \"periodic_host_agreement_n16384\": {bot_agree_16384:.3},");
+        outln!("  \"exact_extrapolated_100k_ms\": {extrapolated_100k:.0},");
+        outln!("  \"speedup_100k_vs_extrapolated_exact\": {speedup:.1}");
+        outln!("}}");
     }
 
     if failures.is_empty() {
-        println!("theta_hm parity: OK");
+        outln!("theta_hm parity: OK");
         ExitCode::SUCCESS
     } else {
         for f in &failures {
-            let _ = writeln!(std::io::stderr(), "theta_hm parity FAILURE: {f}");
+            errln!("theta_hm parity FAILURE: {f}");
         }
         if check {
             ExitCode::FAILURE
         } else {
-            println!("(advisory run; pass --check to gate)");
+            outln!("(advisory run; pass --check to gate)");
             ExitCode::SUCCESS
         }
     }

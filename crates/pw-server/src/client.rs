@@ -153,7 +153,10 @@ pub struct SendOptions {
     /// unbroken connection.
     pub plan: ConnPlan,
     /// Send a `Tick` heartbeat (feed clock = the flow's start time)
-    /// after every `n` flows, driving the server's stall detector.
+    /// after every `n` flows, driving the server's stall detector. Each
+    /// tick carries the start of the last flow sent, so on a feed in start
+    /// order the feed clock never runs ahead of the watermark, and these
+    /// ticks alone never set off a stall flush.
     pub tick_every: Option<usize>,
     /// Reconnect/backoff policy for transport failures.
     pub retry: RetryPolicy,

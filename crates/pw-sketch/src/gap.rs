@@ -1,7 +1,7 @@
 //! Bounded-memory gap distributions: exact samples below a cap, a fixed
 //! log-spaced histogram above.
 
-use pw_analysis::{CdfRepr, Histogram};
+use pw_analysis::Histogram;
 
 /// Exact samples held before degrading to fixed bins. Campus-day hosts
 /// rarely exceed a few hundred interstitial gaps per window, so they stay
@@ -27,8 +27,8 @@ const SPAN_DECADES: f64 = 9.0;
 /// Deliberately *not* a GK or t-digest quantile sketch: those compress
 /// adaptively and their merges depend on stream order, which would break
 /// the bit-identical merge law. Fixed bins resolve ~3.9% per bin over nine
-/// decades instead, and [`GapSketch::to_cdf`] lowers them straight into
-/// the EMD kernel's [`CdfRepr`].
+/// decades instead, and [`GapSketch::point_masses`] returns them as the
+/// point masses the θ_hm distance consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GapSketch {
     state: State,
@@ -149,27 +149,6 @@ impl GapSketch {
                 Some(h.point_masses())
             }
             State::Dense { .. } => self.binned_masses(),
-        }
-    }
-
-    /// Lowers the distribution into the EMD kernel's [`CdfRepr`]. Sparse
-    /// sketches take the exact tier's exact path (FD histogram → CDF), so
-    /// their distances are bit-identical to exact profiles with the same
-    /// samples; dense sketches digest their fixed bins. `None` when no
-    /// gaps were recorded.
-    #[must_use]
-    pub fn to_cdf(&self, bin_width: Option<f64>) -> Option<CdfRepr> {
-        match &self.state {
-            State::Sparse(samples) => {
-                let h = match bin_width {
-                    None => Histogram::freedman_diaconis(samples)?,
-                    Some(w) => Histogram::with_bin_width(samples, w)?,
-                };
-                Some(CdfRepr::from_histogram(&h))
-            }
-            State::Dense { .. } => Some(CdfRepr::from_point_masses(
-                &self.binned_masses().unwrap_or_default(),
-            )),
         }
     }
 
@@ -305,6 +284,7 @@ fn bin_center(i: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pw_analysis::CdfRepr;
 
     #[test]
     fn sparse_keeps_exact_sorted_samples() {
@@ -376,14 +356,14 @@ mod tests {
         // sketch samples digest to the same CDF as the raw sequence.
         let h = Histogram::freedman_diaconis(&gaps).expect("non-empty");
         let exact = CdfRepr::from_histogram(&h);
-        assert_eq!(s.to_cdf(None), Some(exact));
+        let masses = s.point_masses(None).expect("non-empty");
+        assert_eq!(CdfRepr::from_point_masses(&masses), exact);
     }
 
     #[test]
     fn empty_sketch_lowers_to_nothing() {
         let s = GapSketch::new();
         assert!(s.is_empty());
-        assert_eq!(s.to_cdf(None), None);
         assert_eq!(s.point_masses(None), None);
     }
 }

@@ -10,7 +10,7 @@ use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 use peerwatch::botnet::BotFamily;
-use peerwatch::data::{label_traders_by_payload_table, run_experiment, ExperimentConfig};
+use peerwatch::data::{label_traders_by_payload, run_experiment, ExperimentConfig};
 use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
 
 fn main() {
@@ -25,13 +25,11 @@ fn main() {
     let base = &overlaid.base;
     println!("{} border flows", overlaid.flows.len());
 
-    // Intern the day once; labelling and detection both borrow the same
-    // columnar table instead of re-scanning the record vector.
     let table = run.flow_table();
     println!("{} distinct hosts interned", table.hosts().len());
 
     // Ground truth the way the paper builds it: scan the 64 payload bytes.
-    let payload_traders = label_traders_by_payload_table(&table, |ip| base.is_internal(ip), 1);
+    let payload_traders = label_traders_by_payload(&overlaid.flows, |ip| base.is_internal(ip), 1);
     println!(
         "\npayload-signature scan labelled {} Trader hosts:",
         payload_traders.len()
@@ -44,7 +42,7 @@ fn main() {
         println!("  {app}: {n}");
     }
 
-    // Run the detector over the same table.
+    // Run the detector over the table.
     let report = try_find_plotters_table_tier(
         &table,
         |ip| base.is_internal(ip),
@@ -87,7 +85,9 @@ fn main() {
     }
 
     let implanted: HashSet<Ipv4Addr> = overlaid.implants.keys().copied().collect();
-    let fp: Vec<&Ipv4Addr> = report.suspects.difference(&implanted).collect();
+    // Sorted, so every run prints the same ten.
+    let mut fp: Vec<&Ipv4Addr> = report.suspects.difference(&implanted).collect();
+    fp.sort_unstable();
     println!("\nfalse positives: {} hosts", fp.len());
     for ip in fp.iter().take(10) {
         let role = base

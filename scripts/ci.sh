@@ -48,8 +48,16 @@ cargo test --workspace -q
 
 echo "==> streaming_day example (a full-day engine window equals the batch verdict)"
 # The example asserts the equivalence itself and exits nonzero if it
-# breaks; no other stage runs an example.
+# breaks.
 cargo run -q --example streaming_day
+
+echo "==> campus_day example (two runs print the same bytes)"
+# pw-lint's D1 rule does not scan examples/, so a print in hash order
+# there is caught only by running the example twice. These two stages
+# are the only ones that run an example.
+cargo run -q --example campus_day > target/campus_day.1
+cargo run -q --example campus_day > target/campus_day.2
+cmp target/campus_day.1 target/campus_day.2
 
 echo "==> perfbench builds against this tree (its own workspace; unit tests)"
 # perfbench/ depends on the crates by path from a workspace of its own, so

@@ -91,31 +91,11 @@ use peerwatch::detect::{
     try_find_plotters_table_tier, ConfigError, Error, FindPlottersConfig, PlotterReport,
     ProfileTier, ThetaHmMode, Threshold,
 };
-use peerwatch::errln;
 use peerwatch::flow::csvio::{push_flow, read_flows_lossy, RowError, READ_CAPACITY};
 use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::{SimDuration, Subnet};
 use peerwatch::server::{send_flows, SendOptions, Server, ServerConfig};
-
-/// Ends the run on a failed write to standard output. A reader that has
-/// gone away (`findplotters … | head`) is how a filter is normally stopped,
-/// so a broken pipe exits 0 quietly; any other error fails loudly.
-fn stdout_ok(written: std::io::Result<()>) {
-    if let Err(e) = written {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        fail(&format!("stdout: {e}"));
-    }
-}
-
-/// `println!` through a locked stdout, with errors handled by
-/// [`stdout_ok`] instead of a panic.
-macro_rules! outln {
-    ($($arg:tt)*) => {
-        stdout_ok(writeln!(std::io::stdout().lock(), $($arg)*))
-    };
-}
+use peerwatch::{errln, outln, stdout_ok};
 
 fn usage() -> ! {
     errln!(

@@ -116,3 +116,31 @@ macro_rules! errln {
         let _ = writeln!(std::io::stderr().lock(), $($arg)*);
     }};
 }
+
+/// `println!` through a locked stdout, with a failed write handled by
+/// [`stdout_ok`] instead of a panic. The command-line tools use it.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        $crate::stdout_ok(writeln!(std::io::stdout().lock(), $($arg)*));
+    }};
+}
+
+/// Ends the run on a failed write to standard output. A reader that has
+/// gone away (`findplotters … | head`) is how a filter is normally stopped,
+/// so a broken pipe exits 0 quietly; any other error is reported on
+/// standard error after the program's name, and exits 1.
+pub fn stdout_ok(written: std::io::Result<()>) {
+    if let Err(e) = written {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        let program = std::env::args_os().next().unwrap_or_default();
+        let name = std::path::Path::new(&program)
+            .file_name()
+            .unwrap_or_default();
+        errln!("{}: stdout: {e}", name.to_string_lossy());
+        std::process::exit(1);
+    }
+}

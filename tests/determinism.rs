@@ -74,7 +74,8 @@ fn flow_csv_round_trips_a_generated_day() {
     let day = build_day(&campus(7), 0);
     let mut buf = Vec::new();
     peerwatch::flow::csvio::write_flows(&mut buf, &day.flows).expect("write");
-    let back = peerwatch::flow::csvio::read_flows(buf.as_slice()).expect("read");
+    let (back, bad) = peerwatch::flow::csvio::read_flows_lossy(buf.as_slice()).expect("read");
+    assert!(bad.is_empty(), "{bad:?}");
     assert_eq!(back, day.flows);
 }
 
@@ -102,7 +103,8 @@ fn detection_is_stable_across_csv_round_trip() {
     .expect("every threshold resolves");
     let mut buf = Vec::new();
     peerwatch::flow::csvio::write_flows(&mut buf, &overlaid.flows).expect("write");
-    let reloaded = peerwatch::flow::csvio::read_flows(buf.as_slice()).expect("read");
+    let (reloaded, bad) = peerwatch::flow::csvio::read_flows_lossy(buf.as_slice()).expect("read");
+    assert!(bad.is_empty(), "{bad:?}");
     let indirect = try_find_plotters_table_tier(
         &FlowTable::from_records(&reloaded),
         |ip| day.is_internal(ip),

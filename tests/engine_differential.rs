@@ -198,19 +198,20 @@ impl Reference {
         }
     }
 
-    fn close(&mut self, index: u64, flows: Vec<FlowRecord>) -> WindowReport {
+    fn close(&mut self, index: u64, mut flows: Vec<FlowRecord>) -> WindowReport {
         self.held -= flows.len();
         let start = SimTime::from_millis(index * self.cfg.slide.as_millis());
-        let mut table = FlowTable::from_records(&flows);
-        let duplicates = table.duplicate_rows() as u64;
+        // A duplicate is a record equal to its predecessor in canonical
+        // order, ties kept in arrival order: the whole-record rule the
+        // engine's `dedupe` applies.
+        flows.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
+        let duplicates = flows.windows(2).filter(|pair| pair[0] == pair[1]).count() as u64;
         self.stats.duplicates += duplicates;
-        let mut window_flows = flows.len();
-        if self.cfg.dedupe && duplicates > 0 {
-            let mut records = table.to_records();
-            records.dedup();
-            window_flows = records.len();
-            table = FlowTable::from_records(&records);
+        if self.cfg.dedupe {
+            flows.dedup();
         }
+        let window_flows = flows.len();
+        let table = FlowTable::from_records(&flows);
         let mut profiles =
             extract_profiles_table_par_tier(&table, internal, self.cfg.tier, self.cfg.threads);
         self.stats.profile_bytes = 0;
