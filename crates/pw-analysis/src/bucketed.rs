@@ -20,9 +20,7 @@
 //! tie-break are index-ordered, and the top-level linkage is serial over at
 //! most `k` items.
 
-use crate::cluster::{
-    average_linkage, relabel_sorted_merges, Dendrogram, DistanceMatrix, FillTuning,
-};
+use crate::cluster::{average_linkage, relabel_sorted_merges, Dendrogram, DistanceMatrix};
 use crate::order::fcmp;
 use std::time::{Duration, Instant};
 
@@ -46,8 +44,8 @@ pub struct BucketedLinkage {
 /// `0..n`.
 ///
 /// `dist(i, j)` is the exact pairwise distance (only evaluated within
-/// buckets and between medoids); `threads`/`tuning` control the per-bucket
-/// condensed fills exactly as in [`DistanceMatrix::from_fn_par_tuned`].
+/// buckets and between medoids); `threads` controls the per-bucket
+/// condensed fills exactly as in [`DistanceMatrix::from_fn_par`].
 ///
 /// # Panics
 ///
@@ -57,7 +55,6 @@ pub fn bucketed_average_linkage<D>(
     n: usize,
     buckets: &[Vec<usize>],
     threads: usize,
-    tuning: FillTuning,
     dist: D,
 ) -> BucketedLinkage
 where
@@ -90,7 +87,7 @@ where
             continue;
         }
         let t0 = Instant::now();
-        let dm = DistanceMatrix::from_fn_par_tuned(len, threads, tuning, |i, j| dist(b[i], b[j]));
+        let dm = DistanceMatrix::from_fn_par(len, threads, |i, j| dist(b[i], b[j]));
         fill_time += t0.elapsed();
         let t1 = Instant::now();
         let dendro = average_linkage(&dm);
@@ -124,9 +121,7 @@ where
     let mut cross: Vec<(usize, usize, f64)> = Vec::with_capacity(k.saturating_sub(1));
     if k > 1 {
         let t0 = Instant::now();
-        let dm_top = DistanceMatrix::from_fn_par_tuned(k, threads, tuning, |i, j| {
-            dist(medoids[i], medoids[j])
-        });
+        let dm_top = DistanceMatrix::from_fn_par(k, threads, |i, j| dist(medoids[i], medoids[j]));
         fill_time += t0.elapsed();
         let t1 = Instant::now();
         let top = average_linkage(&dm_top);
@@ -225,7 +220,7 @@ mod tests {
     fn single_bucket_matches_exact_linkage() {
         let pos: Vec<f64> = (0..20).map(|i| ((i * 7919) % 503) as f64).collect();
         let buckets = vec![(0..20).collect::<Vec<_>>()];
-        let got = bucketed_average_linkage(20, &buckets, 1, FillTuning::default(), line_dist(&pos));
+        let got = bucketed_average_linkage(20, &buckets, 1, line_dist(&pos));
         let dm = DistanceMatrix::from_fn(20, line_dist(&pos));
         let want = average_linkage(&dm);
         assert_eq!(got.dendrogram, want);
@@ -242,7 +237,7 @@ mod tests {
             (19..29).collect(),
             vec![29],
         ];
-        let got = bucketed_average_linkage(30, &buckets, 2, FillTuning::default(), line_dist(&pos));
+        let got = bucketed_average_linkage(30, &buckets, 2, line_dist(&pos));
         let d = &got.dendrogram;
         assert_eq!(d.n_leaves(), 30);
         assert_eq!(d.merges().len(), 29);
@@ -274,7 +269,7 @@ mod tests {
             (8..16).collect(),
             (16..24).collect(),
         ];
-        let got = bucketed_average_linkage(24, &buckets, 1, FillTuning::default(), line_dist(&pos));
+        let got = bucketed_average_linkage(24, &buckets, 1, line_dist(&pos));
         // Cutting the top 2 links severs the two ~1000-height stitches.
         let clusters = got.dendrogram.cut_top_fraction(2.0 / 23.0);
         assert_eq!(clusters.len(), 3);
@@ -289,16 +284,9 @@ mod tests {
             .map(|i| ((i * 31) % 157) as f64 + i as f64 / 500.0)
             .collect();
         let buckets: Vec<Vec<usize>> = (0..4).map(|c| (c * 50..(c + 1) * 50).collect()).collect();
-        let base =
-            bucketed_average_linkage(200, &buckets, 1, FillTuning::default(), line_dist(&pos));
+        let base = bucketed_average_linkage(200, &buckets, 1, line_dist(&pos));
         for threads in [2usize, 4, 8] {
-            let got = bucketed_average_linkage(
-                200,
-                &buckets,
-                threads,
-                FillTuning::default(),
-                line_dist(&pos),
-            );
+            let got = bucketed_average_linkage(200, &buckets, threads, line_dist(&pos));
             assert_eq!(got.dendrogram, base.dendrogram, "threads={threads}");
             assert_eq!(got.medoids, base.medoids, "threads={threads}");
         }
@@ -308,7 +296,7 @@ mod tests {
     #[should_panic(expected = "partition")]
     fn rejects_non_partition() {
         let buckets = vec![vec![0usize, 1], vec![1, 2]];
-        bucketed_average_linkage(3, &buckets, 1, FillTuning::default(), |_, _| 1.0);
+        bucketed_average_linkage(3, &buckets, 1, |_, _| 1.0);
     }
 
     #[test]

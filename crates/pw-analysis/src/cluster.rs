@@ -27,42 +27,6 @@ pub const TILE: usize = 64;
 /// a thread pool, so the serial path is taken regardless of `threads`.
 pub const PAR_CUTOFF: usize = 128;
 
-/// Tuning knobs for the parallel condensed-triangle fill.
-///
-/// Historically [`TILE`] and [`PAR_CUTOFF`] were hardcoded; promoting them
-/// into a value lets callers (the `θ_hm` config surface in `pw-detect`)
-/// expose them without forking the fill. The fill result is identical for
-/// *any* valid tuning — tiles and cutoffs only decide which worker computes
-/// which slot — so tuning is a pure performance surface.
-///
-/// # Examples
-///
-/// ```
-/// use pw_analysis::FillTuning;
-///
-/// let t = FillTuning::default();
-/// assert_eq!(t.tile, pw_analysis::TILE);
-/// assert_eq!(t.par_cutoff, pw_analysis::PAR_CUTOFF);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FillTuning {
-    /// Edge length of the square cache blocks the condensed triangle is
-    /// carved into. Must be at least 1.
-    pub tile: usize,
-    /// Minimum item count before worker threads are spawned; below it the
-    /// serial path runs regardless of the requested thread count.
-    pub par_cutoff: usize,
-}
-
-impl Default for FillTuning {
-    fn default() -> Self {
-        Self {
-            tile: TILE,
-            par_cutoff: PAR_CUTOFF,
-        }
-    }
-}
-
 /// A symmetric pairwise distance matrix over `n` items, stored condensed
 /// (upper triangle only).
 ///
@@ -114,7 +78,7 @@ impl DistanceMatrix {
     /// precomputed CDFs) stay hot in cache instead of streaming the whole
     /// item set past every row. Every slot is `f(i, j)` regardless of which
     /// worker computes it, so the result is identical to the serial
-    /// constructor for any thread count and any tiling.
+    /// constructor for any thread count.
     ///
     /// Below [`PAR_CUTOFF`] items the spawn cost dominates the fill itself
     /// and the serial path is taken; `threads == 0` is clamped to 1.
@@ -126,27 +90,8 @@ impl DistanceMatrix {
     where
         F: Fn(usize, usize) -> f64 + Sync,
     {
-        Self::from_fn_par_tuned(n, threads, FillTuning::default(), f)
-    }
-
-    /// [`DistanceMatrix::from_fn_par`] with explicit [`FillTuning`] instead
-    /// of the [`TILE`]/[`PAR_CUTOFF`] defaults.
-    ///
-    /// The contents are identical to the serial constructor for any thread
-    /// count and any tuning; only wall-clock changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` returns a negative or non-finite distance, or if
-    /// `tuning.tile == 0`.
-    pub fn from_fn_par_tuned<F>(n: usize, threads: usize, tuning: FillTuning, f: F) -> Self
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        assert!(tuning.tile >= 1, "fill tile must be at least 1");
-        let tile = tuning.tile;
         let threads = threads.max(1);
-        if threads == 1 || n < tuning.par_cutoff {
+        if threads == 1 || n < PAR_CUTOFF {
             return Self::from_fn(n, f);
         }
         let mut data = vec![0.0f64; n.saturating_sub(1) * n / 2];
@@ -155,7 +100,7 @@ impl DistanceMatrix {
         // bi <= bj, holds pairs (i, j) with i in row-block bi, j in
         // column-block bj; spans are disjoint sub-slices of `data`, so no
         // two workers ever alias.
-        let nb = n.div_ceil(tile);
+        let nb = n.div_ceil(TILE);
         let tile_index = |bi: usize, bj: usize| -> usize {
             debug_assert!(bi <= bj && bj < nb);
             bi * nb - bi * (bi.saturating_sub(1)) / 2 + (bj - bi)
@@ -165,13 +110,13 @@ impl DistanceMatrix {
             (0..n_tiles).map(|_| Vec::new()).collect();
         let mut rest = data.as_mut_slice();
         for i in 0..n.saturating_sub(1) {
-            let bi = i / tile;
+            let bi = i / TILE;
             let (mut row, tail) = rest.split_at_mut(n - 1 - i);
             rest = tail;
             let mut j = i + 1;
             while j < n {
-                let bj = j / tile;
-                let hi = ((bj + 1) * tile).min(n);
+                let bj = j / TILE;
+                let hi = ((bj + 1) * TILE).min(n);
                 let (span, row_tail) = std::mem::take(&mut row).split_at_mut(hi - j);
                 if !span.is_empty() {
                     tiles[tile_index(bi, bj)].push((i, j, span));

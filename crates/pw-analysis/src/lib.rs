@@ -47,9 +47,7 @@ pub mod stats;
 
 pub use bucketed::{bucketed_average_linkage, double_sweep_diameter, BucketedLinkage};
 pub use cdf::Ecdf;
-pub use cluster::{
-    average_linkage, Dendrogram, DistanceMatrix, FillTuning, Merge, PAR_CUTOFF, TILE,
-};
+pub use cluster::{average_linkage, Dendrogram, DistanceMatrix, Merge, PAR_CUTOFF, TILE};
 pub use embed::{embedding_lower_bound, kmeans_partition, quantile_embedding, MAX_QUANTILES};
 pub use emd::{emd_1d, emd_cdf, emd_histograms, CdfRepr};
 pub use hist::Histogram;

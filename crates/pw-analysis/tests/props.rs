@@ -5,7 +5,7 @@ use pw_analysis::hist::MAX_BINS;
 use pw_analysis::{
     average_linkage, bucketed_average_linkage, embedding_lower_bound, emd_1d, emd_cdf, iqr,
     kmeans_partition, median, percentile, quantile_embedding, CdfRepr, Dendrogram, DistanceMatrix,
-    Ecdf, FillTuning, Histogram,
+    Ecdf, Histogram,
 };
 
 fn finite_samples(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -510,7 +510,7 @@ proptest! {
         let n = pos.len();
         let embeds: Vec<Vec<f64>> = pos.iter().map(|&p| vec![p]).collect();
         let buckets = kmeans_partition(&embeds, target, 2);
-        let got = bucketed_average_linkage(n, &buckets, 1, FillTuning::default(), |i, j| {
+        let got = bucketed_average_linkage(n, &buckets, 1, |i, j| {
             (pos[i] - pos[j]).abs()
         });
         prop_assert_eq!(got.dendrogram.merges().len(), n - 1);

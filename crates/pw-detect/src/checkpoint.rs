@@ -18,7 +18,7 @@
 //! deliberately takes no serialization dependency:
 //!
 //! ```text
-//! peerwatch-checkpoint v4
+//! peerwatch-checkpoint v5
 //! engine window_ms=3600000 slide_ms=3600000 ... reject_invalid=0 tier=exact
 //! detect with_reduction=1 tau_vol=p:4049000000000000 ... cut_fraction=3fa999999999999a
 //! state watermark_ms=1234 applied_to_ms=1000 ...
@@ -40,7 +40,7 @@
 //!
 //! `buffer N` lists the reorder buffer in drain order. `log N` lists every
 //! flow applied to the open windows once, in canonical order
-//! `(start, src, dst, sport, dport)`; window `I` holds the logged flows
+//! ([`FlowRecord::canonical_key`]); window `I` holds the logged flows
 //! starting inside `[I·slide, I·slide + window)`, so a sliding window's
 //! flows are not written once per window. Each `window I E` line names an
 //! open window, in ascending index order, followed by its `E` extras: the
@@ -75,7 +75,7 @@
 //! snapshot is detected at restore time as a typed error instead of
 //! silently parsing garbage (the line-oriented format would otherwise
 //! accept many single-byte corruptions, e.g. a flipped digit in a
-//! counter). Every field is required. The format has one version, v4:
+//! counter). Every field is required. The format has one version, v5:
 //! [`EngineCheckpoint::parse`] checks the header before anything else and
 //! refuses any other with [`CheckpointError::BadMagic`].
 //!
@@ -118,11 +118,11 @@ use pw_netsim::{SimDuration, SimTime};
 use crate::detectors::{ThetaHmConfig, ThetaHmMode, Threshold};
 use crate::features::ProfileTier;
 use crate::pipeline::FindPlottersConfig;
-use crate::stream::{buffer_key, covering, EngineConfig, EngineStats, EvictionPolicy, LatePolicy};
+use crate::stream::{covering, EngineConfig, EngineStats, LatePolicy};
 
 /// Magic first line of every checkpoint file; the version suffix gates
 /// format evolution, and any other version is refused.
-pub const MAGIC: &str = "peerwatch-checkpoint v4";
+pub const MAGIC: &str = "peerwatch-checkpoint v5";
 
 /// Line prefix of the integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
@@ -332,24 +332,18 @@ impl EngineCheckpoint {
         let mut out = String::with_capacity(HEAD_BYTES + rows * ROW_BYTES);
         out.push_str(MAGIC);
         out.push('\n');
-        let eviction = match c.eviction {
-            EvictionPolicy::WindowScoped => "window".to_string(),
-            EvictionPolicy::IdleLongerThan(d) => format!("idle:{}", d.as_millis()),
-        };
         let late = match c.late_policy {
             LatePolicy::Reject => "reject",
             LatePolicy::Drop => "drop",
             LatePolicy::ExtendOldest => "extend",
         };
         out.push_str(&format!(
-            "engine window_ms={} slide_ms={} lateness_ms={} threads={} eviction={} \
-             late_policy={} max_flows={} stall_timeout_ms={} dedupe={} reject_invalid={} \
-             tier={}\n",
+            "engine window_ms={} slide_ms={} lateness_ms={} threads={} late_policy={} \
+             max_flows={} stall_timeout_ms={} dedupe={} reject_invalid={} tier={}\n",
             c.window.as_millis(),
             c.slide.as_millis(),
             c.lateness.as_millis(),
             c.threads,
-            eviction,
             late,
             opt_ms(c.max_flows.map(|n| n as u64)),
             opt_ms(c.stall_timeout.map(pw_netsim::SimDuration::as_millis)),
@@ -359,15 +353,13 @@ impl EngineCheckpoint {
         ));
         out.push_str(&format!(
             "detect with_reduction={} tau_vol={} tau_churn={} tau_hm={} cut_fraction={} \
-             theta_hm={} hm_tile={} hm_par_cutoff={} hm_profile={}\n",
+             theta_hm={} hm_profile={}\n",
             u8::from(c.detect.with_reduction),
             threshold_str(c.detect.tau_vol),
             threshold_str(c.detect.tau_churn),
             threshold_str(c.detect.tau_hm),
             f64_hex(c.detect.cut_fraction),
             c.detect.theta_hm.mode.name(),
-            c.detect.theta_hm.tile,
-            c.detect.theta_hm.par_cutoff,
             u8::from(c.detect.theta_hm.profile),
         ));
         out.push_str(&format!(
@@ -442,7 +434,6 @@ impl EngineCheckpoint {
             slide: SimDuration::from_millis(config_fields.num("slide_ms")?),
             lateness: SimDuration::from_millis(config_fields.num("lateness_ms")?),
             threads: config_fields.num("threads")? as usize,
-            eviction: config_fields.eviction()?,
             late_policy: config_fields.late_policy()?,
             max_flows: config_fields.opt_num("max_flows")?.map(|n| n as usize),
             stall_timeout: config_fields
@@ -586,7 +577,7 @@ impl EngineCheckpoint {
             };
             if prev
                 .replace(f)
-                .is_some_and(|p| buffer_key(f) < buffer_key(p))
+                .is_some_and(|p| f.canonical_key() < p.canonical_key())
             {
                 return refused("is out of canonical order".to_owned());
             }
@@ -767,18 +758,6 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn eviction(&self) -> Result<EvictionPolicy, CheckpointError> {
-        let v = self.get("eviction")?;
-        if v == "window" {
-            return Ok(EvictionPolicy::WindowScoped);
-        }
-        if let Some(ms) = v.strip_prefix("idle:") {
-            let ms: u64 = ms.parse().map_err(|_| self.bad("eviction", v))?;
-            return Ok(EvictionPolicy::IdleLongerThan(SimDuration::from_millis(ms)));
-        }
-        Err(self.bad("eviction", v))
-    }
-
     fn tier(&self) -> Result<ProfileTier, CheckpointError> {
         let v = self.get("tier")?;
         ProfileTier::from_name(v).ok_or_else(|| self.bad("tier", v))
@@ -788,8 +767,6 @@ impl<'a> Fields<'a> {
         let mode = self.get("theta_hm")?;
         Ok(ThetaHmConfig {
             mode: ThetaHmMode::from_name(mode).ok_or_else(|| self.bad("theta_hm", mode))?,
-            tile: self.num("hm_tile")? as usize,
-            par_cutoff: self.num("hm_par_cutoff")? as usize,
             profile: self.flag("hm_profile")?,
         })
     }
@@ -810,6 +787,13 @@ pub fn retained_path(path: &Path, k: usize) -> std::path::PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(format!(".{k}"));
     std::path::PathBuf::from(os)
+}
+
+/// Whether any snapshot of the chain at `path` is on disk: the primary or
+/// one of the `retain` snapshots behind it. A resuming run recovers from
+/// the chain when this holds and starts afresh when it does not.
+pub fn chain_exists(path: &Path, retain: usize) -> bool {
+    path.exists() || (1..=retain).any(|k| retained_path(path, k).exists())
 }
 
 /// The most previous snapshots a checkpoint chain may keep behind its
@@ -1049,8 +1033,6 @@ mod tests {
                 quantiles: 24,
                 kmeans_rounds: 3,
             }),
-            tile: 96,
-            par_cutoff: 200,
             profile: true,
         };
         let mut snap = snap;
@@ -1091,11 +1073,12 @@ mod tests {
 
         let snap = busy_engine().checkpoint();
         // Older versions are refused by their header, whatever follows it:
-        // a v4 body, resealed or not, under a v1, v2 or v3 header.
+        // a v5 body, resealed or not, under a v1, v2, v3 or v4 header.
         for old in [
             "peerwatch-checkpoint v1",
             "peerwatch-checkpoint v2",
             "peerwatch-checkpoint v3",
+            "peerwatch-checkpoint v4",
         ] {
             let unsealed = snap.serialize().replacen(MAGIC, old, 1);
             let sealed = resealed(&snap.serialize(), |body| body.replacen(MAGIC, old, 1));

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use pw_analysis::{
     average_linkage, bucketed_average_linkage, double_sweep_diameter, emd_cdf, kmeans_partition,
-    percentile, quantile_embedding, CdfRepr, DistanceMatrix, FillTuning,
+    percentile, quantile_embedding, CdfRepr, DistanceMatrix,
 };
 use pw_flow::HostId;
 
@@ -262,14 +262,9 @@ impl ThetaHmMode {
     }
 }
 
-/// The `θ_hm` configuration surface: clustering mode plus the tuning knobs
-/// (distance-fill tile size and parallel cutoff) that both the exact and
-/// bucketed paths share, plus the stage-profile switch.
-///
-/// Historically the tuning knobs were the hardcoded `pw_analysis::TILE` /
-/// `PAR_CUTOFF` constants; they are promoted here so one validated struct
-/// carries everything `θ_hm`-shaped. Build one as a struct literal and
-/// check it with [`ThetaHmConfig::validate`].
+/// The `θ_hm` configuration surface: clustering mode plus the
+/// stage-profile switch. Build one as a struct literal and check it with
+/// [`ThetaHmConfig::validate`].
 ///
 /// # Examples
 ///
@@ -279,35 +274,21 @@ impl ThetaHmMode {
 /// let cfg = ThetaHmConfig {
 ///     mode: ThetaHmMode::Bucketed(BucketedHmParams::default()),
 ///     profile: true,
-///     ..ThetaHmConfig::default()
 /// };
 /// assert!(cfg.validate().is_ok());
-/// assert!(ThetaHmConfig { tile: 0, ..cfg }.validate().is_err());
+/// let one_host_buckets = ThetaHmMode::Bucketed(BucketedHmParams {
+///     target_bucket: 1,
+///     ..BucketedHmParams::default()
+/// });
+/// assert!(ThetaHmConfig { mode: one_host_buckets, ..cfg }.validate().is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ThetaHmConfig {
     /// Clustering strategy (default: [`ThetaHmMode::Exact`]).
     pub mode: ThetaHmMode,
-    /// Cache-block edge for the condensed distance-matrix fill
-    /// (default [`pw_analysis::TILE`]).
-    pub tile: usize,
-    /// Minimum population before the fill spawns worker threads
-    /// (default [`pw_analysis::PAR_CUTOFF`]).
-    pub par_cutoff: usize,
     /// Attach a [`ThetaHmProfile`] (stage wall-clock split + bucket-size
     /// histogram) to the [`HmOutcome`] when clustering actually runs.
     pub profile: bool,
-}
-
-impl Default for ThetaHmConfig {
-    fn default() -> Self {
-        Self {
-            mode: ThetaHmMode::Exact,
-            tile: pw_analysis::TILE,
-            par_cutoff: pw_analysis::PAR_CUTOFF,
-            profile: false,
-        }
-    }
 }
 
 impl ThetaHmConfig {
@@ -315,16 +296,6 @@ impl ThetaHmConfig {
     /// calls this so invalid `θ_hm` settings are caught before any data is
     /// touched.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.tile == 0 {
-            return Err(ConfigError::ThetaHm(
-                "distance-fill tile must be at least 1",
-            ));
-        }
-        if self.par_cutoff < 2 {
-            return Err(ConfigError::ThetaHm(
-                "parallel cutoff must be at least 2 (1-host fills cannot parallelize)",
-            ));
-        }
         if let ThetaHmMode::Bucketed(p) = self.mode {
             if p.target_bucket < 2 {
                 return Err(ConfigError::ThetaHm("bucket target must be at least 2"));
@@ -339,14 +310,6 @@ impl ThetaHmConfig {
             }
         }
         Ok(())
-    }
-
-    /// The [`FillTuning`] these knobs describe.
-    pub fn tuning(&self) -> FillTuning {
-        FillTuning {
-            tile: self.tile,
-            par_cutoff: self.par_cutoff,
-        }
     }
 }
 
@@ -390,7 +353,7 @@ pub struct HmOptions {
     /// matrix (the `θ_hm` hot spots), clamped to `1..=`[`MAX_THREADS`].
     /// `1` runs serially; any value produces identical output.
     pub threads: usize,
-    /// Mode, fill tuning, and profile switch (see [`ThetaHmConfig`]).
+    /// Mode and profile switch (see [`ThetaHmConfig`]).
     pub theta: ThetaHmConfig,
 }
 
@@ -515,7 +478,6 @@ pub fn theta_hm_view(
         histograms: t_hist.elapsed(),
         ..Default::default()
     };
-    let tuning = options.theta.tuning();
 
     // The two-level path applies only above its population cutoff and only
     // to the EMD metric (the quantile bound certifies EMD; the L1 ablation
@@ -544,7 +506,7 @@ pub fn theta_hm_view(
         let buckets = kmeans_partition(&embeds, p.target_bucket, p.kmeans_rounds);
         profile.bucket = t.elapsed();
         profile.bucket_sizes = buckets.iter().map(Vec::len).collect();
-        let linked = bucketed_average_linkage(hosts.len(), &buckets, threads, tuning, |i, j| {
+        let linked = bucketed_average_linkage(hosts.len(), &buckets, threads, |i, j| {
             emd_cdf(&cdfs[i], &cdfs[j])
         });
         profile.distance_fill = linked.distance_fill;
@@ -581,11 +543,9 @@ pub fn theta_hm_view(
     } else {
         let t = Instant::now();
         let dm = match options.distance {
-            HistogramDistance::Emd => {
-                DistanceMatrix::from_fn_par_tuned(hosts.len(), threads, tuning, |i, j| {
-                    emd_cdf(&cdfs[i], &cdfs[j])
-                })
-            }
+            HistogramDistance::Emd => DistanceMatrix::from_fn_par(hosts.len(), threads, |i, j| {
+                emd_cdf(&cdfs[i], &cdfs[j])
+            }),
             HistogramDistance::L1 => {
                 let (lo, hi) =
                     masses
@@ -595,7 +555,7 @@ pub fn theta_hm_view(
                             let last = pm.last().map_or(0.0, |&(p, _)| p);
                             (lo.min(first), hi.max(last))
                         });
-                DistanceMatrix::from_fn_par_tuned(hosts.len(), threads, tuning, |i, j| {
+                DistanceMatrix::from_fn_par(hosts.len(), threads, |i, j| {
                     l1_distance(&masses[i], &masses[j], lo, hi)
                 })
             }
@@ -1224,7 +1184,6 @@ mod tests {
                         kmeans_rounds: 2,
                     }),
                     profile: true,
-                    ..Default::default()
                 },
                 ..Default::default()
             },
@@ -1261,21 +1220,7 @@ mod tests {
     #[test]
     fn theta_hm_config_validation_rejects_bad_knobs() {
         assert!(ThetaHmConfig::default().validate().is_ok());
-        let cases: [(ThetaHmConfig, &str); 5] = [
-            (
-                ThetaHmConfig {
-                    tile: 0,
-                    ..Default::default()
-                },
-                "tile",
-            ),
-            (
-                ThetaHmConfig {
-                    par_cutoff: 1,
-                    ..Default::default()
-                },
-                "cutoff",
-            ),
+        let cases: [(ThetaHmConfig, &str); 3] = [
             (
                 ThetaHmConfig {
                     mode: ThetaHmMode::Bucketed(BucketedHmParams {

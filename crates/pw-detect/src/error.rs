@@ -66,9 +66,9 @@ pub enum ConfigError {
     TooManyRetained(usize),
     /// A zero I/O deadline would time every socket read out immediately.
     ZeroIoTimeout,
-    /// The `θ_hm` mode/tuning configuration was rejected; the payload says
-    /// which constraint failed (e.g. a zero bucket target or a quantile
-    /// count outside the certified range).
+    /// The `θ_hm` mode was rejected; the payload says which constraint
+    /// failed (e.g. a bucket target below 2 or a quantile count outside the
+    /// certified range).
     ThetaHm(&'static str),
 }
 

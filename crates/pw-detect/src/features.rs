@@ -597,8 +597,6 @@ struct Kernel {
     /// Sketched tier, per slot: the bounded last-contact cache the
     /// finished profile does not keep. Empty at the exact tier.
     recent: Vec<LastSeen<SimTime>>,
-    /// Per slot: start of the host's latest flow.
-    last_seen: Vec<SimTime>,
     /// Exact tier: last contact time per (slot, destination), the slot in
     /// the high 32 bits of the key, for [`PrevContact::Tracked`] flows.
     /// One flat map per worker rather than one per host; it is only looked
@@ -629,7 +627,6 @@ impl Kernel {
         if self.tier == ProfileTier::Sketched {
             self.recent.push(LastSeen::new());
         }
-        self.last_seen.push(SimTime::ZERO);
         self.profiles.len() - 1
     }
 
@@ -645,7 +642,6 @@ impl Kernel {
         failed: bool,
         contact: PrevContact,
     ) {
-        self.last_seen[slot] = start;
         let p = &mut self.profiles[slot];
         p.flows_involving += 1;
         p.bytes_uploaded += uploaded;
@@ -696,10 +692,9 @@ impl Kernel {
         }
     }
 
-    /// Finishes every slot, in slot order: each profile with the start of
-    /// its host's latest flow.
-    fn finish(self) -> impl Iterator<Item = (HostProfile, SimTime)> {
-        self.profiles.into_iter().zip(self.last_seen)
+    /// Finishes every slot's profile, in slot order.
+    fn finish(self) -> Vec<HostProfile> {
+        self.profiles
     }
 }
 
@@ -771,7 +766,13 @@ impl ProfileAccumulator {
 
     /// Finishes the window and returns the dense profile table.
     pub fn finish(self) -> ProfileTable {
-        ProfileTable::from_pairs(self.kernel.finish().map(|(p, _)| (p.ip, p)).collect())
+        ProfileTable::from_pairs(
+            self.kernel
+                .finish()
+                .into_iter()
+                .map(|p| (p.ip, p))
+                .collect(),
+        )
     }
 }
 
@@ -818,7 +819,11 @@ impl<'t> TableProfiler<'t> {
     }
 
     fn finish(self) -> Vec<(Ipv4Addr, HostProfile)> {
-        self.kernel.finish().map(|(p, _)| (p.ip, p)).collect()
+        self.kernel
+            .finish()
+            .into_iter()
+            .map(|p| (p.ip, p))
+            .collect()
     }
 }
 
@@ -911,9 +916,8 @@ fn on_shards<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T
 /// A window's profiles, finished by [`RecordProfiler::finish`].
 #[derive(Debug)]
 pub(crate) struct RecordProfiles {
-    /// Every profiled host with the start of its latest border flow, in
-    /// no particular order.
-    pub(crate) hosts: Vec<(HostProfile, SimTime)>,
+    /// Every profiled host, in no particular order.
+    pub(crate) hosts: Vec<HostProfile>,
     /// Rows profiled: every row, less the duplicates `dedupe` skipped.
     pub(crate) rows: usize,
     /// Rows equal to the row before them.
@@ -983,7 +987,7 @@ impl RecordProfiler {
     /// Finishes every host's profile.
     pub(crate) fn finish(self) -> RecordProfiles {
         RecordProfiles {
-            hosts: self.acc.kernel.finish().collect(),
+            hosts: self.acc.kernel.finish(),
             rows: self.rows,
             duplicates: self.duplicates,
         }

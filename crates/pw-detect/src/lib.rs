@@ -90,7 +90,6 @@ pub use pipeline::{
 pub use rates::{rates_against, Rates};
 pub use reduction::initial_reduction_view;
 pub use stream::{
-    DetectionEngine, EngineConfig, EngineConfigBuilder, EngineStats, EvictionPolicy, LatePolicy,
-    WindowReport,
+    DetectionEngine, EngineConfig, EngineConfigBuilder, EngineStats, LatePolicy, WindowReport,
 };
 pub use tdg::{tdg_scan, TdgConfig, TdgMetrics, TdgReport};

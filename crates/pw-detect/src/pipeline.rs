@@ -46,10 +46,9 @@ pub struct FindPlottersConfig {
     pub tau_hm: Threshold,
     /// Fraction of heaviest dendrogram links removed when forming clusters.
     pub cut_fraction: f64,
-    /// `θ_hm` clustering mode, fill tuning, and stage-profile switch. The
-    /// default ([`ThetaHmMode::Exact`](crate::ThetaHmMode::Exact), stock
-    /// tuning, profile off) keeps the pipeline byte-identical to its
-    /// historical output.
+    /// `θ_hm` clustering mode and stage-profile switch. The default
+    /// ([`ThetaHmMode::Exact`](crate::ThetaHmMode::Exact), profile off)
+    /// keeps the pipeline byte-identical to its historical output.
     pub theta_hm: ThetaHmConfig,
 }
 
@@ -150,7 +149,7 @@ impl FindPlottersConfigBuilder {
         self
     }
 
-    /// Replaces the whole `θ_hm` configuration (mode + tuning + profile).
+    /// Replaces the whole `θ_hm` configuration (mode + profile).
     pub fn theta_hm(mut self, t: ThetaHmConfig) -> Self {
         self.cfg.theta_hm = t;
         self

@@ -7,9 +7,11 @@
 //! assigns them to tumbling or sliding windows, and emits a
 //! [`WindowReport`] (wrapping a [`PlotterReport`]) whenever a window's
 //! watermark passes. Each open window profiles its flows as they arrive,
-//! so a close only finishes its profiles; the per-window threshold tests
-//! shard over hosts with `std::thread::scope`, and any `threads` setting
-//! produces byte-identical verdicts. Each window's `θ_hm` runs on the same
+//! so a close only finishes its profiles and scores every host they
+//! cover, as the paper's `FindPlotters` scores every host seen in its
+//! window. The per-window threshold tests shard over hosts with
+//! `std::thread::scope`, and any `threads` setting produces
+//! byte-identical verdicts. Each window's `θ_hm` runs on the same
 //! scaled kernel as batch detection — per-host [`pw_analysis::CdfRepr`]
 //! digests feeding the alloc-free `emd_cdf` pairwise sweep and O(n²)
 //! NN-chain clustering (see DESIGN.md "θ_hm at scale") — so wide windows
@@ -51,9 +53,10 @@
 //!
 //! Each accepted flow is stored once. The reorder buffer holds it until
 //! the watermark passes its lateness bound; it then moves to one shared
-//! log, kept in canonical order. Window `k` is the log range of flows
-//! starting in `[k·slide, k·slide + window)`, found by binary search, plus
-//! the late flows [`LatePolicy::ExtendOldest`] appended to it. Sliding
+//! log, kept in canonical order ([`FlowRecord::canonical_key`]). Window
+//! `k` is the log range of flows starting in `[k·slide, k·slide +
+//! window)`, found by binary search, plus the late flows
+//! [`LatePolicy::ExtendOldest`] appended to it. Sliding
 //! windows therefore share their flows instead of copying them once per
 //! window.
 //!
@@ -114,7 +117,7 @@ use std::net::Ipv4Addr;
 use std::ops::{Range, RangeInclusive};
 use std::slice;
 
-use pw_flow::FlowRecord;
+use pw_flow::{CanonicalKey, FlowRecord};
 use pw_netsim::{SimDuration, SimTime};
 
 use crate::error::{ConfigError, Error};
@@ -122,20 +125,6 @@ use crate::features::{internal_endpoint, PrevContact, ProfileTable, ProfileTier,
 use crate::pipeline::{
     check_threads, try_find_plotters_from_table, FindPlottersConfig, PlotterReport,
 };
-
-/// When a window closes, which profiled hosts still take part in the
-/// verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Every host that produced a border flow inside the window is scored;
-    /// state is dropped wholesale when the window closes.
-    #[default]
-    WindowScoped,
-    /// Hosts silent for longer than the given duration before the window's
-    /// end are evicted before the threshold tests run (keeps a long window
-    /// from scoring hosts that left the network hours ago).
-    IdleLongerThan(SimDuration),
-}
 
 /// What happens to a flow that arrives after its lateness bound — its
 /// window may already be closed.
@@ -171,8 +160,6 @@ pub struct EngineConfig {
     /// [`MAX_THREADS`]. Windows profile their flows as they arrive, on the
     /// caller's thread. Any value produces identical output.
     pub threads: usize,
-    /// Host participation rule at window close.
-    pub eviction: EvictionPolicy,
     /// What to do with flows older than the lateness bound.
     pub late_policy: LatePolicy,
     /// Upper bound on flows held (reorder buffer plus open windows). A
@@ -209,7 +196,6 @@ impl Default for EngineConfig {
             slide: SimDuration::from_hours(24),
             lateness: SimDuration::from_mins(10),
             threads: 1,
-            eviction: EvictionPolicy::default(),
             late_policy: LatePolicy::default(),
             max_flows: None,
             stall_timeout: None,
@@ -317,12 +303,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the host participation rule at window close.
-    pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.cfg.eviction = policy;
-        self
-    }
-
     /// Sets the policy for flows older than the lateness bound.
     pub fn late_policy(mut self, policy: LatePolicy) -> Self {
         self.cfg.late_policy = policy;
@@ -421,10 +401,8 @@ pub struct WindowReport {
     /// Border and non-border flows assigned to the window (after
     /// deduplication, when enabled).
     pub flows: usize,
-    /// Hosts profiled inside the window (before eviction).
+    /// Hosts profiled inside the window.
     pub hosts: usize,
-    /// Hosts removed by the [`EvictionPolicy`] before scoring.
-    pub evicted: usize,
     /// Late flows observed since the previous report was emitted (each
     /// late flow is reported exactly once, on the next window to close).
     pub late: u64,
@@ -442,14 +420,6 @@ pub struct WindowReport {
     /// The pipeline's verdict, or why no verdict was possible
     /// ([`Error::EmptyWindow`], [`Error::ThresholdUnresolvable`]).
     pub outcome: Result<PlotterReport, Error>,
-}
-
-/// Reorder-buffer key: the canonical flow processing order, so draining the
-/// buffer replays flows exactly as the batch path would sort them.
-pub(crate) type BufferKey = (SimTime, Ipv4Addr, Ipv4Addr, u16, u16);
-
-pub(crate) fn buffer_key(f: &FlowRecord) -> BufferKey {
-    (f.start, f.src, f.dst, f.sport, f.dport)
 }
 
 /// Indices of the windows (`window` long, one starting every `slide`)
@@ -474,9 +444,9 @@ fn contact_key(host: Ipv4Addr, dst: Ipv4Addr) -> u64 {
 }
 
 /// A window's rows in canonical order: rows of its log range merged with
-/// its extras, which must be sorted by [`buffer_key`]. Log rows come first
-/// on equal keys, so the merge is a stable sort of the rows followed by
-/// the extras.
+/// its extras, which must be sorted by [`FlowRecord::canonical_key`]. Log
+/// rows come first on equal keys, so the merge is a stable sort of the
+/// rows followed by the extras.
 struct WindowRows<'a> {
     log: Peekable<vec_deque::Iter<'a, FlowRecord>>,
     extras: Peekable<slice::Iter<'a, FlowRecord>>,
@@ -487,7 +457,7 @@ impl<'a> Iterator for WindowRows<'a> {
 
     fn next(&mut self) -> Option<&'a FlowRecord> {
         match (self.log.peek(), self.extras.peek()) {
-            (Some(l), Some(e)) if buffer_key(e) < buffer_key(l) => self.extras.next(),
+            (Some(l), Some(e)) if e.canonical_key() < l.canonical_key() => self.extras.next(),
             (Some(_), _) => self.log.next(),
             (None, _) => self.extras.next(),
         }
@@ -536,11 +506,12 @@ pub struct DetectionEngine<F> {
     is_internal: F,
     /// Bounded-lateness reorder buffer: flows not yet applied to windows,
     /// keyed by canonical order and then by arrival, so flows with equal
-    /// keys drain in the order they arrived.
-    buffer: BTreeMap<(BufferKey, u64), FlowRecord>,
+    /// keys drain in the order they arrived, exactly as the batch path
+    /// would sort them.
+    buffer: BTreeMap<(CanonicalKey, u64), FlowRecord>,
     /// Arrival number of the next buffered flow.
     arrivals: u64,
-    /// Every applied flow of the open windows, once, in buffer-key order:
+    /// Every applied flow of the open windows, once, in canonical order:
     /// the buffer drains in ascending key order and `applied_to` only
     /// moves forward, so applied flows append at the back. Window `k`
     /// reads [`log_range`](Self::log_range)`(k)`.
@@ -759,7 +730,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
 
     /// Queues `f` in the reorder buffer behind every flow with its key.
     fn buffer_flow(&mut self, f: FlowRecord) {
-        self.buffer.insert((buffer_key(&f), self.arrivals), f);
+        self.buffer.insert((f.canonical_key(), self.arrivals), f);
         self.arrivals += 1;
     }
 
@@ -980,12 +951,11 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     }
 
     /// Closes window `index`: finishes its profiles and runs the pipeline
-    /// on the hosts the [`EvictionPolicy`] keeps. The profile has taken in
-    /// every row the watermark logged; the close takes in the rest in one
-    /// pass (see the module's "Storage" section): the rows a flush logged
-    /// since, or, when the window holds extras, every row through a fresh
-    /// profile. The profile counts duplicates, skips them under `dedupe`
-    /// and keeps each host's last-seen time.
+    /// on every host they cover. The profile has taken in every row the
+    /// watermark logged; the close takes in the rest in one pass (see the
+    /// module's "Storage" section): the rows a flush logged since, or, when
+    /// the window holds extras, every row through a fresh profile. The
+    /// profile counts duplicates and skips them under `dedupe`.
     fn close_window(&mut self, index: u64, window: OpenWindow, forced: bool) -> WindowReport {
         let span = self.window_span(index);
         let range = self.log_range(index);
@@ -995,7 +965,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         // every logged flow with their key, in arrival order among
         // themselves, as they did when windows kept their own copies.
         let mut extras = window.extras;
-        extras.sort_by_key(buffer_key);
+        extras.sort_by_key(FlowRecord::canonical_key);
         let mut profile = window
             .profile
             .unwrap_or_else(|| RecordProfiler::new(self.cfg.tier, self.cfg.dedupe));
@@ -1027,29 +997,15 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         self.stats.profile_bytes = 0;
         self.stats.profiles_exact = 0;
         self.stats.profiles_sketched = 0;
-        for (p, _) in &finished.hosts {
+        for p in &finished.hosts {
             self.stats.profile_bytes += p.estimated_bytes() as u64;
             match p.tier() {
                 ProfileTier::Exact => self.stats.profiles_exact += 1,
                 ProfileTier::Sketched => self.stats.profiles_sketched += 1,
             }
         }
-
-        let deadline = match self.cfg.eviction {
-            EvictionPolicy::WindowScoped => SimTime::ZERO,
-            EvictionPolicy::IdleLongerThan(idle) => {
-                SimTime::from_millis(span.end.as_millis().saturating_sub(idle.as_millis()))
-            }
-        };
-        let kept: Vec<_> = finished
-            .hosts
-            .into_iter()
-            .filter(|&(_, last_seen)| last_seen >= deadline)
-            .map(|(p, _)| (p.ip, p))
-            .collect();
-        let evicted = hosts - kept.len();
-        let profiles = ProfileTable::from_pairs(kept);
-
+        let profiles =
+            ProfileTable::from_pairs(finished.hosts.into_iter().map(|p| (p.ip, p)).collect());
         let outcome = try_find_plotters_from_table(&profiles, &self.cfg.detect, self.cfg.threads);
         WindowReport {
             index,
@@ -1057,7 +1013,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             end: span.end,
             flows: finished.rows,
             hosts,
-            evicted,
             late: std::mem::take(&mut self.window_late),
             dropped: std::mem::take(&mut self.window_dropped),
             quarantined: std::mem::take(&mut self.window_quarantined),
@@ -1138,7 +1093,7 @@ mod tests {
             }
         }
         // Arrival order of a border monitor: by start time.
-        flows.sort_by_key(buffer_key);
+        flows.sort_by_key(FlowRecord::canonical_key);
         flows
     }
 
@@ -1366,107 +1321,6 @@ mod tests {
         assert!(matches!(err, Error::LateFlow { .. }));
         assert_eq!(eng.stats().late, 1);
         assert_eq!(eng.stats().late_dropped, 1);
-    }
-
-    #[test]
-    fn idle_hosts_are_evicted_before_scoring() {
-        // One host active at the start of a 60-min window then silent; one
-        // active throughout.
-        let mut flows = Vec::new();
-        let idle = Ipv4Addr::new(10, 9, 0, 1);
-        let busy = Ipv4Addr::new(10, 9, 0, 2);
-        for k in 0..5u64 {
-            flows.push(flow(
-                idle,
-                Ipv4Addr::new(60, 0, 0, 1),
-                SimTime::from_secs(k * 30),
-                10,
-                false,
-            ));
-        }
-        for k in 0..60u64 {
-            flows.push(flow(
-                busy,
-                Ipv4Addr::new(60, 0, 0, 2),
-                SimTime::from_secs(k * 60),
-                10,
-                false,
-            ));
-        }
-        flows.sort_by_key(buffer_key);
-        let run = |eviction: EvictionPolicy| {
-            let mut eng = engine(EngineConfig {
-                window: SimDuration::from_mins(60),
-                slide: SimDuration::from_mins(60),
-                lateness: SimDuration::ZERO,
-                eviction,
-                ..Default::default()
-            });
-            for f in &flows {
-                eng.push(*f).unwrap();
-            }
-            eng.finish().pop().unwrap()
-        };
-        let scoped = run(EvictionPolicy::WindowScoped);
-        assert_eq!((scoped.hosts, scoped.evicted), (2, 0));
-        let idle_out = run(EvictionPolicy::IdleLongerThan(SimDuration::from_mins(30)));
-        assert_eq!((idle_out.hosts, idle_out.evicted), (2, 1));
-        if let Ok(r) = idle_out.outcome {
-            assert!(!r.all_hosts.contains(&idle));
-        }
-    }
-
-    #[test]
-    fn idle_eviction_keeps_a_host_seen_exactly_at_the_deadline() {
-        // A 60-min window with a 30-min idle bound: the deadline is minute
-        // 30. Two hosts are busy early; one's last flow starts exactly on
-        // the deadline and is kept, the other's 1 ms before and is evicted.
-        let on_time = Ipv4Addr::new(10, 9, 0, 1);
-        let just_late = Ipv4Addr::new(10, 9, 0, 2);
-        let deadline = SimTime::from_secs(30 * 60);
-        let mut flows = Vec::new();
-        for (host, last) in [
-            (on_time, deadline),
-            (just_late, SimTime::from_millis(deadline.as_millis() - 1)),
-        ] {
-            for k in 0..5u64 {
-                let dst = Ipv4Addr::new(60, 0, 0, 1 + k as u8);
-                flows.push(flow(host, dst, SimTime::from_secs(k * 60), 10, false));
-            }
-            flows.push(flow(host, Ipv4Addr::new(60, 0, 0, 9), last, 10, false));
-        }
-        // Hosts busy all window long, with mixed failure rates and upload
-        // volumes, give the pipeline a population to resolve its
-        // thresholds over.
-        for b in 0..6u8 {
-            let host = Ipv4Addr::new(10, 9, 1, b + 1);
-            for k in 0..12u64 {
-                let dst = Ipv4Addr::new(70, b, 0, 1 + (k % 4) as u8);
-                let start = SimTime::from_secs(k * 300 + u64::from(b));
-                let failed = k % 6 < u64::from(b % 4);
-                flows.push(flow(host, dst, start, 100 * u64::from(b + 1), failed));
-            }
-        }
-        flows.sort_by_key(buffer_key);
-        let mut eng = engine(EngineConfig {
-            window: SimDuration::from_mins(60),
-            slide: SimDuration::from_mins(60),
-            lateness: SimDuration::ZERO,
-            eviction: EvictionPolicy::IdleLongerThan(SimDuration::from_mins(30)),
-            ..Default::default()
-        });
-        for f in &flows {
-            eng.push(*f).unwrap();
-        }
-        let report = eng.finish().pop().unwrap();
-        assert_eq!(report.end.as_millis() - deadline.as_millis(), 30 * 60_000);
-        assert_eq!((report.hosts, report.evicted), (8, 1));
-        let r = report
-            .outcome
-            .as_ref()
-            .expect("seven hosts are left to score");
-        assert!(r.all_hosts.contains(&on_time));
-        assert!(!r.all_hosts.contains(&just_late));
     }
 
     #[test]

@@ -60,6 +60,6 @@ pub use aggregator::{ArgusAggregator, ArgusConfig};
 pub use csvio::RowError;
 pub use host::{HostId, HostInterner};
 pub use packet::{Packet, PacketSink, Payload, Proto, TcpFlags};
-pub use record::{FlowRecord, FlowState, ParseError, RecordError};
+pub use record::{CanonicalKey, FlowRecord, FlowState, ParseError, RecordError};
 pub use signatures::P2pApp;
 pub use table::FlowTable;

@@ -160,6 +160,12 @@ impl std::str::FromStr for FlowState {
     }
 }
 
+/// A flow's place in the canonical processing order `(start, src, dst,
+/// sport, dport)`: the order the batch pipeline walks a
+/// [`FlowTable`](crate::FlowTable) in and the streaming engine logs flows
+/// in (see [`FlowRecord::canonical_key`]).
+pub type CanonicalKey = (SimTime, Ipv4Addr, Ipv4Addr, u16, u16);
+
 /// One bi-directional Argus-style flow record.
 ///
 /// `src` is always the connection *initiator* (the host that sent the first
@@ -195,6 +201,13 @@ pub struct FlowRecord {
 }
 
 impl FlowRecord {
+    /// This flow's [`CanonicalKey`]. Sorting by it stably is the canonical
+    /// order; flows with equal keys keep their relative order.
+    #[inline]
+    pub fn canonical_key(&self) -> CanonicalKey {
+        (self.start, self.src, self.dst, self.sport, self.dport)
+    }
+
     /// Whether the connection attempt failed (see [`FlowState::is_failed`]).
     pub fn is_failed(&self) -> bool {
         self.state.is_failed()

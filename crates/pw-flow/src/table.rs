@@ -20,9 +20,9 @@ use crate::record::{FlowRecord, FlowState};
 /// Row `i` is `records[i]` of the slice the table was built from: rows keep
 /// the order of the source records, and a caller that needs a field the
 /// table does not hold reads it there. [`order`](FlowTable::order) is the
-/// permutation that visits rows in canonical time order `(start, src, dst,
-/// sport, dport)` — the order both the batch pipeline and the streaming
-/// engine process flows in.
+/// permutation that visits rows in canonical time order
+/// ([`FlowRecord::canonical_key`]) — the order both the batch pipeline and
+/// the streaming engine process flows in.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowTable {
     hosts: HostInterner,
@@ -59,10 +59,7 @@ impl FlowTable {
             t.state.push(r.state);
         }
         let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| {
-            let r = &records[i as usize];
-            (r.start, r.src, r.dst, r.sport, r.dport)
-        });
+        order.sort_by_key(|&i| records[i as usize].canonical_key());
         t.order = order;
         t
     }

@@ -153,7 +153,6 @@ fn bucketed(exact_below: usize) -> ThetaHmConfig {
             ..Default::default()
         }),
         profile: true,
-        ..Default::default()
     }
 }
 

@@ -20,14 +20,14 @@ use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use pw_detect::checkpoint::{recover_with, retained_path, write_text_retained, CheckpointError};
+use pw_detect::checkpoint::{chain_exists, recover_with, write_text_retained, CheckpointError};
 use pw_detect::{ConfigError, DetectionEngine, WindowReport};
 use pw_flow::frame::{self, Frame, FrameError, HelloAck, MAGIC, MAX_BATCH};
 use pw_flow::FlowRecord;
@@ -144,11 +144,6 @@ pub struct Server {
     io_timeout: Option<Duration>,
 }
 
-/// Whether anything in the checkpoint retention chain exists on disk.
-fn snapshot_exists(path: &Path, retain: usize) -> bool {
-    path.exists() || (1..=retain).any(|k| retained_path(path, k).exists())
-}
-
 impl Server {
     /// Binds the listen socket and spins up the engine thread. If the
     /// configured checkpoint (or any retained copy behind it) exists, the
@@ -172,7 +167,7 @@ impl Server {
         let mut checkpoint_fallbacks = 0u64;
         let mut checkpoints_corrupt = 0u64;
         let (engine, exporters) = match &cfg.checkpoint_path {
-            Some(path) if snapshot_exists(path, cfg.checkpoint_retain) => {
+            Some(path) if chain_exists(path, cfg.checkpoint_retain) => {
                 let rec = recover_with(path, cfg.checkpoint_retain, ServerCheckpoint::parse)?;
                 checkpoint_fallbacks = u64::from(rec.fallbacks);
                 checkpoints_corrupt = rec.skipped.len() as u64;
@@ -473,14 +468,13 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
             return "report none\nend\n".to_owned();
         };
         let mut out = format!(
-            "report index={} start_ms={} end_ms={} flows={} hosts={} evicted={} \
-             late={} dropped={} quarantined={} duplicates={} forced={}\n",
+            "report index={} start_ms={} end_ms={} flows={} hosts={} late={} dropped={} \
+             quarantined={} duplicates={} forced={}\n",
             w.index,
             w.start.as_millis(),
             w.end.as_millis(),
             w.flows,
             w.hosts,
-            w.evicted,
             w.late,
             w.dropped,
             w.quarantined,

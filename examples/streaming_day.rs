@@ -12,9 +12,9 @@ use std::net::Ipv4Addr;
 
 use peerwatch::botnet::{generate_storm_trace, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
-use peerwatch::detect::stream::{DetectionEngine, EngineConfig, EvictionPolicy};
+use peerwatch::detect::stream::{DetectionEngine, EngineConfig};
 use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
-use peerwatch::flow::FlowTable;
+use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::SimDuration;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     );
     let overlaid = overlay_bots(&day, &[&storm], 42);
     let mut flows = overlaid.flows.clone();
-    flows.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
+    flows.sort_by_key(FlowRecord::canonical_key);
     let bots: HashSet<Ipv4Addr> = overlaid.implants.keys().copied().collect();
     println!(
         "{} border flows, {} implanted bots",
@@ -37,13 +37,12 @@ fn main() {
         bots.len()
     );
 
-    // Hourly tumbling windows, 4 worker threads, evict hosts idle > 30 min.
+    // Hourly tumbling windows, 4 worker threads.
     let cfg = EngineConfig {
         window: SimDuration::from_hours(1),
         slide: SimDuration::from_hours(1),
         lateness: SimDuration::from_mins(10),
         threads: 4,
-        eviction: EvictionPolicy::IdleLongerThan(SimDuration::from_mins(30)),
         ..Default::default()
     };
     let mut engine = DetectionEngine::new(cfg, |ip| day.is_internal(ip)).expect("valid config");
@@ -54,19 +53,18 @@ fn main() {
     windows.extend(engine.finish());
 
     println!(
-        "\n{:<8} {:>7} {:>6} {:>8} {:>9} {:>9}",
-        "window", "flows", "hosts", "evicted", "suspects", "bots hit"
+        "\n{:<8} {:>7} {:>6} {:>9} {:>9}",
+        "window", "flows", "hosts", "suspects", "bots hit"
     );
     for w in &windows {
         match &w.outcome {
             Ok(r) => {
                 let hit = r.suspects.intersection(&bots).count();
                 println!(
-                    "{:<8} {:>7} {:>6} {:>8} {:>9} {:>7}/{}",
+                    "{:<8} {:>7} {:>6} {:>9} {:>7}/{}",
                     format!("[{}h]", w.index),
                     w.flows,
                     w.hosts,
-                    w.evicted,
                     r.suspects.len(),
                     hit,
                     bots.len()

@@ -16,10 +16,12 @@
 //! (`10.1.0.0/16`, `10.2.0.0/16`). With `--truth` (a `gen-campus`
 //! `hosts.csv`) detection is scored against ground truth.
 //!
-//! Without `--window` the whole file is one batch detection run. With
-//! `--window H` the flows are replayed through the streaming
-//! [`DetectionEngine`] in tumbling (or, with `--slide`, sliding) windows,
-//! printing one verdict per window.
+//! Without `--window` the whole file is one batch detection run, and the
+//! flags only the engine reads (`--slide`, `--lateness`, `--late-policy`,
+//! `--max-flows`, `--dedupe`, `--reject-invalid` and `--checkpoint`) are
+//! argument errors. With `--window H` the flows are replayed through the
+//! streaming [`DetectionEngine`] in tumbling (or, with `--slide`, sliding)
+//! windows, printing one verdict per window.
 //!
 //! Malformed CSV rows never abort the run: they are counted, reported, and
 //! (with `--quarantine`) written to a sink file with their line numbers.
@@ -84,7 +86,7 @@ use std::time::Duration;
 
 use peerwatch::chaos::{ChaosProxy, ConnPlan, ProxyFaults};
 use peerwatch::detect::checkpoint::{
-    read_checkpoint_recover, retained_path, write_text_retained, MAX_CHECKPOINT_RETAIN,
+    chain_exists, read_checkpoint_recover, write_text_retained, MAX_CHECKPOINT_RETAIN,
 };
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
 use peerwatch::detect::{
@@ -242,6 +244,9 @@ struct EngineFlags {
     slide: Option<SimDuration>,
     /// Every other engine knob, from the library's defaults.
     engine: EngineConfig,
+    /// The first flag taken that only the engine reads, `--slide` through
+    /// `--reject-invalid`; batch mode refuses it.
+    streaming_only: Option<String>,
 }
 
 impl EngineFlags {
@@ -253,6 +258,17 @@ impl EngineFlags {
         let duration = |v: String, unit_secs: f64, unit: &str| {
             SimDuration::from_secs_f64(parse_duration(flag, &v, unit_secs, unit) * unit_secs)
         };
+        if matches!(
+            flag,
+            "--slide"
+                | "--lateness"
+                | "--late-policy"
+                | "--max-flows"
+                | "--dedupe"
+                | "--reject-invalid"
+        ) {
+            self.streaming_only.get_or_insert_with(|| flag.to_owned());
+        }
         let (d, e) = (&mut self.detect, &mut self.engine);
         match flag {
             "--internal" => self.subnets.push(parse_cidr(&value())),
@@ -679,6 +695,9 @@ fn main() {
     if checkpoint_path.is_some() && flags.window.is_none() {
         bad_arg("--checkpoint only applies to streaming mode (--window)");
     }
+    if let (None, Some(flag)) = (flags.window, &flags.streaming_only) {
+        bad_arg(&format!("{flag} only applies to streaming mode (--window)"));
+    }
     if checkpoint_every == 0 {
         bad_arg("--checkpoint-every must be at least 1");
     }
@@ -708,12 +727,8 @@ fn main() {
     let report = if flags.window.is_some() {
         // Streaming mode: replay the file through the windowed engine.
         let engine_cfg = flags.engine(cfg);
-        let snapshot_exists = |cp: &str| {
-            Path::new(cp).exists()
-                || (1..=checkpoint_retain).any(|k| retained_path(Path::new(cp), k).exists())
-        };
         let mut engine = match (resume, checkpoint_path.as_deref()) {
-            (true, Some(cp)) if snapshot_exists(cp) => {
+            (true, Some(cp)) if chain_exists(Path::new(cp), checkpoint_retain) => {
                 let recovered = read_checkpoint_recover(Path::new(cp), checkpoint_retain)
                     .unwrap_or_else(|e| fail(&format!("cannot resume from {cp}: {e}")));
                 for (path, err) in &recovered.skipped {
@@ -748,8 +763,8 @@ fn main() {
         // number of sorted flows already consumed.
         let skip = usize::try_from(engine.stats().attempted).unwrap_or(usize::MAX);
 
-        let mut ordered = flows.clone();
-        ordered.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
+        let mut ordered = flows;
+        ordered.sort_by_key(FlowRecord::canonical_key);
         if skip > ordered.len() {
             fail(&format!(
                 "checkpoint is ahead of {flows_path}: {skip} flows already processed, \
@@ -814,14 +829,13 @@ fn main() {
                     let mut s: Vec<_> = r.suspects.iter().collect();
                     s.sort();
                     outln!(
-                        "window {:>3} [{} .. {}): {} flows, {} hosts ({} evicted), \
+                        "window {:>3} [{} .. {}): {} flows, {} hosts, \
                          {} suspects {s:?}{degraded}{forced}",
                         w.index,
                         w.start,
                         w.end,
                         w.flows,
                         w.hosts,
-                        w.evicted,
                         s.len()
                     );
                     union_suspects.extend(&r.suspects);

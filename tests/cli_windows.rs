@@ -11,12 +11,17 @@
 //!   when it binds.
 //! - A `--checkpoint-retain` past its cap: writing, recovering and probing
 //!   a checkpoint chain walk every one of its slots.
+//!
+//! Batch mode refuses the flags only the engine reads the same way, and a
+//! windowed run with `--resume` recovers past damaged snapshots and
+//! finishes with the window lines of an uninterrupted run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use peerwatch::detect::checkpoint::MAX_CHECKPOINT_RETAIN;
+use peerwatch::data::{build_day, CampusConfig};
+use peerwatch::detect::checkpoint::{retained_path, MAX_CHECKPOINT_RETAIN};
 use peerwatch::detect::stream::MAX_WINDOWS_PER_FLOW;
 use peerwatch::flow::csvio::write_flows;
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
@@ -213,4 +218,114 @@ fn retained_checkpoints_past_the_cap_are_argument_errors() {
         assert!(out.stdout.is_empty(), "{mode}: printed output");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn engine_only_flags_are_argument_errors_in_batch_mode() {
+    let dir = std::env::temp_dir().join(format!("pw-cli-batch-{}", std::process::id()));
+    let csv = campus_day(&dir);
+    let flags: [&[&str]; 6] = [
+        &["--slide", "1"],
+        &["--lateness", "5"],
+        &["--late-policy", "drop"],
+        &["--max-flows", "1000000"],
+        &["--dedupe"],
+        &["--reject-invalid"],
+    ];
+    for flag in flags {
+        let run = |window: &[&str]| {
+            Command::new(env!("CARGO_BIN_EXE_findplotters"))
+                .arg(&csv)
+                .args(window)
+                .args(flag)
+                .output()
+                .expect("run findplotters")
+        };
+        let batch = run(&[]);
+        let stderr = String::from_utf8_lossy(&batch.stderr);
+        let refusal = format!("{} only applies to streaming mode (--window)", flag[0]);
+        assert_eq!(batch.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert!(stderr.contains(&refusal), "{flag:?}: {stderr}");
+        assert!(batch.stdout.is_empty(), "{flag:?}: printed a report");
+
+        let windowed = run(&["--window", "1"]);
+        let stderr = String::from_utf8_lossy(&windowed.stderr);
+        assert_eq!(
+            windowed.status.code(),
+            Some(0),
+            "{flag:?} --window: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&windowed.stdout);
+        assert!(stdout.starts_with("window "), "{flag:?} --window: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn windowed_resume_falls_back_past_damaged_snapshots_to_the_same_windows() {
+    let dir = std::env::temp_dir().join(format!("pw-cli-resume-{}", std::process::id()));
+    let csv = campus_day(&dir);
+    let checkpoint = dir.join("ck");
+    let run = |resume: bool| {
+        let out = Command::new(env!("CARGO_BIN_EXE_findplotters"))
+            .arg(&csv)
+            .args(["--window", "2", "--slide", "1"])
+            .args(["--checkpoint-every", "5000"])
+            .arg("--checkpoint")
+            .arg(&checkpoint)
+            .args(if resume { &["--resume"][..] } else { &[] })
+            .output()
+            .expect("run findplotters");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "resume {resume}: {stderr}");
+        let windows: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("window "))
+            .map(str::to_owned)
+            .collect();
+        (windows, stderr)
+    };
+
+    // An uninterrupted run leaves the primary and two retained snapshots.
+    let (full, _) = run(false);
+    let chain = [0, 1, 2].map(|k| match k {
+        0 => checkpoint.clone(),
+        k => retained_path(&checkpoint, k),
+    });
+    assert!(chain.iter().all(|p| p.exists()), "missing snapshots");
+    // One flipped byte in the middle of the primary and of the first
+    // retained snapshot: their trailers no longer verify.
+    for path in &chain[..2] {
+        let mut bytes = std::fs::read(path).expect("read snapshot");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 1;
+        std::fs::write(path, bytes).expect("damage snapshot");
+    }
+
+    let (resumed, stderr) = run(true);
+    for path in &chain[..2] {
+        let unusable = format!("checkpoint {} unusable", path.display());
+        assert!(stderr.contains(&unusable), "{unusable}: {stderr}");
+    }
+    assert!(
+        stderr.contains("resumed from retained snapshot 2 steps behind the primary"),
+        "{stderr}"
+    );
+    // The resumed run replays the flows after the oldest snapshot and
+    // prints the windows an uninterrupted run printed last.
+    assert!(
+        !resumed.is_empty() && resumed.len() < full.len(),
+        "{resumed:?}"
+    );
+    assert_eq!(resumed[..], full[full.len() - resumed.len()..]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes a small generated campus day to `flows.csv` in `dir`.
+fn campus_day(dir: &Path) -> PathBuf {
+    std::fs::create_dir_all(dir).expect("temp dir");
+    let csv = dir.join("flows.csv");
+    let day = build_day(&CampusConfig::small(), 0);
+    write_flows(std::fs::File::create(&csv).expect("create csv"), &day.flows).expect("write csv");
+    csv
 }

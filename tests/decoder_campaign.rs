@@ -16,13 +16,14 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use peerwatch::detect::checkpoint::{append_checksum_trailer, EngineCheckpoint};
+use peerwatch::detect::checkpoint::{append_checksum_trailer, EngineCheckpoint, MAGIC};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
 use peerwatch::flow::frame::{
     self, crc32, Frame, FrameError, Hello, HelloAck, MAX_BATCH, MAX_FRAME_LEN, RECORD_FIXED_LEN,
 };
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
+use peerwatch::server::checkpoint::SERVER_MAGIC;
 use peerwatch::server::ServerCheckpoint;
 use proptest::prelude::*;
 
@@ -453,7 +454,7 @@ proptest! {
     #[test]
     fn arbitrary_bytes_decode_or_refuse(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
         let tail = String::from_utf8_lossy(&bytes);
-        for header in ["", "peerwatch-checkpoint v4\n", "peerwatch-server-checkpoint v2\n"] {
+        for header in [String::new(), format!("{MAGIC}\n"), format!("{SERVER_MAGIC}\n")] {
             for text in sealed_and_not(format!("{header}{tail}").as_bytes()) {
                 check_engine(&text);
                 check_server(&text);

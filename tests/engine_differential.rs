@@ -7,10 +7,10 @@
 //! window, so a flow sits in as many lists as windows cover it. Both run
 //! the same seeded, disordered campus days, with duplicates and flows
 //! beyond the lateness bound, under every `LatePolicy`, with and without
-//! dedupe, with and without a `max_flows` cap that sheds, under
-//! window-scoped and idle-host eviction, on one, two and four threads,
-//! and at the sketched tier on one thread for the sliding windows; the
-//! engine is serialized, parsed and restored at ⅓ and ⅔ of the feed.
+//! dedupe, with and without a `max_flows` cap that sheds, on one, two and
+//! four threads, and at the sketched tier on one thread for the sliding
+//! windows; the engine is serialized, parsed and restored at ⅓ and ⅔ of
+//! the feed.
 //! Every push result (window reports included), `held_flows()` after every
 //! push and the final `stats()` must agree. The reference builds a
 //! `FlowTable` per window at its close, while each of the engine's open
@@ -20,17 +20,16 @@
 //! not depend on the thread count, so it runs once per configuration and
 //! tier, and every thread count is checked against that one recording.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use peerwatch::data::{build_day, CampusConfig};
 use peerwatch::detect::checkpoint::EngineCheckpoint;
 use peerwatch::detect::stream::{
-    DetectionEngine, EngineConfig, EngineStats, EvictionPolicy, LatePolicy, WindowReport,
+    DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport,
 };
 use peerwatch::detect::{
-    extract_profiles_table_par_tier, try_find_plotters_from_table, Error, HostProfile,
-    ProfileTable, ProfileTier,
+    extract_profiles_table_par_tier, try_find_plotters_from_table, Error, ProfileTier,
 };
 use peerwatch::flow::{FlowRecord, FlowTable};
 use peerwatch::netsim::{SimDuration, SimTime};
@@ -204,7 +203,7 @@ impl Reference {
         // A duplicate is a record equal to its predecessor in canonical
         // order, ties kept in arrival order: the whole-record rule the
         // engine's `dedupe` applies.
-        flows.sort_by_key(|f| (f.start, f.src, f.dst, f.sport, f.dport));
+        flows.sort_by_key(key);
         let duplicates = flows.windows(2).filter(|pair| pair[0] == pair[1]).count() as u64;
         self.stats.duplicates += duplicates;
         if self.cfg.dedupe {
@@ -212,7 +211,7 @@ impl Reference {
         }
         let window_flows = flows.len();
         let table = FlowTable::from_records(&flows);
-        let mut profiles =
+        let profiles =
             extract_profiles_table_par_tier(&table, internal, self.cfg.tier, self.cfg.threads);
         self.stats.profile_bytes = 0;
         self.stats.profiles_exact = 0;
@@ -224,35 +223,12 @@ impl Reference {
                 ProfileTier::Sketched => self.stats.profiles_sketched += 1,
             }
         }
-        let end = start + self.cfg.window;
-        let hosts = profiles.len();
-        if let EvictionPolicy::IdleLongerThan(idle) = self.cfg.eviction {
-            // Each host's last border flow, from the table's rows.
-            let mut last_seen = vec![SimTime::ZERO; table.hosts().len()];
-            for row in 0..table.len() {
-                let (src, dst) = (table.src(row), table.dst(row));
-                let src_internal = internal(table.hosts().resolve(src));
-                if src_internal != internal(table.hosts().resolve(dst)) {
-                    let host = if src_internal { src } else { dst };
-                    let seen = &mut last_seen[host.index()];
-                    *seen = (*seen).max(table.start(row));
-                }
-            }
-            let deadline = SimTime::from_millis(end.as_millis().saturating_sub(idle.as_millis()));
-            let kept: HashMap<Ipv4Addr, HostProfile> = profiles
-                .iter()
-                .filter(|(_, p)| last_seen[table.hosts().get(p.ip).unwrap().index()] >= deadline)
-                .map(|(_, p)| (p.ip, p.clone()))
-                .collect();
-            profiles = ProfileTable::from_map(kept);
-        }
         WindowReport {
             index,
             start,
-            end,
+            end: start + self.cfg.window,
             flows: window_flows,
-            hosts,
-            evicted: hosts - profiles.len(),
+            hosts: profiles.len(),
             late: std::mem::take(&mut self.window_late),
             dropped: std::mem::take(&mut self.window_dropped),
             quarantined: 0,
@@ -294,8 +270,7 @@ const LATENESS: SimDuration = SimDuration::from_mins(5);
 /// - one in 100 has that near-duplicate and copy replayed 20–60 minutes
 ///   late, so the late pair must sort after the logged original;
 /// - one in 25 is answered 1–30 minutes later by its destination, a flow
-///   in the other direction, so hosts also receive flows and idle-host
-///   eviction must count them.
+///   in the other direction, so monitored hosts also receive flows.
 fn feed(seed: u64) -> Vec<FlowRecord> {
     let campus = CampusConfig {
         seed,
@@ -412,14 +387,10 @@ fn compare(flows: &[FlowRecord], cfg: EngineConfig, want: &Recording, what: &str
     assert_eq!(engine.stats(), want.stats, "{what}: stats");
 }
 
-/// Hosts silent for this long before a window's end are evicted under
-/// [`EvictionPolicy::IdleLongerThan`].
-const IDLE: SimDuration = SimDuration::from_mins(15);
-
 /// Every configuration of one late policy: 3 seeds × 2 window shapes ×
-/// dedupe off/on × uncapped/shedding × 2 eviction policies × 1, 2 and 4
-/// threads at the exact tier, plus the sliding shape's 24 configurations
-/// at the sketched tier on one thread.
+/// dedupe off/on × uncapped/shedding × 1, 2 and 4 threads at the exact
+/// tier, plus the sliding shape's 12 configurations at the sketched tier on
+/// one thread.
 fn sweep(late_policy: LatePolicy) {
     let mut configs = 0;
     for seed in [3u64, 17, 29] {
@@ -427,61 +398,49 @@ fn sweep(late_policy: LatePolicy) {
         for (window, slide) in [(60, 20), (45, 45)] {
             for dedupe in [false, true] {
                 for max_flows in [None, Some(flows.len() / 6)] {
-                    for eviction in [
-                        EvictionPolicy::WindowScoped,
-                        EvictionPolicy::IdleLongerThan(IDLE),
-                    ] {
+                    let cfg = EngineConfig {
+                        window: SimDuration::from_mins(window),
+                        slide: SimDuration::from_mins(slide),
+                        lateness: LATENESS,
+                        late_policy,
+                        dedupe,
+                        max_flows,
+                        ..EngineConfig::default()
+                    };
+                    let what = format!(
+                        "seed {seed}, {window}/{slide} min, {late_policy:?}, \
+                         dedupe {dedupe}, cap {max_flows:?}"
+                    );
+                    // The reference's answer does not depend on threads.
+                    let want = Recording::of(&flows, cfg);
+                    // The feed must reach every path the layouts differ
+                    // on, or agreement proves little.
+                    let (windows, stats) = (want.reports().count(), want.stats);
+                    assert!(windows > 3, "{what}: {windows} windows");
+                    assert!(stats.late > 0 && stats.duplicates > 0, "{what}");
+                    assert_eq!(max_flows.is_some(), stats.shed > 0, "{what}");
+                    if late_policy == LatePolicy::ExtendOldest {
+                        assert!(stats.late_extended > 0, "{what}");
+                    }
+                    for threads in [1, 2, 4] {
+                        let cfg = EngineConfig { threads, ..cfg };
+                        compare(&flows, cfg, &want, &format!("{what}, {threads} threads"));
+                        configs += 1;
+                    }
+                    if slide < window {
                         let cfg = EngineConfig {
-                            window: SimDuration::from_mins(window),
-                            slide: SimDuration::from_mins(slide),
-                            lateness: LATENESS,
-                            eviction,
-                            late_policy,
-                            dedupe,
-                            max_flows,
-                            ..EngineConfig::default()
+                            tier: ProfileTier::Sketched,
+                            ..cfg
                         };
-                        let what = format!(
-                            "seed {seed}, {window}/{slide} min, {late_policy:?}, \
-                             dedupe {dedupe}, cap {max_flows:?}, {eviction:?}"
-                        );
-                        // The reference's answer does not depend on threads.
                         let want = Recording::of(&flows, cfg);
-                        // The feed must reach every path the layouts differ
-                        // on, or agreement proves little.
-                        let (windows, stats) = (want.reports().count(), want.stats);
-                        let evicted: usize = want.reports().map(|w| w.evicted).sum();
-                        assert!(windows > 3, "{what}: {windows} windows");
-                        assert!(stats.late > 0 && stats.duplicates > 0, "{what}");
-                        assert_eq!(max_flows.is_some(), stats.shed > 0, "{what}");
-                        assert_eq!(
-                            eviction != EvictionPolicy::WindowScoped,
-                            evicted > 0,
-                            "{what}"
-                        );
-                        if late_policy == LatePolicy::ExtendOldest {
-                            assert!(stats.late_extended > 0, "{what}");
-                        }
-                        for threads in [1, 2, 4] {
-                            let cfg = EngineConfig { threads, ..cfg };
-                            compare(&flows, cfg, &want, &format!("{what}, {threads} threads"));
-                            configs += 1;
-                        }
-                        if slide < window {
-                            let cfg = EngineConfig {
-                                tier: ProfileTier::Sketched,
-                                ..cfg
-                            };
-                            let want = Recording::of(&flows, cfg);
-                            compare(&flows, cfg, &want, &format!("{what}, sketched"));
-                            configs += 1;
-                        }
+                        compare(&flows, cfg, &want, &format!("{what}, sketched"));
+                        configs += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(configs, 168);
+    assert_eq!(configs, 84);
 }
 
 #[test]
