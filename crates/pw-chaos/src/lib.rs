@@ -2,18 +2,17 @@
 //!
 //! The streaming engine in `pw-detect` claims to survive the failure modes
 //! of real border monitors: lost export batches, doubled-up collectors,
-//! out-of-order delivery, corrupt rows, and feeds that go silent. This
-//! crate manufactures those failures *reproducibly*, so the claim is
-//! testable: [`inject`] takes a clean flow stream and a seeded
-//! [`ChaosConfig`], and returns the faulted event sequence plus an exact
-//! [`ChaosSummary`] of every fault applied. Same seed, same faults —
-//! a failing chaos test is re-runnable by copying one integer.
+//! out-of-order delivery and corrupt rows. This crate manufactures those
+//! failures *reproducibly*, so the claim is testable: [`inject`] takes a
+//! clean flow stream and a seeded [`ChaosConfig`], and returns the faulted
+//! flow sequence plus an exact [`ChaosSummary`] of every fault applied.
+//! Same seed, same faults — a failing chaos test is re-runnable by copying
+//! one integer.
 //!
 //! Faults are applied per flow in a fixed order (drop → corrupt →
-//! duplicate), then a bounded reorder pass scrambles delivery order, then
-//! [`ChaosEvent::Stall`] markers are interleaved to model a feed going
-//! silent (the consumer drives its stall detector from them). Randomness
-//! comes from an embedded [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
+//! duplicate), then a bounded reorder pass scrambles delivery order.
+//! Randomness comes from an embedded
+//! [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
 //! generator ([`ChaosRng`]) rather than an external RNG crate, so pinned
 //! test expectations never shift under a dependency upgrade.
 //!
@@ -35,11 +34,11 @@
 //! # Examples
 //!
 //! ```
-//! use pw_chaos::{inject, ChaosConfig, ChaosEvent};
+//! use pw_chaos::{inject, ChaosConfig};
 //!
 //! let flows: Vec<pw_flow::FlowRecord> = Vec::new();
 //! let out = inject(&flows, &ChaosConfig { seed: 7, drop: 0.1, ..Default::default() });
-//! assert!(out.events.is_empty());
+//! assert!(out.flows.is_empty());
 //! assert_eq!(out.summary.input, 0);
 //! ```
 
@@ -53,7 +52,7 @@ pub use proxy::{ChaosProxy, ProxyFaults, ProxyStats};
 use std::fmt;
 
 use pw_flow::FlowRecord;
-use pw_netsim::{SimDuration, SimTime};
+use pw_netsim::SimTime;
 
 /// Deterministic [SplitMix64](https://prng.di.unimi.it/splitmix64.c)
 /// generator.
@@ -93,8 +92,7 @@ impl ChaosRng {
     }
 }
 
-/// A rejected chaos configuration (probability outside `[0, 1]`, or a
-/// zero stall interval).
+/// A rejected chaos configuration: a probability outside `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfigError {
     /// Which knob was rejected.
@@ -135,11 +133,6 @@ pub struct ChaosConfig {
     /// occasionally displace a record slightly further; the bound is on
     /// each individual swap.)
     pub reorder_window: usize,
-    /// After every `n` deliveries, insert a [`ChaosEvent::Stall`] marking
-    /// the feed silent for [`stall_for`](ChaosConfig::stall_for).
-    pub stall_every: Option<usize>,
-    /// Length of each injected stall.
-    pub stall_for: SimDuration,
 }
 
 impl Default for ChaosConfig {
@@ -150,8 +143,6 @@ impl Default for ChaosConfig {
             duplicate: 0.0,
             corrupt: 0.0,
             reorder_window: 0,
-            stall_every: None,
-            stall_for: SimDuration::from_mins(5),
         }
     }
 }
@@ -179,24 +170,8 @@ impl ChaosConfig {
         ] {
             probability_ok(field, value)?;
         }
-        if self.stall_every == Some(0) {
-            return Err(ChaosConfigError {
-                field: "stall_every",
-                value: 0.0,
-            });
-        }
         Ok(())
     }
-}
-
-/// One element of a faulted feed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChaosEvent {
-    /// A flow record arrives (possibly duplicated, corrupted, reordered).
-    Deliver(FlowRecord),
-    /// The feed goes silent for this long. Consumers advance their feed
-    /// clock and poll their stall detector.
-    Stall(SimDuration),
 }
 
 /// Exact accounting of the faults [`inject`] applied.
@@ -204,7 +179,7 @@ pub enum ChaosEvent {
 pub struct ChaosSummary {
     /// Flows in the clean input.
     pub input: usize,
-    /// Deliver events emitted (input − dropped + duplicated).
+    /// Flows delivered (input − dropped + duplicated).
     pub delivered: usize,
     /// Flows silently lost.
     pub dropped: usize,
@@ -214,15 +189,14 @@ pub struct ChaosSummary {
     pub corrupted: usize,
     /// Deliveries that left their original position in the reorder pass.
     pub displaced: usize,
-    /// Stall markers inserted.
-    pub stalls: usize,
 }
 
 /// A faulted feed plus its accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOutcome {
-    /// The event sequence to replay into a consumer.
-    pub events: Vec<ChaosEvent>,
+    /// The faulted flows, in delivery order: possibly duplicated,
+    /// corrupted and reordered.
+    pub flows: Vec<FlowRecord>,
     /// What was done to produce it.
     pub summary: ChaosSummary,
 }
@@ -242,13 +216,12 @@ fn corrupt_record(mut f: FlowRecord, rng: &mut ChaosRng) -> FlowRecord {
 }
 
 /// Runs `flows` through the configured fault model and returns the faulted
-/// event sequence plus exact accounting. Deterministic in
+/// flow sequence plus exact accounting. Deterministic in
 /// [`ChaosConfig::seed`].
 ///
 /// # Errors
 ///
-/// [`ChaosConfigError`] if a probability lies outside `[0, 1]` or
-/// `stall_every` is zero.
+/// [`ChaosConfigError`] if a probability lies outside `[0, 1]`.
 pub fn try_inject(
     flows: &[FlowRecord],
     cfg: &ChaosConfig,
@@ -300,23 +273,10 @@ pub fn try_inject(
     }
 
     summary.delivered = deliveries.len();
-
-    // Interleave stall markers.
-    let mut events = Vec::with_capacity(deliveries.len() + 8);
-    match cfg.stall_every {
-        Some(every) => {
-            for (k, f) in deliveries.into_iter().enumerate() {
-                if k > 0 && k % every == 0 {
-                    events.push(ChaosEvent::Stall(cfg.stall_for));
-                    summary.stalls += 1;
-                }
-                events.push(ChaosEvent::Deliver(f));
-            }
-        }
-        None => events.extend(deliveries.into_iter().map(ChaosEvent::Deliver)),
-    }
-
-    Ok(ChaosOutcome { events, summary })
+    Ok(ChaosOutcome {
+        flows: deliveries,
+        summary,
+    })
 }
 
 /// [`try_inject`] for configs known valid.
@@ -475,15 +435,7 @@ mod tests {
                 ..Default::default()
             }
         );
-        let delivered: Vec<FlowRecord> = out
-            .events
-            .iter()
-            .map(|e| match e {
-                ChaosEvent::Deliver(f) => *f,
-                ChaosEvent::Stall(_) => panic!("no stalls configured"),
-            })
-            .collect();
-        assert_eq!(delivered, flows);
+        assert_eq!(out.flows, flows);
     }
 
     #[test]
@@ -495,8 +447,6 @@ mod tests {
             duplicate: 0.1,
             corrupt: 0.05,
             reorder_window: 4,
-            stall_every: Some(50),
-            ..Default::default()
         };
         let a = inject(&flows, &cfg);
         let b = inject(&flows, &cfg);
@@ -514,23 +464,14 @@ mod tests {
             duplicate: 0.15,
             corrupt: 0.1,
             reorder_window: 3,
-            stall_every: Some(40),
-            ..Default::default()
         };
         let out = inject(&flows, &cfg);
         let s = out.summary;
         assert_eq!(s.input, 500);
         assert_eq!(s.delivered, s.input - s.dropped + s.duplicated);
         assert!(s.dropped > 0 && s.duplicated > 0 && s.corrupted > 0);
-        assert!(s.displaced > 0 && s.stalls > 0);
-        let delivers = out
-            .events
-            .iter()
-            .filter(|e| matches!(e, ChaosEvent::Deliver(_)))
-            .count();
-        let stalls = out.events.len() - delivers;
-        assert_eq!(delivers, s.delivered);
-        assert_eq!(stalls, s.stalls);
+        assert!(s.displaced > 0);
+        assert_eq!(out.flows.len(), s.delivered);
     }
 
     #[test]
@@ -543,10 +484,7 @@ mod tests {
         };
         let out = inject(&flows, &cfg);
         assert_eq!(out.summary.corrupted, 100);
-        for e in &out.events {
-            let ChaosEvent::Deliver(f) = e else {
-                unreachable!()
-            };
+        for f in &out.flows {
             assert!(f.validate().is_err(), "{f:?} should be invalid");
         }
     }
@@ -562,14 +500,7 @@ mod tests {
         let out = inject(&flows, &cfg);
         assert_eq!(out.summary.delivered, 300);
         // Every input flow is still present exactly once.
-        let mut starts: Vec<u64> = out
-            .events
-            .iter()
-            .map(|e| match e {
-                ChaosEvent::Deliver(f) => f.start.as_millis(),
-                ChaosEvent::Stall(_) => unreachable!(),
-            })
-            .collect();
+        let mut starts: Vec<u64> = out.flows.iter().map(|f| f.start.as_millis()).collect();
         starts.sort_unstable();
         let expected: Vec<u64> = (0..300).map(|k| k * 1000).collect();
         assert_eq!(starts, expected);
@@ -584,11 +515,6 @@ mod tests {
         let err = try_inject(&[], &bad).unwrap_err();
         assert_eq!(err.field, "drop");
         assert!(err.to_string().contains("1.5"));
-        let bad = ChaosConfig {
-            stall_every: Some(0),
-            ..Default::default()
-        };
-        assert!(try_inject(&[], &bad).is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! deliberately takes no serialization dependency:
 //!
 //! ```text
-//! peerwatch-checkpoint v5
+//! peerwatch-checkpoint v6
 //! engine window_ms=3600000 slide_ms=3600000 ... reject_invalid=0 tier=exact
 //! detect with_reduction=1 tau_vol=p:4049000000000000 ... cut_fraction=3fa999999999999a
 //! state watermark_ms=1234 applied_to_ms=1000 ...
@@ -75,7 +75,7 @@
 //! snapshot is detected at restore time as a typed error instead of
 //! silently parsing garbage (the line-oriented format would otherwise
 //! accept many single-byte corruptions, e.g. a flipped digit in a
-//! counter). Every field is required. The format has one version, v5:
+//! counter). Every field is required. The format has one version, v6:
 //! [`EngineCheckpoint::parse`] checks the header before anything else and
 //! refuses any other with [`CheckpointError::BadMagic`].
 //!
@@ -122,7 +122,7 @@ use crate::stream::{covering, EngineConfig, EngineStats, LatePolicy};
 
 /// Magic first line of every checkpoint file; the version suffix gates
 /// format evolution, and any other version is refused.
-pub const MAGIC: &str = "peerwatch-checkpoint v5";
+pub const MAGIC: &str = "peerwatch-checkpoint v6";
 
 /// Line prefix of the integrity trailer.
 const TRAILER_PREFIX: &str = "checksum crc32=";
@@ -197,10 +197,6 @@ pub struct EngineCheckpoint {
     pub window_dropped: u64,
     /// Quarantine delta awaiting the next report.
     pub window_quarantined: u64,
-    /// Watermark value at the last stall check.
-    pub stall_watermark: SimTime,
-    /// Feed-clock instant of the last observed watermark advance.
-    pub stall_progress_at: Option<SimTime>,
     /// Flows still in the reorder buffer, in drain order.
     pub(crate) buffer: Vec<FlowRecord>,
     /// Every flow applied to the open windows, once, in canonical order.
@@ -339,14 +335,13 @@ impl EngineCheckpoint {
         };
         out.push_str(&format!(
             "engine window_ms={} slide_ms={} lateness_ms={} threads={} late_policy={} \
-             max_flows={} stall_timeout_ms={} dedupe={} reject_invalid={} tier={}\n",
+             max_flows={} dedupe={} reject_invalid={} tier={}\n",
             c.window.as_millis(),
             c.slide.as_millis(),
             c.lateness.as_millis(),
             c.threads,
             late,
             opt_ms(c.max_flows.map(|n| n as u64)),
-            opt_ms(c.stall_timeout.map(pw_netsim::SimDuration::as_millis)),
             u8::from(c.dedupe),
             u8::from(c.reject_invalid),
             c.tier.name(),
@@ -363,16 +358,14 @@ impl EngineCheckpoint {
             u8::from(c.detect.theta_hm.profile),
         ));
         out.push_str(&format!(
-            "state watermark_ms={} applied_to_ms={} stall_watermark_ms={} stall_progress_at_ms={}\n",
+            "state watermark_ms={} applied_to_ms={}\n",
             self.watermark.as_millis(),
             self.applied_to.as_millis(),
-            self.stall_watermark.as_millis(),
-            opt_ms(self.stall_progress_at.map(pw_netsim::SimTime::as_millis)),
         ));
         let s = self.stats;
         out.push_str(&format!(
             "stats attempted={} accepted={} late={} late_dropped={} late_extended={} shed={} \
-             quarantined={} duplicates={} stall_flushes={} profile_bytes={} profiles_exact={} \
+             quarantined={} duplicates={} profile_bytes={} profiles_exact={} \
              profiles_sketched={}\n",
             s.attempted,
             s.accepted,
@@ -382,7 +375,6 @@ impl EngineCheckpoint {
             s.shed,
             s.quarantined,
             s.duplicates,
-            s.stall_flushes,
             s.profile_bytes,
             s.profiles_exact,
             s.profiles_sketched,
@@ -436,9 +428,6 @@ impl EngineCheckpoint {
             threads: config_fields.num("threads")? as usize,
             late_policy: config_fields.late_policy()?,
             max_flows: config_fields.opt_num("max_flows")?.map(|n| n as usize),
-            stall_timeout: config_fields
-                .opt_num("stall_timeout_ms")?
-                .map(SimDuration::from_millis),
             dedupe: config_fields.flag("dedupe")?,
             reject_invalid: config_fields.flag("reject_invalid")?,
             tier: config_fields.tier()?,
@@ -460,7 +449,6 @@ impl EngineCheckpoint {
             shed: stats_fields.num("shed")?,
             quarantined: stats_fields.num("quarantined")?,
             duplicates: stats_fields.num("duplicates")?,
-            stall_flushes: stats_fields.num("stall_flushes")?,
             profile_bytes: stats_fields.num("profile_bytes")?,
             profiles_exact: stats_fields.num("profiles_exact")?,
             profiles_sketched: stats_fields.num("profiles_sketched")?,
@@ -523,10 +511,6 @@ impl EngineCheckpoint {
             window_late: delta_fields.num("late")?,
             window_dropped: delta_fields.num("dropped")?,
             window_quarantined: delta_fields.num("quarantined")?,
-            stall_watermark: SimTime::from_millis(state_fields.num("stall_watermark_ms")?),
-            stall_progress_at: state_fields
-                .opt_num("stall_progress_at_ms")?
-                .map(SimTime::from_millis),
             buffer,
             log,
             open,
@@ -948,7 +932,6 @@ mod tests {
             slide: SimDuration::from_mins(5),
             lateness: SimDuration::from_mins(3),
             max_flows: Some(10_000),
-            stall_timeout: Some(SimDuration::from_mins(30)),
             detect: FindPlottersConfig {
                 cut_fraction: 0.07,
                 tau_vol: Threshold::Absolute(1234.5),
@@ -960,7 +943,6 @@ mod tests {
         for k in 0..40 {
             let _ = eng.push(flow(k));
         }
-        eng.tick(SimTime::from_secs(1));
         eng
     }
 
@@ -1073,12 +1055,13 @@ mod tests {
 
         let snap = busy_engine().checkpoint();
         // Older versions are refused by their header, whatever follows it:
-        // a v5 body, resealed or not, under a v1, v2, v3 or v4 header.
+        // a v6 body, resealed or not, under a v1 to v5 header.
         for old in [
             "peerwatch-checkpoint v1",
             "peerwatch-checkpoint v2",
             "peerwatch-checkpoint v3",
             "peerwatch-checkpoint v4",
+            "peerwatch-checkpoint v5",
         ] {
             let unsealed = snap.serialize().replacen(MAGIC, old, 1);
             let sealed = resealed(&snap.serialize(), |body| body.replacen(MAGIC, old, 1));

@@ -46,8 +46,6 @@ pub enum ConfigError {
     TooManyWindowsPerFlow(u64),
     /// A memory cap of zero flows would shed everything.
     ZeroCapacity,
-    /// A zero stall timeout would force-close windows on every tick.
-    ZeroStallTimeout,
     /// A checkpoint interval of zero flows would checkpoint on every push.
     ZeroCheckpointInterval,
     /// An ingest queue of depth zero could never hand a flow to the engine.
@@ -101,7 +99,6 @@ impl fmt::Display for ConfigError {
                 crate::stream::MAX_WINDOWS_PER_FLOW
             ),
             ConfigError::ZeroCapacity => f.write_str("max_flows capacity must be at least 1 flow"),
-            ConfigError::ZeroStallTimeout => f.write_str("stall timeout must be positive"),
             ConfigError::ZeroCheckpointInterval => {
                 f.write_str("checkpoint interval must be at least 1 flow")
             }

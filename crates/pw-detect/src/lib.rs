@@ -40,7 +40,6 @@
 //!
 //! [`ProfileView`]/[`HostMask`] plus the `*_view` stage functions serve
 //! stage-level work, and [`stream::DetectionEngine`] serves live feeds.
-//! [`prelude`] re-exports what callers typically need.
 //!
 //! # Examples
 //!
@@ -65,7 +64,6 @@ pub mod features;
 pub mod multiday;
 pub mod perport;
 pub mod pipeline;
-pub mod prelude;
 pub mod rates;
 pub mod reduction;
 pub mod stream;
@@ -85,7 +83,7 @@ pub use multiday::MultiDayReport;
 pub use perport::{find_plotters_per_service, PerServiceReport, ServiceKey};
 pub use pipeline::{
     find_plotters_from_table, try_find_plotters_from_table, try_find_plotters_table_tier,
-    FindPlottersConfig, FindPlottersConfigBuilder, PlotterReport,
+    FindPlottersConfig, PlotterReport,
 };
 pub use rates::{rates_against, Rates};
 pub use reduction::initial_reduction_view;

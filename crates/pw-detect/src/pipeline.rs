@@ -76,29 +76,22 @@ fn validate_threshold(t: Threshold, which: &'static str) -> Result<(), ConfigErr
 }
 
 impl FindPlottersConfig {
-    /// Starts a validated builder seeded with the paper's defaults.
+    /// Checks every knob. A configuration is a struct literal, so the
+    /// `try_*` entry points re-validate it before running.
     ///
     /// # Examples
     ///
     /// ```
     /// use pw_detect::{FindPlottersConfig, Threshold};
     ///
-    /// let cfg = FindPlottersConfig::builder()
-    ///     .tau_hm(Threshold::Percentile(80.0))
-    ///     .cut_fraction(0.1)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.cut_fraction, 0.1);
-    /// assert!(FindPlottersConfig::builder().cut_fraction(1.5).build().is_err());
+    /// let cfg = FindPlottersConfig {
+    ///     tau_hm: Threshold::Percentile(80.0),
+    ///     cut_fraction: 0.1,
+    ///     ..Default::default()
+    /// };
+    /// assert!(cfg.validate().is_ok());
+    /// assert!(FindPlottersConfig { cut_fraction: 1.5, ..cfg }.validate().is_err());
     /// ```
-    pub fn builder() -> FindPlottersConfigBuilder {
-        FindPlottersConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-
-    /// Checks every knob; struct-literal construction remains possible, so
-    /// the `try_*` entry points re-validate before running.
     pub fn validate(&self) -> Result<(), ConfigError> {
         validate_threshold(self.tau_vol, "tau_vol")?;
         validate_threshold(self.tau_churn, "tau_churn")?;
@@ -108,57 +101,6 @@ impl FindPlottersConfig {
         }
         self.theta_hm.validate()?;
         Ok(())
-    }
-}
-
-/// Builder for [`FindPlottersConfig`] whose [`build`](Self::build) rejects
-/// out-of-range knobs instead of letting them skew a detection run.
-#[derive(Debug, Clone, Copy)]
-pub struct FindPlottersConfigBuilder {
-    cfg: FindPlottersConfig,
-}
-
-impl FindPlottersConfigBuilder {
-    /// Toggles the §V-A data-reduction step.
-    pub fn with_reduction(mut self, on: bool) -> Self {
-        self.cfg.with_reduction = on;
-        self
-    }
-
-    /// Sets the volume-test threshold.
-    pub fn tau_vol(mut self, t: Threshold) -> Self {
-        self.cfg.tau_vol = t;
-        self
-    }
-
-    /// Sets the churn-test threshold.
-    pub fn tau_churn(mut self, t: Threshold) -> Self {
-        self.cfg.tau_churn = t;
-        self
-    }
-
-    /// Sets the cluster-diameter threshold for `θ_hm`.
-    pub fn tau_hm(mut self, t: Threshold) -> Self {
-        self.cfg.tau_hm = t;
-        self
-    }
-
-    /// Sets the fraction of heaviest dendrogram links cut.
-    pub fn cut_fraction(mut self, f: f64) -> Self {
-        self.cfg.cut_fraction = f;
-        self
-    }
-
-    /// Replaces the whole `θ_hm` configuration (mode + profile).
-    pub fn theta_hm(mut self, t: ThetaHmConfig) -> Self {
-        self.cfg.theta_hm = t;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<FindPlottersConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -476,42 +418,51 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_knobs() {
-        assert!(FindPlottersConfig::builder().build().is_ok());
-        let cfg = FindPlottersConfig::builder()
-            .with_reduction(false)
-            .tau_vol(Threshold::Absolute(1000.0))
-            .tau_hm(Threshold::Percentile(80.0))
-            .cut_fraction(0.1)
-            .build()
-            .unwrap();
-        assert!(!cfg.with_reduction);
-        assert_eq!(cfg.tau_vol, Threshold::Absolute(1000.0));
+    fn validate_checks_knobs() {
+        let ok = FindPlottersConfig::default();
+        assert!(ok.validate().is_ok());
+        let cfg = FindPlottersConfig {
+            with_reduction: false,
+            tau_vol: Threshold::Absolute(1000.0),
+            tau_hm: Threshold::Percentile(80.0),
+            cut_fraction: 0.1,
+            ..ok
+        };
+        assert!(cfg.validate().is_ok());
 
+        let refused = |cfg: FindPlottersConfig| cfg.validate().unwrap_err();
         assert_eq!(
-            FindPlottersConfig::builder().cut_fraction(0.0).build(),
-            Err(ConfigError::CutFraction(0.0))
+            refused(FindPlottersConfig {
+                cut_fraction: 0.0,
+                ..ok
+            }),
+            ConfigError::CutFraction(0.0)
         );
         assert_eq!(
-            FindPlottersConfig::builder().cut_fraction(1.0).build(),
-            Err(ConfigError::CutFraction(1.0))
+            refused(FindPlottersConfig {
+                cut_fraction: 1.0,
+                ..ok
+            }),
+            ConfigError::CutFraction(1.0)
         );
         assert!(matches!(
-            FindPlottersConfig::builder()
-                .tau_churn(Threshold::Percentile(101.0))
-                .build(),
-            Err(ConfigError::Percentile {
+            refused(FindPlottersConfig {
+                tau_churn: Threshold::Percentile(101.0),
+                ..ok
+            }),
+            ConfigError::Percentile {
                 which: "tau_churn",
                 ..
-            })
+            }
         ));
         assert!(matches!(
-            FindPlottersConfig::builder()
-                .tau_vol(Threshold::Absolute(f64::NAN))
-                .build(),
-            Err(ConfigError::NonFiniteThreshold { which: "tau_vol" })
+            refused(FindPlottersConfig {
+                tau_vol: Threshold::Absolute(f64::NAN),
+                ..ok
+            }),
+            ConfigError::NonFiniteThreshold { which: "tau_vol" }
         ));
-        // Struct literals still work and are re-validated by try_*.
+        // The try_* entry points re-validate what they are given.
         let bad = FindPlottersConfig {
             cut_fraction: 2.0,
             ..Default::default()

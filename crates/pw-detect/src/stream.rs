@@ -24,9 +24,9 @@
 //!
 //! # Degraded modes
 //!
-//! Real border feeds stall, reorder, duplicate, and corrupt records. The
-//! engine survives all of it without panicking, and accounts for every
-//! record it could not process normally:
+//! Real border feeds reorder, duplicate, and corrupt records. The engine
+//! survives all of it without panicking, and accounts for every record it
+//! could not process normally:
 //!
 //! - **Late flows** — [`LatePolicy`] chooses between rejecting them as a
 //!   typed error (default), dropping them with a counter, or extending
@@ -36,10 +36,6 @@
 //!   that holds them; at the cap, incoming flows are shed deterministically
 //!   (newest first), counted, and still advance the watermark so windows
 //!   keep closing and memory drains.
-//! - **Watermark stalls** — with [`EngineConfig::stall_timeout`] set,
-//!   [`tick`](DetectionEngine::tick) force-closes every open window once
-//!   the watermark has not advanced for the timeout, so a dead feed
-//!   cannot hold verdicts (and their memory) hostage forever.
 //! - **Duplicates and corrupt records** —
 //!   [`EngineConfig::dedupe`] suppresses exact duplicate rows per window,
 //!   [`EngineConfig::reject_invalid`] quarantines semantically impossible
@@ -71,16 +67,15 @@
 //! keeps no contact map per window. A close builds no
 //! [`FlowTable`](pw_flow::FlowTable): it takes in, in one pass, the rows
 //! its profiler has not, and finishes the profiles. On the watermark path
-//! there are none. A flush ([`finish`](DetectionEngine::finish) or a
-//! stall [`tick`](DetectionEngine::tick)) closes every window in one call,
-//! so it logs the buffered flows without feeding them to any window or the
-//! contact map, and each close takes its share, with a map of just those
-//! flows' contacts in front of the shared one; only one window's profiles
-//! are then being finished at a time. A window holding extras, which
-//! belong among rows it may have taken in, drops its profiler when the
-//! first arrives, and its close takes in every row of its log range
-//! merged with the sorted extras, with a map of their contacts alone. A
-//! flow in `k` windows is held in `k` profiles, so
+//! there are none. [`finish`](DetectionEngine::finish) closes every
+//! window in one call, so it logs the buffered flows without feeding them
+//! to any window or the contact map, and each close takes its share, with
+//! a map of just those flows' contacts in front of the shared one; only
+//! one window's profiles are then being finished at a time. A window
+//! holding extras, which belong among rows it may have taken in, drops its
+//! profiler when the first arrives, and its close takes in every row of
+//! its log range merged with the sorted extras, with a map of their
+//! contacts alone. A flow in `k` windows is held in `k` profiles, so
 //! [`EngineConfig::validate`] bounds `k`. After a close, the log prefix
 //! older than every open window is dropped, and so are the contacts older
 //! than every open window once the contact map holds twice as many
@@ -168,10 +163,6 @@ pub struct EngineConfig {
     /// `None` is unbounded; at the cap, incoming flows are shed
     /// deterministically and counted as [`EngineStats::shed`].
     pub max_flows: Option<usize>,
-    /// If the watermark does not advance for this long (measured on the
-    /// feed clock passed to [`DetectionEngine::tick`]), every open window
-    /// is force-closed. `None` waits forever.
-    pub stall_timeout: Option<SimDuration>,
     /// Suppress exact duplicate rows inside each window before scoring
     /// (duplicates are counted either way). Off by default, which keeps
     /// streaming byte-identical to the batch path even on feeds that
@@ -198,7 +189,6 @@ impl Default for EngineConfig {
             threads: 1,
             late_policy: LatePolicy::default(),
             max_flows: None,
-            stall_timeout: None,
             dedupe: false,
             reject_invalid: false,
             tier: ProfileTier::default(),
@@ -219,8 +209,8 @@ pub const MAX_THREADS: usize = 1024;
 pub const MAX_WINDOWS_PER_FLOW: u64 = 1024;
 
 impl EngineConfig {
-    /// Starts a validated builder seeded with the defaults — the same
-    /// builder idiom as [`FindPlottersConfig::builder`].
+    /// Starts a validated builder seeded with the defaults (see
+    /// [`EngineConfigBuilder`]).
     ///
     /// # Examples
     ///
@@ -262,17 +252,15 @@ impl EngineConfig {
         if self.max_flows == Some(0) {
             return Err(ConfigError::ZeroCapacity);
         }
-        if self.stall_timeout == Some(SimDuration::ZERO) {
-            return Err(ConfigError::ZeroStallTimeout);
-        }
         self.detect.validate()
     }
 }
 
 /// Builder for [`EngineConfig`] whose [`build`](Self::build) rejects
-/// out-of-range knobs — the same validated-builder idiom as
-/// [`crate::pipeline::FindPlottersConfigBuilder`], sharing its typed
-/// [`ConfigError`].
+/// out-of-range knobs with a typed [`ConfigError`]. It only sets public
+/// fields and then calls [`EngineConfig::validate`], which a struct literal
+/// can call as well; it stays because the benchmark adapter
+/// (`perfbench/src/adapter.rs`) builds its engines with it.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfigBuilder {
     cfg: EngineConfig,
@@ -312,12 +300,6 @@ impl EngineConfigBuilder {
     /// Caps the flows held in memory (`None` is unbounded).
     pub fn max_flows(mut self, cap: Option<usize>) -> Self {
         self.cfg.max_flows = cap;
-        self
-    }
-
-    /// Sets the watermark stall timeout (`None` waits forever).
-    pub fn stall_timeout(mut self, timeout: Option<SimDuration>) -> Self {
-        self.cfg.stall_timeout = timeout;
         self
     }
 
@@ -378,8 +360,6 @@ pub struct EngineStats {
     pub quarantined: u64,
     /// Exact duplicate rows observed inside closed windows.
     pub duplicates: u64,
-    /// Stall flushes performed by [`DetectionEngine::tick`].
-    pub stall_flushes: u64,
     /// Estimated bytes held by the profiles of the most recently closed
     /// window (heap plus inline, summed over hosts).
     pub profile_bytes: u64,
@@ -413,10 +393,6 @@ pub struct WindowReport {
     /// Exact duplicate rows inside this window (suppressed before scoring
     /// iff [`EngineConfig::dedupe`] is set).
     pub duplicates: u64,
-    /// Whether this window was force-closed by a stall flush or
-    /// [`finish`](DetectionEngine::finish) rather than by the watermark
-    /// passing its end.
-    pub forced: bool,
     /// The pipeline's verdict, or why no verdict was possible
     /// ([`Error::EmptyWindow`], [`Error::ThresholdUnresolvable`]).
     pub outcome: Result<PlotterReport, Error>,
@@ -542,10 +518,6 @@ pub struct DetectionEngine<F> {
     /// and extras (a flow in two windows counts twice). The quantity
     /// [`EngineConfig::max_flows`] bounds.
     held: usize,
-    /// Watermark value at the last stall check.
-    stall_watermark: SimTime,
-    /// Feed-clock instant of the last observed watermark advance.
-    stall_progress_at: Option<SimTime>,
 }
 
 impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
@@ -568,8 +540,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             window_dropped: 0,
             window_quarantined: 0,
             held: 0,
-            stall_watermark: SimTime::ZERO,
-            stall_progress_at: None,
         })
     }
 
@@ -618,8 +588,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         engine.window_late = snapshot.window_late;
         engine.window_dropped = snapshot.window_dropped;
         engine.window_quarantined = snapshot.window_quarantined;
-        engine.stall_watermark = snapshot.stall_watermark;
-        engine.stall_progress_at = snapshot.stall_progress_at;
         Ok(engine)
     }
 
@@ -636,8 +604,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             window_late: self.window_late,
             window_dropped: self.window_dropped,
             window_quarantined: self.window_quarantined,
-            stall_watermark: self.stall_watermark,
-            stall_progress_at: self.stall_progress_at,
             buffer: self.buffer.values().copied().collect(),
             log: self.log.iter().copied().collect(),
             open: self
@@ -776,58 +742,13 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         }
     }
 
-    /// Reports feed-clock time to the stall detector. Call this
-    /// periodically (e.g. once per poll of an idle feed) with a monotone
-    /// `now`; when [`EngineConfig::stall_timeout`] elapses with no
-    /// watermark progress, every buffered flow is applied and every open
-    /// window is force-closed (marked [`WindowReport::forced`]), so a dead
-    /// feed cannot hold verdicts hostage. Without a configured timeout
-    /// this is a no-op.
-    pub fn tick(&mut self, now: SimTime) -> Vec<WindowReport> {
-        let Some(timeout) = self.cfg.stall_timeout else {
-            return Vec::new();
-        };
-        let progressed = self.watermark > self.stall_watermark;
-        let last_progress = match self.stall_progress_at {
-            Some(t) if !progressed => t,
-            _ => {
-                self.stall_watermark = self.watermark;
-                self.stall_progress_at = Some(now);
-                return Vec::new();
-            }
-        };
-        let since = now.since(last_progress);
-        if since < timeout {
-            return Vec::new();
-        }
-        self.stall_progress_at = Some(now);
-        if self.buffer.is_empty() && self.open.is_empty() {
-            return Vec::new();
-        }
-        self.stats.stall_flushes += 1;
-        self.flush_all(true)
-    }
-
     /// End of input: applies every buffered flow and closes every open
-    /// window, in index order.
+    /// window, in index order. Afterwards `applied_to` covers both the
+    /// watermark and every closed window's end, so a resumed feed cannot
+    /// reopen a closed index — its flows are late and the [`LatePolicy`]
+    /// takes over.
     pub fn finish(&mut self) -> Vec<WindowReport> {
-        self.flush_all(false)
-    }
-
-    /// Applies everything buffered and closes every open window. `forced`
-    /// marks the reports as stall-closed rather than watermark-closed.
-    /// Afterwards `applied_to` covers both the watermark and every closed
-    /// window's end, so a resumed feed cannot reopen a closed index — its
-    /// flows are late and the [`LatePolicy`] takes over.
-    fn flush_all(&mut self, forced: bool) -> Vec<WindowReport> {
         self.applied_to = self.applied_to.max(self.watermark);
-        if forced {
-            // Flows exactly at the watermark are applied too; afterwards a
-            // revived feed must move strictly past the stall point.
-            self.applied_to = self.applied_to.max(SimTime::from_millis(
-                self.watermark.as_millis().saturating_add(1),
-            ));
-        }
         // Windows take these flows in at their closes below, one window
         // at a time, rather than all holding them at once.
         for f in std::mem::take(&mut self.buffer).into_values() {
@@ -838,7 +759,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         let mut reports = Vec::with_capacity(open.len());
         for (k, window) in open {
             self.applied_to = self.applied_to.max(self.window_span(k).end);
-            reports.push(self.close_window(k, window, forced));
+            reports.push(self.close_window(k, window));
         }
         self.log.clear();
         self.contacts.clear();
@@ -867,7 +788,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
                 break;
             }
             if let Some(window) = self.open.remove(&k) {
-                reports.push(self.close_window(k, window, false));
+                reports.push(self.close_window(k, window));
             }
         }
         if !reports.is_empty() {
@@ -913,7 +834,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     /// buffered flow starts at or after `applied_to`, which every logged
     /// flow starts before, so the log stays in canonical order. With
     /// `feed`, every open window covering `f` whose profile has taken in
-    /// its rows so far takes `f` in too; a flush leaves `f` to each
+    /// its rows so far takes `f` in too; `finish` leaves `f` to each
     /// window's close.
     fn log_flow(&mut self, f: FlowRecord, feed: bool) {
         let duplicate = self.log.back() == Some(&f);
@@ -953,10 +874,10 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     /// Closes window `index`: finishes its profiles and runs the pipeline
     /// on every host they cover. The profile has taken in every row the
     /// watermark logged; the close takes in the rest in one pass (see the
-    /// module's "Storage" section): the rows a flush logged since, or, when
+    /// module's "Storage" section): the rows `finish` logged since, or, when
     /// the window holds extras, every row through a fresh profile. The
     /// profile counts duplicates and skips them under `dedupe`.
-    fn close_window(&mut self, index: u64, window: OpenWindow, forced: bool) -> WindowReport {
+    fn close_window(&mut self, index: u64, window: OpenWindow) -> WindowReport {
         let span = self.window_span(index);
         let range = self.log_range(index);
         self.held -= range.len() + window.extras.len();
@@ -1017,7 +938,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             dropped: std::mem::take(&mut self.window_dropped),
             quarantined: std::mem::take(&mut self.window_quarantined),
             duplicates,
-            forced,
             outcome,
         }
     }
@@ -1141,13 +1061,6 @@ mod tests {
                     ..ok
                 },
                 ConfigError::ZeroCapacity,
-            ),
-            (
-                EngineConfig {
-                    stall_timeout: Some(SimDuration::ZERO),
-                    ..ok
-                },
-                ConfigError::ZeroStallTimeout,
             ),
             (
                 EngineConfig {
@@ -1445,52 +1358,15 @@ mod tests {
     }
 
     #[test]
-    fn stall_tick_force_closes_open_windows() {
-        let mut eng = engine(EngineConfig {
-            window: SimDuration::from_mins(10),
-            slide: SimDuration::from_mins(10),
-            lateness: SimDuration::from_mins(10),
-            stall_timeout: Some(SimDuration::from_mins(1)),
-            ..Default::default()
-        });
-        let a = Ipv4Addr::new(10, 1, 0, 1);
-        let b = Ipv4Addr::new(60, 0, 0, 1);
-        eng.push(flow(a, b, SimTime::from_secs(30), 10, false))
-            .unwrap();
-        // First tick arms the detector; nothing closes.
-        assert!(eng.tick(SimTime::from_secs(0)).is_empty());
-        // Inside the timeout: still nothing.
-        assert!(eng.tick(SimTime::from_secs(30)).is_empty());
-        // Feed dead for over a minute: the buffered flow is applied and its
-        // window force-closed.
-        let reports = eng.tick(SimTime::from_secs(100));
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].forced);
-        assert_eq!(reports[0].flows, 1);
-        assert_eq!(eng.buffered(), 0);
-        assert_eq!(eng.open_windows(), 0);
-        assert_eq!(eng.stats().stall_flushes, 1);
-        // A revived feed cannot reopen the closed window: the flow is late.
-        let err = eng
-            .push(flow(a, b, SimTime::from_secs(40), 10, false))
-            .unwrap_err();
-        assert!(matches!(err, Error::LateFlow { .. }));
-        // An idle engine does not flush again.
-        assert!(eng.tick(SimTime::from_secs(300)).is_empty());
-        assert_eq!(eng.stats().stall_flushes, 1);
-    }
-
-    #[test]
-    fn a_stall_flush_finishes_partly_profiled_windows_as_finish_does() {
+    fn finish_closes_partly_profiled_windows_as_a_lazy_engine_does() {
         // Sliding windows with a 10-minute reorder buffer: when the feed
-        // dies at minute 75, windows 1 to 3 (20–80, 40–100 and 60–120
+        // ends at minute 75, windows 1 to 3 (20–80, 40–100 and 60–120
         // min) have taken in the flows up to minute 65, and the buffer
-        // holds the rest, some of them twice. The stall flush logs those
-        // flows and each close takes in its window's share; its reports
-        // must be those of `finish` on the same pushes, bar the `forced`
-        // mark. Both must also be those of an engine whose lateness holds
-        // every flow in the buffer until `finish`, so that no window
-        // takes in a flow before its close.
+        // holds the rest, some of them twice. `finish` logs those flows
+        // and each close takes in its window's share; its reports must be
+        // those of an engine whose lateness holds every flow in the buffer
+        // until `finish`, so that no window takes in a flow before its
+        // close.
         let flows: Vec<FlowRecord> = two_hours()
             .into_iter()
             .filter(|f| f.start < SimTime::from_secs(75 * 60))
@@ -1500,12 +1376,10 @@ mod tests {
                 window: SimDuration::from_mins(60),
                 slide: SimDuration::from_mins(20),
                 lateness: SimDuration::from_mins(10),
-                stall_timeout: Some(SimDuration::from_mins(1)),
                 dedupe,
                 ..Default::default()
             };
-            let mut stalled = engine(cfg);
-            let mut finished = engine(cfg);
+            let mut eager = engine(cfg);
             let mut lazy = engine(EngineConfig {
                 lateness: SimDuration::from_hours(2),
                 ..cfg
@@ -1514,33 +1388,24 @@ mod tests {
             for (i, f) in flows.iter().enumerate() {
                 let copies = if i % 7 == 0 { 2 } else { 1 };
                 for _ in 0..copies {
-                    let reports = stalled.push(*f).unwrap();
-                    assert_eq!(finished.push(*f).unwrap(), reports);
+                    closed.extend(eager.push(*f).unwrap());
                     assert!(lazy.push(*f).unwrap().is_empty());
-                    closed.extend(reports);
                 }
             }
             assert_eq!(closed.iter().map(|w| w.index).collect::<Vec<_>>(), [0]);
-            assert_eq!(stalled.open_windows(), 3);
-            assert!(stalled.buffered() > 0);
-            assert!(stalled.tick(SimTime::from_secs(0)).is_empty());
-            let forced = stalled.tick(SimTime::from_secs(120));
-            let mut unforced = finished.finish();
-            closed.extend(unforced.iter().cloned());
+            assert_eq!(eager.open_windows(), 3);
+            assert!(eager.buffered() > 0);
+            let finished = eager.finish();
+            assert_eq!(finished.len(), 3);
+            assert!(finished.iter().any(|w| w.duplicates > 0));
+            closed.extend(finished);
             assert_eq!(lazy.finish(), closed, "dedupe {dedupe}");
-            assert_eq!(forced.len(), 3);
-            assert!(forced.iter().all(|w| w.forced));
-            assert!(forced.iter().any(|w| w.duplicates > 0));
-            for w in &mut unforced {
-                assert!(!w.forced);
-                w.forced = true;
-            }
-            assert_eq!(forced, unforced, "dedupe {dedupe}");
-            assert_eq!(stalled.held_flows(), 0);
-            let mut stats = stalled.stats();
-            stats.stall_flushes -= 1;
-            assert_eq!(stats, finished.stats());
-            assert_eq!(lazy.stats(), finished.stats());
+            assert_eq!(eager.held_flows(), 0);
+            assert_eq!(lazy.stats(), eager.stats());
+            // A revived feed cannot reopen a closed window: its flows are
+            // late.
+            let err = eager.push(flows[flows.len() - 1]).unwrap_err();
+            assert!(matches!(err, Error::LateFlow { .. }));
         }
     }
 
@@ -1599,17 +1464,6 @@ mod tests {
         reports.extend(eager.finish());
         assert_eq!(reports, lazy.finish());
         assert!(eager.contacts.is_empty());
-    }
-
-    #[test]
-    fn tick_without_timeout_is_a_no_op() {
-        let mut eng = engine(EngineConfig::default());
-        let a = Ipv4Addr::new(10, 1, 0, 1);
-        let b = Ipv4Addr::new(60, 0, 0, 1);
-        eng.push(flow(a, b, SimTime::from_secs(30), 10, false))
-            .unwrap();
-        assert!(eng.tick(SimTime::from_hours(100)).is_empty());
-        assert_eq!(eng.buffered(), 1);
     }
 
     #[test]

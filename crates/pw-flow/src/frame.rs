@@ -17,17 +17,18 @@
 //! batch's header and every one of its records — but not the length
 //! prefix. A failed check surfaces as the typed
 //! [`FrameError::CrcMismatch`] instead of a silent decode of garbage. The
-//! protocol has one version, [`VERSION`] 3: both handshake readers check
+//! protocol has one version, [`VERSION`] 4: both handshake readers check
 //! the magic and version before anything else and refuse any other
-//! version, v2 included, with [`FrameError::UnsupportedVersion`].
+//! version, v3 included, with [`FrameError::UnsupportedVersion`].
 //!
 //! Each frame body starts with a tag byte:
 //!
 //! | tag | frame | body after the tag |
 //! |-----|-------|---------------------|
 //! | `0x01` | [`Frame::Flows`] | `first_seq` u64 + `count` u16 + `count` flow records |
-//! | `0x02` | [`Frame::Tick`] | feed-clock `now_ms` u64 |
 //! | `0x03` | [`Frame::Bye`]  | empty |
+//!
+//! Tag `0x02` is unassigned and decodes as [`FrameError::UnknownTag`].
 //!
 //! A batch carries 1 to [`MAX_BATCH`] flows whose sequence numbers run
 //! consecutively from `first_seq`. Sequences are the exporter's own
@@ -78,7 +79,7 @@ use crate::record::{FlowRecord, FlowState};
 pub const MAGIC: [u8; 4] = *b"PWFS";
 
 /// The protocol version, gated in the handshake; any other is refused.
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Slicing-by-8 tables: `t[0]` is the classic byte-at-a-time table, and
 /// `t[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
@@ -181,7 +182,6 @@ pub const MAX_FRAME_LEN: u32 =
 
 /// Frame body tags.
 const TAG_FLOWS: u8 = 0x01;
-const TAG_TICK: u8 = 0x02;
 const TAG_BYE: u8 = 0x03;
 
 /// Why a handshake or frame failed to decode.
@@ -321,11 +321,6 @@ pub enum Frame {
         first_seq: u64,
         /// The records, in sequence order.
         flows: Vec<FlowRecord>,
-    },
-    /// Feed-clock heartbeat driving the server's stall detector.
-    Tick {
-        /// Exporter's feed clock, milliseconds.
-        now_ms: u64,
     },
     /// Clean end of stream; the connection closes after this.
     Bye,
@@ -504,10 +499,6 @@ impl Frame {
     pub fn encode(&self, buf: &mut Vec<u8>) {
         framed(buf, |buf| match self {
             Frame::Flows { first_seq, flows } => encode_batch(buf, *first_seq, flows),
-            Frame::Tick { now_ms } => {
-                buf.push(TAG_TICK);
-                buf.extend_from_slice(&now_ms.to_le_bytes());
-            }
             Frame::Bye => buf.push(TAG_BYE),
         });
     }
@@ -521,18 +512,6 @@ impl Frame {
         })?;
         match tag {
             TAG_FLOWS => decode_batch(rest),
-            TAG_TICK => {
-                if rest.len() != 8 {
-                    return Err(FrameError::BadLength {
-                        tag,
-                        expected: 8,
-                        got: rest.len(),
-                    });
-                }
-                Ok(Frame::Tick {
-                    now_ms: u64_at(rest, 0),
-                })
-            }
             TAG_BYE => {
                 if !rest.is_empty() {
                     return Err(FrameError::BadLength {
@@ -755,7 +734,7 @@ mod tests {
 
     #[test]
     fn stream_io_round_trips_and_detects_truncation() {
-        let frames = [batch(0, 5), Frame::Tick { now_ms: 1_000 }, Frame::Bye];
+        let frames = [batch(0, 5), batch(5, 1), Frame::Bye];
         let mut wire = Vec::new();
         for f in &frames {
             write_frame(&mut wire, f).unwrap();
@@ -803,27 +782,30 @@ mod tests {
             Err(FrameError::UnsupportedVersion(1))
         ));
 
-        // A version-2 peer (one flow per frame, padded records) sends
-        // well-formed, correctly trailed handshakes; the version refuses it.
+        // Version-2 peers (one flow per frame, padded records) and
+        // version-3 peers (which may send ticks) send well-formed,
+        // correctly trailed handshakes; the version refuses them.
         let sealed = |mut msg: Vec<u8>| {
             let crc = crc32(&msg);
             msg.extend_from_slice(&crc.to_le_bytes());
             msg
         };
-        let v2_hello = sealed([&MAGIC[..], &2u16.to_le_bytes(), &42u32.to_le_bytes()].concat());
-        assert!(matches!(
-            read_hello(&mut &v2_hello[..], &[]),
-            Err(FrameError::UnsupportedVersion(2))
-        ));
-        assert!(matches!(
-            read_hello(&mut &v2_hello[4..], &MAGIC),
-            Err(FrameError::UnsupportedVersion(2))
-        ));
-        let v2_ack = sealed([&MAGIC[..], &2u16.to_le_bytes(), &9000u64.to_le_bytes()].concat());
-        assert!(matches!(
-            read_hello_ack(&mut &v2_ack[..]),
-            Err(FrameError::UnsupportedVersion(2))
-        ));
+        for old in [2u16, 3] {
+            let hello = sealed([&MAGIC[..], &old.to_le_bytes(), &42u32.to_le_bytes()].concat());
+            assert!(matches!(
+                read_hello(&mut &hello[..], &[]),
+                Err(FrameError::UnsupportedVersion(v)) if v == old
+            ));
+            assert!(matches!(
+                read_hello(&mut &hello[4..], &MAGIC),
+                Err(FrameError::UnsupportedVersion(v)) if v == old
+            ));
+            let ack = sealed([&MAGIC[..], &old.to_le_bytes(), &9000u64.to_le_bytes()].concat());
+            assert!(matches!(
+                read_hello_ack(&mut &ack[..]),
+                Err(FrameError::UnsupportedVersion(v)) if v == old
+            ));
+        }
 
         wire[4] = 0xFF;
         assert!(matches!(
@@ -866,7 +848,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_catch_bit_flips() {
-        let frames = [batch(11, 4), Frame::Tick { now_ms: 2_000 }, Frame::Bye];
+        let frames = [batch(11, 4), batch(15, 1), Frame::Bye];
         let mut wire = Vec::new();
         for f in &frames {
             write_frame(&mut wire, f).unwrap();
@@ -902,6 +884,12 @@ mod tests {
         assert!(matches!(
             Frame::decode(&bad),
             Err(FrameError::UnknownTag(0x7F))
+        ));
+        // v3's tick tag is unassigned.
+        let tick = [&[0x02][..], &9_000u64.to_le_bytes()].concat();
+        assert!(matches!(
+            Frame::decode(&tick),
+            Err(FrameError::UnknownTag(0x02))
         ));
         assert!(matches!(
             Frame::decode(&body[..5]),

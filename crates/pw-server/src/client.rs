@@ -152,12 +152,6 @@ pub struct SendOptions {
     /// Seeded connection-fault plan; [`ConnPlan::none`] streams in one
     /// unbroken connection.
     pub plan: ConnPlan,
-    /// Send a `Tick` heartbeat (feed clock = the flow's start time)
-    /// after every `n` flows, driving the server's stall detector. Each
-    /// tick carries the start of the last flow sent, so on a feed in start
-    /// order the feed clock never runs ahead of the watermark, and these
-    /// ticks alone never set off a stall flush.
-    pub tick_every: Option<usize>,
     /// Reconnect/backoff policy for transport failures.
     pub retry: RetryPolicy,
 }
@@ -166,7 +160,6 @@ impl Default for SendOptions {
     fn default() -> Self {
         SendOptions {
             plan: ConnPlan::none(),
-            tick_every: None,
             retry: RetryPolicy::default(),
         }
     }
@@ -226,10 +219,9 @@ enum Attempt {
 /// server acknowledged applying the complete stream.
 ///
 /// Flows go out in batches of up to [`MAX_BATCH`], one frame each,
-/// encoded straight from `flows`. A batch also ends at every planned cut
-/// and every `tick_every` boundary, so cuts and `Tick` frames fall after
-/// the same flow as they would one flow per frame. Only flows already in
-/// hand are coalesced: no timer holds a batch back.
+/// encoded straight from `flows`. A batch also ends at every planned cut,
+/// so a cut falls after the same flow as it would one flow per frame.
+/// Only flows already in hand are coalesced: no timer holds a batch back.
 ///
 /// # Errors
 ///
@@ -249,7 +241,7 @@ pub fn send_flows<A: ToSocketAddrs>(
     let mut st = SendState::default();
     let mut rng = ChaosRng::new(opts.retry.seed ^ u64::from(exporter_id).rotate_left(32));
     loop {
-        match attempt(&addr, exporter_id, flows, opts, &mut cuts, &mut st) {
+        match attempt(&addr, exporter_id, flows, &mut cuts, &mut st) {
             Ok(Attempt::Done) => return Ok(st.report),
             Ok(Attempt::Cut) => {
                 st.report.reconnects += 1;
@@ -294,18 +286,11 @@ fn backoff_delay(policy: &RetryPolicy, failure_idx: u32, rng: &mut ChaosRng) -> 
 const WRITE_BUFFER: usize = 64 * 1024;
 
 /// Where the batch starting at flow `k` ends: after at most [`MAX_BATCH`]
-/// flows, at the end of the stream, at the next planned cut, and at the
-/// next multiple of `tick_every` (nonzero), so cuts and ticks land after
-/// the same flow whatever the batching.
-fn batch_end(k: usize, len: usize, next_cut: Option<usize>, tick_every: Option<usize>) -> usize {
-    let mut end = (k + MAX_BATCH).min(len);
-    if let Some(cut) = next_cut {
-        end = end.min(cut);
-    }
-    if let Some(every) = tick_every {
-        end = end.min((k / every + 1) * every);
-    }
-    end
+/// flows, at the end of the stream, and at the next planned cut, so cuts
+/// land after the same flow whatever the batching.
+fn batch_end(k: usize, len: usize, next_cut: Option<usize>) -> usize {
+    let end = (k + MAX_BATCH).min(len);
+    next_cut.map_or(end, |cut| end.min(cut))
 }
 
 /// One connection's worth of the protocol: connect, handshake, stream
@@ -314,7 +299,6 @@ fn attempt<A: ToSocketAddrs>(
     addr: &A,
     exporter_id: u32,
     flows: &[FlowRecord],
-    opts: &SendOptions,
     cuts: &mut std::iter::Peekable<std::iter::Copied<std::slice::Iter<'_, usize>>>,
     st: &mut SendState,
 ) -> Result<Attempt, ClientError> {
@@ -344,22 +328,13 @@ fn attempt<A: ToSocketAddrs>(
     while cuts.peek().is_some_and(|&c| c <= next) {
         cuts.next();
     }
-    let tick_every = opts.tick_every.filter(|&every| every > 0);
     let mut k = next;
     while k < flows.len() {
-        let end = batch_end(k, flows.len(), cuts.peek().copied(), tick_every);
+        let end = batch_end(k, flows.len(), cuts.peek().copied());
         frame::write_flows(&mut w, k as u64, &flows[k..end])?;
         st.report.sent += (end - k) as u64;
         st.resume_from = end;
         k = end;
-        if tick_every.is_some_and(|every| end.is_multiple_of(every)) {
-            frame::write_frame(
-                &mut w,
-                &Frame::Tick {
-                    now_ms: flows[end - 1].start.as_millis(),
-                },
-            )?;
-        }
         if cuts.peek() == Some(&end) {
             cuts.next();
             // Sever abruptly: no Bye, just a closed socket — the shape
@@ -447,7 +422,7 @@ mod tests {
     }
 
     #[test]
-    fn batches_end_at_every_cut_and_tick() {
+    fn batches_end_at_every_cut() {
         let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
             eprintln!("skipping: cannot bind loopback sockets in this environment");
             return;
@@ -459,7 +434,6 @@ mod tests {
         let server = recording_server(listener);
         let opts = SendOptions {
             plan,
-            tick_every: Some(100),
             ..SendOptions::default()
         };
         let report = send_flows(addr, 1, &flows, &opts).expect("send");
@@ -474,12 +448,10 @@ mod tests {
             }
         );
 
-        // Each cut session stops right after its cut, batches resume at
-        // the acked flow, and every tick follows the flow that ends a
-        // multiple of 100, carrying that flow's start.
+        // Each cut session stops right after its cut, and batches resume
+        // at the acked flow.
         assert_eq!(sessions.len(), cuts.len() + 1);
         let mut at = 0;
-        let mut ticks = Vec::new();
         for (i, frames) in sessions.iter().enumerate() {
             for f in frames {
                 match f {
@@ -492,7 +464,6 @@ mod tests {
                         assert_eq!(batch[..], flows[at..at + batch.len()]);
                         at += batch.len();
                     }
-                    Frame::Tick { now_ms } => ticks.push((at, *now_ms)),
                     Frame::Bye => assert_eq!(i, cuts.len()),
                 }
             }
@@ -501,9 +472,5 @@ mod tests {
             }
         }
         assert_eq!(at, flows.len());
-        let want: Vec<_> = (1..=7)
-            .map(|n| (n * 100, flows[n * 100 - 1].start.as_millis()))
-            .collect();
-        assert_eq!(ticks, want);
     }
 }

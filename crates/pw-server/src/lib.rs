@@ -67,11 +67,9 @@ pub use server::{Server, ServerError};
 /// which are allocated when the server binds.
 pub const MAX_QUEUE_DEPTH: usize = 1 << 20;
 
-/// Validated configuration for a [`Server`].
-///
-/// Construct via [`ServerConfig::builder`] — the same validated-builder
-/// idiom as [`EngineConfig`] and `FindPlottersConfig`, sharing their
-/// [`ConfigError`] vocabulary.
+/// Configuration for a [`Server`]: a struct literal over [`Default`],
+/// checked by [`validate`](Self::validate), which shares [`EngineConfig`]'s
+/// [`ConfigError`] vocabulary. [`Server::bind`] validates it too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// The streaming engine this server fronts (window geometry, late
@@ -104,11 +102,6 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Starts building a configuration from the defaults.
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder::default()
-    }
-
     /// Checks every knob, mirroring the engine's own validation.
     ///
     /// # Errors
@@ -154,139 +147,100 @@ impl Default for ServerConfig {
     }
 }
 
-/// Builder for [`ServerConfig`]; [`build`](Self::build) validates.
-#[derive(Debug, Clone, Default)]
-pub struct ServerConfigBuilder {
-    cfg: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Sets the streaming-engine configuration the server fronts.
-    #[must_use]
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
-    /// Enables checkpointing to `path`.
-    #[must_use]
-    pub fn checkpoint_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cfg.checkpoint_path = Some(path.into());
-        self
-    }
-
-    /// Sets the number of applied flows between periodic checkpoints.
-    #[must_use]
-    pub fn checkpoint_every(mut self, flows: u64) -> Self {
-        self.cfg.checkpoint_every = flows;
-        self
-    }
-
-    /// Sets how many previous snapshots to retain for fallback recovery.
-    #[must_use]
-    pub fn checkpoint_retain(mut self, retain: usize) -> Self {
-        self.cfg.checkpoint_retain = retain;
-        self
-    }
-
-    /// Sets the bounded ingest-queue depth, in flows (backpressure).
-    #[must_use]
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.queue_depth = depth;
-        self
-    }
-
-    /// Sets (or, with `None`, disables) the per-socket I/O deadline.
-    #[must_use]
-    pub fn io_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.cfg.io_timeout = timeout;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServerConfig::validate`].
-    pub fn build(self) -> Result<ServerConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builder_validates_server_knobs_with_shared_errors() {
-        let ok = ServerConfig::builder()
-            .checkpoint_every(100)
-            .queue_depth(8)
-            .build()
-            .unwrap();
-        assert_eq!(ok.checkpoint_every, 100);
-        assert_eq!(ok.queue_depth, 8);
-        assert!(ok.checkpoint_path.is_none());
+    fn validate_checks_server_knobs_with_shared_errors() {
+        let ok = ServerConfig::default();
+        let cfg = ServerConfig {
+            checkpoint_every: 100,
+            queue_depth: 8,
+            ..ok.clone()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        assert!(cfg.checkpoint_path.is_none());
 
+        let refused = |cfg: ServerConfig| cfg.validate().unwrap_err();
         assert_eq!(
-            ServerConfig::builder().checkpoint_every(0).build(),
-            Err(ConfigError::ZeroCheckpointInterval)
+            refused(ServerConfig {
+                checkpoint_every: 0,
+                ..ok.clone()
+            }),
+            ConfigError::ZeroCheckpointInterval
         );
         assert_eq!(
-            ServerConfig::builder().queue_depth(0).build(),
-            Err(ConfigError::ZeroQueueDepth)
+            refused(ServerConfig {
+                queue_depth: 0,
+                ..ok.clone()
+            }),
+            ConfigError::ZeroQueueDepth
         );
         assert_eq!(
-            ServerConfig::builder()
-                .io_timeout(Some(Duration::ZERO))
-                .build(),
-            Err(ConfigError::ZeroIoTimeout)
+            refused(ServerConfig {
+                io_timeout: Some(Duration::ZERO),
+                ..ok.clone()
+            }),
+            ConfigError::ZeroIoTimeout
         );
-        assert!(ServerConfig::builder().io_timeout(None).build().is_ok());
+        let no_deadline = ServerConfig {
+            io_timeout: None,
+            ..ok.clone()
+        };
+        assert_eq!(no_deadline.validate(), Ok(()));
         // Engine knobs are validated through the same path.
         let bad_engine = EngineConfig {
             threads: 0,
             ..EngineConfig::default()
         };
         assert_eq!(
-            ServerConfig::builder().engine(bad_engine).build(),
-            Err(ConfigError::ZeroThreads)
+            refused(ServerConfig {
+                engine: bad_engine,
+                ..ok
+            }),
+            ConfigError::ZeroThreads
         );
     }
 
     #[test]
-    fn builder_caps_retained_checkpoints_and_queue_depth() {
-        // Both caps admit their bound and refuse one past it. Building
+    fn validate_caps_retained_checkpoints_and_queue_depth() {
+        // Both caps admit their bound and refuse one past it. Validating
         // allocates nothing; only binding allocates the queue.
-        let at_caps = ServerConfig::builder()
-            .checkpoint_retain(MAX_CHECKPOINT_RETAIN)
-            .queue_depth(MAX_QUEUE_DEPTH)
-            .build()
-            .unwrap();
-        assert_eq!(at_caps.checkpoint_retain, MAX_CHECKPOINT_RETAIN);
-        assert_eq!(at_caps.queue_depth, MAX_QUEUE_DEPTH);
+        let ok = ServerConfig::default();
+        let at_caps = ServerConfig {
+            checkpoint_retain: MAX_CHECKPOINT_RETAIN,
+            queue_depth: MAX_QUEUE_DEPTH,
+            ..ok.clone()
+        };
+        assert_eq!(at_caps.validate(), Ok(()));
+        let refused = |cfg: ServerConfig| cfg.validate().unwrap_err();
         assert_eq!(
-            ServerConfig::builder()
-                .checkpoint_retain(MAX_CHECKPOINT_RETAIN + 1)
-                .build(),
-            Err(ConfigError::TooManyRetained(MAX_CHECKPOINT_RETAIN + 1))
+            refused(ServerConfig {
+                checkpoint_retain: MAX_CHECKPOINT_RETAIN + 1,
+                ..ok.clone()
+            }),
+            ConfigError::TooManyRetained(MAX_CHECKPOINT_RETAIN + 1)
         );
         assert_eq!(
-            ServerConfig::builder().queue_depth(usize::MAX).build(),
-            Err(ConfigError::QueueTooDeep {
+            refused(ServerConfig {
+                queue_depth: usize::MAX,
+                ..ok.clone()
+            }),
+            ConfigError::QueueTooDeep {
                 depth: usize::MAX,
                 cap: MAX_QUEUE_DEPTH
-            })
+            }
         );
         assert_eq!(
-            ServerConfig::builder()
-                .queue_depth(MAX_QUEUE_DEPTH + 1)
-                .build(),
-            Err(ConfigError::QueueTooDeep {
+            refused(ServerConfig {
+                queue_depth: MAX_QUEUE_DEPTH + 1,
+                ..ok
+            }),
+            ConfigError::QueueTooDeep {
                 depth: MAX_QUEUE_DEPTH + 1,
                 cap: MAX_QUEUE_DEPTH
-            })
+            }
         );
     }
 }

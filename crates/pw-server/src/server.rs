@@ -31,7 +31,6 @@ use pw_detect::checkpoint::{chain_exists, recover_with, write_text_retained, Che
 use pw_detect::{ConfigError, DetectionEngine, WindowReport};
 use pw_flow::frame::{self, Frame, FrameError, HelloAck, MAGIC, MAX_BATCH};
 use pw_flow::FlowRecord;
-use pw_netsim::SimTime;
 
 use crate::checkpoint::ServerCheckpoint;
 use crate::ServerConfig;
@@ -108,8 +107,6 @@ enum Msg {
         first_seq: u64,
         flows: Vec<FlowRecord>,
     },
-    /// Feed-clock heartbeat for the stall detector.
-    Tick { now_ms: u64 },
     /// A connection delivered a corrupt frame and was severed.
     /// `exporter_id` is `None` when the corruption hit the handshake
     /// itself (the claimed id cannot be trusted).
@@ -437,7 +434,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
         let s = self.engine.stats();
         format!(
             "stats attempted={} accepted={} late={} late_dropped={} late_extended={} \
-             shed={} quarantined={} duplicates={} stall_flushes={} held={} \
+             shed={} quarantined={} duplicates={} held={} \
              exporters={} windows={} checkpoint_errors={} profile_bytes={} \
              profiles_exact={} profiles_sketched={} frames_corrupt={} sessions_reaped={} \
              engine_panics={}\n",
@@ -449,7 +446,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
             s.shed,
             s.quarantined,
             s.duplicates,
-            s.stall_flushes,
             self.engine.held_flows(),
             self.exporters.len(),
             self.windows_total,
@@ -469,7 +465,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
         };
         let mut out = format!(
             "report index={} start_ms={} end_ms={} flows={} hosts={} late={} dropped={} \
-             quarantined={} duplicates={} forced={}\n",
+             quarantined={} duplicates={}\n",
             w.index,
             w.start.as_millis(),
             w.end.as_millis(),
@@ -479,7 +475,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
             w.dropped,
             w.quarantined,
             w.duplicates,
-            u8::from(w.forced),
         );
         match &w.outcome {
             Ok(r) => {
@@ -572,17 +567,6 @@ fn engine_loop<F: Fn(Ipv4Addr) -> bool + Sync>(
                 first_seq,
                 flows,
             } => st.apply_flows(exporter_id, first_seq, flows),
-            Msg::Tick { now_ms } => {
-                if st.failed {
-                    continue;
-                }
-                match catch_unwind(AssertUnwindSafe(|| {
-                    st.engine.tick(SimTime::from_millis(now_ms))
-                })) {
-                    Ok(ws) => st.push_reports_bounded(ws),
-                    Err(_) => st.fail_engine(),
-                }
-            }
             Msg::Corrupt { exporter_id } => {
                 st.frames_corrupt_total += 1;
                 if let Some(id) = exporter_id {
@@ -744,11 +728,6 @@ fn exporter_session(
                     frame::write_hello_ack(&mut w, HelloAck::new(applied))?;
                 }
                 return Ok(());
-            }
-            Ok(Some(Frame::Tick { now_ms })) => {
-                if tx.send(Msg::Tick { now_ms }).is_err() {
-                    return Ok(());
-                }
             }
             Ok(Some(Frame::Flows { first_seq, flows })) => {
                 let msg = Msg::Flows {

@@ -32,7 +32,9 @@
 //! newest snapshot whose checksum verifies — falling back along the
 //! retained chain past torn or bit-flipped files — and skips the part of
 //! the file it already processed, producing the same verdicts as an
-//! uninterrupted run.
+//! uninterrupted run. `--checkpoint-every`, `--checkpoint-retain` and
+//! `--resume` without `--checkpoint` are argument errors in every mode,
+//! `serve` included.
 //!
 //! `--profile-tier sketched` switches per-host profiles to the
 //! bounded-memory sketch representation (see `pw-sketch`): each host costs
@@ -52,7 +54,7 @@
 //!     [--checkpoint FILE] [--checkpoint-every N] [--checkpoint-retain N] \
 //!     [--queue-depth N] [--io-timeout SECS]
 //! findplotters send <flows.csv> --connect ADDR --exporter ID \
-//!     [--cuts N --seed S] [--tick-every N] \
+//!     [--cuts N --seed S] \
 //!     [--retry N] [--backoff-base-ms N] [--backoff-cap-ms N] \
 //!     [--chaos-conns N --chaos-flips N [--chaos-cut] [--chaos-stall-ms N]]
 //! findplotters query --connect ADDR CMD...
@@ -112,7 +114,7 @@ fn usage() -> ! {
          [--checkpoint FILE] [--checkpoint-every N] [--checkpoint-retain N] \
          [--queue-depth N] [--io-timeout SECS]\n\
          \x20      findplotters send <flows.csv> --connect ADDR --exporter ID \
-         [--cuts N --seed S] [--tick-every N] [--retry N] [--backoff-base-ms N] \
+         [--cuts N --seed S] [--retry N] [--backoff-base-ms N] \
          [--backoff-cap-ms N] [--chaos-conns N --chaos-flips N [--chaos-cut] \
          [--chaos-stall-ms N]]\n\
          \x20      findplotters query --connect ADDR CMD..."
@@ -138,6 +140,14 @@ fn bad_config(what: &str, e: ConfigError) -> ! {
         "invalid value {:?} for {flag}: {e}",
         value.to_string()
     ))
+}
+
+/// Refuses `knob`, the first flag given that tunes `--checkpoint FILE`,
+/// when no checkpoint file was given.
+fn require_checkpoint(checkpoint: bool, knob: Option<&str>) {
+    if let (false, Some(flag)) = (checkpoint, knob) {
+        bad_arg(&format!("{flag} requires --checkpoint FILE"));
+    }
 }
 
 /// Prints a runtime error and exits nonzero.
@@ -440,30 +450,27 @@ fn load_flows(path: &str, skipped_hint: &str) -> (Vec<FlowRecord>, Vec<RowError>
 fn serve_main(args: &[String]) -> ! {
     let mut bind: Option<String> = None;
     let mut flags = EngineFlags::default();
-    let mut server_builder = ServerConfig::builder();
+    let mut server_cfg = ServerConfig::default();
+    let mut checkpoint_knob = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if flags.take(a, &mut it) {
             continue;
         }
+        if matches!(a.as_str(), "--checkpoint-every" | "--checkpoint-retain") {
+            checkpoint_knob.get_or_insert(a.as_str());
+        }
         match a.as_str() {
             "--bind" => bind = Some(next_value(&mut it, a)),
-            "--checkpoint" => {
-                server_builder = server_builder.checkpoint_path(next_value(&mut it, a));
-            }
+            "--checkpoint" => server_cfg.checkpoint_path = Some(next_value(&mut it, a).into()),
             "--checkpoint-every" => {
-                server_builder =
-                    server_builder.checkpoint_every(parse_usize(a, &next_value(&mut it, a)) as u64);
+                server_cfg.checkpoint_every = parse_usize(a, &next_value(&mut it, a)) as u64;
             }
             "--checkpoint-retain" => {
-                server_builder =
-                    server_builder.checkpoint_retain(parse_usize(a, &next_value(&mut it, a)));
+                server_cfg.checkpoint_retain = parse_usize(a, &next_value(&mut it, a));
             }
-            "--queue-depth" => {
-                server_builder =
-                    server_builder.queue_depth(parse_usize(a, &next_value(&mut it, a)));
-            }
+            "--queue-depth" => server_cfg.queue_depth = parse_usize(a, &next_value(&mut it, a)),
             "--io-timeout" => {
                 let v = next_value(&mut it, a);
                 let secs = parse_duration(a, &v, 1.0, "seconds");
@@ -471,7 +478,7 @@ fn serve_main(args: &[String]) -> ! {
                     .unwrap_or_else(|e| bad_arg(&format!("invalid value {v:?} for {a}: {e}")));
                 // Zero means "no deadline" on the command line; the config
                 // type spells that as None.
-                server_builder = server_builder.io_timeout((secs != 0.0).then_some(timeout));
+                server_cfg.io_timeout = (secs != 0.0).then_some(timeout);
             }
             _ => bad_arg(&format!("unrecognized serve argument {a:?}")),
         }
@@ -479,11 +486,11 @@ fn serve_main(args: &[String]) -> ! {
     let Some(bind) = bind else {
         bad_arg("serve requires --bind ADDR (use port 0 for an ephemeral port)");
     };
-    let engine_cfg = flags.engine(flags.detect());
-    let server_cfg = server_builder
-        .engine(engine_cfg)
-        .build()
-        .unwrap_or_else(|e| bad_config("server configuration", e));
+    require_checkpoint(server_cfg.checkpoint_path.is_some(), checkpoint_knob);
+    server_cfg.engine = flags.engine(flags.detect());
+    if let Err(e) = server_cfg.validate() {
+        bad_config("server configuration", e);
+    }
 
     let server = Server::bind(bind.as_str(), server_cfg, flags.is_internal())
         .unwrap_or_else(|e| fail(&format!("cannot start server: {e}")));
@@ -518,7 +525,6 @@ fn send_main(args: &[String]) -> ! {
             }
             "--cuts" => cuts = parse_usize(a, &next_value(&mut it, a)),
             "--seed" => seed = parse_usize(a, &next_value(&mut it, a)) as u64,
-            "--tick-every" => opts.tick_every = Some(parse_usize(a, &next_value(&mut it, a))),
             "--retry" => {
                 opts.retry.attempts = u32::try_from(parse_usize(a, &next_value(&mut it, a)))
                     .unwrap_or_else(|_| bad_arg("--retry must fit in 32 bits"));
@@ -669,11 +675,18 @@ fn main() {
     let mut checkpoint_every: usize = 10_000;
     let mut checkpoint_retain: usize = 2;
     let mut resume = false;
+    let mut checkpoint_knob = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if flags.take(a, &mut it) {
             continue;
+        }
+        if matches!(
+            a.as_str(),
+            "--checkpoint-every" | "--checkpoint-retain" | "--resume"
+        ) {
+            checkpoint_knob.get_or_insert(a.as_str());
         }
         match a.as_str() {
             "--truth" => truth_path = Some(next_value(&mut it, a)),
@@ -689,9 +702,7 @@ fn main() {
     let Some(flows_path) = flows_path else {
         bad_arg("missing input file");
     };
-    if resume && checkpoint_path.is_none() {
-        bad_arg("--resume requires --checkpoint FILE");
-    }
+    require_checkpoint(checkpoint_path.is_some(), checkpoint_knob);
     if checkpoint_path.is_some() && flags.window.is_none() {
         bad_arg("--checkpoint only applies to streaming mode (--window)");
     }
@@ -823,14 +834,13 @@ fn main() {
             } else {
                 String::new()
             };
-            let forced = if w.forced { " [forced]" } else { "" };
             match &w.outcome {
                 Ok(r) => {
                     let mut s: Vec<_> = r.suspects.iter().collect();
                     s.sort();
                     outln!(
                         "window {:>3} [{} .. {}): {} flows, {} hosts, \
-                         {} suspects {s:?}{degraded}{forced}",
+                         {} suspects {s:?}{degraded}",
                         w.index,
                         w.start,
                         w.end,
@@ -842,7 +852,7 @@ fn main() {
                     last_ok = Some(r.clone());
                 }
                 Err(e) => outln!(
-                    "window {:>3} [{} .. {}): {} flows — no verdict: {e}{degraded}{forced}",
+                    "window {:>3} [{} .. {}): {} flows — no verdict: {e}{degraded}",
                     w.index,
                     w.start,
                     w.end,

@@ -43,11 +43,13 @@
 //! let storm = generate_storm_trace(&StormConfig::default(), 7);
 //! let overlaid = overlay_bots(&day, &[&storm], 42);
 //!
-//! // Validated configuration; out-of-range knobs fail at build time.
-//! let cfg = FindPlottersConfig::builder()
-//!     .tau_hm(Threshold::Percentile(70.0))
-//!     .cut_fraction(0.05)
-//!     .build()?;
+//! // A validated configuration: out-of-range knobs fail here.
+//! let cfg = FindPlottersConfig {
+//!     tau_hm: Threshold::Percentile(70.0),
+//!     cut_fraction: 0.05,
+//!     ..Default::default()
+//! };
+//! cfg.validate()?;
 //!
 //! // Hunt for the bots using only the flow records, sharded over 4 cores.
 //! let table = FlowTable::from_records(&overlaid.flows);

@@ -1,13 +1,14 @@
 //! Fault-injection suite: replay seeded chaos (drops, duplicates,
-//! reordering, corruption, stalls) through the streaming engine and assert
-//! the robustness contract — the engine never panics, its watermark never
+//! reordering, corruption) through the streaming engine and assert the
+//! robustness contract — the engine never panics, its watermark never
 //! moves backwards, every record it refuses is counted somewhere, and it
-//! keeps producing verdicts after the feed recovers.
+//! keeps producing verdicts when the feed goes on after a `finish`.
 
 use std::net::Ipv4Addr;
 
-use peerwatch::chaos::{inject, ChaosConfig, ChaosEvent};
+use peerwatch::chaos::{inject, ChaosConfig};
 use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy, WindowReport};
+use peerwatch::detect::Error;
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
 
@@ -87,43 +88,29 @@ fn hardened(threads: usize) -> EngineConfig {
         threads,
         late_policy: LatePolicy::Drop,
         max_flows: Some(100_000),
-        stall_timeout: Some(SimDuration::from_mins(20)),
         dedupe: true,
         reject_invalid: true,
         ..Default::default()
     }
 }
 
-/// Replays a chaos event sequence into the engine, driving the feed clock
-/// and asserting watermark monotonicity after every operation. Returns the
-/// reports in emission order.
+/// Replays a faulted feed into the engine, asserting watermark
+/// monotonicity after every push. Returns the reports in emission order.
 fn replay(
     engine: &mut DetectionEngine<fn(Ipv4Addr) -> bool>,
-    events: &[ChaosEvent],
+    flows: &[FlowRecord],
 ) -> Vec<WindowReport> {
-    let mut clock = SimTime::ZERO;
     let mut reports = Vec::new();
     let mut watermark = engine.watermark();
-    for e in events {
-        match e {
-            ChaosEvent::Deliver(f) => {
-                clock = clock.max(f.start);
-                // Degraded-mode policies make every per-flow fault an Ok
-                // or a counted quarantine — never a stream-fatal error.
-                match engine.push(*f) {
-                    Ok(ws) => reports.extend(ws),
-                    Err(e) => {
-                        assert!(
-                            matches!(e, peerwatch::detect::Error::InvalidRecord(_)),
-                            "unexpected stream error: {e}"
-                        );
-                    }
-                }
-            }
-            ChaosEvent::Stall(d) => {
-                clock += *d;
-                reports.extend(engine.tick(clock));
-            }
+    for f in flows {
+        // Degraded-mode policies make every per-flow fault an Ok or a
+        // counted quarantine — never a stream-fatal error.
+        match engine.push(*f) {
+            Ok(ws) => reports.extend(ws),
+            Err(e) => assert!(
+                matches!(e, Error::InvalidRecord(_)),
+                "unexpected stream error: {e}"
+            ),
         }
         assert!(engine.watermark() >= watermark, "watermark moved backwards");
         watermark = engine.watermark();
@@ -142,17 +129,15 @@ fn chaotic_feed_never_panics_and_accounts_for_every_record() {
             duplicate: 0.08,
             corrupt: 0.04,
             reorder_window: 16,
-            stall_every: Some(400),
-            stall_for: SimDuration::from_mins(45),
         },
     );
     let s = out.summary;
-    assert!(s.dropped > 0 && s.duplicated > 0 && s.corrupted > 0 && s.stalls > 0);
+    assert!(s.dropped > 0 && s.duplicated > 0 && s.corrupted > 0);
 
     for threads in [1usize, 4] {
         let mut engine = DetectionEngine::new(hardened(threads), internal as fn(Ipv4Addr) -> bool)
             .expect("valid config");
-        let mut reports = replay(&mut engine, &out.events);
+        let mut reports = replay(&mut engine, &out.flows);
         reports.extend(engine.finish());
 
         let st = engine.stats();
@@ -165,11 +150,7 @@ fn chaotic_feed_never_panics_and_accounts_for_every_record() {
         assert_eq!(st.late, st.late_dropped + st.late_extended);
         // Every invalid delivery (corrupted records, including their
         // duplicated copies) was quarantined — no more, no fewer.
-        let invalid_deliveries = out
-            .events
-            .iter()
-            .filter(|e| matches!(e, ChaosEvent::Deliver(f) if f.validate().is_err()))
-            .count();
+        let invalid_deliveries = out.flows.iter().filter(|f| f.validate().is_err()).count();
         assert!(invalid_deliveries >= s.corrupted);
         assert_eq!(st.quarantined as usize, invalid_deliveries);
         // Every shed or late-dropped flow surfaces in some report.
@@ -194,14 +175,12 @@ fn identical_seeds_produce_identical_verdicts() {
         duplicate: 0.1,
         corrupt: 0.05,
         reorder_window: 8,
-        stall_every: Some(300),
-        stall_for: SimDuration::from_mins(30),
     };
     let run = || {
         let out = inject(&clean, &cfg);
         let mut engine =
             DetectionEngine::new(hardened(2), internal as fn(Ipv4Addr) -> bool).unwrap();
-        let mut reports = replay(&mut engine, &out.events);
+        let mut reports = replay(&mut engine, &out.flows);
         reports.extend(engine.finish());
         (reports, engine.stats())
     };
@@ -213,37 +192,34 @@ fn identical_seeds_produce_identical_verdicts() {
 
 #[test]
 fn engine_recovers_after_a_dead_feed() {
+    // The server's `FINISH` while exporters keep sending: `finish` closes
+    // every window in flight mid-feed, and the feed then goes on.
     let clean = clean_feed();
     let half = clean.len() / 2;
     let mut engine = DetectionEngine::new(hardened(1), internal as fn(Ipv4Addr) -> bool).unwrap();
-
-    let mut clock = SimTime::ZERO;
-    for f in &clean[..half] {
-        clock = clock.max(f.start);
-        engine.push(*f).unwrap();
-    }
-    engine.tick(clock);
-    // The feed dies: the stall detector force-closes everything in flight.
-    let stalled = engine.tick(clock + SimDuration::from_hours(2));
-    assert!(!stalled.is_empty(), "stall flush produced no reports");
-    assert!(stalled.iter().all(|w| w.forced));
+    let mut closed = replay(&mut engine, &clean[..half]);
+    let finished = engine.finish();
+    assert!(!finished.is_empty(), "finish produced no reports");
     assert_eq!(engine.open_windows(), 0);
     assert_eq!(engine.buffered(), 0);
-    assert_eq!(engine.stats().stall_flushes, 1);
+    closed.extend(finished);
+    let last_closed = closed.iter().map(|w| w.index).max().unwrap();
 
-    // The feed comes back. Flows from before the flush are absorbed as
-    // late drops; genuinely new traffic reaches verdicts again.
-    let mut revived = Vec::new();
-    for f in &clean[half..] {
-        clock = clock.max(f.start);
-        revived.extend(engine.push(*f).unwrap());
-    }
+    // Flows of the closed windows are late drops; later traffic reaches
+    // verdicts again, and no closed index reopens.
+    let mut revived = replay(&mut engine, &clean[half..]);
     revived.extend(engine.finish());
     assert!(
-        revived.iter().any(|w| !w.forced && w.flows > 0),
-        "engine produced no organic verdicts after recovery"
+        revived.iter().any(|w| w.flows > 0 && w.outcome.is_ok()),
+        "engine produced no verdicts after the finish"
+    );
+    assert!(
+        revived.iter().all(|w| w.index > last_closed),
+        "a closed window reopened: {:?}",
+        revived.iter().map(|w| w.index).collect::<Vec<_>>()
     );
     let st = engine.stats();
+    assert!(st.late_dropped > 0, "no flow of a closed window arrived");
     assert_eq!(
         st.attempted,
         st.accepted + st.shed + st.quarantined + st.late
@@ -283,7 +259,7 @@ fn counters_are_pinned_under_a_seeded_scramble() {
         ..Default::default()
     };
     let mut engine = DetectionEngine::new(cfg, internal as fn(Ipv4Addr) -> bool).unwrap();
-    let mut reports = replay(&mut engine, &out.events);
+    let mut reports = replay(&mut engine, &out.flows);
     reports.extend(engine.finish());
 
     let st = engine.stats();

@@ -169,7 +169,6 @@ fn resume_through_disk_continues_under_degraded_modes() {
         late_policy: LatePolicy::Drop,
         dedupe: true,
         max_flows: Some(10_000),
-        stall_timeout: Some(SimDuration::from_mins(30)),
         ..cfg(2)
     };
     let straight = {

@@ -25,7 +25,7 @@ fn assert_quiet_success(out: &Output) {
 
 #[test]
 fn query_output_into_a_closed_pipe_ends_quietly() {
-    let cfg = ServerConfig::builder().build().expect("config");
+    let cfg = ServerConfig::default();
     let Ok(server) = Server::bind("127.0.0.1:0", cfg, |ip: Ipv4Addr| ip.octets()[0] == 10) else {
         eprintln!("skipping: cannot bind loopback sockets in this environment");
         return;

@@ -11,6 +11,9 @@
 //!   when it binds.
 //! - A `--checkpoint-retain` past its cap: writing, recovering and probing
 //!   a checkpoint chain walk every one of its slots.
+//! - `--checkpoint-every`, `--checkpoint-retain` or `--resume` without
+//!   `--checkpoint FILE`, in batch mode too: there is no checkpoint for
+//!   them to tune.
 //!
 //! Batch mode refuses the flags only the engine reads the same way, and a
 //! windowed run with `--resume` recovers past damaged snapshots and
@@ -216,6 +219,59 @@ fn retained_checkpoints_past_the_cap_are_argument_errors() {
         assert!(stderr.contains(&refusal), "{mode}: {stderr}");
         assert!(!stderr.contains("loaded"), "{mode} read the CSV: {stderr}");
         assert!(out.stdout.is_empty(), "{mode}: printed output");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkpoint_knobs_without_a_checkpoint_are_argument_errors() {
+    let dir = std::env::temp_dir().join(format!("pw-cli-knobs-{}", std::process::id()));
+    let csv = three_flows(&dir);
+    let csv = csv.to_str().expect("a UTF-8 temp path");
+    // Each run names the first knob it was given.
+    let runs: [(&str, &[&str], &str); 6] = [
+        (
+            "batch",
+            &[csv, "--checkpoint-every", "5"],
+            "--checkpoint-every",
+        ),
+        (
+            "batch",
+            &[csv, "--checkpoint-retain", "3", "--resume"],
+            "--checkpoint-retain",
+        ),
+        (
+            "windowed",
+            &[csv, "--window", "1", "--checkpoint-retain", "3"],
+            "--checkpoint-retain",
+        ),
+        (
+            "windowed",
+            &[csv, "--window", "1", "--resume", "--checkpoint-every", "5"],
+            "--resume",
+        ),
+        (
+            "serve",
+            &["serve", "--bind", "127.0.0.1:0", "--checkpoint-every", "5"],
+            "--checkpoint-every",
+        ),
+        (
+            "serve",
+            &["serve", "--bind", "127.0.0.1:0", "--checkpoint-retain", "3"],
+            "--checkpoint-retain",
+        ),
+    ];
+    for (mode, args, flag) in runs {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_findplotters"));
+        cmd.args(args);
+        // A `serve` that took the knob would listen until killed.
+        let out = output_within(cmd, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let refusal = format!("{flag} requires --checkpoint FILE");
+        assert_eq!(out.status.code(), Some(2), "{mode} {args:?}: {stderr}");
+        assert!(stderr.contains(&refusal), "{mode} {args:?}: {stderr}");
+        assert!(!stderr.contains("loaded"), "{mode} read the CSV: {stderr}");
+        assert!(out.stdout.is_empty(), "{mode} {args:?}: printed output");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

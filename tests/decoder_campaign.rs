@@ -220,8 +220,8 @@ fn text_count_slots(text: &[u8]) -> Vec<usize> {
     slots
 }
 
-/// A hello followed by a session's frames — two batches, a tick and a
-/// bye — and the offset of every frame's length prefix.
+/// A hello followed by a session's frames — three batches, the last of
+/// one flow, and a bye — and the offset of every frame's length prefix.
 fn pwfs_stream() -> (Vec<u8>, Vec<usize>) {
     let mut wire = Vec::new();
     frame::write_hello(&mut wire, Hello::new(42)).unwrap();
@@ -230,12 +230,7 @@ fn pwfs_stream() -> (Vec<u8>, Vec<usize>) {
         first_seq: seqs.start,
         flows: seqs.map(flow).collect(),
     };
-    let frames = [
-        batch(0..3),
-        batch(3..5),
-        Frame::Tick { now_ms: 9_000 },
-        Frame::Bye,
-    ];
+    let frames = [batch(0..3), batch(3..5), batch(5..6), Frame::Bye];
     for f in frames {
         slots.push(wire.len());
         frame::write_frame(&mut wire, &f).unwrap();

@@ -62,10 +62,11 @@ fn pipeline_detects_implanted_storm_with_bounded_false_positives() {
     // the one holding the Storm bots — regardless of the data. Pin the
     // diameter cutoff above both so the cluster structure itself (not a
     // two-point interpolation artifact) decides.
-    let cfg = FindPlottersConfig::builder()
-        .tau_hm(Threshold::Absolute(3000.0))
-        .build()
-        .expect("valid config");
+    let cfg = FindPlottersConfig {
+        tau_hm: Threshold::Absolute(3000.0),
+        ..Default::default()
+    };
+    cfg.validate().expect("valid config");
     let report = try_find_plotters_table_tier(
         &FlowTable::from_records(&overlaid.flows),
         |ip| day.is_internal(ip),

@@ -46,7 +46,7 @@ fn key(f: &FlowRecord) -> Key {
 }
 
 /// The copy-per-window engine: same rules, every window its own list.
-/// No stall timeout, no record validation.
+/// No record validation.
 struct Reference {
     cfg: EngineConfig,
     buffer: BTreeMap<Key, Vec<FlowRecord>>,
@@ -233,7 +233,6 @@ impl Reference {
             dropped: std::mem::take(&mut self.window_dropped),
             quarantined: 0,
             duplicates,
-            forced: false,
             outcome: try_find_plotters_from_table(&profiles, &self.cfg.detect, self.cfg.threads),
         }
     }

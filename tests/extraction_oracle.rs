@@ -325,10 +325,10 @@ fn the_first_hour_ends_exactly_one_hour_after_first_activity() {
             slide: SimDuration::from_hours(1),
             lateness: SimDuration::ZERO,
             tier,
-            detect: FindPlottersConfig::builder()
-                .with_reduction(false)
-                .build()
-                .expect("valid detection config"),
+            detect: FindPlottersConfig {
+                with_reduction: false,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let engine = |cfg| DetectionEngine::new(cfg, internal).expect("valid engine config");

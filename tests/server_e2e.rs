@@ -18,9 +18,8 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use peerwatch::chaos::{ChaosProxy, ConnPlan, ProxyFaults};
-use peerwatch::detect::stream::EngineConfig;
 use peerwatch::detect::{try_find_plotters_table_tier, FindPlottersConfig, ProfileTier};
-use peerwatch::flow::frame::{self, Frame, Hello, MAX_BATCH, RECORD_FIXED_LEN};
+use peerwatch::flow::frame::{self, Frame, MAX_BATCH, RECORD_FIXED_LEN};
 use peerwatch::flow::{csvio, FlowRecord, FlowState, FlowTable, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
 use peerwatch::server::{
@@ -105,14 +104,15 @@ proptest! {
         // Write a whole session's worth of frames, the batch straight from
         // its slice, then read them back through the stream decoder.
         let mut wire = Vec::new();
+        let next = Frame::Flows { first_seq: first_seq + flows.len() as u64, flows: flows[..1].to_vec() };
         frame::write_flows(&mut wire, first_seq, &flows).unwrap();
-        frame::write_frame(&mut wire, &Frame::Tick { now_ms: 12345 }).unwrap();
+        frame::write_frame(&mut wire, &next).unwrap();
         frame::write_frame(&mut wire, &Frame::Bye).unwrap();
 
         let mut r = wire.as_slice();
         let got = frame::read_frame(&mut r).unwrap().unwrap();
         prop_assert_eq!(got, Frame::Flows { first_seq, flows });
-        prop_assert_eq!(frame::read_frame(&mut r).unwrap().unwrap(), Frame::Tick { now_ms: 12345 });
+        prop_assert_eq!(frame::read_frame(&mut r).unwrap().unwrap(), next);
         prop_assert_eq!(frame::read_frame(&mut r).unwrap().unwrap(), Frame::Bye);
         prop_assert_eq!(frame::read_frame(&mut r).unwrap(), None, "clean EOF after Bye");
     }
@@ -711,7 +711,7 @@ fn a_length_prefix_past_the_stream_end_costs_no_read_deadline() {
         return;
     }
     // The default 30 s read deadline.
-    let cfg = ServerConfig::builder().build().expect("config");
+    let cfg = ServerConfig::default();
     let server = Server::bind("127.0.0.1:0", cfg, is_internal).expect("bind");
     let upstream = server.local_addr();
     let addr = upstream.to_string();
@@ -760,7 +760,7 @@ fn engine_panic_enters_failsafe_and_queries_still_answer() {
     // An in-process server whose is_internal classifier panics on one
     // poison address — standing in for any latent engine bug a hostile
     // input might reach.
-    let cfg = ServerConfig::builder().build().expect("config");
+    let cfg = ServerConfig::default();
     let server = Server::bind("127.0.0.1:0", cfg, |ip: Ipv4Addr| {
         assert!(ip.octets()[1] != 77, "poison host reached the engine");
         is_internal(ip)
@@ -819,7 +819,7 @@ fn overlong_query_line_is_refused_before_its_newline() {
         eprintln!("skipping: cannot bind loopback sockets in this environment");
         return;
     }
-    let cfg = ServerConfig::builder().build().expect("config");
+    let cfg = ServerConfig::default();
     let server = Server::bind("127.0.0.1:0", cfg, is_internal).expect("bind");
     let addr = server.local_addr().to_string();
     let run = thread::spawn(move || server.run());
@@ -842,76 +842,4 @@ fn overlong_query_line_is_refused_before_its_newline() {
     assert!(query(&addr, "STATS")[0].starts_with("stats "));
     assert_eq!(query(&addr, "SHUTDOWN"), ["ok"]);
     run.join().expect("server thread").expect("clean shutdown");
-}
-
-// ---------------------------------------------------------------------------
-// Stall flushes: `Tick` frames drive the engine's stall detector
-// ---------------------------------------------------------------------------
-
-/// Serves 1 h tumbling windows with 10 min of lateness and a 5 min stall
-/// timeout, sends one exporter's batch of flows from the first 50 minutes
-/// (so the watermark alone closes no window), then two `Tick` frames
-/// `gap` apart on the feed clock with no newer flow between them. Returns
-/// the `REPORT` and `STATS` answers after the ticks are applied.
-fn stall_run(gap: SimDuration) -> (Vec<String>, Vec<String>) {
-    let mut flows: Vec<FlowRecord> = feed()
-        .into_iter()
-        .filter(|f| f.start < SimTime::from_secs(50 * 60))
-        .collect();
-    flows.sort_by_key(|f| f.start);
-    flows.truncate(MAX_BATCH);
-    let last = flows.last().expect("flows in the first 50 minutes").start;
-
-    let engine = EngineConfig::builder()
-        .window(SimDuration::from_hours(1))
-        .slide(SimDuration::from_hours(1))
-        .lateness(SimDuration::from_mins(10))
-        .stall_timeout(Some(SimDuration::from_mins(5)))
-        .build()
-        .expect("engine config");
-    let cfg = ServerConfig::builder()
-        .engine(engine)
-        .build()
-        .expect("config");
-    let server = Server::bind("127.0.0.1:0", cfg, is_internal).expect("bind");
-    let addr = server.local_addr().to_string();
-    let run = thread::spawn(move || server.run());
-
-    let mut stream = TcpStream::connect(&addr).expect("connect exporter");
-    frame::write_hello(&mut stream, Hello::new(1)).expect("hello");
-    assert_eq!(frame::read_hello_ack(&mut stream).expect("ack").next_seq, 0);
-    frame::write_flows(&mut stream, 0, &flows).expect("flows");
-    for now in [last, last + gap] {
-        let tick = Frame::Tick {
-            now_ms: now.as_millis(),
-        };
-        frame::write_frame(&mut stream, &tick).expect("tick");
-    }
-    // The final ack comes back once the engine has applied everything
-    // this connection sent before its `Bye`, the ticks included.
-    frame::write_frame(&mut stream, &Frame::Bye).expect("bye");
-    let applied = frame::read_hello_ack(&mut stream).expect("final ack");
-    assert_eq!(applied.next_seq, flows.len() as u64);
-
-    let answers = (query(&addr, "REPORT"), query(&addr, "STATS"));
-    assert_eq!(query(&addr, "SHUTDOWN"), ["ok"]);
-    run.join().expect("server thread").expect("clean shutdown");
-    answers
-}
-
-#[test]
-fn ticks_past_the_stall_timeout_force_close_the_open_window() {
-    if !can_bind() {
-        eprintln!("skipping: cannot bind loopback sockets in this environment");
-        return;
-    }
-    let (report, stats) = stall_run(SimDuration::from_mins(6));
-    assert!(report[0].ends_with(" forced=1"), "{report:?}");
-    assert_eq!(counter(&report[0], "index"), 0, "{report:?}");
-    assert_eq!(counter(&stats[0], "stall_flushes"), 1, "{stats:?}");
-
-    // Four minutes of silence is inside the timeout: nothing closes.
-    let (report, stats) = stall_run(SimDuration::from_mins(4));
-    assert_eq!(report, ["report none", "end"]);
-    assert_eq!(counter(&stats[0], "stall_flushes"), 0, "{stats:?}");
 }
