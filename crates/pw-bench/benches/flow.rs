@@ -117,9 +117,7 @@ fn bench_checkpoint(c: &mut Criterion) {
         engine.push(f).unwrap();
     }
     let snapshot = engine.checkpoint();
-    let rows = snapshot.buffer().len()
-        + snapshot.log().len()
-        + snapshot.open().iter().map(|(_, f)| f.len()).sum::<usize>();
+    let rows = snapshot.buffer().len() + snapshot.log().len();
 
     let mut group = c.benchmark_group("checkpoint");
     group.throughput(Throughput::Elements(rows as u64));

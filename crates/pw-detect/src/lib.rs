@@ -87,7 +87,5 @@ pub use pipeline::{
 };
 pub use rates::{rates_against, Rates};
 pub use reduction::initial_reduction_view;
-pub use stream::{
-    DetectionEngine, EngineConfig, EngineConfigBuilder, EngineStats, LatePolicy, WindowReport,
-};
+pub use stream::{DetectionEngine, EngineConfig, EngineConfigBuilder, EngineStats, WindowReport};
 pub use tdg::{tdg_scan, TdgConfig, TdgMetrics, TdgReport};

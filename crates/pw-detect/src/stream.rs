@@ -28,9 +28,10 @@
 //! survives all of it without panicking, and accounts for every record it
 //! could not process normally:
 //!
-//! - **Late flows** — [`LatePolicy`] chooses between rejecting them as a
-//!   typed error (default), dropping them with a counter, or extending
-//!   them into a still-open window so their data is not lost.
+//! - **Late flows** — a flow starting before the lateness bound is
+//!   refused with a typed [`Error::LateFlow`], counted as late and as
+//!   dropped, and reaches no window: windows covering its start may have
+//!   closed already, and no window takes in a flow from outside its span.
 //! - **Bounded memory** — [`EngineConfig::max_flows`] caps the flows held
 //!   across the reorder buffer and open windows, counted once per window
 //!   that holds them; at the cap, incoming flows are shed deterministically
@@ -51,10 +52,8 @@
 //! the watermark passes its lateness bound; it then moves to one shared
 //! log, kept in canonical order ([`FlowRecord::canonical_key`]). Window
 //! `k` is the log range of flows starting in `[k·slide, k·slide +
-//! window)`, found by binary search, plus the late flows
-//! [`LatePolicy::ExtendOldest`] appended to it. Sliding
-//! windows therefore share their flows instead of copying them once per
-//! window.
+//! window)`, found by binary search. Sliding windows therefore share
+//! their flows instead of copying them once per window.
 //!
 //! Each open window also keeps a profiler (see [`crate::features`]).
 //! When the watermark moves a flow into the log, every window covering
@@ -71,11 +70,8 @@
 //! window in one call, so it logs the buffered flows without feeding them
 //! to any window or the contact map, and each close takes its share, with
 //! a map of just those flows' contacts in front of the shared one; only
-//! one window's profiles are then being finished at a time. A window
-//! holding extras, which belong among rows it may have taken in, drops its
-//! profiler when the first arrives, and its close takes in every row of
-//! its log range merged with the sorted extras, with a map of their
-//! contacts alone. A flow in `k` windows is held in `k` profiles, so
+//! one window's profiles are then being finished at a time. A flow in `k`
+//! windows is held in `k` profiles, so
 //! [`EngineConfig::validate`] bounds `k`. After a close, the log prefix
 //! older than every open window is dropped, and so are the contacts older
 //! than every open window once the contact map holds twice as many
@@ -83,6 +79,8 @@
 //!
 //! The engine never repairs its state: flows reach the log in canonical
 //! order, and a window opens with its first flow, over an empty log range.
+//! So the open windows are exactly the windows that cover a logged flow
+//! and end after the applied range, and a restore opens them from the log.
 //! [`EngineCheckpoint::parse`](crate::checkpoint::EngineCheckpoint::parse)
 //! refuses every snapshot that would break this (see [`crate::checkpoint`]).
 //!
@@ -106,11 +104,9 @@
 //! assert!(reports.is_empty()); // nothing was pushed
 //! ```
 
-use std::collections::{vec_deque, BTreeMap, HashMap, VecDeque};
-use std::iter::Peekable;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 use std::ops::{Range, RangeInclusive};
-use std::slice;
 
 use pw_flow::{CanonicalKey, FlowRecord};
 use pw_netsim::{SimDuration, SimTime};
@@ -120,23 +116,6 @@ use crate::features::{internal_endpoint, PrevContact, ProfileTable, ProfileTier,
 use crate::pipeline::{
     check_threads, try_find_plotters_from_table, FindPlottersConfig, PlotterReport,
 };
-
-/// What happens to a flow that arrives after its lateness bound — its
-/// window may already be closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LatePolicy {
-    /// [`DetectionEngine::push`] returns [`Error::LateFlow`]; the caller
-    /// decides. This is the strict default.
-    #[default]
-    Reject,
-    /// The flow is dropped and counted ([`EngineStats::late_dropped`],
-    /// [`WindowReport::dropped`]); `push` returns `Ok`.
-    Drop,
-    /// The flow is appended to the still-open windows covering its start,
-    /// or to the oldest open window if none do, so its bytes still inform
-    /// a verdict; dropped (and counted) only when no window is open.
-    ExtendOldest,
-}
 
 /// Configuration of a [`DetectionEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,8 +134,6 @@ pub struct EngineConfig {
     /// [`MAX_THREADS`]. Windows profile their flows as they arrive, on the
     /// caller's thread. Any value produces identical output.
     pub threads: usize,
-    /// What to do with flows older than the lateness bound.
-    pub late_policy: LatePolicy,
     /// Upper bound on flows held (reorder buffer plus open windows). A
     /// flow counts once for each open window it belongs to, although it is
     /// stored once, so the cap means the same for any storage layout.
@@ -187,7 +164,6 @@ impl Default for EngineConfig {
             slide: SimDuration::from_hours(24),
             lateness: SimDuration::from_mins(10),
             threads: 1,
-            late_policy: LatePolicy::default(),
             max_flows: None,
             dedupe: false,
             reject_invalid: false,
@@ -291,12 +267,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Sets the policy for flows older than the lateness bound.
-    pub fn late_policy(mut self, policy: LatePolicy) -> Self {
-        self.cfg.late_policy = policy;
-        self
-    }
-
     /// Caps the flows held in memory (`None` is unbounded).
     pub fn max_flows(mut self, cap: Option<usize>) -> Self {
         self.cfg.max_flows = cap;
@@ -336,7 +306,7 @@ impl EngineConfigBuilder {
 
 /// Cumulative ingest accounting. Every flow ever offered to
 /// [`DetectionEngine::push`] lands in exactly one of: accepted, shed,
-/// quarantined, or late-with-outcome — so
+/// quarantined, or late — so
 /// `attempted == accepted + shed + quarantined + late` always holds, and
 /// nothing is ever lost silently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -345,15 +315,9 @@ pub struct EngineStats {
     pub attempted: u64,
     /// Flows accepted into the reorder buffer.
     pub accepted: u64,
-    /// Flows that arrived below the lateness bound (whatever then happened
-    /// to them under the [`LatePolicy`]).
+    /// Flows that arrived below the lateness bound, refused with
+    /// [`Error::LateFlow`].
     pub late: u64,
-    /// Late flows dropped (under [`LatePolicy::Drop`], under
-    /// [`LatePolicy::ExtendOldest`] with no open window, or rejected back
-    /// to the caller under [`LatePolicy::Reject`]).
-    pub late_dropped: u64,
-    /// Late flows absorbed into a still-open window.
-    pub late_extended: u64,
     /// Flows shed by the [`EngineConfig::max_flows`] memory cap.
     pub shed: u64,
     /// Records quarantined by [`EngineConfig::reject_invalid`].
@@ -386,7 +350,7 @@ pub struct WindowReport {
     /// Late flows observed since the previous report was emitted (each
     /// late flow is reported exactly once, on the next window to close).
     pub late: u64,
-    /// Flows dropped — late-dropped plus shed — since the previous report.
+    /// Flows dropped — late plus shed — since the previous report.
     pub dropped: u64,
     /// Records quarantined at ingest since the previous report.
     pub quarantined: u64,
@@ -417,56 +381,6 @@ pub(crate) fn covering(t: SimTime, window: SimDuration, slide: SimDuration) -> R
 /// [`DetectionEngine::contacts`].
 fn contact_key(host: Ipv4Addr, dst: Ipv4Addr) -> u64 {
     u64::from(u32::from(host)) << 32 | u64::from(u32::from(dst))
-}
-
-/// A window's rows in canonical order: rows of its log range merged with
-/// its extras, which must be sorted by [`FlowRecord::canonical_key`]. Log
-/// rows come first on equal keys, so the merge is a stable sort of the
-/// rows followed by the extras.
-struct WindowRows<'a> {
-    log: Peekable<vec_deque::Iter<'a, FlowRecord>>,
-    extras: Peekable<slice::Iter<'a, FlowRecord>>,
-}
-
-impl<'a> Iterator for WindowRows<'a> {
-    type Item = &'a FlowRecord;
-
-    fn next(&mut self) -> Option<&'a FlowRecord> {
-        match (self.log.peek(), self.extras.peek()) {
-            (Some(l), Some(e)) if e.canonical_key() < l.canonical_key() => self.extras.next(),
-            (Some(_), _) => self.log.next(),
-            (None, _) => self.extras.next(),
-        }
-    }
-}
-
-/// An open window: its extras and the profile of its log rows so far.
-#[derive(Debug)]
-struct OpenWindow {
-    /// The late flows [`LatePolicy::ExtendOldest`] appended to the window,
-    /// outside the log.
-    extras: Vec<FlowRecord>,
-    /// The profile of the first [`seen`](RecordProfiler::seen) rows of the
-    /// window's log range. `None` while the window holds extras: they
-    /// belong among rows the profile may have taken in, so its close takes
-    /// in every row afresh.
-    profile: Option<RecordProfiler>,
-}
-
-impl OpenWindow {
-    /// A window holding `extras`, with a fresh profile unless it holds any.
-    fn new(extras: Vec<FlowRecord>, cfg: &EngineConfig) -> Self {
-        let profile = extras
-            .is_empty()
-            .then(|| RecordProfiler::new(cfg.tier, cfg.dedupe));
-        Self { extras, profile }
-    }
-
-    /// Appends a late flow; the close then takes in every row afresh.
-    fn extend(&mut self, f: FlowRecord) {
-        self.extras.push(f);
-        self.profile = None;
-    }
 }
 
 /// Streaming windowed `FindPlotters`.
@@ -500,8 +414,9 @@ pub struct DetectionEngine<F> {
     /// window keeps a contact map of its own. It keeps std's keyed hasher:
     /// the monitored hosts choose the destinations.
     contacts: HashMap<u64, SimTime>,
-    /// Open windows by index.
-    open: BTreeMap<u64, OpenWindow>,
+    /// Open windows by index, each with the profile of the first
+    /// [`seen`](RecordProfiler::seen) rows of its log range.
+    open: BTreeMap<u64, RecordProfiler>,
     /// Maximum flow start seen. Never decreases.
     watermark: SimTime,
     /// Flows starting before this instant have been applied to windows;
@@ -515,7 +430,7 @@ pub struct DetectionEngine<F> {
     window_dropped: u64,
     window_quarantined: u64,
     /// Flows currently held: the buffer, plus each open window's log range
-    /// and extras (a flow in two windows counts twice). The quantity
+    /// (a flow in two windows counts twice). The quantity
     /// [`EngineConfig::max_flows`] bounds.
     held: usize,
 }
@@ -566,24 +481,15 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         for f in &snapshot.buffer {
             engine.buffer_flow(*f);
         }
-        // Each open window takes its logged flows in again, as it had when
-        // the snapshot was taken; one with extras takes them in at close.
-        for (k, extras) in &snapshot.open {
-            engine
-                .open
-                .insert(*k, OpenWindow::new(extras.clone(), &engine.cfg));
-        }
-        for f in &snapshot.log {
-            engine.log_flow(*f, true);
-        }
-        engine.held = engine.buffer.len()
-            + engine
-                .open
-                .iter()
-                .map(|(&k, w)| engine.log_range(k).len() + w.extras.len())
-                .sum::<usize>();
-        engine.watermark = snapshot.watermark;
+        engine.held = engine.buffer.len();
+        // Each logged flow reopens its windows that end after `applied_to`,
+        // which are the windows open when the snapshot was taken, and they
+        // take their logged flows in again, as they had then.
         engine.applied_to = snapshot.applied_to;
+        for f in &snapshot.log {
+            engine.assign(*f, true);
+        }
+        engine.watermark = snapshot.watermark;
         engine.stats = snapshot.stats;
         engine.window_late = snapshot.window_late;
         engine.window_dropped = snapshot.window_dropped;
@@ -592,7 +498,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     }
 
     /// Snapshots the engine's complete state — watermark, reorder buffer,
-    /// open windows, counters, configuration — for later
+    /// window log, counters, configuration — for later
     /// [`restore`](Self::restore). See [`crate::checkpoint`] for the
     /// serialized form and atomic on-disk persistence.
     pub fn checkpoint(&self) -> crate::checkpoint::EngineCheckpoint {
@@ -606,11 +512,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             window_quarantined: self.window_quarantined,
             buffer: self.buffer.values().copied().collect(),
             log: self.log.iter().copied().collect(),
-            open: self
-                .open
-                .iter()
-                .map(|(&k, w)| (k, w.extras.clone()))
-                .collect(),
         }
     }
 
@@ -651,10 +552,9 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     ///
     /// # Errors
     ///
-    /// - [`Error::LateFlow`] under [`LatePolicy::Reject`] if the flow
-    ///   starts before the lateness bound — its window may already be
-    ///   closed, so it is dropped rather than silently skewing a later
-    ///   window. Other policies absorb the flow and return `Ok`.
+    /// - [`Error::LateFlow`] if the flow starts before the lateness bound
+    ///   — its window may already be closed, so it is counted and dropped
+    ///   rather than silently skewing a later window.
     /// - [`Error::InvalidRecord`] if [`EngineConfig::reject_invalid`] is
     ///   set and the record fails [`FlowRecord::validate`].
     ///
@@ -670,7 +570,13 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             }
         }
         if f.start < self.applied_to {
-            return self.absorb_late(f);
+            self.stats.late += 1;
+            self.window_late += 1;
+            self.window_dropped += 1;
+            return Err(Error::LateFlow {
+                start: f.start,
+                bound: self.applied_to,
+            });
         }
         self.watermark = self.watermark.max(f.start);
         let cutoff = SimTime::from_millis(
@@ -700,66 +606,24 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
         self.arrivals += 1;
     }
 
-    /// Applies the configured [`LatePolicy`] to a flow below the bound.
-    fn absorb_late(&mut self, f: FlowRecord) -> Result<Vec<WindowReport>, Error> {
-        self.stats.late += 1;
-        self.window_late += 1;
-        match self.cfg.late_policy {
-            LatePolicy::Reject => {
-                self.stats.late_dropped += 1;
-                self.window_dropped += 1;
-                Err(Error::LateFlow {
-                    start: f.start,
-                    bound: self.applied_to,
-                })
-            }
-            LatePolicy::Drop => {
-                self.stats.late_dropped += 1;
-                self.window_dropped += 1;
-                Ok(Vec::new())
-            }
-            LatePolicy::ExtendOldest => {
-                let mut placed = 0usize;
-                for (_, w) in self.open.range_mut(self.covering(f.start)) {
-                    w.extend(f);
-                    placed += 1;
-                }
-                if placed == 0 {
-                    if let Some(w) = self.open.values_mut().next() {
-                        w.extend(f);
-                        placed = 1;
-                    }
-                }
-                if placed == 0 {
-                    self.stats.late_dropped += 1;
-                    self.window_dropped += 1;
-                } else {
-                    self.stats.late_extended += 1;
-                    self.held += placed;
-                }
-                Ok(Vec::new())
-            }
-        }
-    }
-
     /// End of input: applies every buffered flow and closes every open
     /// window, in index order. Afterwards `applied_to` covers both the
     /// watermark and every closed window's end, so a resumed feed cannot
-    /// reopen a closed index — its flows are late and the [`LatePolicy`]
-    /// takes over.
+    /// reopen a closed index — its flows are late.
     pub fn finish(&mut self) -> Vec<WindowReport> {
-        self.applied_to = self.applied_to.max(self.watermark);
         // Windows take these flows in at their closes below, one window
-        // at a time, rather than all holding them at once.
+        // at a time, rather than all holding them at once. They are
+        // assigned before `applied_to` moves on, so each opens its windows.
         for f in std::mem::take(&mut self.buffer).into_values() {
             self.held -= 1;
             self.assign(f, false);
         }
+        self.applied_to = self.applied_to.max(self.watermark);
         let open = std::mem::take(&mut self.open);
         let mut reports = Vec::with_capacity(open.len());
-        for (k, window) in open {
+        for (k, profile) in open {
             self.applied_to = self.applied_to.max(self.window_span(k).end);
-            reports.push(self.close_window(k, window));
+            reports.push(self.close_window(k, profile));
         }
         self.log.clear();
         self.contacts.clear();
@@ -787,8 +651,8 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             if self.window_span(k).end > self.applied_to {
                 break;
             }
-            if let Some(window) = self.open.remove(&k) {
-                reports.push(self.close_window(k, window));
+            if let Some(profile) = self.open.remove(&k) {
+                reports.push(self.close_window(k, profile));
             }
         }
         if !reports.is_empty() {
@@ -833,9 +697,8 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
     /// Appends `f` to the log. Buffer drains run in key order, and every
     /// buffered flow starts at or after `applied_to`, which every logged
     /// flow starts before, so the log stays in canonical order. With
-    /// `feed`, every open window covering `f` whose profile has taken in
-    /// its rows so far takes `f` in too; `finish` leaves `f` to each
-    /// window's close.
+    /// `feed`, every open window covering `f` takes `f` in too; `finish`
+    /// leaves `f` to each window's close.
     fn log_flow(&mut self, f: FlowRecord, feed: bool) {
         let duplicate = self.log.back() == Some(&f);
         self.log.push_back(f);
@@ -847,67 +710,60 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> DetectionEngine<F> {
             .filter(|&host| host == f.src)
             .and_then(|host| self.contacts.insert(contact_key(host, f.dst), f.start));
         let slide_ms = self.cfg.slide.as_millis();
-        for (&k, w) in self.open.range_mut(self.covering(f.start)) {
-            if let Some(profile) = &mut w.profile {
-                let since = SimTime::from_millis(k.saturating_mul(slide_ms));
-                let contact = PrevContact::Given(prev.filter(|&t| t >= since));
-                profile.push(&f, host, duplicate, contact);
-            }
+        for (&k, profile) in self.open.range_mut(self.covering(f.start)) {
+            let since = SimTime::from_millis(k.saturating_mul(slide_ms));
+            let contact = PrevContact::Given(prev.filter(|&t| t >= since));
+            profile.push(&f, host, duplicate, contact);
         }
     }
 
-    /// Logs the flow once and opens every window covering its start time;
-    /// `held` counts it once per covering window. A window opens with the
-    /// first flow that falls in it, so it opens over an empty log range.
-    /// With `feed`, the covering windows take the flow in (see
+    /// Logs the flow once and opens every window covering its start time
+    /// that ends after `applied_to`; `held` counts it once per such
+    /// window. A window opens with the first flow that falls in it, so it
+    /// opens over an empty log range. A flow the buffer drains starts at
+    /// or after `applied_to`, so every window covering it is open; only
+    /// [`restore`](Self::restore) logs flows some of whose windows have
+    /// ended. With `feed`, the open windows take the flow in (see
     /// [`log_flow`](Self::log_flow)).
     fn assign(&mut self, f: FlowRecord, feed: bool) {
-        for k in self.covering(f.start) {
+        let windows = self.covering(f.start);
+        let first = (*windows.start()).max(*self.covering(self.applied_to).start());
+        for k in first..=*windows.end() {
             self.open
                 .entry(k)
-                .or_insert_with(|| OpenWindow::new(Vec::new(), &self.cfg));
+                .or_insert_with(|| RecordProfiler::new(self.cfg.tier, self.cfg.dedupe));
             self.held += 1;
         }
         self.log_flow(f, feed);
     }
 
-    /// Closes window `index`: finishes its profiles and runs the pipeline
-    /// on every host they cover. The profile has taken in every row the
-    /// watermark logged; the close takes in the rest in one pass (see the
-    /// module's "Storage" section): the rows `finish` logged since, or, when
-    /// the window holds extras, every row through a fresh profile. The
-    /// profile counts duplicates and skips them under `dedupe`.
-    fn close_window(&mut self, index: u64, window: OpenWindow) -> WindowReport {
+    /// Closes window `index`: finishes its profile and runs the pipeline
+    /// on every host it covers. The profile has taken in every row the
+    /// watermark logged; the close takes in the rows `finish` logged since
+    /// in one pass (see the module's "Storage" section). The profile counts
+    /// duplicates and skips them under `dedupe`.
+    fn close_window(&mut self, index: u64, mut profile: RecordProfiler) -> WindowReport {
         let span = self.window_span(index);
         let range = self.log_range(index);
-        self.held -= range.len() + window.extras.len();
-        // Rows go in the canonical processing order, the order the batch
-        // path sorts a table into. Extras are late, so they come after
-        // every logged flow with their key, in arrival order among
-        // themselves, as they did when windows kept their own copies.
-        let mut extras = window.extras;
-        extras.sort_by_key(FlowRecord::canonical_key);
-        let mut profile = window
-            .profile
-            .unwrap_or_else(|| RecordProfiler::new(self.cfg.tier, self.cfg.dedupe));
+        self.held -= range.len();
         let from = range.start + profile.seen();
         let mut prev = (from > range.start).then(|| &self.log[from - 1]);
-        // The contact map holds the contacts of the rows fed before these,
-        // which only a profile that took rows in may read; one map more
-        // holds the contacts of the rows taken in here.
-        let fed = prev.is_some().then_some(&self.contacts);
+        // The contact map holds the contacts of the rows fed before these
+        // (none inside the window if the profile took no row in); one map
+        // more holds the contacts of the rows taken in here.
         let mut taken = HashMap::new();
-        let rows = WindowRows {
-            log: self.log.range(from..range.end).peekable(),
-            extras: extras.iter().peekable(),
-        };
-        for f in rows {
+        for f in self.log.range(from..range.end) {
             let duplicate = prev.replace(f) == Some(f);
             let host = internal_endpoint(f, &self.is_internal);
             let contact = host.filter(|&host| host == f.src).and_then(|host| {
                 let key = contact_key(host, f.dst);
-                let before = || fed?.get(&key).copied().filter(|&t| t >= span.start);
-                taken.insert(key, f.start).or_else(before)
+                let fed = || {
+                    self.contacts
+                        .get(&key)
+                        .copied()
+                        .filter(|&t| t >= span.start)
+                };
+                taken.insert(key, f.start).or_else(fed)
             });
             profile.push(f, host, duplicate, PrevContact::Given(contact));
         }
@@ -1233,7 +1089,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::LateFlow { .. }));
         assert_eq!(eng.stats().late, 1);
-        assert_eq!(eng.stats().late_dropped, 1);
+        let last = eng.finish().pop().unwrap();
+        // The delta counters surface on the next report to close, and the
+        // late flow is in no window.
+        assert_eq!((last.late, last.dropped, last.flows), (1, 1, 1));
     }
 
     #[test]
@@ -1274,64 +1133,6 @@ mod tests {
         eng.finish();
         assert_eq!(eng.buffered(), 0);
         assert_eq!(eng.held_flows(), 0);
-    }
-
-    #[test]
-    fn late_policy_drop_counts_instead_of_erroring() {
-        let mut eng = engine(EngineConfig {
-            window: SimDuration::from_mins(10),
-            slide: SimDuration::from_mins(10),
-            lateness: SimDuration::ZERO,
-            late_policy: LatePolicy::Drop,
-            ..Default::default()
-        });
-        let a = Ipv4Addr::new(10, 1, 0, 1);
-        let b = Ipv4Addr::new(60, 0, 0, 1);
-        eng.push(flow(a, b, SimTime::from_secs(25 * 60), 10, false))
-            .unwrap();
-        let reports = eng
-            .push(flow(a, b, SimTime::from_secs(10), 10, false))
-            .unwrap();
-        assert!(reports.is_empty());
-        let stats = eng.stats();
-        assert_eq!((stats.late, stats.late_dropped), (1, 1));
-        let last = eng.finish().pop().unwrap();
-        // The delta counters surface on the next report to close.
-        assert_eq!((last.late, last.dropped), (1, 1));
-    }
-
-    #[test]
-    fn late_policy_extend_places_flow_in_oldest_open_window() {
-        let mut eng = engine(EngineConfig {
-            window: SimDuration::from_mins(10),
-            slide: SimDuration::from_mins(10),
-            lateness: SimDuration::ZERO,
-            late_policy: LatePolicy::ExtendOldest,
-            ..Default::default()
-        });
-        let a = Ipv4Addr::new(10, 1, 0, 1);
-        let b = Ipv4Addr::new(60, 0, 0, 1);
-        // Open window 2 (20–30 min) without closing it.
-        eng.push(flow(a, b, SimTime::from_secs(25 * 60), 10, false))
-            .unwrap();
-        eng.push(flow(a, b, SimTime::from_secs(26 * 60), 10, false))
-            .unwrap();
-        assert_eq!(eng.open_windows(), 1);
-        // A flow from the long-closed window 0 is absorbed, not lost.
-        let reports = eng
-            .push(flow(a, b, SimTime::from_secs(10), 10, false))
-            .unwrap();
-        assert!(reports.is_empty());
-        let stats = eng.stats();
-        assert_eq!(
-            (stats.late, stats.late_extended, stats.late_dropped),
-            (1, 1, 0)
-        );
-        let reports = eng.finish();
-        let total: usize = reports.iter().map(|w| w.flows).sum();
-        assert_eq!(total, 3, "the late flow still reaches a verdict");
-        assert_eq!(reports.last().unwrap().late, 1);
-        assert_eq!(reports.last().unwrap().dropped, 0);
     }
 
     #[test]
@@ -1526,26 +1327,28 @@ mod tests {
             window: SimDuration::from_mins(30),
             slide: SimDuration::from_mins(30),
             lateness: SimDuration::from_mins(2),
-            late_policy: LatePolicy::Drop,
             max_flows: Some(400),
             ..Default::default()
         });
         let mut reports = Vec::new();
         for f in &flows {
-            reports.extend(eng.push(*f).unwrap());
+            match eng.push(*f) {
+                Ok(closed) => reports.extend(closed),
+                Err(e) => assert!(matches!(e, Error::LateFlow { .. }), "{e}"),
+            }
         }
         reports.extend(eng.finish());
         let s = eng.stats();
+        assert!(s.late > 0, "{s:?}");
         assert_eq!(s.attempted, flows.len() as u64);
         assert_eq!(s.attempted, s.accepted + s.shed + s.quarantined + s.late);
-        assert_eq!(s.late, s.late_dropped + s.late_extended);
         let reported: u64 = reports.iter().map(|w| w.dropped).sum();
         assert_eq!(
             reported,
-            s.late_dropped + s.shed,
+            s.late + s.shed,
             "every dropped flow surfaces in a report"
         );
         let scored: usize = reports.iter().map(|w| w.flows).sum();
-        assert_eq!(scored as u64, s.accepted + s.late_extended);
+        assert_eq!(scored as u64, s.accepted);
     }
 }

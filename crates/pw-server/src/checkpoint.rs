@@ -230,13 +230,13 @@ mod tests {
         let old_body =
             split_checksum_trailer(&engine)
                 .unwrap()
-                .replacen(MAGIC, "peerwatch-checkpoint v5", 1);
+                .replacen(MAGIC, "peerwatch-checkpoint v6", 1);
         let mut text = String::from(SERVER_MAGIC);
         text.push_str("\nexporters 1\nexporter 1 4023\nengine-checkpoint\n");
         text.push_str(&sealed(&old_body));
         let err = ServerCheckpoint::parse(&sealed(&text)).unwrap_err();
         assert!(
-            matches!(&err, CheckpointError::BadMagic { found } if found == "peerwatch-checkpoint v5"),
+            matches!(&err, CheckpointError::BadMagic { found } if found == "peerwatch-checkpoint v6"),
             "{err}"
         );
     }

@@ -72,8 +72,8 @@ pub const MAX_QUEUE_DEPTH: usize = 1 << 20;
 /// [`ConfigError`] vocabulary. [`Server::bind`] validates it too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
-    /// The streaming engine this server fronts (window geometry, late
-    /// policy, memory cap, detection thresholds).
+    /// The streaming engine this server fronts (window geometry,
+    /// lateness, memory cap, detection thresholds).
     pub engine: EngineConfig,
     /// Where to persist [`ServerCheckpoint`]s; `None` disables
     /// checkpointing (a restart then starts empty).

@@ -169,10 +169,10 @@ impl Server {
                 checkpoint_fallbacks = u64::from(rec.fallbacks);
                 checkpoints_corrupt = rec.skipped.len() as u64;
                 for (p, e) in &rec.skipped {
-                    eprintln!(
-                        "pw-server: skipping unreadable checkpoint {}: {e}",
+                    log_line(format_args!(
+                        "skipping unreadable checkpoint {}: {e}",
                         p.display()
-                    );
+                    ));
                 }
                 let engine = DetectionEngine::restore(&rec.snapshot.engine, is_internal)?;
                 (engine, rec.snapshot.exporters)
@@ -340,7 +340,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
     /// the exporter's next expected sequence are replays (after a
     /// reconnect or restart) and are skipped, and a batch that starts
     /// above it is out of protocol and is skipped whole. Per-flow errors
-    /// (late under Reject, quarantined records) are already counted by
+    /// (late flows, quarantined records) are already counted by
     /// the engine; the sequence still advances — the flow was delivered.
     /// It does NOT advance across a panic: the rest of the batch is
     /// dropped, and the emergency checkpoint stays consistent with the
@@ -368,7 +368,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
                     if self.since_checkpoint >= self.checkpoint_every {
                         self.since_checkpoint = 0;
                         if let Err(e) = self.checkpoint_now() {
-                            eprintln!("pw-server: periodic checkpoint failed: {e}");
+                            log_line(format_args!("periodic checkpoint failed: {e}"));
                         }
                     }
                 }
@@ -386,9 +386,11 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
     fn fail_engine(&mut self) {
         self.engine_panics += 1;
         self.failed = true;
-        eprintln!("pw-server: engine panicked; entering fail-safe state (queries still answered)");
+        log_line(format_args!(
+            "engine panicked; entering fail-safe state (queries still answered)"
+        ));
         if let Err(e) = self.checkpoint_now() {
-            eprintln!("pw-server: emergency checkpoint failed: {e}");
+            log_line(format_args!("emergency checkpoint failed: {e}"));
         }
     }
 
@@ -433,7 +435,7 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
     fn stats_text(&self) -> String {
         let s = self.engine.stats();
         format!(
-            "stats attempted={} accepted={} late={} late_dropped={} late_extended={} \
+            "stats attempted={} accepted={} late={} \
              shed={} quarantined={} duplicates={} held={} \
              exporters={} windows={} checkpoint_errors={} profile_bytes={} \
              profiles_exact={} profiles_sketched={} frames_corrupt={} sessions_reaped={} \
@@ -441,8 +443,6 @@ impl<F: Fn(Ipv4Addr) -> bool + Sync> EngineState<F> {
             s.attempted,
             s.accepted,
             s.late,
-            s.late_dropped,
-            s.late_extended,
             s.shed,
             s.quarantined,
             s.duplicates,
@@ -596,6 +596,23 @@ fn engine_loop<F: Fn(Ipv4Addr) -> bool + Sync>(
     }
 }
 
+/// Writes one `pw-server:` line to standard error and ignores a failed
+/// write: a closed stderr must not panic a server thread, the engine
+/// thread least of all.
+fn log_line(line: std::fmt::Arguments<'_>) {
+    let _ = writeln!(io::stderr().lock(), "pw-server: {line}");
+}
+
+/// Asks the engine for `exporter_id`'s next expected sequence, which is
+/// also the sequence it has applied up to; `None` once the engine is gone.
+fn next_seq(tx: &SyncSender<Msg>, exporter_id: u32) -> Option<u64> {
+    let (reply, reply_rx) = sync_channel(1);
+    // A failed send hands the message back with the reply sender in it,
+    // so it is dropped here: waiting on the reply first would never end.
+    tx.send(Msg::Hello { exporter_id, reply }).ok()?;
+    reply_rx.recv().ok()
+}
+
 /// Whether an I/O error is a deadline expiry (the two kinds differ by
 /// platform) rather than a disconnect.
 fn is_timeout(e: &io::Error) -> bool {
@@ -647,7 +664,7 @@ fn arm_deadlines(stream: &TcpStream, timeout: Option<Duration>) -> Result<(), De
 fn handle_connection(mut stream: TcpStream, tx: &SyncSender<Msg>, timeout: Option<Duration>) {
     if timeout.is_some() {
         if let Err(e) = arm_deadlines(&stream, timeout) {
-            eprintln!("pw-server: severing session: {e}");
+            log_line(format_args!("severing session: {e}"));
             let _ = tx.send(Msg::DeadlineRefused);
             return;
         }
@@ -698,15 +715,10 @@ fn exporter_session(
             return Err(e);
         }
     };
-    let (reply_tx, reply_rx) = sync_channel(1);
-    let sent = tx.send(Msg::Hello {
-        exporter_id: hello.exporter_id,
-        reply: reply_tx,
-    });
-    let (Ok(()), Ok(next_seq)) = (sent, reply_rx.recv()) else {
+    let Some(next) = next_seq(tx, hello.exporter_id) else {
         return Ok(()); // server shutting down
     };
-    frame::write_hello_ack(&mut stream, HelloAck::new(next_seq))?;
+    frame::write_hello_ack(&mut stream, HelloAck::new(next))?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
     loop {
@@ -718,12 +730,7 @@ fn exporter_session(
                 // Final delivery confirmation: ask the engine (the queue
                 // orders this after every flow this connection sent) and
                 // ack the applied sequence back.
-                let (reply_tx, reply_rx) = sync_channel(1);
-                let sent = tx.send(Msg::Hello {
-                    exporter_id: hello.exporter_id,
-                    reply: reply_tx,
-                });
-                if let (Ok(()), Ok(applied)) = (sent, reply_rx.recv()) {
+                if let Some(applied) = next_seq(tx, hello.exporter_id) {
                     let mut w = reader.get_ref();
                     frame::write_hello_ack(&mut w, HelloAck::new(applied))?;
                 }
@@ -813,9 +820,11 @@ fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io:
                 reply: reply_tx,
                 written,
             });
-            let response = match (sent, reply_rx.recv()) {
-                (Ok(()), Ok(r)) => r,
-                _ => "err server stopped\n".to_owned(),
+            // The reply sender rides in a failed send's error: drop it
+            // before waiting, or the wait never ends.
+            let Some(response) = sent.ok().and_then(|()| reply_rx.recv().ok()) else {
+                writer.write_all(b"err server stopped\n")?;
+                return writer.flush();
             };
             writer.write_all(response.as_bytes())?;
             writer.flush()?;
@@ -834,5 +843,54 @@ fn query_session(stream: TcpStream, first: [u8; 4], tx: &SyncSender<Msg>) -> io:
                 return Err(e);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pw_flow::frame::Hello;
+
+    /// A client connected to a session that `tx` serves, as `Server::run`
+    /// serves each connection, with the thread running it. The client's
+    /// reads time out, so a session that never ends fails the test instead
+    /// of hanging it.
+    fn connect(tx: &SyncSender<Msg>) -> (TcpStream, thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (stream, _) = listener.accept().expect("accept");
+        let tx = tx.clone();
+        let timeout = Some(Duration::from_secs(30));
+        let session = thread::spawn(move || handle_connection(stream, &tx, timeout));
+        (client, session)
+    }
+
+    #[test]
+    fn sessions_end_once_the_engine_is_gone() {
+        let (tx, rx) = sync_channel(1);
+        drop(rx);
+
+        // A query is answered that the server stopped, and the session ends.
+        let (mut client, session) = connect(&tx);
+        client.write_all(b"STATS\n").unwrap();
+        let mut answer = String::new();
+        client
+            .read_to_string(&mut answer)
+            .expect("the query session ends before the read deadline");
+        assert_eq!(answer, "err server stopped\n");
+        session.join().unwrap();
+
+        // An exporter's handshake gets no ack, and the session ends.
+        let (mut client, session) = connect(&tx);
+        frame::write_hello(&mut client, Hello::new(7)).unwrap();
+        let mut rest = Vec::new();
+        client
+            .read_to_end(&mut rest)
+            .expect("the exporter session ends before the read deadline");
+        assert!(rest.is_empty(), "{rest:?}");
+        session.join().unwrap();
     }
 }

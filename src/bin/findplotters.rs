@@ -6,8 +6,7 @@
 //!     [--tau-vol P] [--tau-churn P] [--tau-hm P] [--no-reduction] \
 //!     [--theta-hm-mode exact|bucketed[:EB:TB:Q:R]] [--hm-profile] \
 //!     [--threads N] [--window HOURS [--slide HOURS] [--lateness MINS]] \
-//!     [--late-policy reject|drop|extend] [--max-flows N] \
-//!     [--dedupe] [--reject-invalid] [--quarantine FILE] \
+//!     [--max-flows N] [--dedupe] [--reject-invalid] [--quarantine FILE] \
 //!     [--profile-tier exact|sketched] \
 //!     [--checkpoint FILE [--checkpoint-every N] [--checkpoint-retain N] [--resume]]
 //! ```
@@ -17,11 +16,14 @@
 //! `hosts.csv`) detection is scored against ground truth.
 //!
 //! Without `--window` the whole file is one batch detection run, and the
-//! flags only the engine reads (`--slide`, `--lateness`, `--late-policy`,
-//! `--max-flows`, `--dedupe`, `--reject-invalid` and `--checkpoint`) are
-//! argument errors. With `--window H` the flows are replayed through the
-//! streaming [`DetectionEngine`] in tumbling (or, with `--slide`, sliding)
-//! windows, printing one verdict per window.
+//! flags only the engine reads (`--slide`, `--lateness`, `--max-flows`,
+//! `--dedupe`, `--reject-invalid` and `--checkpoint`) are argument errors.
+//! With `--window H` the flows are replayed through the streaming
+//! [`DetectionEngine`] in tumbling (or, with `--slide`, sliding) windows,
+//! printing one verdict per window. The replay runs in canonical order
+//! (start time first), so no flow is ever late there: `--lateness` only
+//! sets how long flows wait in the engine's reorder buffer, and so what a
+//! checkpoint holds, and never changes a verdict.
 //!
 //! Malformed CSV rows never abort the run: they are counted, reported, and
 //! (with `--quarantine`) written to a sink file with their line numbers.
@@ -90,7 +92,7 @@ use peerwatch::chaos::{ChaosProxy, ConnPlan, ProxyFaults};
 use peerwatch::detect::checkpoint::{
     chain_exists, read_checkpoint_recover, write_text_retained, MAX_CHECKPOINT_RETAIN,
 };
-use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
+use peerwatch::detect::stream::{DetectionEngine, EngineConfig};
 use peerwatch::detect::{
     try_find_plotters_table_tier, ConfigError, Error, FindPlottersConfig, PlotterReport,
     ProfileTier, ThetaHmMode, Threshold,
@@ -107,8 +109,8 @@ fn usage() -> ! {
          [--tau-vol P] [--tau-churn P] [--tau-hm P] [--no-reduction] \
          [--theta-hm-mode exact|bucketed[:EB:TB:Q:R]] [--hm-profile] \
          [--threads N] [--window HOURS [--slide HOURS] [--lateness MINS]] \
-         [--late-policy reject|drop|extend] [--max-flows N] [--dedupe] \
-         [--reject-invalid] [--quarantine FILE] [--profile-tier exact|sketched] \
+         [--max-flows N] [--dedupe] [--reject-invalid] [--quarantine FILE] \
+         [--profile-tier exact|sketched] \
          [--checkpoint FILE [--checkpoint-every N] [--checkpoint-retain N] [--resume]]\n\
          \x20      findplotters serve --bind ADDR [--internal CIDR]... [engine knobs] \
          [--checkpoint FILE] [--checkpoint-every N] [--checkpoint-retain N] \
@@ -230,17 +232,6 @@ fn parse_cidr(s: &str) -> Subnet {
     Subnet::new(base, prefix)
 }
 
-fn parse_late_policy(v: &str) -> LatePolicy {
-    match v {
-        "reject" => LatePolicy::Reject,
-        "drop" => LatePolicy::Drop,
-        "extend" => LatePolicy::ExtendOldest,
-        _ => bad_arg(&format!(
-            "invalid value {v:?} for --late-policy: expected reject, drop, or extend"
-        )),
-    }
-}
-
 /// The flags windowed mode and `serve` share, `--internal` through
 /// `--profile-tier`: the monitored subnets, the detection thresholds and
 /// the engine knobs.
@@ -270,12 +261,7 @@ impl EngineFlags {
         };
         if matches!(
             flag,
-            "--slide"
-                | "--lateness"
-                | "--late-policy"
-                | "--max-flows"
-                | "--dedupe"
-                | "--reject-invalid"
+            "--slide" | "--lateness" | "--max-flows" | "--dedupe" | "--reject-invalid"
         ) {
             self.streaming_only.get_or_insert_with(|| flag.to_owned());
         }
@@ -292,7 +278,6 @@ impl EngineFlags {
             "--window" => self.window = Some(duration(value(), 3600.0, "hours")),
             "--slide" => self.slide = Some(duration(value(), 3600.0, "hours")),
             "--lateness" => e.lateness = duration(value(), 60.0, "minutes"),
-            "--late-policy" => e.late_policy = parse_late_policy(&value()),
             "--max-flows" => e.max_flows = Some(parse_usize(flag, &value())),
             "--dedupe" => e.dedupe = true,
             "--reject-invalid" => e.reject_invalid = true,
@@ -863,11 +848,8 @@ fn main() {
         let s = engine.stats();
         if s.late + s.shed + s.quarantined + s.duplicates > 0 {
             errln!(
-                "degraded-mode totals: {} late ({} dropped, {} extended), {} shed, \
-                 {} quarantined, {} duplicate rows",
+                "degraded-mode totals: {} late, {} shed, {} quarantined, {} duplicate rows",
                 s.late,
-                s.late_dropped,
-                s.late_extended,
                 s.shed,
                 s.quarantined,
                 s.duplicates

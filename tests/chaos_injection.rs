@@ -7,7 +7,7 @@
 use std::net::Ipv4Addr;
 
 use peerwatch::chaos::{inject, ChaosConfig};
-use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy, WindowReport};
+use peerwatch::detect::stream::{DetectionEngine, EngineConfig, WindowReport};
 use peerwatch::detect::Error;
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
@@ -86,7 +86,6 @@ fn hardened(threads: usize) -> EngineConfig {
         slide: SimDuration::from_mins(30),
         lateness: SimDuration::from_mins(5),
         threads,
-        late_policy: LatePolicy::Drop,
         max_flows: Some(100_000),
         dedupe: true,
         reject_invalid: true,
@@ -103,12 +102,13 @@ fn replay(
     let mut reports = Vec::new();
     let mut watermark = engine.watermark();
     for f in flows {
-        // Degraded-mode policies make every per-flow fault an Ok or a
-        // counted quarantine — never a stream-fatal error.
+        // Degraded-mode policies make every per-flow fault an Ok, a
+        // counted late flow or a counted quarantine — never a stream-fatal
+        // error.
         match engine.push(*f) {
             Ok(ws) => reports.extend(ws),
             Err(e) => assert!(
-                matches!(e, Error::InvalidRecord(_)),
+                matches!(e, Error::LateFlow { .. } | Error::InvalidRecord(_)),
                 "unexpected stream error: {e}"
             ),
         }
@@ -147,15 +147,14 @@ fn chaotic_feed_never_panics_and_accounts_for_every_record() {
             st.attempted,
             st.accepted + st.shed + st.quarantined + st.late
         );
-        assert_eq!(st.late, st.late_dropped + st.late_extended);
         // Every invalid delivery (corrupted records, including their
         // duplicated copies) was quarantined — no more, no fewer.
         let invalid_deliveries = out.flows.iter().filter(|f| f.validate().is_err()).count();
         assert!(invalid_deliveries >= s.corrupted);
         assert_eq!(st.quarantined as usize, invalid_deliveries);
-        // Every shed or late-dropped flow surfaces in some report.
+        // Every shed or late flow surfaces in some report.
         let reported_drops: u64 = reports.iter().map(|w| w.dropped).sum();
-        assert_eq!(reported_drops, st.late_dropped + st.shed);
+        assert_eq!(reported_drops, st.late + st.shed);
         let reported_quarantined: u64 = reports.iter().map(|w| w.quarantined).sum();
         assert_eq!(reported_quarantined, st.quarantined);
         // Windows come out in order and verdicts keep being produced.
@@ -219,7 +218,7 @@ fn engine_recovers_after_a_dead_feed() {
         revived.iter().map(|w| w.index).collect::<Vec<_>>()
     );
     let st = engine.stats();
-    assert!(st.late_dropped > 0, "no flow of a closed window arrived");
+    assert!(st.late > 0, "no flow of a closed window arrived");
     assert_eq!(
         st.attempted,
         st.accepted + st.shed + st.quarantined + st.late
@@ -254,7 +253,6 @@ fn counters_are_pinned_under_a_seeded_scramble() {
         window: SimDuration::from_mins(30),
         slide: SimDuration::from_mins(30),
         lateness: SimDuration::from_secs(30),
-        late_policy: LatePolicy::Drop,
         dedupe: true,
         ..Default::default()
     };
@@ -265,12 +263,11 @@ fn counters_are_pinned_under_a_seeded_scramble() {
     let st = engine.stats();
     assert_eq!(st.attempted, 1076);
     assert_eq!(st.attempted, st.accepted + st.late);
-    assert_eq!(st.late, st.late_dropped);
     let report_late: u64 = reports.iter().map(|w| w.late).sum();
     let report_dropped: u64 = reports.iter().map(|w| w.dropped).sum();
     let report_dup: u64 = reports.iter().map(|w| w.duplicates).sum();
     assert_eq!(report_late, st.late);
-    assert_eq!(report_dropped, st.late_dropped);
+    assert_eq!(report_dropped, st.late);
     assert_eq!(report_dup, st.duplicates);
     // The pinned values themselves: update deliberately, never silently.
     assert_eq!(

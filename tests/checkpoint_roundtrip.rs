@@ -11,10 +11,10 @@ use peerwatch::detect::checkpoint::{
     write_text_retained, CheckpointError, EngineCheckpoint,
 };
 use peerwatch::detect::stream::{
-    DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport, MAX_THREADS,
-    MAX_WINDOWS_PER_FLOW,
+    DetectionEngine, EngineConfig, EngineStats, WindowReport, MAX_THREADS, MAX_WINDOWS_PER_FLOW,
 };
 use peerwatch::detect::ConfigError;
+use peerwatch::detect::Error;
 use peerwatch::flow::{FlowRecord, FlowState, Payload, Proto};
 use peerwatch::netsim::{SimDuration, SimTime};
 use peerwatch::server::checkpoint::SERVER_MAGIC;
@@ -166,20 +166,27 @@ fn resume_through_disk_continues_under_degraded_modes() {
         chunk.reverse();
     }
     let dcfg = EngineConfig {
-        late_policy: LatePolicy::Drop,
         dedupe: true,
         max_flows: Some(10_000),
         ..cfg(2)
     };
+    // Late flows are refused, counted, and carried in the checkpoint.
+    fn push(eng: &mut DetectionEngine<fn(Ipv4Addr) -> bool>, f: &FlowRecord) -> Vec<WindowReport> {
+        match eng.push(*f) {
+            Err(Error::LateFlow { .. }) => Vec::new(),
+            other => other.unwrap(),
+        }
+    }
     let straight = {
         let mut eng = DetectionEngine::new(dcfg, internal as fn(Ipv4Addr) -> bool).unwrap();
         let mut reports = Vec::new();
         for f in &flows {
-            reports.extend(eng.push(*f).unwrap());
+            reports.extend(push(&mut eng, f));
         }
         reports.extend(eng.finish());
         (reports, eng.stats())
     };
+    assert!(straight.1.late > 0, "the scramble produced no late flows");
 
     let cut = flows.len() / 2;
     let dir = std::env::temp_dir().join("pw-checkpoint-roundtrip");
@@ -189,7 +196,7 @@ fn resume_through_disk_continues_under_degraded_modes() {
     let mut first = DetectionEngine::new(dcfg, internal as fn(Ipv4Addr) -> bool).unwrap();
     let mut reports = Vec::new();
     for f in &flows[..cut] {
-        reports.extend(first.push(*f).unwrap());
+        reports.extend(push(&mut first, f));
     }
     save_snapshot(&path, &first.checkpoint());
     drop(first);
@@ -197,7 +204,7 @@ fn resume_through_disk_continues_under_degraded_modes() {
     let snapshot = load_snapshot(&path).unwrap();
     let mut second = DetectionEngine::restore(&snapshot, internal as fn(Ipv4Addr) -> bool).unwrap();
     for f in &flows[cut..] {
-        reports.extend(second.push(*f).unwrap());
+        reports.extend(push(&mut second, f));
     }
     reports.extend(second.finish());
 
@@ -207,7 +214,7 @@ fn resume_through_disk_continues_under_degraded_modes() {
 }
 
 /// Arrival stream with every per-report delta counter active: scrambled
-/// order produces late flows (dropped under [`LatePolicy::Drop`]),
+/// order produces late flows, which the engine refuses and counts,
 /// corrupted records are quarantined, a tight `max_flows` cap sheds, and
 /// in-stream duplicates exercise dedupe.
 fn counter_heavy_feed() -> Vec<FlowRecord> {
@@ -270,53 +277,40 @@ fn delta_counters_survive_a_cut_at_every_point() {
     // with nonzero pending deltas — reproduces the uninterrupted report
     // sequence and cumulative stats exactly.
     let flows = counter_heavy_feed();
-    for policy in [
-        LatePolicy::Drop,
-        LatePolicy::Reject,
-        LatePolicy::ExtendOldest,
-    ] {
-        let dcfg = EngineConfig {
-            late_policy: policy,
-            dedupe: true,
-            reject_invalid: true,
-            max_flows: Some(120),
-            ..cfg(1)
-        };
+    let dcfg = EngineConfig {
+        dedupe: true,
+        reject_invalid: true,
+        max_flows: Some(120),
+        ..cfg(1)
+    };
 
-        let (expected_reports, expected_stats) = run_counter_heavy(&flows, dcfg, None);
-        // The feed must actually exercise every counter, or the sweep
-        // proves nothing.
-        assert!(expected_stats.late > 0, "feed produced no late flows");
-        assert!(
-            expected_stats.quarantined > 0,
-            "feed produced no quarantines"
-        );
-        assert!(expected_stats.shed > 0, "feed produced no shedding");
-        assert!(expected_stats.duplicates > 0, "feed produced no duplicates");
+    let (expected_reports, expected_stats) = run_counter_heavy(&flows, dcfg, None);
+    // The feed must actually exercise every counter, or the sweep proves
+    // nothing.
+    assert!(expected_stats.late > 0, "feed produced no late flows");
+    assert!(
+        expected_stats.quarantined > 0,
+        "feed produced no quarantines"
+    );
+    assert!(expected_stats.shed > 0, "feed produced no shedding");
+    assert!(expected_stats.duplicates > 0, "feed produced no duplicates");
 
-        // Conservation: every counted event is reported in exactly one
-        // window (finish flushes the pending deltas into the last windows).
-        let late_sum: u64 = expected_reports.iter().map(|r| r.late).sum();
-        let dropped_sum: u64 = expected_reports.iter().map(|r| r.dropped).sum();
-        let quarantined_sum: u64 = expected_reports.iter().map(|r| r.quarantined).sum();
-        assert_eq!(late_sum, expected_stats.late);
+    // Conservation: every counted event is reported in exactly one window
+    // (finish flushes the pending deltas into the last windows).
+    let late_sum: u64 = expected_reports.iter().map(|r| r.late).sum();
+    let dropped_sum: u64 = expected_reports.iter().map(|r| r.dropped).sum();
+    let quarantined_sum: u64 = expected_reports.iter().map(|r| r.quarantined).sum();
+    assert_eq!(late_sum, expected_stats.late);
+    assert_eq!(dropped_sum, expected_stats.late + expected_stats.shed);
+    assert_eq!(quarantined_sum, expected_stats.quarantined);
+
+    for cut in 0..=flows.len() {
+        let (reports, stats) = run_counter_heavy(&flows, dcfg, Some(cut));
+        assert_eq!(stats, expected_stats, "cut={cut}: stats diverged");
         assert_eq!(
-            dropped_sum,
-            expected_stats.late_dropped + expected_stats.shed
+            reports, expected_reports,
+            "cut={cut}: resumed report sequence diverged"
         );
-        assert_eq!(quarantined_sum, expected_stats.quarantined);
-
-        for cut in 0..=flows.len() {
-            let (reports, stats) = run_counter_heavy(&flows, dcfg, Some(cut));
-            assert_eq!(
-                stats, expected_stats,
-                "{policy:?} cut={cut}: stats diverged"
-            );
-            assert_eq!(
-                reports, expected_reports,
-                "{policy:?} cut={cut}: resumed report sequence diverged"
-            );
-        }
     }
 }
 
@@ -454,21 +448,16 @@ fn forged_row_counts_are_refused_without_allocating() {
     for f in &flows[..flows.len() / 2] {
         eng.push(*f).unwrap();
     }
+    assert!(eng.open_windows() > 0, "the cut leaves a window open");
     let snap = eng.checkpoint();
-    assert!(!snap.open().is_empty(), "the cut leaves a window open");
+    assert!(!snap.buffer().is_empty() && !snap.log().is_empty());
     let text = snap.serialize();
     let body = split_checksum_trailer(&text).unwrap();
-    let window_header = body
-        .lines()
-        .find(|l| l.starts_with("window "))
-        .expect("an open window");
-    let window_index = window_header.split(' ').nth(1).unwrap();
 
     for forged in [u64::MAX, 1 << 40] {
         let edits = [
             ("buffer ", format!("buffer {forged}")),
             ("log ", format!("log {forged}")),
-            (window_header, format!("window {window_index} {forged}")),
         ];
         for (prefix, forged_line) in edits {
             let mut engine_text: String = body

@@ -15,9 +15,10 @@
 //!   `--checkpoint FILE`, in batch mode too: there is no checkpoint for
 //!   them to tune.
 //!
-//! Batch mode refuses the flags only the engine reads the same way, and a
-//! windowed run with `--resume` recovers past damaged snapshots and
-//! finishes with the window lines of an uninterrupted run.
+//! Batch mode refuses the flags only the engine reads the same way, every
+//! mode refuses `--late-policy` as an unrecognized argument (a late flow
+//! has one fate), and a windowed run with `--resume` recovers past damaged
+//! snapshots and finishes with the window lines of an uninterrupted run.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -280,10 +281,9 @@ fn checkpoint_knobs_without_a_checkpoint_are_argument_errors() {
 fn engine_only_flags_are_argument_errors_in_batch_mode() {
     let dir = std::env::temp_dir().join(format!("pw-cli-batch-{}", std::process::id()));
     let csv = campus_day(&dir);
-    let flags: [&[&str]; 6] = [
+    let flags: [&[&str]; 5] = [
         &["--slide", "1"],
         &["--lateness", "5"],
-        &["--late-policy", "drop"],
         &["--max-flows", "1000000"],
         &["--dedupe"],
         &["--reject-invalid"],
@@ -313,6 +313,39 @@ fn engine_only_flags_are_argument_errors_in_batch_mode() {
         );
         let stdout = String::from_utf8_lossy(&windowed.stdout);
         assert!(stdout.starts_with("window "), "{flag:?} --window: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn late_policy_is_an_unrecognized_argument_in_every_mode() {
+    let dir = std::env::temp_dir().join(format!("pw-cli-late-{}", std::process::id()));
+    let csv = three_flows(&dir);
+    let csv = csv.to_str().expect("a UTF-8 temp path");
+    let late = ["--late-policy", "drop"];
+    let runs: [(&str, Vec<&str>, &str); 3] = [
+        ("batch", vec![csv], "unrecognized argument"),
+        (
+            "windowed",
+            vec![csv, "--window", "1"],
+            "unrecognized argument",
+        ),
+        (
+            "serve",
+            vec!["serve", "--bind", "127.0.0.1:0"],
+            "unrecognized serve argument",
+        ),
+    ];
+    for (mode, args, refusal) in runs {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_findplotters"));
+        cmd.args(&args).args(late);
+        // A `serve` that took the flag would listen until killed.
+        let out = output_within(cmd, Duration::from_secs(30));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let refusal = format!("{refusal} \"--late-policy\"");
+        assert_eq!(out.status.code(), Some(2), "{mode}: {stderr}");
+        assert!(stderr.contains(&refusal), "{mode}: {stderr}");
+        assert!(out.stdout.is_empty(), "{mode}: printed output");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

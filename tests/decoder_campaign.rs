@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use peerwatch::detect::checkpoint::{append_checksum_trailer, EngineCheckpoint, MAGIC};
-use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy};
+use peerwatch::detect::stream::{DetectionEngine, EngineConfig};
 use peerwatch::flow::frame::{
     self, crc32, Frame, FrameError, Hello, HelloAck, MAX_BATCH, MAX_FRAME_LEN, RECORD_FIXED_LEN,
 };
@@ -53,24 +53,23 @@ fn flow(k: u64) -> FlowRecord {
     }
 }
 
-/// A snapshot holding a reorder buffer, a log and overlapping open
-/// windows, one of them with a late flow extended into it.
+/// A snapshot holding a reorder buffer, a log of flows in overlapping
+/// open windows, and the counts of a late flow awaiting the next report.
 fn snapshot() -> EngineCheckpoint {
     let cfg = EngineConfig {
         window: SimDuration::from_mins(10),
         slide: SimDuration::from_mins(5),
         lateness: SimDuration::from_mins(3),
-        late_policy: LatePolicy::ExtendOldest,
         ..Default::default()
     };
     let mut engine = DetectionEngine::new(cfg, internal as fn(Ipv4Addr) -> bool).unwrap();
     for k in 0..24 {
         let _ = engine.push(flow(k));
     }
-    let _ = engine.push(flow(1));
+    assert!(engine.push(flow(1)).is_err());
+    assert!(engine.open_windows() > 1);
     let snap = engine.checkpoint();
-    assert!(!snap.buffer().is_empty() && !snap.log().is_empty() && snap.open().len() > 1);
-    assert!(snap.open().iter().any(|(_, extras)| !extras.is_empty()));
+    assert!(!snap.buffer().is_empty() && !snap.log().is_empty() && snap.window_late == 1);
     snap
 }
 
@@ -101,8 +100,6 @@ struct Sections {
     head: Vec<String>,
     buffer: Vec<String>,
     log: Vec<String>,
-    /// Each open window's index and extras.
-    windows: Vec<(u64, Vec<String>)>,
 }
 
 impl Sections {
@@ -115,18 +112,8 @@ impl Sections {
             lines.by_ref().take(count).collect()
         };
         let (buffer, log) = (rows("buffer "), rows("log "));
-        let mut windows = Vec::new();
-        while let Some(header) = lines.next().filter(|l| l != "end") {
-            let (index, count) = header["window ".len()..].split_once(' ').unwrap();
-            let extras = lines.by_ref().take(count.parse().unwrap()).collect();
-            windows.push((index.parse().unwrap(), extras));
-        }
-        Self {
-            head,
-            buffer,
-            log,
-            windows,
-        }
+        assert_eq!(lines.next().as_deref(), Some("end"));
+        Self { head, buffer, log }
     }
 
     fn body(&self) -> String {
@@ -135,10 +122,6 @@ impl Sections {
         out.extend(self.buffer.iter().cloned());
         out.push(format!("log {}", self.log.len()));
         out.extend(self.log.iter().cloned());
-        for (index, extras) in &self.windows {
-            out.push(format!("window {index} {}", extras.len()));
-            out.extend(extras.iter().cloned());
-        }
         out.push("end".to_owned());
         out.iter().map(|l| format!("{l}\n")).collect()
     }
@@ -154,16 +137,10 @@ impl Sections {
 
 /// Engine checkpoint bodies in layouts no engine writes: the first
 /// buffered flow moved into the log, the last logged flow moved into the
-/// buffer, `applied_to` moved back past the last logged flow or on to the
-/// oldest open window's end, and the oldest open window unlisted along
-/// with the flows only it held.
+/// buffer, and `applied_to` moved back past the last logged flow or on
+/// past the first buffered one.
 fn moved_layouts() -> Vec<String> {
     let snap = snapshot();
-    let (window_ms, slide_ms) = (
-        snap.config().window.as_millis(),
-        snap.config().slide.as_millis(),
-    );
-    let oldest = snap.open()[0].0;
     let mut layouts = Vec::new();
 
     let mut s = Sections::of(&engine_body());
@@ -178,29 +155,19 @@ fn moved_layouts() -> Vec<String> {
 
     for applied_ms in [
         snap.log().last().unwrap().start.as_millis(),
-        oldest * slide_ms + window_ms,
+        snap.buffer()[0].start.as_millis() + 1,
     ] {
         let mut s = Sections::of(&engine_body());
         s.applied_to(applied_ms);
         layouts.push(s.body());
     }
 
-    let mut s = Sections::of(&engine_body());
-    s.windows.remove(0);
-    let next_start = s.windows[0].0 * slide_ms;
-    let only_oldest = snap
-        .log()
-        .partition_point(|f| f.start.as_millis() < next_start);
-    s.log.drain(..only_oldest);
-    assert!(only_oldest > 0 && !s.log.is_empty());
-    layouts.push(s.body());
-
     assert_eq!(Sections::of(&engine_body()).body(), engine_body());
     layouts
 }
 
-/// Offsets where the decimal count of a `buffer N`, `log N`, `window I N`
-/// or `exporters N` line begins.
+/// Offsets where the decimal count of a `buffer N`, `log N` or
+/// `exporters N` line begins.
 fn text_count_slots(text: &[u8]) -> Vec<usize> {
     let mut slots = Vec::new();
     let mut start = 0;
@@ -208,11 +175,6 @@ fn text_count_slots(text: &[u8]) -> Vec<usize> {
         for tag in [&b"buffer "[..], b"log ", b"exporters "] {
             if line.starts_with(tag) {
                 slots.push(start + tag.len());
-            }
-        }
-        if line.starts_with(b"window ") {
-            if let Some(sp) = line[7..].iter().position(|&b| b == b' ') {
-                slots.push(start + 7 + sp + 1);
             }
         }
         start += line.len() + 1;
@@ -564,14 +526,8 @@ fn clean_inputs_decode() {
     let mut server = server_body();
     append_checksum_trailer(&mut server);
     assert!(ServerCheckpoint::parse(&server).is_ok());
-    assert_eq!(
-        text_count_slots(engine.as_bytes()).len(),
-        2 + snapshot().open().len()
-    );
-    assert_eq!(
-        text_count_slots(server.as_bytes()).len(),
-        3 + snapshot().open().len()
-    );
+    assert_eq!(text_count_slots(engine.as_bytes()).len(), 2);
+    assert_eq!(text_count_slots(server.as_bytes()).len(), 3);
 
     let (wire, slots) = pwfs_stream();
     let mut r = wire.as_slice();

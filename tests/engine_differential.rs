@@ -6,11 +6,11 @@
 //! reorder buffer of per-key `Vec`s and a separate flow list per open
 //! window, so a flow sits in as many lists as windows cover it. Both run
 //! the same seeded, disordered campus days, with duplicates and flows
-//! beyond the lateness bound, under every `LatePolicy`, with and without
-//! dedupe, with and without a `max_flows` cap that sheds, on one, two and
-//! four threads, and at the sketched tier on one thread for the sliding
+//! beyond the lateness bound (which both refuse), with and without dedupe,
+//! with and without a `max_flows` cap that sheds, on one, two and four
+//! threads, and at the sketched tier on one thread for the sliding
 //! windows; the engine is serialized, parsed and restored at ⅓ and ⅔ of
-//! the feed.
+//! the feed, and revives its open windows from the log.
 //! Every push result (window reports included), `held_flows()` after every
 //! push and the final `stats()` must agree. The reference builds a
 //! `FlowTable` per window at its close, while each of the engine's open
@@ -25,9 +25,7 @@ use std::net::Ipv4Addr;
 
 use peerwatch::data::{build_day, CampusConfig};
 use peerwatch::detect::checkpoint::EngineCheckpoint;
-use peerwatch::detect::stream::{
-    DetectionEngine, EngineConfig, EngineStats, LatePolicy, WindowReport,
-};
+use peerwatch::detect::stream::{DetectionEngine, EngineConfig, EngineStats, WindowReport};
 use peerwatch::detect::{
     extract_profiles_table_par_tier, try_find_plotters_from_table, Error, ProfileTier,
 };
@@ -77,7 +75,13 @@ impl Reference {
     fn push(&mut self, f: FlowRecord) -> Result<Vec<WindowReport>, Error> {
         self.stats.attempted += 1;
         if f.start < self.applied_to {
-            return self.absorb_late(f);
+            self.stats.late += 1;
+            self.window_late += 1;
+            self.window_dropped += 1;
+            return Err(Error::LateFlow {
+                start: f.start,
+                bound: self.applied_to,
+            });
         }
         self.watermark = self.watermark.max(f.start);
         let cutoff = SimTime::from_millis(
@@ -95,40 +99,6 @@ impl Reference {
         self.buffer.entry(key(&f)).or_default().push(f);
         self.held += 1;
         Ok(reports)
-    }
-
-    fn absorb_late(&mut self, f: FlowRecord) -> Result<Vec<WindowReport>, Error> {
-        self.stats.late += 1;
-        self.window_late += 1;
-        let mut placed = 0;
-        if self.cfg.late_policy == LatePolicy::ExtendOldest {
-            for k in self.covering(f.start) {
-                if let Some(flows) = self.open.get_mut(&k) {
-                    flows.push(f);
-                    placed += 1;
-                }
-            }
-            if placed == 0 {
-                if let Some(flows) = self.open.values_mut().next() {
-                    flows.push(f);
-                    placed = 1;
-                }
-            }
-        }
-        if placed == 0 {
-            self.stats.late_dropped += 1;
-            self.window_dropped += 1;
-        } else {
-            self.stats.late_extended += 1;
-            self.held += placed;
-        }
-        if self.cfg.late_policy == LatePolicy::Reject {
-            return Err(Error::LateFlow {
-                start: f.start,
-                bound: self.applied_to,
-            });
-        }
-        Ok(Vec::new())
     }
 
     fn finish(&mut self) -> Vec<WindowReport> {
@@ -386,11 +356,11 @@ fn compare(flows: &[FlowRecord], cfg: EngineConfig, want: &Recording, what: &str
     assert_eq!(engine.stats(), want.stats, "{what}: stats");
 }
 
-/// Every configuration of one late policy: 3 seeds × 2 window shapes ×
-/// dedupe off/on × uncapped/shedding × 1, 2 and 4 threads at the exact
-/// tier, plus the sliding shape's 12 configurations at the sketched tier on
-/// one thread.
-fn sweep(late_policy: LatePolicy) {
+/// Every configuration: 3 seeds × 2 window shapes × dedupe off/on ×
+/// uncapped/shedding × 1, 2 and 4 threads at the exact tier, plus the
+/// sliding shape's 12 configurations at the sketched tier on one thread.
+#[test]
+fn engine_matches_copy_per_window_reference() {
     let mut configs = 0;
     for seed in [3u64, 17, 29] {
         let flows = feed(seed);
@@ -401,14 +371,12 @@ fn sweep(late_policy: LatePolicy) {
                         window: SimDuration::from_mins(window),
                         slide: SimDuration::from_mins(slide),
                         lateness: LATENESS,
-                        late_policy,
                         dedupe,
                         max_flows,
                         ..EngineConfig::default()
                     };
                     let what = format!(
-                        "seed {seed}, {window}/{slide} min, {late_policy:?}, \
-                         dedupe {dedupe}, cap {max_flows:?}"
+                        "seed {seed}, {window}/{slide} min, dedupe {dedupe}, cap {max_flows:?}"
                     );
                     // The reference's answer does not depend on threads.
                     let want = Recording::of(&flows, cfg);
@@ -418,9 +386,6 @@ fn sweep(late_policy: LatePolicy) {
                     assert!(windows > 3, "{what}: {windows} windows");
                     assert!(stats.late > 0 && stats.duplicates > 0, "{what}");
                     assert_eq!(max_flows.is_some(), stats.shed > 0, "{what}");
-                    if late_policy == LatePolicy::ExtendOldest {
-                        assert!(stats.late_extended > 0, "{what}");
-                    }
                     for threads in [1, 2, 4] {
                         let cfg = EngineConfig { threads, ..cfg };
                         compare(&flows, cfg, &want, &format!("{what}, {threads} threads"));
@@ -440,19 +405,4 @@ fn sweep(late_policy: LatePolicy) {
         }
     }
     assert_eq!(configs, 84);
-}
-
-#[test]
-fn reject_policy_matches_copy_per_window_reference() {
-    sweep(LatePolicy::Reject);
-}
-
-#[test]
-fn drop_policy_matches_copy_per_window_reference() {
-    sweep(LatePolicy::Drop);
-}
-
-#[test]
-fn extend_oldest_policy_matches_copy_per_window_reference() {
-    sweep(LatePolicy::ExtendOldest);
 }

@@ -17,7 +17,7 @@ use std::net::Ipv4Addr;
 
 use peerwatch::botnet::{generate_nugache_trace, generate_storm_trace, NugacheConfig, StormConfig};
 use peerwatch::data::{build_day, overlay_bots, CampusConfig};
-use peerwatch::detect::stream::{DetectionEngine, EngineConfig, LatePolicy, WindowReport};
+use peerwatch::detect::stream::{DetectionEngine, EngineConfig, WindowReport};
 use peerwatch::detect::{
     extract_profiles_table_par_tier, internal_endpoint, FindPlottersConfig, HostProfile,
     ProfileAccumulator, ProfileRepr, ProfileTable, ProfileTier,
@@ -263,9 +263,9 @@ fn window_churn(reports: &[WindowReport]) -> Vec<(u64, u64)> {
 /// initiated flow: a destination first contacted then is old, one first
 /// contacted a millisecond later is new. Checked bit for bit at both
 /// tiers through the table walk at one and four threads,
-/// `ProfileAccumulator`, and sliding engine windows on each path into the
-/// extraction kernel: the watermark feed, the catch-up of a `finish`
-/// flush, and the re-walk of a window holding an `ExtendOldest` extra.
+/// `ProfileAccumulator`, and sliding engine windows on both paths into the
+/// extraction kernel: the watermark feed and the catch-up of a `finish`
+/// flush.
 #[test]
 fn the_first_hour_ends_exactly_one_hour_after_first_activity() {
     let host = Ipv4Addr::new(10, 1, 0, 1);
@@ -354,19 +354,6 @@ fn the_first_hour_ends_exactly_one_hour_after_first_activity() {
         assert_eq!((lagging.buffered(), lagging.open_windows()), (3, 2));
         let closed = lagging.finish();
         assert_eq!(window_churn(&closed), windows, "{tier:?}, flush catch-up");
-
-        // The contact at the cutoff arrives late: windows 1 and 2 keep it
-        // as an extra and re-walk their rows at close.
-        let mut extended = engine(EngineConfig {
-            late_policy: LatePolicy::ExtendOldest,
-            ..cfg
-        });
-        let mut closed = Vec::new();
-        for f in [flows[0], flows[2], flows[3], flows[1], clock] {
-            closed.extend(extended.push(f).expect("late flows extend"));
-        }
-        assert_eq!(extended.stats().late_extended, 1);
-        assert_eq!(window_churn(&closed), windows, "{tier:?}, re-walk");
     }
 }
 
